@@ -1,6 +1,6 @@
 """Closed-loop benchmark of the harmonic-hartree CLI and library.
 
-    python3 perfbench/run.py --workload flow --seed 1 --seconds 36 --trace 0
+    python3 perfbench/run.py --workload flow --seed 1 --seconds 20 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ``src/`` there and nowhere else.  One client issues op ``i + 1`` only after
@@ -9,9 +9,13 @@ outputs go to a temporary directory under ``.bench_out/``.
 
 A run first starts ``setup_probe.py`` several times (cold import plus cache
 fill, reported as ``setup_s``), then fills the caches in its own process,
-then times ops until ``--seconds`` have passed and at least the workload's
-prefix of ops is done.  Op time is the ``cli.main`` call (or library call)
-alone; reading outputs back and checking them is not timed.  The prefix
+then times ops until ``--seconds`` have passed, at least the workload's
+``min_ops`` are done and the last cycle of its op mix is complete, so
+every run measures the same mix.  Op time is the ``cli.main`` call (or
+library call) alone; reading outputs back and checking them is not timed.
+Op times are scaled to a nominal machine speed by reference kernels timed
+next to each op (see ``speed.py``); the raw wall-clock figures are in the
+record line.  The prefix
 (a fixed number of ops) is the part whose outputs are hashed into the
 determinism digest and from which accuracy and per-layer figures come, so
 those repeat exactly for a seed.
@@ -34,10 +38,12 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -50,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = str(BLAS_THREADS)
 
 SETUP_PROBES = 3
+PROBE_TIMEOUT_S = 60.0
 HARD_STOP_S = 150.0  # stay inside the 180 s a run may take
 WORKLOAD_NAMES = ("flow", "classical", "analysis")
 
@@ -73,16 +80,36 @@ def import_program():
         raise ImportError(f"harmonic_hartree imported from {where}, not this checkout")
 
 
+def _probe(workload: str) -> tuple[float, float]:
+    """Start and end of one cold set-up probe process.
+
+    ``Popen.wait`` with a timeout polls in steps of up to 50 ms, which
+    would quantize the figure; a timer kills a hung probe instead.
+    """
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, str(HERE / "setup_probe.py"), workload], cwd=ROOT)
+    timer = threading.Timer(PROBE_TIMEOUT_S, proc.kill)
+    timer.start()
+    try:
+        code = proc.wait()
+    finally:
+        timer.cancel()
+        if proc.poll() is None:  # interrupted while waiting
+            proc.kill()
+            proc.wait()
+    t1 = time.perf_counter()
+    if code != 0:
+        raise RuntimeError(f"set-up probe for {workload} exited with {code}")
+    return t0, t1
+
+
 def _setup_samples(workload: str) -> list[float]:
-    samples = []
-    for _ in range(SETUP_PROBES):
-        t0 = time.perf_counter()
-        subprocess.run(
-            [sys.executable, str(HERE / "setup_probe.py"), workload],
-            cwd=ROOT, check=True, timeout=60,
-        )
-        samples.append(time.perf_counter() - t0)
-    return samples
+    """Wall times of the cold set-up probes.  A first, untimed probe brings
+    the package's files into the page cache, so every timed probe starts
+    from the same state.  They are not scaled by the reference kernels:
+    process start and imports did not follow either kernel when measured."""
+    _probe(workload)
+    return [t1 - t0 for t0, t1 in (_probe(workload) for _ in range(SETUP_PROBES))]
 
 
 def _environment(workload) -> dict:
@@ -111,15 +138,14 @@ def _environment(workload) -> dict:
     }
 
 
-def _tail(times: list[float]) -> tuple[float, float]:
-    """The highest percentile with at least 10 samples beyond it (the 11th
-    largest op time) and that percentile; below 21 samples that percentile
-    lies under the median, and the median is reported instead."""
+def _tail(times: list[float], pct: float) -> tuple[float, int]:
+    """The op time at percentile ``pct`` (nearest rank) and the number of
+    samples beyond it.  ``pct`` is fixed per workload, as the highest
+    percentile with at least 10 samples beyond it in the shortest run the
+    workload allows, so every run reports the same percentile."""
     ordered = sorted(times)
-    n = len(ordered)
-    if n < 21:
-        return statistics.median(ordered), 50.0
-    return ordered[n - 11], 100.0 * (n - 10) / n
+    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
+    return ordered[rank - 1], len(ordered) - rank
 
 
 def _worse(prev: float, err: float) -> float:
@@ -157,6 +183,8 @@ def _digest_files(digest, outdir: str) -> int:
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    # run the finally blocks (which stop a running probe) on SIGTERM too
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     if not args.seconds > 0:
         raise SystemExit("--seconds must be positive")
     import_program()
@@ -164,9 +192,11 @@ def main(argv=None) -> int:
 
     import setup_probe
     import spans
+    import speed
     import workloads
 
     setup = _setup_samples(args.workload)
+    clock = speed.ReferenceClock()
     workload = workloads.make_workloads()[args.workload]
     tracer = spans.Tracer()
     if args.trace:
@@ -180,7 +210,7 @@ def main(argv=None) -> int:
     out_root.mkdir(exist_ok=True)
     workdir = tempfile.mkdtemp(prefix=f"{args.workload}-", dir=out_root)
     digest = hashlib.sha256()
-    times, kinds, failures = [], [], []
+    times, raw_times, shares, kinds, failures = [], [], [], [], []
     worst: dict[str, float] = {}  # per gate, largest err over the prefix
     bytes_prefix = 0
     began = time.perf_counter()
@@ -188,8 +218,10 @@ def main(argv=None) -> int:
         i = 0
         while True:
             elapsed = time.perf_counter() - began
-            if (i >= workload.prefix and elapsed >= args.seconds) or elapsed >= HARD_STOP_S:
+            done = i >= workload.min_ops and i % workload.cycle_len == 0
+            if (done and elapsed >= args.seconds) or elapsed >= HARD_STOP_S:
                 break
+            clock.sample_if_due()
             outdir = os.path.join(workdir, f"op{i}")
             os.mkdir(outdir)
             op = workload.make_op(i, np.random.default_rng([args.seed, i]), outdir)
@@ -216,14 +248,18 @@ def main(argv=None) -> int:
                 for gate, (err, _) in errors.items():
                     worst[gate] = _worse(worst.get(gate, 0.0), err)
             shutil.rmtree(outdir)
-            times.append(t1 - t0)
+            raw_times.append((t0, t1))
+            shares.append(op.memory_share)
             kinds.append(op.kind)
             i += 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    clock.bracket()
+    times = [clock.scaled(t0, t1, w) for (t0, t1), w in zip(raw_times, shares)]
+    raw_times = [t1 - t0 for t0, t1 in raw_times]
 
     n = len(times)
-    tail, tail_pct = _tail(times)
+    tail, beyond_tail = _tail(times, workload.tail_pct)
     ops_per_s = n / sum(times)
     prefix = range(min(workload.prefix, n))
     oracle, invariant = workloads.ACCURACY[args.workload]
@@ -257,9 +293,24 @@ def main(argv=None) -> int:
         "op_kinds": {k: kinds.count(k) for k in sorted(set(kinds))},
         "failed_frac": len(failures) / n,
         "failures": failures[:20],
-        "op_tail_percentile": tail_pct,
+        "op_tail_percentile": workload.tail_pct,
+        "op_tail_samples_beyond": beyond_tail,
         "setup_samples_s": setup,
         "op_times_s": times,
+        "op_times_wall_s": raw_times,
+        "wall": {
+            "ops_per_s": n / sum(raw_times),
+            "op_p50_s": statistics.median(raw_times),
+        },
+        "reference_kernels": {
+            kind: {
+                "nominal_s": speed.NOMINAL_S[kind],
+                "samples": len(d),
+                "median_s": statistics.median(d),
+                "q1_q3_s": statistics.quantiles(d, n=4)[::2],
+            }
+            for kind, d in clock.durations.items()
+        },
         "digest_sha256": digest.hexdigest(),
         "prefix_bytes_written": bytes_prefix,
         "accuracy": {g: _json_number(v) for g, v in accuracy.items()},

@@ -80,6 +80,9 @@ class Op:
 
     ``check`` returns ``{gate: (err, tol)}``; ``result`` holds what a
     library op returned, so the check (and the self-test) can read it.
+    ``memory_share`` is the share of the op's time spent streaming large
+    dense matrices, which picks the reference kernel that its wall time
+    is scaled by (``speed.py``).
     """
 
     kind: str
@@ -88,6 +91,7 @@ class Op:
     outdir: str
     result: object = None
     info: dict = field(default_factory=dict)
+    memory_share: float = 0.0
 
 
 def failed_gates(errors: dict[str, tuple[float, float]]) -> list[str]:
@@ -241,16 +245,17 @@ def _finite_max(values) -> float:
 class FlowWorkload:
     """``simulate`` over one cycle of small and large cases, interleaved.
 
-    Small: d=1, K=8 (n=45) over 4 pi on each criterion-4 index set, where
-    per-step Python overhead dominates.  Large: d=2, K=8 (n=495) over pi/4,
-    where the dense matvecs of the sphere field dominate.  Small ops are 10
-    of every 14, so the median op is a small one, while the large ops (each
-    about twice as long) make up the slow tail.
+    Small: d=1, K=8 (n=45) over 2 pi, at least one relative period of every
+    criterion-4 index set, where per-step Python overhead dominates.
+    Large: d=2, K=8 (n=495) over pi/4, where the dense matvecs of the
+    sphere field dominate.  Small ops are 10 of every 14, so the median op
+    is a small one, while the large ops and the slowest small ones make up
+    the slow tail.
     """
 
     samples = 41
     tol = 1e-10
-    SMALL = (fock.Cutoff(k=8, d=1), 4 * math.pi)
+    SMALL = (fock.Cutoff(k=8, d=1), 2 * math.pi)
     LARGE = (fock.Cutoff(k=8, d=2), math.pi / 4)
 
     def __init__(self) -> None:
@@ -260,7 +265,11 @@ class FlowWorkload:
             (*self.LARGE, next(large)) if k in (2, 6, 9, 13) else (*self.SMALL, next(small))
             for k in range(len(CRITERION4_SETS) + len(FLOW_LARGE_SETS))
         ]
-        self.prefix = len(self.cycle)
+        self.prefix = self.cycle_len = len(self.cycle)
+        # four cycles put 11 ops beyond the 80th percentile, among the
+        # large ops and the slowest small ones
+        self.min_ops = 4 * self.cycle_len
+        self.tail_pct = 80.0
         self.oracle: dict[fock.Cutoff, OracleAlgebra] = {}
 
     def describe(self) -> dict:
@@ -287,9 +296,11 @@ class FlowWorkload:
             "--out", os.path.join(outdir, "simulate.csv"),
             "--report", os.path.join(outdir, "simulate_report.json"),
         ]
+        # n=495: the dense sphere-field matvecs are about 88% of the op
         return Op(
             "simulate", lambda: cli.main(argv), self.check, outdir,
             info={"coeffs": coeffs, "indices": indices, "cut": cut, "t_end": t_end},
+            memory_share=1.0 if cut == self.LARGE[0] else 0.0,
         )
 
     def check(self, op: Op) -> dict[str, tuple[float, float]]:
@@ -357,6 +368,8 @@ class ClassicalWorkload:
     grid_n = 128
     grid_l = 6.0
     prefix = 8
+    cycle_len = 1
+    min_ops, tail_pct = 50, 80.0
 
     def __init__(self) -> None:
         self.cut = fock.Cutoff(k=8, d=1)
@@ -389,8 +402,10 @@ class ClassicalWorkload:
             "--grid-n", str(self.grid_n), "--grid-l", repr(self.grid_l),
             "--out-prefix", os.path.join(outdir, "pipeline"),
         ]
+        # 128^2 grid stages and their 4x oversampled spline: measured to
+        # follow both kernels about equally
         return Op("pipeline", lambda: cli.main(argv), self.check, outdir,
-                  info={"gamma": gamma, "t": t})
+                  info={"gamma": gamma, "t": t}, memory_share=0.5)
 
     def check(self, op: Op) -> dict[str, tuple[float, float]]:
         prefix = os.path.join(op.outdir, "pipeline")
@@ -417,14 +432,24 @@ class ClassicalWorkload:
 # ---------------------------------------------------------------------------
 # analysis workload: linearization spectra plus sparse-state queries
 
+# one spectrum per nine queries.  The sphere and full fields come twice:
+# four cheap kinds (classify, energy, family, gauge) then lie below the
+# three chart/sphere ops and three costlier ones (two full fields, the
+# spectrum) above them, so the median op falls inside the chart/sphere
+# cluster, not in the gap below it, where it would jump between runs.
 ANALYSIS_CYCLE = (
     "spectrum", "classify", "energy", "vector-field:chart",
     "vector-field:sphere", "vector-field:full", "family", "gauge",
+    "vector-field:sphere", "vector-field:full",
 )
 
 
 class AnalysisWorkload:
-    prefix = 10 * len(ANALYSIS_CYCLE)
+    # op i is of kind i mod 10 on index set (i + i // 10) mod 10: every
+    # pair once per cycle of 100
+    cycle_len = prefix = len(ANALYSIS_CYCLE) * len(CRITERION4_SETS)
+    # the 95th percentile lies among the spectrum ops (one in ten)
+    min_ops, tail_pct = 3 * cycle_len, 95.0
 
     def __init__(self) -> None:
         self.cut_eq = fock.Cutoff(k=8, d=2)
@@ -442,7 +467,8 @@ class AnalysisWorkload:
                 "cycle": list(ANALYSIS_CYCLE),
                 "spectrum": "d=2, K=8 basis-vector equilibria "
                 f"(one of {len(VERIFIED_EQUILIBRIA_D2)} verified at seed)",
-                "queries": "d=3, K=8 centered states over the criterion-4 index sets",
+                "queries": "d=3, K=8 centered states with seeded amplitudes; op i "
+                "takes criterion-4 index set (i + i // 10) mod 10",
                 "family": "d=1, K=8, 8 gamma steps, |n - m| >= 2",
                 "gauge": "gauge_fix of v, zeta v, w; two quotient distances",
             },
@@ -460,7 +486,9 @@ class AnalysisWorkload:
             _write_state(state, self.cut_eq, {fock.MultiIndex(a, b): 1.0 + 0j})
             argv = ["spectrum", "--state", state, "--json", out_json,
                     "--csv", os.path.join(outdir, "out.csv")]
-            return Op(kind, lambda: cli.main(argv), self._check_spectrum, outdir)
+            # eigenvalues of a dense 988 x 988 linearization
+            return Op(kind, lambda: cli.main(argv), self._check_spectrum, outdir,
+                      memory_share=1.0)
         if kind == "family":
             n = int(rng.integers(-4, 5))
             m = int(rng.choice([k for k in range(-4, 5) if abs(k - n) >= 2]))
@@ -469,7 +497,10 @@ class AnalysisWorkload:
             return Op(kind, lambda: cli.main(argv), self._check_family, outdir,
                       info={"n": n, "m": m})
 
-        indices = CRITERION4_SETS[rng.integers(len(CRITERION4_SETS))]
+        # a query's cost follows its support size, so the index set cycles
+        # rather than being drawn: every run times the same mix of kinds
+        # and sizes
+        indices = CRITERION4_SETS[(i + i // len(ANALYSIS_CYCLE)) % len(CRITERION4_SETS)]
         coeffs = centered_state(self.cut_q, indices, rng)
         info = {"coeffs": coeffs, "indices": indices}
         if kind == "gauge":
