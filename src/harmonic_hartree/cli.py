@@ -10,6 +10,7 @@ for identical inputs: iteration orders are fixed, floats are printed with
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -32,13 +33,16 @@ _FMT = "%.17g"
 
 def _load_state(path: str) -> FockVector:
     with open(path, "r", encoding="utf-8") as fh:
-        return fock.from_json_dict(json.load(fh))
+        state = fock.from_json_dict(json.load(fh))
+    if not all(cmath.isfinite(c) for c in state.coeffs.values()):
+        raise ValueError(f"{path}: state has a non-finite coefficient")
+    return state
 
 
 def _write_json(path: str, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:

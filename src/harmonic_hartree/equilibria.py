@@ -26,15 +26,13 @@ import numpy as np
 import scipy.linalg
 
 from . import fock, hamiltonian
-from .errors import NormalizationError
-from .fock import Cutoff, FockVector
+from .fock import LOWER, RAISE, Cutoff, FockVector
 from .hamiltonian import FieldKind
 
 
 def is_relative_equilibrium(v: FockVector, tol: float) -> bool:
     """True iff the chart field vanishes at the unit state ``v`` within tol."""
-    if abs(v.norm - 1.0) > 1e-10:
-        raise NormalizationError(f"state must be unit, norm={v.norm}")
+    fock.require_unit(v)
     return hamiltonian.vector_field(FieldKind.CHART, v).norm <= tol
 
 
@@ -75,31 +73,25 @@ def _interleave(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _perturbation_vectors(base: FockVector) -> tuple[list, list]:
-    vb, va = [], []
-    for i in range(base.cutoff.d):
-        vb.append(
-            fock.to_array(
-                fock.apply_raising_b(i, base) + fock.apply_lowering_b(i, base)
-            )
-        )
-        va.append(
-            fock.to_array(
-                fock.apply_raising_a(i, base) + fock.apply_lowering_a(i, base)
-            )
-        )
-    return vb, va
+def _real_basis_columns(chart: np.ndarray) -> np.ndarray:
+    """Real basis of the chart tangent as complex columns e_0, i e_0, e_1, ..."""
+    cols = np.empty((chart.shape[0], 2 * chart.shape[1]), dtype=complex)
+    cols[:, 0::2] = chart
+    cols[:, 1::2] = 1j * chart
+    return cols
 
 
 def _apply_chart_derivative(
-    cols: np.ndarray, n_diag: np.ndarray, exc: int, vb: list, va: list
+    cols: np.ndarray, n_diag: np.ndarray, exc: int, images: np.ndarray
 ) -> np.ndarray:
-    """Apply the real-linear derivative to each (complex) column."""
+    """Apply the real-linear derivative to each (complex) column, given the
+    ladder images of the base state."""
     out = -1j * ((n_diag - exc)[:, None] * cols)
-    for w in vb:
+    d = images.shape[1] // 2
+    for w in images[LOWER, d:] + images[RAISE, d:]:  # (b_i + b*_i) base
         coeff = (w.conj() @ cols).real  # Re<col, w> per column
         out = out + 1j * np.outer(w, coeff)
-    for w in va:
+    for w in images[LOWER, :d] + images[RAISE, :d]:  # (a_i + a*_i) base
         coeff = (w.conj() @ cols).real
         out = out - 1j * np.outer(w, coeff)
     return out
@@ -115,8 +107,7 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     if cutoff is not None and cutoff != base.cutoff:
         base = FockVector(cutoff, dict(base.coeffs))
     exc = _single_excitation(base)
-    if abs(base.norm - 1.0) > 1e-10:
-        raise NormalizationError(f"equilibrium must be unit, norm={base.norm}")
+    fock.require_unit(base, what="equilibrium")
     if base.max_degree() > base.cutoff.k - 2:
         raise ValueError(
             f"support degree {base.max_degree()} too close to cutoff K={base.cutoff.k}"
@@ -124,21 +115,13 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     if not is_relative_equilibrium(base, 1e-10):
         raise ValueError("state is not a relative equilibrium")
 
-    idxs = fock.basis(base.cutoff)
-    n_diag = np.array([idx.excitation for idx in idxs], dtype=float)
+    table = fock.ladder_table(base.cutoff)
     base_arr = fock.to_array(base)
 
     # complex orthonormal basis of the chart tangent {delta : <base, delta> = 0}
     chart = scipy.linalg.null_space(base_arr.conj()[None, :])
-    m = chart.shape[1]
-
-    # real basis columns: e_0, i e_0, e_1, i e_1, ...
-    cols = np.empty((len(idxs), 2 * m), dtype=complex)
-    cols[:, 0::2] = chart
-    cols[:, 1::2] = 1j * chart
-
-    vb, va = _perturbation_vectors(base)
-    image = _apply_chart_derivative(cols, n_diag, exc, vb, va)
+    cols = _real_basis_columns(chart)
+    image = _apply_chart_derivative(cols, table.n_diag, exc, table.gather(base_arr))
     matrix = _interleave(chart.conj().T @ image)
 
     eigs = spectrum(matrix)
@@ -173,28 +156,19 @@ def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
     every eigenvalue is an imaginary integer to 1e-9.
     """
     base = report.base
-    idxs = fock.basis(base.cutoff)
-    n_diag = np.array([idx.excitation for idx in idxs], dtype=float)
+    table = fock.ladder_table(base.cutoff)
     chart = report.chart
-    m = chart.shape[1]
+    cols = _real_basis_columns(chart)
 
-    cols = np.empty((len(idxs), 2 * m), dtype=complex)
-    cols[:, 0::2] = chart
-    cols[:, 1::2] = 1j * chart
-
-    diag_image = -1j * ((n_diag - report.excitation)[:, None] * cols)
+    diag_image = -1j * ((table.n_diag - report.excitation)[:, None] * cols)
     diag_matrix = _interleave(chart.conj().T @ diag_image)
 
+    images = table.gather(fock.to_array(base))
+    d = base.cutoff.d
     rows = []
-    for i in range(base.cutoff.d):
-        for op in (
-            fock.apply_lowering_a(i, base),
-            fock.apply_raising_a(i, base),
-            fock.apply_lowering_b(i, base),
-            fock.apply_raising_b(i, base),
-        ):
-            w = fock.to_array(op)
-            g = chart.conj().T @ w
+    for i in range(d):
+        for op, axis in ((LOWER, i), (RAISE, i), (LOWER, d + i), (RAISE, d + i)):
+            g = chart.conj().T @ images[op, axis]
             rows.append(_interleave(g[:, None])[:, 0])
     cond = np.array(rows)
 

@@ -17,6 +17,10 @@ Raising a term of total degree K would leave the truncated space; the term
 is dropped and the result is marked ``truncated``.  All algebra on states
 supported at degree <= K - 2 is exact, which is where every identity used
 downstream is evaluated.
+
+For dense coefficient arrays, ``ladder_table`` holds the same algebra for
+one cutoff as gather indices and weights, so every ladder image of an
+array comes from one gather.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -286,20 +290,21 @@ def component_split(v: FockVector) -> dict[int, FockVector]:
     }
 
 
-def _require_unit(v: FockVector, tol: float = NORM_TOL) -> None:
-    if abs(v.norm - 1.0) > tol:
-        raise NormalizationError(f"state norm {v.norm} deviates from 1 beyond {tol}")
+def require_unit(v: FockVector, tol: float = NORM_TOL, what: str = "state") -> None:
+    """Raise NormalizationError unless |v| lies within tol of 1 (NaN fails)."""
+    if not abs(v.norm - 1.0) <= tol:
+        raise NormalizationError(f"{what} must be unit, norm={v.norm} (tol {tol})")
 
 
 def expectation_n(v: FockVector) -> float:
     """<v, N v> for unit v (checked to 1e-10)."""
-    _require_unit(v)
+    require_unit(v)
     return inner(v, apply_excitation(v)).real
 
 
 def expectation_n2(v: FockVector) -> float:
     """<v, N^2 v> for unit v (checked to 1e-10)."""
-    _require_unit(v)
+    require_unit(v)
     return inner(apply_excitation(v), apply_excitation(v)).real
 
 
@@ -331,7 +336,7 @@ def from_json_dict(obj: dict) -> FockVector:
 
 
 # ---------------------------------------------------------------------------
-# dense bridge (used by the linearization and the integrator)
+# dense bridge and the per-cutoff ladder table
 
 def to_array(v: FockVector) -> np.ndarray:
     """Coefficients as a dense complex array in lexicographic basis order."""
@@ -346,19 +351,74 @@ def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> Fock
     idxs = basis(cutoff)
     if arr.shape != (len(idxs),):
         raise BasisMismatchError(f"array length {arr.shape} != basis size {len(idxs)}")
-    coeffs = {idx: complex(c) for idx, c in zip(idxs, arr) if c != 0}
+    nz = np.flatnonzero(arr)
+    coeffs = dict(zip((idxs[j] for j in nz), arr[nz].astype(complex).tolist()))
     return FockVector(cutoff, coeffs, truncated)
 
 
-def operator_matrix(
-    apply_fn: Callable[[FockVector], FockVector], cutoff: Cutoff
-) -> np.ndarray:
-    """Dense matrix of a linear operator, built column-by-column from its
-    sparse action on basis vectors.  Truncation flags are not representable
-    here; callers that need them must track dropped amplitude separately.
+_PAD = np.zeros(1)
+
+# rows of LadderTable.index / .weight
+LOWER, RAISE, PAIR_LOWER, DOUBLE_RAISE = range(4)
+
+
+@dataclass(frozen=True, eq=False)
+class LadderTable:
+    """Ladder action of one cutoff as gather arrays over the basis order.
+
+    Axes run over a_0..a_{d-1}, then b_0..b_{d-1}.  For each op (rows
+    LOWER, RAISE, PAIR_LOWER, DOUBLE_RAISE: o, o*, o o, o* o*) and axis,
+    ``(op y)[k] = weight[op, axis, k] * y[index[op, axis, k]]``, where
+    index n points at a zero pad slot.  Raising truncates at degree K like
+    ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
+    amplitude that a single | double raising of basis element k loses
+    past the cutoff.
     """
+
+    n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
+    sign: np.ndarray  # (2d,) +1 on a axes, -1 on b axes
+    index: np.ndarray  # (4, 2d, n)
+    weight: np.ndarray  # (4, 2d, n)
+    boundary: np.ndarray  # (2, 2d, n)
+
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """Images of y under every op along every axis, shape (4, 2d, n)."""
+        return self.weight * np.concatenate((y, _PAD))[self.index]
+
+
+@lru_cache(maxsize=None)
+def ladder_table(cutoff: Cutoff) -> LadderTable:
+    """The cutoff's ladder table, built once from ``basis`` and shared."""
     idxs = basis(cutoff)
-    mat = np.zeros((len(idxs), len(idxs)), dtype=complex)
-    for j, idx in enumerate(idxs):
-        mat[:, j] = to_array(apply_fn(FockVector(cutoff, {idx: 1.0 + 0j})))
-    return mat
+    n, d = len(idxs), cutoff.d
+    pos = {idx.a + idx.b: j for j, idx in enumerate(idxs)}
+    m = np.array([idx.a + idx.b for idx in idxs], dtype=float).T  # (2d, n) counts
+    degree = m.sum(axis=0)
+    index = np.array([
+        [
+            [pos.get(_shift(idx.a + idx.b, axis, step), n) for idx in idxs]
+            for axis in range(2 * d)
+        ]
+        for step in (1, -1, 2, -2)  # row k of each op reads basis element k + step e_axis
+    ])
+    weight = np.stack([
+        np.sqrt(m + 1),
+        np.sqrt(m),
+        np.sqrt(m + 1) * np.sqrt(m + 2),
+        np.sqrt(m) * np.sqrt(np.maximum(m - 1, 0)),
+    ])
+    weight[index == n] = 0.0
+    boundary = np.stack([
+        np.where(degree == cutoff.k, m + 1, 0.0),
+        np.where(degree >= cutoff.k - 1, (m + 1) * (m + 2), 0.0),
+    ])
+    table = LadderTable(
+        n_diag=m[d:].sum(axis=0) - m[:d].sum(axis=0),
+        sign=np.repeat([1.0, -1.0], d),
+        index=index,
+        weight=weight,
+        boundary=boundary,
+    )
+    for arr in vars(table).values():
+        arr.flags.writeable = False  # shared through the cache
+    return table

@@ -14,19 +14,26 @@ Hamiltonian vector field are exposed:
   along i*v; it satisfies <v, X(v)> = 0 and vanishes exactly at the
   relative equilibria (unit excitation eigenvectors).
 
-Every expectation value is evaluated through the ladder operations of
-:mod:`.fock`; no coefficient formulas are hand-expanded here.  Scalar
-prefactors that are exactly zero short-circuit the corresponding operator
-application, so eigenvector inputs never touch the cutoff boundary.
+The energy and the three fields are written once, in ``energy_array`` and
+``field_array``, on dense coefficient arrays over the cutoff's
+:class:`.fock.LadderTable`: one gather gives every ladder image of the
+state, and one small matmul combines them.  ``energy`` and
+``vector_field`` wrap these for ``FockVector`` states; the integrator
+calls ``field_array`` directly.  A ladder image enters only with a scalar
+prefactor; when that prefactor is nonzero and the raising loses amplitude
+past the cutoff, the field raises TruncationError.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
+import numpy as np
+
 from . import fock
-from .errors import NormalizationError, TruncationError
-from .fock import FockVector
+from .errors import TruncationError
+from .fock import DOUBLE_RAISE, LOWER, PAIR_LOWER, RAISE, FockVector, LadderTable
 
 
 class FieldKind(Enum):
@@ -45,46 +52,59 @@ def first_moment_b(v: FockVector, i: int) -> float:
     return fock.inner(v, fock.apply_lowering_b(i, v)).real
 
 
+def _moments(table: LadderTable, y: np.ndarray):
+    """Ladder images of y, Re<y, op y> for each image, and |y_k|^2."""
+    images = table.gather(y)
+    yc = y.conj()
+    return images, (images @ yc).real, (y * yc).real
+
+
+def energy_array(table: LadderTable, y: np.ndarray) -> float:
+    """Energy of the coefficient array y (unit norm is not checked)."""
+    _, proj, weights = _moments(table, y)
+    return 0.5 * float(table.n_diag @ weights) + 0.5 * float(table.sign @ proj[LOWER] ** 2)
+
+
+def field_array(
+    kind: FieldKind, table: LadderTable, y: np.ndarray, flux_tol: float = 0.0
+) -> np.ndarray:
+    """Hamiltonian vector field on the coefficient array y.
+
+    Raises TruncationError when a raising term with nonzero prefactor loses
+    amplitude above ``flux_tol`` past the cutoff.
+    """
+    images, proj, weights = _moments(table, y)
+    mean_n = float(table.n_diag @ weights)
+    # prefactor of each image: Re<y, a_i y> (a_i + a*_i) - Re<y, b_i y> (b_i + b*_i)
+    coef = np.zeros(proj.shape)
+    coef[LOWER] = coef[RAISE] = table.sign * proj[LOWER]
+    if kind is FieldKind.CHART:
+        diag = table.n_diag - (mean_n + 2.0 * float(table.sign @ proj[LOWER] ** 2))
+    else:
+        # s2 = sum_i Re<y, (b_i b_i - a_i a_i) y> = -sign @ proj[PAIR_LOWER]
+        diag = table.n_diag + 0.5 * (mean_n - float(table.sign @ proj[PAIR_LOWER]))
+        if kind is FieldKind.FULL:
+            # off-sphere term (w/4) (2N + sum_i (bb + b*b* - aa - a*a*)) y
+            w = float(weights.sum()) - 1.0
+            coef[PAIR_LOWER] = coef[DOUBLE_RAISE] = -0.25 * w * table.sign
+            diag = diag + 0.5 * w * table.n_diag
+        elif kind is not FieldKind.SPHERE:
+            raise ValueError(f"unknown field kind {kind!r}")
+    out = diag * y
+    if np.count_nonzero(coef):  # zero on centered states, whose images drop out exactly
+        lost_sq = (coef[RAISE::2] ** 2 * (table.boundary @ weights)).max()
+        if lost_sq > flux_tol**2:
+            raise TruncationError(
+                f"field lost amplitude {math.sqrt(lost_sq):.3e} past the cutoff; increase K"
+            )
+        out += coef.ravel() @ images.reshape(coef.size, -1)
+    return -1j * out
+
+
 def energy(v: FockVector) -> float:
     """Energy of a unit state (norm checked to 1e-10); phase invariant."""
-    if abs(v.norm - 1.0) > 1e-10:
-        raise NormalizationError(f"energy requires a unit state, norm={v.norm}")
-    d = v.cutoff.d
-    mean_n = fock.inner(v, fock.apply_excitation(v)).real
-    quad = 0.0
-    for i in range(d):
-        quad += first_moment_a(v, i) ** 2 - first_moment_b(v, i) ** 2
-    return 0.5 * mean_n + 0.5 * quad
-
-
-def _pair_lowered_scalar(v: FockVector) -> float:
-    """Re<v, sum_i (b_i b_i - a_i a_i) v>.
-
-    Equals Re<v, sum_i (b*_i b*_i - a_i a_i) v> by self-conjugacy, but uses
-    only lowering so it is exact for any support.
-    """
-    acc = 0.0
-    for i in range(v.cutoff.d):
-        bb = fock.apply_lowering_b(i, fock.apply_lowering_b(i, v))
-        aa = fock.apply_lowering_a(i, fock.apply_lowering_a(i, v))
-        acc += fock.inner(v, bb - aa).real
-    return acc
-
-
-def _position_op_a(i: int, v: FockVector) -> FockVector:
-    return fock.apply_lowering_a(i, v) + fock.apply_raising_a(i, v)
-
-
-def _position_op_b(i: int, v: FockVector) -> FockVector:
-    return fock.apply_lowering_b(i, v) + fock.apply_raising_b(i, v)
-
-
-def _guard(term: FockVector, what: str) -> FockVector:
-    if term.truncated:
-        raise TruncationError(
-            f"{what} lost amplitude past the cutoff; increase K"
-        )
-    return term
+    fock.require_unit(v, what="energy state")
+    return energy_array(fock.ladder_table(v.cutoff), fock.to_array(v))
 
 
 def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
@@ -93,48 +113,5 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     Raises TruncationError when a contributing ladder application (nonzero
     prefactor) crosses the cutoff boundary.
     """
-    d = v.cutoff.d
-    mean_n = fock.inner(v, fock.apply_excitation(v)).real
-    s2 = _pair_lowered_scalar(v)
-
-    if kind is FieldKind.CHART:
-        out = fock.apply_excitation(v) + (-mean_n) * v
-        for i in range(d):
-            cb = first_moment_b(v, i)
-            if cb != 0.0:
-                out = out - cb * _guard(_position_op_b(i, v), "b_i + b*_i") + (2.0 * cb * cb) * v
-            ca = first_moment_a(v, i)
-            if ca != 0.0:
-                out = out + ca * _guard(_position_op_a(i, v), "a_i + a*_i") + (-2.0 * ca * ca) * v
-        return -1j * out
-
-    # shared sphere part: N v + (mean_n/2 + s2/2) v - sum_i cb (b+b*) v + sum_i ca (a+a*) v
-    out = fock.apply_excitation(v) + (0.5 * mean_n + 0.5 * s2) * v
-    for i in range(d):
-        cb = first_moment_b(v, i)
-        if cb != 0.0:
-            out = out - cb * _guard(_position_op_b(i, v), "b_i + b*_i")
-        ca = first_moment_a(v, i)
-        if ca != 0.0:
-            out = out + ca * _guard(_position_op_a(i, v), "a_i + a*_i")
-
-    if kind is FieldKind.FULL:
-        w = v.norm_sq - 1.0
-        if w != 0.0:
-            # off-sphere correction: (w/4) * (2N + sum_i (bb + b*b* - aa - a*a*)) v
-            corr = 2.0 * fock.apply_excitation(v)
-            for i in range(d):
-                bb = fock.apply_lowering_b(i, fock.apply_lowering_b(i, v))
-                b2 = _guard(
-                    fock.apply_raising_b(i, fock.apply_raising_b(i, v)), "b*_i b*_i"
-                )
-                aa = fock.apply_lowering_a(i, fock.apply_lowering_a(i, v))
-                a2 = _guard(
-                    fock.apply_raising_a(i, fock.apply_raising_a(i, v)), "a*_i a*_i"
-                )
-                corr = corr + bb + b2 - aa - a2
-            out = out + (0.25 * w) * corr
-    elif kind is not FieldKind.SPHERE:
-        raise ValueError(f"unknown field kind {kind!r}")
-
-    return -1j * out
+    arr = field_array(kind, fock.ladder_table(v.cutoff), fock.to_array(v))
+    return fock.from_array(v.cutoff, arr, v.truncated)

@@ -2,9 +2,9 @@
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
-the sphere vector field evaluated through dense operator matrices built
-column-by-column from the sparse ladder operations, so both code paths
-share one definition of the algebra.
+``hamiltonian.field_array`` for the sphere field, evaluated on dense
+coefficient arrays over the cutoff's ladder table, so the flow and the
+vector field share one definition of the algebra.
 
 Specifics:
 
@@ -23,15 +23,14 @@ Specifics:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import fock
-from .errors import IntegrationError, NormalizationError, TruncationError
+from . import fock, hamiltonian
+from .errors import IntegrationError
 from .fock import Cutoff, FockVector
+from .hamiltonian import FieldKind
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -70,97 +69,11 @@ def _quintic_matrix() -> np.ndarray:
 _QUINTIC_INV = _quintic_matrix()
 
 
-@dataclass(frozen=True)
-class _FieldData:
-    """Dense operators for the sphere field at a fixed cutoff."""
-
-    cutoff: Cutoff
-    n_diag: np.ndarray
-    lower_a: tuple[np.ndarray, ...]
-    lower_b: tuple[np.ndarray, ...]
-    pos_a: tuple[np.ndarray, ...]  # a_i + a*_i (silently truncating)
-    pos_b: tuple[np.ndarray, ...]
-    lower2: np.ndarray  # sum_i (b_i b_i - a_i a_i)
-    drop_a: tuple[np.ndarray, ...]  # squared raising amplitude lost at degree K
-    drop_b: tuple[np.ndarray, ...]
-
-
-@lru_cache(maxsize=None)
-def _field_data(cutoff: Cutoff) -> _FieldData:
-    idxs = fock.basis(cutoff)
-    n_diag = np.array([idx.excitation for idx in idxs], dtype=float)
-    lower_a, lower_b, pos_a, pos_b, drop_a, drop_b = [], [], [], [], [], []
-    lower2 = np.zeros((len(idxs), len(idxs)), dtype=complex)
-    for i in range(cutoff.d):
-        la = fock.operator_matrix(lambda v: fock.apply_lowering_a(i, v), cutoff)
-        lb = fock.operator_matrix(lambda v: fock.apply_lowering_b(i, v), cutoff)
-        ra = fock.operator_matrix(lambda v: fock.apply_raising_a(i, v), cutoff)
-        rb = fock.operator_matrix(lambda v: fock.apply_raising_b(i, v), cutoff)
-        lower_a.append(la)
-        lower_b.append(lb)
-        pos_a.append(la + ra)
-        pos_b.append(lb + rb)
-        lower2 += lb @ lb - la @ la
-        drop_a.append(
-            np.array(
-                [idx.a[i] + 1.0 if idx.degree == cutoff.k else 0.0 for idx in idxs]
-            )
-        )
-        drop_b.append(
-            np.array(
-                [idx.b[i] + 1.0 if idx.degree == cutoff.k else 0.0 for idx in idxs]
-            )
-        )
-    return _FieldData(
-        cutoff=cutoff,
-        n_diag=n_diag,
-        lower_a=tuple(lower_a),
-        lower_b=tuple(lower_b),
-        pos_a=tuple(pos_a),
-        pos_b=tuple(pos_b),
-        lower2=lower2,
-        drop_a=tuple(drop_a),
-        drop_b=tuple(drop_b),
+def sphere_field(cutoff: Cutoff, y: np.ndarray) -> np.ndarray:
+    """Sphere vector field on dense coefficients; aborts on truncation flux."""
+    return hamiltonian.field_array(
+        FieldKind.SPHERE, fock.ladder_table(cutoff), y, _TRUNCATION_FLUX_TOL
     )
-
-
-def _cinner(u: np.ndarray, v: np.ndarray) -> complex:
-    """<u, v> = sum u conj(v)."""
-    return complex(np.vdot(v, u))
-
-
-def sphere_field(data: _FieldData, y: np.ndarray) -> np.ndarray:
-    """Sphere vector field on dense coefficients; aborts on truncation loss."""
-    mean_n = _cinner(y, data.n_diag * y).real
-    s2 = _cinner(y, data.lower2 @ y).real
-    out = data.n_diag * y + (0.5 * mean_n + 0.5 * s2) * y
-    for i in range(data.cutoff.d):
-        cb = _cinner(y, data.lower_b[i] @ y).real
-        if cb != 0.0:
-            flux = abs(cb) * math.sqrt(float(data.drop_b[i] @ np.abs(y) ** 2))
-            if flux > _TRUNCATION_FLUX_TOL:
-                raise TruncationError(
-                    f"field lost flux {flux:.3e} past the cutoff; increase K"
-                )
-            out = out - cb * (data.pos_b[i] @ y)
-        ca = _cinner(y, data.lower_a[i] @ y).real
-        if ca != 0.0:
-            flux = abs(ca) * math.sqrt(float(data.drop_a[i] @ np.abs(y) ** 2))
-            if flux > _TRUNCATION_FLUX_TOL:
-                raise TruncationError(
-                    f"field lost flux {flux:.3e} past the cutoff; increase K"
-                )
-            out = out + ca * (data.pos_a[i] @ y)
-    return -1j * out
-
-
-def _energy_dense(data: _FieldData, y: np.ndarray) -> float:
-    mean_n = _cinner(y, data.n_diag * y).real
-    quad = 0.0
-    for i in range(data.cutoff.d):
-        quad += _cinner(y, data.lower_a[i] @ y).real ** 2
-        quad -= _cinner(y, data.lower_b[i] @ y).real ** 2
-    return 0.5 * mean_n + 0.5 * quad
 
 
 @dataclass(frozen=True)
@@ -259,8 +172,7 @@ def integrate(
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
-    if abs(state.norm - 1.0) > 1e-8:
-        raise NormalizationError(f"initial state must be unit, norm={state.norm}")
+    fock.require_unit(state, 1e-8, what="initial state")
     if state.max_degree() > state.cutoff.k - 2:
         raise ValueError(
             f"initial support degree {state.max_degree()} exceeds interior "
@@ -271,18 +183,22 @@ def integrate(
 
     direction = 1.0 if t_end > 0 else -1.0
     span = abs(t_end)
-    data = _field_data(state.cutoff)
+    cutoff = state.cutoff
+    table = fock.ladder_table(cutoff)
 
     if isinstance(samples, (int, np.integer)):
         sample_times = np.linspace(0.0, t_end, int(samples))
     else:
         sample_times = np.asarray(samples, dtype=float)
     sample_s = np.sort(sample_times * direction)
+    if sample_s.size == 0:
+        raise ValueError("at least one sample time is required")
     if sample_s[0] < -1e-12 or sample_s[-1] > span + 1e-12:
         raise ValueError("sample times outside [0, t_end]")
 
     def f(y: np.ndarray) -> np.ndarray:
-        return direction * sphere_field(data, y)
+        field = sphere_field(cutoff, y)
+        return field if direction > 0 else -field
 
     y0 = fock.to_array(state.normalized())
     y = y0
@@ -340,14 +256,14 @@ def integrate(
         norm = float(np.linalg.norm(arr))
         unit = arr / norm
         norms.append(norm)
-        means.append(_cinner(unit, data.n_diag * unit).real)
-        energies.append(_energy_dense(data, unit))
-        states.append(fock.from_array(state.cutoff, unit))
+        means.append(float(table.n_diag @ (unit * unit.conj()).real))
+        energies.append(hamiltonian.energy_array(table, unit))
+        states.append(fock.from_array(cutoff, unit))
 
     order = np.argsort(sample_s * direction)
     times = (sample_s * direction)[order]
     return Trajectory(
-        cutoff=state.cutoff,
+        cutoff=cutoff,
         times=times,
         states=tuple(states[j] for j in order),
         conserved=ConservedSamples(
@@ -355,8 +271,8 @@ def integrate(
             mean_n=np.array(means)[order],
             energy=np.array(energies)[order],
         ),
-        initial_mean_n=_cinner(y0, data.n_diag * y0).real,
-        initial_energy=_energy_dense(data, y0),
+        initial_mean_n=float(table.n_diag @ (y0 * y0.conj()).real),
+        initial_energy=hamiltonian.energy_array(table, y0),
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import fock, hamiltonian
-from .errors import NormalizationError, NotCenteredError
+from .errors import NotCenteredError
 from .fock import FockVector
 
 CENTER_TOL = 1e-12
@@ -150,8 +150,7 @@ def relative_period(dec: CenteredDecomposition) -> float:
 def make_orbit(dec: CenteredDecomposition) -> AnalyticOrbit:
     """Closed-form orbit data for a unit state (norm checked to 1e-10)."""
     state = dec.state()
-    if abs(state.norm - 1.0) > 1e-10:
-        raise NormalizationError(f"orbit base must be unit, norm={state.norm}")
+    fock.require_unit(state, what="orbit base")
     mean_n = sum(n * part.norm_sq for n, part in dec.components.items())
     return AnalyticOrbit(
         base=dec,
@@ -258,8 +257,7 @@ def interpolating_family(
     if not 0.0 <= gamma <= math.pi:
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     for v in (v_n, v_m):
-        if abs(v.norm - 1.0) > 1e-10:
-            raise NormalizationError("family endpoints must be unit vectors")
+        fock.require_unit(v, what="family endpoint")
     if not is_centered({n: v_n, m: v_m}):
         raise NotCenteredError(f"span of eigenvalues {n}, {m} is not centered")
     return math.cos(gamma / 2.0) * v_n + math.sin(gamma / 2.0) * v_m

@@ -46,8 +46,7 @@ def project_tangent(base: FockVector, delta: FockVector) -> FockVector:
     is fully complex-orthogonal to ``base``; the phase direction i*base is
     exactly the kernel.
     """
-    if abs(base.norm - 1.0) > 1e-10:
-        raise NormalizationError(f"base must be unit, norm={base.norm}")
+    fock.require_unit(base, what="base")
     ip = fock.inner(delta, base)
     if abs(ip.real) > 1e-10:
         raise ValueError(f"delta is not sphere-tangent: Re<base,delta>={ip.real}")
@@ -76,12 +75,8 @@ def gauge_fix(v: FockVector) -> QuotientPoint:
     ``v`` must have norm within 1e-8 of 1 (renormalized internally).
     Invariant under v -> zeta v for any unit phase zeta.
     """
-    n = v.norm
-    if n == 0.0:
-        raise NormalizationError("cannot gauge-fix the zero vector")
-    if abs(n - 1.0) > 1e-8:
-        raise NormalizationError(f"gauge_fix expects a near-unit state, norm={n}")
-    u = (1.0 / n) * v
+    fock.require_unit(v, 1e-8, what="gauge_fix input")
+    u = (1.0 / v.norm) * v
     lead = None
     for idx, c in u.items():
         if abs(c) > GAUGE_EPS:

@@ -9,6 +9,7 @@ oracles for it.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -129,3 +130,36 @@ def brute_excitation(cut: Cutoff) -> np.ndarray:
 def cinner(u: np.ndarray, v: np.ndarray) -> complex:
     """<u, v> = sum u conj(v) on dense arrays."""
     return complex(np.vdot(v, u))
+
+
+@lru_cache(maxsize=None)
+def _brute_ops(cut: Cutoff):
+    return brute_excitation(cut), [
+        tuple(brute_matrix(cut, kind, i) for kind in ("lower_a", "raise_a", "lower_b", "raise_b"))
+        for i in range(cut.d)
+    ]
+
+
+def brute_field(kind: str, cut: Cutoff, y: np.ndarray) -> np.ndarray:
+    """Vector field ('full' | 'sphere' | 'chart') from the brute-force matrices."""
+    nm, ops = _brute_ops(cut)
+    mean = cinner(y, nm @ y).real
+    out = nm @ y
+    if kind == "chart":
+        out = out - mean * y
+        for la, ra, lb, rb in ops:
+            cb, ca = cinner(y, lb @ y).real, cinner(y, la @ y).real
+            out = out - cb * ((lb + rb) @ y) + 2.0 * cb * cb * y
+            out = out + ca * ((la + ra) @ y) - 2.0 * ca * ca * y
+        return -1j * out
+    s2 = sum(cinner(y, (rb @ rb - la @ la) @ y).real for la, ra, lb, rb in ops)
+    out = out + 0.5 * (mean + s2) * y
+    for la, ra, lb, rb in ops:
+        cb, ca = cinner(y, lb @ y).real, cinner(y, la @ y).real
+        out = out - cb * ((lb + rb) @ y) + ca * ((la + ra) @ y)
+    if kind == "full":
+        corr = 2.0 * (nm @ y)
+        for la, ra, lb, rb in ops:
+            corr = corr + (lb @ lb + rb @ rb - la @ la - ra @ ra) @ y
+        out = out + 0.25 * (float(np.vdot(y, y).real) - 1.0) * corr
+    return -1j * out

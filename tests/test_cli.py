@@ -184,3 +184,46 @@ def test_exit_code_two_on_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.fixture(params=["nan", "inf"])
+def nan_state(tmp_path, request):
+    obj = fock.to_json_dict(fock.basis_vector(CUT, (0,), (0,)))
+    obj["terms"].append({"a": [2], "b": [0], "re": 0.0, "im": float(request.param)})
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # json writes the NaN / Infinity literal
+    return str(path)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--t-end", "1.0", "--samples", "3"],
+        ["energy"],
+        ["classify"],
+        ["vector-field", "--kind", "sphere"],
+    ],
+)
+def test_non_finite_state_is_rejected(tmp_path, capsys, nan_state, command):
+    out = tmp_path / "out"
+    outputs = {
+        "simulate": ["--out", f"{out}.csv", "--report", f"{out}.json"],
+    }.get(command[0], ["--json", f"{out}.json"])
+    assert cli.main(command + ["--state", nan_state] + outputs) == 1
+    assert_one_line_error(capsys)
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_simulate_rejects_empty_sample_set(tmp_path, capsys, ground):
+    rc = cli.main([
+        "simulate", "--state", ground, "--t-end", "1.0", "--samples", "0",
+        "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json"),
+    ])
+    assert rc == 1
+    assert_one_line_error(capsys)

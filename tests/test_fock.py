@@ -132,13 +132,30 @@ def test_adjointness_property():
                 ) < 1e-14
 
 
+def dense_matrix(apply_fn, cut):
+    """Dense matrix of a sparse operation, one basis-vector column at a time."""
+    idxs = fock.basis(cut)
+    return np.array(
+        [fock.to_array(apply_fn(FockVector(cut, {idx: 1.0 + 0j}))) for idx in idxs]
+    ).T
+
+
+def table_matrix(cut, op, axis):
+    """Dense matrix of one row of the ladder table's gather arrays."""
+    table = fock.ladder_table(cut)
+    n = table.n_diag.size
+    mat = np.zeros((n, n + 1))
+    mat[np.arange(n), table.index[op, axis]] = table.weight[op, axis]
+    return mat[:, :n]
+
+
 def test_commutators_against_brute_force():
     for d in (1, 2):
         cut = Cutoff(k=6, d=d)
         eye_interior = [i for i in fock.basis(cut) if i.degree <= cut.k - 2]
         for i in range(d):
-            low = fock.operator_matrix(lambda v: fock.apply_lowering_a(i, v), cut)
-            high = fock.operator_matrix(lambda v: fock.apply_raising_a(i, v), cut)
+            low = dense_matrix(lambda v: fock.apply_lowering_a(i, v), cut)
+            high = dense_matrix(lambda v: fock.apply_raising_a(i, v), cut)
             assert np.array_equal(low, brute_matrix(cut, "lower_a", i))
             assert np.array_equal(high, brute_matrix(cut, "raise_a", i))
             comm = low @ high - high @ low
@@ -148,6 +165,34 @@ def test_commutators_against_brute_force():
                 expected = np.zeros_like(col)
                 expected[pos[idx]] = 1.0
                 assert np.abs(col - expected).max() < 1e-14
+
+
+def test_ladder_table_matches_brute_force():
+    for d in (1, 2):
+        cut = Cutoff(k=6, d=d)
+        table = fock.ladder_table(cut)
+        assert np.array_equal(np.diag(table.n_diag), brute_excitation(cut))
+        for i in range(d):
+            for axis, side in ((i, "a"), (d + i, "b")):
+                low = brute_matrix(cut, f"lower_{side}", i)
+                high = brute_matrix(cut, f"raise_{side}", i)
+                assert np.array_equal(table_matrix(cut, fock.LOWER, axis), low)
+                assert np.array_equal(table_matrix(cut, fock.RAISE, axis), high)
+                assert np.abs(table_matrix(cut, fock.PAIR_LOWER, axis) - low @ low).max() <= 1e-14
+                assert np.abs(table_matrix(cut, fock.DOUBLE_RAISE, axis) - high @ high).max() <= 1e-14
+                # boundary weights hold what truncated raising drops: the
+                # untruncated squared column norms are (n+1) and (n+1)(n+2)
+                n = np.array([idx.a[i] if side == "a" else idx.b[i] for idx in fock.basis(cut)])
+                kept = np.sum(np.abs(high) ** 2, axis=0)
+                kept2 = np.sum(np.abs(high @ high) ** 2, axis=0)
+                assert np.allclose(table.boundary[0, axis] + kept, n + 1, rtol=0, atol=1e-12)
+                assert np.allclose(table.boundary[1, axis] + kept2, (n + 1) * (n + 2), rtol=0, atol=1e-12)
+        # a random state's ladder images agree with the sparse operations
+        v = random_state(cut, np.random.default_rng(d), max_degree=cut.k - 2)
+        images = table.gather(fock.to_array(v))
+        for i in range(d):
+            assert np.abs(images[fock.LOWER, i] - fock.to_array(fock.apply_lowering_a(i, v))).max() <= 1e-15
+            assert np.abs(images[fock.RAISE, d + i] - fock.to_array(fock.apply_raising_b(i, v))).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +258,9 @@ def test_expectation_requires_unit_norm():
 
 def test_excitation_matches_brute_force():
     cut = Cutoff(k=5, d=2)
-    mat = fock.operator_matrix(fock.apply_excitation, cut)
+    mat = dense_matrix(fock.apply_excitation, cut)
     assert np.array_equal(mat, brute_excitation(cut))
+    assert np.array_equal(np.diag(fock.ladder_table(cut).n_diag), brute_excitation(cut))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +291,9 @@ def test_dense_round_trip():
     assert arr.shape == (45,)
     back = fock.from_array(CUT, arr)
     assert (back - v).norm == 0.0
+    arr[::3] = 0.0  # exact zeros are not stored
+    sparse = fock.from_array(CUT, arr)
+    assert list(sparse.coeffs) == [idx for idx, c in zip(fock.basis(CUT), arr) if c != 0]
     with pytest.raises(BasisMismatchError):
         fock.from_array(CUT, np.zeros(7, dtype=complex))
 

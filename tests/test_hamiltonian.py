@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _support import brute_excitation, brute_matrix, cinner, random_centered_state, random_state
+from _support import (
+    brute_excitation,
+    brute_field,
+    brute_matrix,
+    cinner,
+    random_centered_state,
+    random_state,
+)
 from harmonic_hartree import fock, hamiltonian as ham
 from harmonic_hartree.errors import NormalizationError, TruncationError
 from harmonic_hartree.fock import Cutoff
@@ -64,29 +71,6 @@ def test_energy_requires_unit_norm():
         ham.energy(1.1 * bv((0,), (0,)))
 
 
-def brute_full_field(state):
-    """Ambient vector field evaluated from the brute-force matrices."""
-    cut = state.cutoff
-    y = fock.to_array(state)
-    nm = brute_excitation(cut)
-    out = nm @ y + 0.5 * cinner(y, nm @ y).real * y
-    w = float(np.vdot(y, y).real) - 1.0
-    corr = 2.0 * (nm @ y)
-    s2 = 0.0
-    for i in range(cut.d):
-        la = brute_matrix(cut, "lower_a", i)
-        lb = brute_matrix(cut, "lower_b", i)
-        ra = brute_matrix(cut, "raise_a", i)
-        rb = brute_matrix(cut, "raise_b", i)
-        s2 += cinner(y, (rb @ rb - la @ la) @ y).real
-        cb = cinner(y, lb @ y).real
-        ca = cinner(y, la @ y).real
-        out = out - cb * ((lb + rb) @ y) + ca * ((la + ra) @ y)
-        corr = corr + (lb @ lb + rb @ rb - la @ la - ra @ ra) @ y
-    out = out + 0.5 * s2 * y + 0.25 * w * corr
-    return -1j * out
-
-
 def test_chart_field_vanishes_at_eigenvectors():
     for a, b in [((0,), (1,)), ((2,), (0,)), ((3,), (1,))]:
         assert ham.vector_field(FieldKind.CHART, bv(a, b)).norm <= 1e-13
@@ -108,8 +92,22 @@ def test_full_field_matches_brute_force():
     for _ in range(5):
         s = random_state(CUT, rng, max_degree=CUT.k - 2)
         got = fock.to_array(ham.vector_field(FieldKind.FULL, s))
-        ref = brute_full_field(s)
+        ref = brute_field("full", CUT, fock.to_array(s))
         assert np.abs(got - ref).max() <= 1e-13
+
+
+def test_every_field_kind_matches_brute_force_d1_d2():
+    rng = np.random.default_rng(9)
+    for cut in (CUT, Cutoff(k=6, d=2)):
+        for _ in range(3):
+            s = random_state(cut, rng, max_degree=cut.k - 2)
+            for scale in (1.0, 1.3):  # on and off the sphere
+                y = scale * fock.to_array(s)
+                v = fock.from_array(cut, y)
+                for kind in FieldKind:
+                    got = fock.to_array(ham.vector_field(kind, v))
+                    ref = brute_field(kind.value, cut, y)
+                    assert np.abs(got - ref).max() <= 1e-13
 
 
 def test_full_equals_sphere_on_unit_states():

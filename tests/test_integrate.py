@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from _support import random_centered_state, random_state
-from harmonic_hartree import fock, hamiltonian as ham, integrate as integ, orbits, reduction as red
+from _support import brute_field, random_centered_state, random_state
+from harmonic_hartree import fock, integrate as integ, orbits, reduction as red
 from harmonic_hartree.errors import NormalizationError, TruncationError
 from harmonic_hartree.fock import Cutoff
-from harmonic_hartree.hamiltonian import FieldKind
 
 CUT = Cutoff(k=8, d=1)
 
@@ -17,13 +16,13 @@ def bv(a, b, cut=CUT):
 
 
 def test_dense_field_matches_sparse_field():
+    # the integrator's table-driven field against the brute-force matrices
     rng = np.random.default_rng(0)
-    data = integ._field_data(CUT)
-    for _ in range(5):
-        s = random_state(CUT, rng, max_degree=CUT.k - 2)
-        dense = integ.sphere_field(data, fock.to_array(s))
-        sparse = fock.to_array(ham.vector_field(FieldKind.SPHERE, s))
-        assert np.abs(dense - sparse).max() <= 1e-13
+    for cut in (CUT, Cutoff(k=6, d=2)):
+        for _ in range(5):
+            y = fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
+            dense = brute_field("sphere", cut, y)
+            assert np.abs(integ.sphere_field(cut, y) - dense).max() <= 1e-13
 
 
 def test_equilibrium_is_stationary_in_quotient():

@@ -1,0 +1,87 @@
+"""Property tests of the energy and the vector fields over random states.
+
+States are drawn in d = 1, 2 with support at degree <= K - 2, where the
+truncated algebra is exact.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from harmonic_hartree import fock, hamiltonian as ham
+from harmonic_hartree.errors import TruncationError
+from harmonic_hartree.fock import Cutoff, FockVector, MultiIndex
+from harmonic_hartree.hamiltonian import FieldKind
+
+CUTOFFS = (Cutoff(k=6, d=1), Cutoff(k=4, d=2), Cutoff(k=6, d=2))
+
+
+@st.composite
+def interior_states(draw):
+    """Unit state supported at degree <= K - 2."""
+    cut = draw(st.sampled_from(CUTOFFS))
+    idxs = [idx for idx in fock.basis(cut) if idx.degree <= cut.k - 2]
+    parts = draw(
+        arrays(np.float64, (2, len(idxs)), elements=st.floats(-1.0, 1.0, width=32))
+    )
+    coeffs = parts[0] + 1j * parts[1]
+    norm = float(np.linalg.norm(coeffs))
+    if norm < 1e-3:
+        coeffs, norm = np.eye(1, len(idxs), dtype=complex)[0], 1.0
+    return FockVector(cut, {i: complex(c) / norm for i, c in zip(idxs, coeffs) if c != 0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states(), st.floats(-math.pi, math.pi))
+def test_energy_is_phase_invariant(v, theta):
+    rotated = complex(np.exp(1j * theta)) * v
+    assert ham.energy(rotated) == pytest.approx(ham.energy(v), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states())
+def test_chart_field_is_complex_orthogonal(v):
+    assert abs(fock.inner(v, ham.vector_field(FieldKind.CHART, v))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states())
+def test_sphere_field_is_tangent(v):
+    assert abs(fock.inner(v, ham.vector_field(FieldKind.SPHERE, v)).real) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states())
+def test_full_equals_sphere_on_unit_states(v):
+    full = ham.vector_field(FieldKind.FULL, v)
+    sphere = ham.vector_field(FieldKind.SPHERE, v)
+    assert (full - sphere).norm <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CUTOFFS),
+    st.data(),
+    st.floats(-1.2, 1.2),
+    st.floats(0.1, 1.4),
+    st.sampled_from(list(FieldKind)),
+)
+def test_boundary_support_with_moment_raises(cut, data, phase, angle, kind):
+    # a degree-K element paired with its lowered neighbour along one axis:
+    # the first moment along that axis is Re(cos * sin * e^{-i phase}) * sqrt(n) != 0
+    top = data.draw(
+        st.sampled_from([idx for idx in fock.basis(cut) if idx.degree == cut.k])
+    )
+    axis = data.draw(st.sampled_from([j for j, n in enumerate(top.a + top.b) if n > 0]))
+    counts = list(top.a + top.b)
+    counts[axis] -= 1
+    lower = MultiIndex(tuple(counts[: cut.d]), tuple(counts[cut.d :]))
+    v = FockVector(
+        cut,
+        {top: math.cos(angle) + 0j, lower: math.sin(angle) * complex(np.exp(1j * phase))},
+    )
+    with pytest.raises(TruncationError):
+        ham.vector_field(kind, v)
