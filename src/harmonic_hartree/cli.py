@@ -46,10 +46,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    line = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_FMT % x for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _cmd_simulate(args) -> int:
@@ -61,19 +62,16 @@ def _cmd_simulate(args) -> int:
         header += [f"re_{lab}", f"im_{lab}"]
     header += ["norm", "meanN", "energy"]
 
-    rows = []
-    for j, t in enumerate(traj.times):
-        arr = fock.to_array(traj.states[j])
-        row = [t]
-        for c in arr:
-            row += [c.real, c.imag]
-        row += [
-            traj.conserved.norm[j],
-            traj.conserved.mean_n[j],
-            traj.conserved.energy[j],
-        ]
-        rows.append(row)
-    _write_csv(args.out, header, rows)
+    # a float64 view of the complex states interleaves re/im per coefficient
+    states = np.array([fock.to_array(st) for st in traj.states])
+    table = np.column_stack([
+        traj.times,
+        states.view(np.float64),
+        traj.conserved.norm,
+        traj.conserved.mean_n,
+        traj.conserved.energy,
+    ])
+    _write_csv(args.out, header, table)
 
     drift = integrate.conserved_drift(traj)
     _write_json(

@@ -13,9 +13,14 @@ Specifics:
   sphere; the projection magnitude is logged and must stay below ten
   times the local tolerance (the continuous flow conserves the norm, so
   the projection removes integrator drift only);
+* the stages live in one preallocated (7, n) buffer and the tableau is
+  applied as matmuls on it; an accepted step costs 7 field evaluations
+  (6 stages plus one at the midpoint), a rejected step 6;
 * dense output from a quintic two-point Hermite interpolant whose
-  midpoint value/slope come from an extra half-step, keeping sample-time
-  accuracy at the step-tolerance level;
+  midpoint value comes from Shampine's free 4th-order continuous
+  extension of the step and whose midpoint slope is one extra field
+  evaluation there, keeping sample-time accuracy at the step-tolerance
+  level;
 * amplitude that a raising operator would push past the degree cutoff is
   monitored; if a state with nonzero centering moments reaches the
   boundary the integration aborts with TruncationError.
@@ -32,28 +37,56 @@ from .errors import IntegrationError
 from .fock import Cutoff, FockVector
 from .hamiltonian import FieldKind
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 5(4) tableau as a strictly lower-triangular matrix: stage s
+# is evaluated at y + h * (_A[s, :s] @ K[:s]).  Row 6 holds the 5th-order
+# weights, so stage 6 is evaluated at the new state (FSAL).  Complex dtype
+# so the matmuls against the complex stage buffer need no per-call cast.
+_A = np.array(
+    [
+        [0, 0, 0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    ],
+    dtype=complex,
+)
+_B5 = _A[6]
 _B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _ERR = _B5 - _B4
+
+# Shampine's free 4th-order continuous extension of the same step
+# (Math. Comp. 46 (1986) 135; Hairer-Norsett-Wanner I, Sec. II.6):
+# y(s0 + theta h) = y + h * ((_P @ [theta, theta^2, theta^3, theta^4]) @ K).
+# At theta = 1 the weights reduce to _B5.
+_P = np.array(
+    [
+        [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+         -12715105075 / 11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+         87487479700 / 32700410799],
+        [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+         -10690763975 / 1880347072],
+        [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+         701980252875 / 199316789632],
+        [0, -282668133 / 205662961, 2019193451 / 616988883,
+         -1453857185 / 822651844],
+        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+_B_MID = (_P @ 0.5 ** np.arange(1, 5)).astype(complex)
 
 _H_MAX = 0.05  # keeps the quintic dense output within the step tolerance
 _SAFETY = 1.0 / 20.0  # internal per-step error target relative to the
 # requested tolerance, sized so conserved-quantity drift over O(10) time
 # units stays at the requested tolerance level
 _TRUNCATION_FLUX_TOL = 1e-12
+_END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
 
 
 def _quintic_matrix() -> np.ndarray:
@@ -146,15 +179,14 @@ def _bisect_segment(segments: tuple[_Segment, ...], s: float) -> _Segment:
     return segments[lo]
 
 
-def _dp5_step(f, y: np.ndarray, h: float, k1: np.ndarray):
-    """One Dormand-Prince step; returns (y_new, err_vector, k_stages)."""
-    k = [k1]
+def _dp5_step(f, y: np.ndarray, h: float, K: np.ndarray):
+    """One Dormand-Prince step from ``K[0] = f(y)``; fills stages 1..6 of the
+    (7, n) buffer ``K`` and returns (y_new, err_vector).  ``K[6]`` ends as
+    f(y_new), the next step's first stage (FSAL)."""
     for stage in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[stage], k))
-        k.append(f(yi))
-    y_new = yi  # stage 7 state equals the 5th-order solution (FSAL)
-    err = h * sum(e * ki for e, ki in zip(_ERR, k))
-    return y_new, err, k
+        y_stage = y + h * (_A[stage, :stage] @ K[:stage])
+        K[stage] = f(y_stage)
+    return y_stage, h * (_ERR @ K)
 
 
 def integrate(
@@ -167,8 +199,9 @@ def integrate(
 
     ``tol`` (both absolute and relative) must lie in [1e-12, 1e-4]; the
     initial support must stay at least two degrees below the cutoff.
-    Negative ``t_end`` integrates backward.  ``samples`` is either a count
-    (equally spaced, endpoints included) or an array of times.
+    ``t_end`` must be finite with ``|t_end| > 1e-13``; negative ``t_end``
+    integrates backward.  ``samples`` is either a count (equally spaced,
+    endpoints included) or an array of finite times inside the window.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
@@ -178,8 +211,10 @@ def integrate(
             f"initial support degree {state.max_degree()} exceeds interior "
             f"limit K-2={state.cutoff.k - 2}"
         )
-    if t_end == 0.0:
-        raise ValueError("t_end must be nonzero")
+    if not (np.isfinite(t_end) and abs(t_end) > _END_SLACK):
+        raise ValueError(
+            f"t_end must be finite with |t_end| > {_END_SLACK:g}, got {t_end}"
+        )
 
     direction = 1.0 if t_end > 0 else -1.0
     span = abs(t_end)
@@ -193,6 +228,8 @@ def integrate(
     sample_s = np.sort(sample_times * direction)
     if sample_s.size == 0:
         raise ValueError("at least one sample time is required")
+    if not np.isfinite(sample_s).all():
+        raise ValueError("sample times must be finite")
     if sample_s[0] < -1e-12 or sample_s[-1] > span + 1e-12:
         raise ValueError("sample times outside [0, t_end]")
 
@@ -202,7 +239,8 @@ def integrate(
 
     y0 = fock.to_array(state.normalized())
     y = y0
-    k1 = f(y)
+    stages = np.empty((7, y0.size), dtype=complex)
+    stages[0] = f(y)
     s = 0.0
     h = min(_H_MAX, span, max(1e-4, tol ** (1 / 5)))
     segments: list[_Segment] = []
@@ -211,12 +249,12 @@ def integrate(
 
     while True:
         remaining = span - s
-        if remaining <= 1e-13 * max(1.0, span):
+        if remaining <= _END_SLACK * max(1.0, span):
             break
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        y_new, err, k_stages = _dp5_step(f, y, h, k1)
+        y_new, err = _dp5_step(f, y, h, stages)
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
         if err_norm > 1.0:
@@ -224,12 +262,11 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-0.2))
             continue
 
-        f_new = k_stages[-1]  # FSAL stage is the derivative at y_new
-        # extra half-step for the quintic dense output midpoint
-        y_mid, _, k_mid = _dp5_step(f, y, 0.5 * h, k1)
-        f_mid = k_mid[-1]
+        # quintic dense output: the midpoint value comes from the step's
+        # continuous extension, its slope from one more field evaluation
+        y_mid = y + h * (_B_MID @ stages)
         rhs = np.stack(
-            [y, h * k1, y_mid, h * f_mid, y_new, h * f_new]
+            [y, h * stages[0], y_mid, h * f(y_mid), y_new, h * stages[6]]
         )
         segments.append(_Segment(s0=s, h=h, coeffs=_QUINTIC_INV @ rhs))
 
@@ -241,7 +278,9 @@ def integrate(
                 f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
             )
         y = y_new / norm
-        k1 = f_new  # FSAL (projection perturbs it below the local tolerance)
+        # FSAL: copy f(y_new) out of the slot the next step overwrites
+        # (projection perturbs it below the local tolerance)
+        stages[0] = stages[6]
         s += h
         accepted += 1
         if err_norm > 0.0:

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from harmonic_hartree import cli, fock
+from harmonic_hartree import cli, fock, integrate
 from harmonic_hartree.fock import Cutoff
 
 CUT = Cutoff(k=8, d=1)
@@ -227,3 +228,86 @@ def test_simulate_rejects_empty_sample_set(tmp_path, capsys, ground):
     ])
     assert rc == 1
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("t_end", ["nan", "inf", "1e-300"])
+def test_simulate_rejects_bad_t_end(tmp_path, capsys, ground, t_end):
+    rc = cli.main([
+        "simulate", "--state", ground, f"--t-end={t_end}", "--samples", "3",
+        "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json"),
+    ])
+    assert rc == 1
+    assert_one_line_error(capsys)
+
+
+def per_value_csv(header, rows):
+    """The CSV bytes of a formatter that prints one value at a time."""
+    lines = [",".join(header)] + [",".join("%.17g" % x for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        fock.basis_vector(CUT, (0,), (0,)),
+        (1 / math.sqrt(2)) * (
+            fock.basis_vector(Cutoff(k=4, d=2), (0, 0), (0, 0))
+            + fock.basis_vector(Cutoff(k=4, d=2), (1, 1), (0, 0))
+        ),
+    ],
+    ids=["d1", "d2"],
+)
+def test_simulate_csv_matches_per_value_formatter(tmp_path, state):
+    path = write_state(tmp_path / "state.json", state)
+    out = tmp_path / "sim.csv"
+    rc = cli.main([
+        "simulate", "--state", path, "--t-end", "1.0", "--samples", "5",
+        "--out", str(out), "--report", str(tmp_path / "sim.json"),
+    ])
+    assert rc == 0
+    # rows rebuilt one coefficient at a time from the same trajectory
+    traj = integrate.integrate(state, 1.0, samples=5)
+    header = ["t"]
+    for idx in fock.basis(state.cutoff):
+        header += [f"re_{idx.label()}", f"im_{idx.label()}"]
+    header += ["norm", "meanN", "energy"]
+    rows = []
+    for j, t in enumerate(traj.times):
+        row = [t]
+        for c in fock.to_array(traj.states[j]):
+            row += [c.real, c.imag]
+        row += [traj.conserved.norm[j], traj.conserved.mean_n[j],
+                traj.conserved.energy[j]]
+        rows.append(row)
+    assert sha256(out.read_bytes()) == sha256(per_value_csv(header, rows))
+
+
+def test_spectrum_and_pipeline_csv_match_per_value_formatter(
+    tmp_path, monkeypatch, mix
+):
+    vac = write_state(
+        tmp_path / "vac.json", fock.basis_vector(Cutoff(k=6, d=1), (0,), (0,))
+    )
+
+    def run(tag):
+        d = tmp_path / tag
+        d.mkdir()
+        assert cli.main(["spectrum", "--state", vac, "--json", str(d / "s.json"),
+                         "--csv", str(d / "s.csv")]) == 0
+        assert cli.main(["pipeline", "--state", mix, "--t", "0.5", "--grid-n", "32",
+                         "--grid-l", "8.0", "--out-prefix", str(d / "pipe")]) == 0
+        return [sha256((d / name).read_bytes())
+                for name in ("s.csv", "pipe_f.csv", "pipe_rho.csv")]
+
+    table = run("table")
+
+    def write_per_value(path, header, rows):
+        with open(path, "wb") as fh:
+            fh.write(per_value_csv(header, rows))
+
+    monkeypatch.setattr(cli, "_write_csv", write_per_value)
+    assert table == run("per_value")

@@ -107,6 +107,45 @@ def test_dense_output_accuracy():
         assert (interp.normalized() - exact).norm <= 1e-8
 
 
+def test_field_evaluations_per_step(monkeypatch):
+    # 1 initial evaluation, 6 stages plus 1 midpoint slope per accepted step,
+    # 6 stages per rejected step
+    calls = []
+    field = integ.sphere_field
+
+    def counted(cutoff, y):
+        calls.append(1)
+        return field(cutoff, y)
+
+    monkeypatch.setattr(integ, "sphere_field", counted)
+    s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
+    traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
+    assert traj.accepted_steps > 0 and traj.rejected_steps > 0
+    assert len(calls) == 1 + 7 * traj.accepted_steps + 6 * traj.rejected_steps
+
+
+def test_continuous_extension_reduces_to_fifth_order_update():
+    assert np.abs(integ._P.sum(axis=1) - integ._B5).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "cut, indices, t_end",
+    [(CUT, (0, -2), math.pi), (Cutoff(k=6, d=2), (0, -2), math.pi / 4)],
+    ids=["d1", "d2"],
+)
+def test_dense_output_at_mid_step_times(cut, indices, t_end):
+    # the quintic's midpoint value comes from the continuous extension, so
+    # the segment midpoints are where its error shows first
+    s = random_centered_state(cut, indices, np.random.default_rng(5))
+    orbit = orbits.orbit_from_state(s)
+    traj = integ.integrate(s, t_end, tol=1e-10, samples=3)
+    worst = max(
+        (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
+        for t in (seg.s0 + 0.5 * seg.h for seg in traj._segments)
+    )
+    assert worst <= 1e-9
+
+
 def test_interpolate_rejects_out_of_range():
     traj = integ.integrate(bv((0,), (1,)), 1.0, tol=1e-8, samples=3)
     with pytest.raises(ValueError):
@@ -127,6 +166,8 @@ def test_input_validation():
         integ.integrate(bv((0,), (8,)), 1.0)  # boundary support
     with pytest.raises(ValueError):
         integ.integrate(v, 1.0, samples=np.array([0.0, 2.0]))  # outside window
+    with pytest.raises(ValueError):
+        integ.integrate(v, 1.0, samples=np.array([0.5, np.nan]))
 
 
 def test_truncation_guard_fires_for_uncentered_boundary_flow():

@@ -1,9 +1,11 @@
-"""Property tests of the energy and the vector fields over random states.
+"""Property tests of the energy, the vector fields, gauge fixing and the JSON
+form over random states.
 
 States are drawn in d = 1, 2 with support at degree <= K - 2, where the
 truncated algebra is exact.
 """
 
+import json
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harmonic_hartree import fock, hamiltonian as ham
+from harmonic_hartree import fock, hamiltonian as ham, reduction as red
 from harmonic_hartree.errors import TruncationError
 from harmonic_hartree.fock import Cutoff, FockVector, MultiIndex
 from harmonic_hartree.hamiltonian import FieldKind
@@ -59,6 +61,22 @@ def test_full_equals_sphere_on_unit_states(v):
     full = ham.vector_field(FieldKind.FULL, v)
     sphere = ham.vector_field(FieldKind.SPHERE, v)
     assert (full - sphere).norm <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states())
+def test_gauge_fix_is_idempotent(v):
+    once = red.gauge_fix(v).rep
+    assert (red.gauge_fix(once).rep - once).norm <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states())
+def test_json_round_trip_is_exact(v):
+    back = fock.from_json_dict(json.loads(json.dumps(fock.to_json_dict(v))))
+    assert back.cutoff == v.cutoff
+    assert back.coeffs == v.coeffs
+    assert not back.truncated
 
 
 @settings(max_examples=60, deadline=None)
