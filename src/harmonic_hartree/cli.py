@@ -33,7 +33,11 @@ _FMT = "%.17g"
 
 def _load_state(path: str) -> FockVector:
     with open(path, "r", encoding="utf-8") as fh:
-        state = fock.from_json_dict(json.load(fh))
+        obj = json.load(fh)
+    try:
+        state = fock.from_json_dict(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
     if not all(cmath.isfinite(c) for c in state.coeffs.values()):
         raise ValueError(f"{path}: state has a non-finite coefficient")
     return state
@@ -113,7 +117,13 @@ def _parse_rational_weights(text: str) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for item in text.split(","):
         key, _, val = item.partition("=")
-        out[int(key.strip())] = Fraction(val.strip())
+        n = int(key.strip())
+        if n in out:
+            raise ValueError(f"rational weight for index {n} given twice")
+        try:
+            out[n] = Fraction(val.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"rational weight {val.strip()!r} has a zero denominator") from None
     return out
 
 
@@ -169,16 +179,11 @@ def _cmd_pipeline(args) -> int:
     ]
     residual = pipeline.vlasov_residual(f_series, dt, spec)
 
-    rows_f = []
-    for i in range(spec.n):
-        for j in range(spec.n):
-            rows_f.append([ax[i], ax[j], f_now[i, j]])
-    _write_csv(args.out_prefix + "_f.csv", ["x", "v", "f"], rows_f)
-    _write_csv(
-        args.out_prefix + "_rho.csv",
-        ["x", "rho"],
-        [[ax[i], rho_now[i]] for i in range(spec.n)],
-    )
+    x, v = np.meshgrid(ax, ax, indexing="ij")  # row i * n + j holds (ax[i], ax[j])
+    rows_f = np.column_stack([x.ravel(), v.ravel(), f_now.ravel()])
+    # Python floats format faster than numpy scalars
+    _write_csv(args.out_prefix + "_f.csv", ["x", "v", "f"], rows_f.tolist())
+    _write_csv(args.out_prefix + "_rho.csv", ["x", "rho"], np.column_stack([ax, rho_now]))
     _write_json(
         args.out_prefix + "_report.json",
         {

@@ -56,15 +56,6 @@ class LinearizationReport:
     kernel_block_deviation: float | None = None
 
 
-def _single_excitation(v: FockVector) -> int:
-    parts = fock.component_split(v)
-    if len(parts) != 1:
-        raise ValueError(
-            f"state mixes excitation eigenvalues {sorted(parts)}; need an eigenvector"
-        )
-    return next(iter(parts))
-
-
 def _interleave(g: np.ndarray) -> np.ndarray:
     """Stack complex rows/matrix g into real coordinates (Re, Im) interleaved."""
     out = np.empty((2 * g.shape[0],) + g.shape[1:], dtype=float)
@@ -106,7 +97,7 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     """
     if cutoff is not None and cutoff != base.cutoff:
         base = FockVector(cutoff, dict(base.coeffs))
-    exc = _single_excitation(base)
+    exc = fock._single_excitation(base)
     fock.require_unit(base, what="equilibrium")
     if base.max_degree() > base.cutoff.k - 2:
         raise ValueError(

@@ -18,9 +18,11 @@ is dropped and the result is marked ``truncated``.  All algebra on states
 supported at degree <= K - 2 is exact, which is where every identity used
 downstream is evaluated.
 
-For dense coefficient arrays, ``ladder_table`` holds the same algebra for
-one cutoff as gather indices and weights, so every ladder image of an
-array comes from one gather.
+The algebra is defined once per cutoff, in ``ladder_table``: gather
+indices and weights over the basis order, so every ladder image of a
+dense coefficient array comes from one gather.  The ``FockVector`` ops
+``apply_*`` are views of that table: each applies one row of it (or its
+excitation diagonal) through ``to_array`` / ``from_array``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ class MultiIndex:
     def __post_init__(self) -> None:
         if len(self.a) != len(self.b):
             raise ValueError(f"a and b must have equal length, got {self.a}, {self.b}")
-        if any(n < 0 for n in self.a) or any(n < 0 for n in self.b):
+        counts = self.a + self.b
+        if not set(map(type, counts)) <= {int}:  # rejects bool, float, str
+            raise ValueError(f"excitation counts must be integers, got {self.a}, {self.b}")
+        if min(counts, default=0) < 0:
             raise ValueError(f"negative excitation count in {self}")
 
     @property
@@ -197,70 +202,44 @@ def _shift(t: tuple[int, ...], i: int, step: int) -> tuple[int, ...]:
     return t[:i] + (t[i] + step,) + t[i + 1 :]
 
 
+def _apply(op: int, side: int, i: int, v: FockVector) -> FockVector:
+    """Row op of the cutoff's ladder table along axis i of side 0 (a) or
+    1 (b) applied to v; raising flags the result when v has support at
+    degree K."""
+    _check_axis(i, v.cutoff)
+    axis = side * v.cutoff.d + i
+    table = ladder_table(v.cutoff)
+    y = to_array(v)
+    image = table.weight[op, axis] * np.concatenate((y, _PAD))[table.index[op, axis]]
+    dropped = op == RAISE and bool(table.boundary[0, axis][y != 0].any())
+    return from_array(v.cutoff, image, v.truncated or dropped)
+
+
 def apply_lowering_a(i: int, v: FockVector) -> FockVector:
     """a_i |a,b> = sqrt(a_i) |a - e_i, b>; terms with a_i = 0 vanish."""
-    _check_axis(i, v.cutoff)
-    out: dict[MultiIndex, complex] = {}
-    for idx, c in v.coeffs.items():
-        n = idx.a[i]
-        if n == 0:
-            continue
-        tgt = MultiIndex(_shift(idx.a, i, -1), idx.b)
-        out[tgt] = out.get(tgt, 0j) + math.sqrt(n) * c
-    return FockVector(v.cutoff, out, v.truncated)
+    return _apply(LOWER, 0, i, v)
 
 
 def apply_raising_a(i: int, v: FockVector) -> FockVector:
     """a*_i |a,b> = sqrt(a_i + 1) |a + e_i, b>; degree-K terms are dropped
     and flagged."""
-    _check_axis(i, v.cutoff)
-    out: dict[MultiIndex, complex] = {}
-    dropped = False
-    for idx, c in v.coeffs.items():
-        if idx.degree >= v.cutoff.k:
-            dropped = True
-            continue
-        tgt = MultiIndex(_shift(idx.a, i, +1), idx.b)
-        out[tgt] = out.get(tgt, 0j) + math.sqrt(idx.a[i] + 1) * c
-    return FockVector(v.cutoff, out, v.truncated or dropped)
+    return _apply(RAISE, 0, i, v)
 
 
 def apply_lowering_b(i: int, v: FockVector) -> FockVector:
     """b_i |a,b> = sqrt(b_i) |a, b - e_i>."""
-    _check_axis(i, v.cutoff)
-    out: dict[MultiIndex, complex] = {}
-    for idx, c in v.coeffs.items():
-        n = idx.b[i]
-        if n == 0:
-            continue
-        tgt = MultiIndex(idx.a, _shift(idx.b, i, -1))
-        out[tgt] = out.get(tgt, 0j) + math.sqrt(n) * c
-    return FockVector(v.cutoff, out, v.truncated)
+    return _apply(LOWER, 1, i, v)
 
 
 def apply_raising_b(i: int, v: FockVector) -> FockVector:
     """b*_i |a,b> = sqrt(b_i + 1) |a, b + e_i>; degree-K terms are dropped
     and flagged."""
-    _check_axis(i, v.cutoff)
-    out: dict[MultiIndex, complex] = {}
-    dropped = False
-    for idx, c in v.coeffs.items():
-        if idx.degree >= v.cutoff.k:
-            dropped = True
-            continue
-        tgt = MultiIndex(idx.a, _shift(idx.b, i, +1))
-        out[tgt] = out.get(tgt, 0j) + math.sqrt(idx.b[i] + 1) * c
-    return FockVector(v.cutoff, out, v.truncated or dropped)
+    return _apply(RAISE, 1, i, v)
 
 
 def apply_excitation(v: FockVector) -> FockVector:
     """Diagonal excitation operator: |a,b> -> (|b| - |a|) |a,b>.  Exact."""
-    out = {}
-    for idx, c in v.coeffs.items():
-        n = idx.excitation
-        if n != 0:
-            out[idx] = n * c
-    return FockVector(v.cutoff, out, v.truncated)
+    return from_array(v.cutoff, ladder_table(v.cutoff).n_diag * to_array(v), v.truncated)
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
@@ -290,6 +269,16 @@ def component_split(v: FockVector) -> dict[int, FockVector]:
     }
 
 
+def _single_excitation(v: FockVector) -> int:
+    """Excitation eigenvalue of v; ValueError unless v is an eigenvector."""
+    parts = component_split(v)
+    if len(parts) != 1:
+        raise ValueError(
+            f"state mixes excitation eigenvalues {sorted(parts)}; need an eigenvector"
+        )
+    return next(iter(parts))
+
+
 def require_unit(v: FockVector, tol: float = NORM_TOL, what: str = "state") -> None:
     """Raise NormalizationError unless |v| lies within tol of 1 (NaN fails)."""
     if not abs(v.norm - 1.0) <= tol:
@@ -305,7 +294,8 @@ def expectation_n(v: FockVector) -> float:
 def expectation_n2(v: FockVector) -> float:
     """<v, N^2 v> for unit v (checked to 1e-10)."""
     require_unit(v)
-    return inner(apply_excitation(v), apply_excitation(v)).real
+    nv = apply_excitation(v)
+    return inner(nv, nv).real
 
 
 # ---------------------------------------------------------------------------

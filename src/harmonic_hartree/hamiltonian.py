@@ -42,14 +42,21 @@ class FieldKind(Enum):
     CHART = "chart"
 
 
+def _first_moment(v: FockVector, side: int, i: int) -> float:
+    """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b)."""
+    fock._check_axis(i, v.cutoff)
+    _, proj, _ = _moments(fock.ladder_table(v.cutoff), fock.to_array(v))
+    return float(proj[LOWER, side * v.cutoff.d + i])
+
+
 def first_moment_a(v: FockVector, i: int) -> float:
     """Re<v, a_i v>, proportional to the q_i position expectation."""
-    return fock.inner(v, fock.apply_lowering_a(i, v)).real
+    return _first_moment(v, 0, i)
 
 
 def first_moment_b(v: FockVector, i: int) -> float:
     """Re<v, b_i v>, proportional to the p_i position expectation."""
-    return fock.inner(v, fock.apply_lowering_b(i, v)).real
+    return _first_moment(v, 1, i)
 
 
 def _moments(table: LadderTable, y: np.ndarray):

@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
+
 from . import fock, hamiltonian
-from .errors import NotCenteredError
-from .fock import FockVector
+from .errors import BasisMismatchError, NotCenteredError
+from .fock import LOWER, PAIR_LOWER, RAISE, FockVector
 
 CENTER_TOL = 1e-12
 
@@ -63,19 +65,34 @@ class AnalyticOrbit:
     relative_period: float  # math.inf when relatively constant
 
 
+def _arrays_and_images(components: Mapping[int, FockVector]):
+    """Coefficient arrays of the components and their ladder images (one
+    gather each), keyed like ``components``, plus the dimension d."""
+    cutoffs = {part.cutoff for part in components.values()}
+    if len(cutoffs) != 1:
+        raise BasisMismatchError(f"components mix cutoffs {cutoffs}")
+    (cutoff,) = cutoffs
+    table = fock.ladder_table(cutoff)
+    arrays = {n: fock.to_array(part) for n, part in components.items()}
+    images = {n: table.gather(y) for n, y in arrays.items()}
+    return arrays, images, cutoff.d
+
+
 def _adjacent_pair_defects(components: Mapping[int, FockVector]) -> float:
-    """Largest violation of the centering conditions on adjacent components."""
+    """Largest violation of the centering conditions on adjacent components:
+    |<v_{n+1}, a_i v_n>| and |<v_n, b_i v_{n+1}>| over all axes i."""
+    arrays, images, d = _arrays_and_images(components)
     worst = 0.0
-    occupied = sorted(components)
-    d = components[occupied[0]].cutoff.d
-    for n in occupied:
+    for n in sorted(components):
         if n + 1 not in components:
             continue
-        lo, hi = components[n], components[n + 1]
-        for i in range(d):
-            worst = max(worst, abs(fock.inner(hi, fock.apply_lowering_a(i, lo))))
-            worst = max(worst, abs(fock.inner(lo, fock.apply_lowering_b(i, hi))))
-    return worst
+        lo, hi = arrays[n], arrays[n + 1]
+        worst = max(
+            worst,
+            np.abs(images[n][LOWER, :d] @ hi.conj()).max(),
+            np.abs(images[n + 1][LOWER, d:] @ lo.conj()).max(),
+        )
+    return float(worst)
 
 
 def is_centered(components: Mapping[int, FockVector]) -> bool:
@@ -120,20 +137,16 @@ def pair_coupling(dec: CenteredDecomposition) -> complex:
     Raising on v_{M-2} is evaluated through the adjoint (double lowering on
     v_M), so the value is exact for any support inside the cutoff.
     """
+    arrays, images, d = _arrays_and_images(dec.components)
     acc = 0j
-    comps = dec.components
-    d = next(iter(comps.values())).cutoff.d
-    for m, hi in comps.items():
-        lo = comps.get(m - 2)
+    for m, hi in arrays.items():
+        lo = arrays.get(m - 2)
         if lo is None:
             continue
-        for i in range(d):
-            # <hi, b* b* lo> = <b b hi, lo>
-            acc += fock.inner(
-                fock.apply_lowering_b(i, fock.apply_lowering_b(i, hi)), lo
-            )
-            acc -= fock.inner(hi, fock.apply_lowering_a(i, fock.apply_lowering_a(i, lo)))
-    return acc
+        # <hi, b*_i b*_i lo> = <b_i b_i hi, lo>
+        acc += (images[m][PAIR_LOWER, d:] @ lo.conj()).sum()
+        acc -= (images[m - 2][PAIR_LOWER, :d].conj() @ hi).sum()
+    return complex(acc)
 
 
 def relative_period(dec: CenteredDecomposition) -> float:
@@ -250,8 +263,8 @@ def interpolating_family(
     The eigenvalues must differ and the two-component span must be
     centered; every interior gamma yields the same relative period.
     """
-    n = _single_eigenvalue(v_n)
-    m = _single_eigenvalue(v_m)
+    n = fock._single_excitation(v_n)
+    m = fock._single_excitation(v_m)
     if n == m:
         raise ValueError(f"eigenvectors share the eigenvalue {n}")
     if not 0.0 <= gamma <= math.pi:
@@ -261,13 +274,6 @@ def interpolating_family(
     if not is_centered({n: v_n, m: v_m}):
         raise NotCenteredError(f"span of eigenvalues {n}, {m} is not centered")
     return math.cos(gamma / 2.0) * v_n + math.sin(gamma / 2.0) * v_m
-
-
-def _single_eigenvalue(v: FockVector) -> int:
-    parts = fock.component_split(v)
-    if len(parts) != 1:
-        raise ValueError(f"state mixes eigenvalues {sorted(parts)}")
-    return next(iter(parts))
 
 
 def bifurcation_family(
@@ -281,8 +287,8 @@ def bifurcation_family(
     orthogonality conditions per axis plus chart orthogonality); the
     resulting two-component orbit has relative period 2*pi/|L|.
     """
-    n = _single_eigenvalue(base)
-    m = _single_eigenvalue(tilde)
+    n = fock._single_excitation(base)
+    m = fock._single_excitation(tilde)
     if l_step == 0 or m != n + l_step:
         raise ValueError(
             f"eigenvector at {m} does not match base {n} stepped by L={l_step}"
@@ -291,15 +297,9 @@ def bifurcation_family(
         raise ValueError("base support too close to the cutoff for the kernel check")
     if abs(fock.inner(base, tilde)) > 1e-12:
         raise ValueError("direction must be chart-orthogonal to the base")
-    worst = 0.0
-    for i in range(base.cutoff.d):
-        for op in (
-            fock.apply_lowering_a(i, base),
-            fock.apply_raising_a(i, base),
-            fock.apply_lowering_b(i, base),
-            fock.apply_raising_b(i, base),
-        ):
-            worst = max(worst, abs(fock.inner(tilde, op).real))
+    # Re<tilde, op_i base> for op in (a, a*, b, b*) on every axis i
+    images = fock.ladder_table(base.cutoff).gather(fock.to_array(base))
+    worst = np.abs((images[[LOWER, RAISE]] @ fock.to_array(tilde).conj()).real).max()
     if worst > 1e-12:
         raise ValueError(
             f"direction violates the perturbation-kernel conditions by {worst:.3e}"

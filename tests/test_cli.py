@@ -221,6 +221,46 @@ def test_non_finite_state_is_rejected(tmp_path, capsys, nan_state, command):
     assert not (tmp_path / "out.json").exists()
 
 
+def _ground_obj():
+    return fock.to_json_dict(fock.basis_vector(CUT, (0,), (0,)))
+
+
+def _without_k():
+    obj = _ground_obj()
+    del obj["K"]
+    return obj
+
+
+def _with_index(count):
+    obj = _ground_obj()
+    obj["terms"][0]["a"] = [count]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [_without_k(), [_ground_obj()], _with_index(0.5), _with_index(True)],
+    ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index"],
+)
+def test_malformed_state_is_rejected(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    assert cli.main(["classify", "--state", str(path), "--json", str(out)]) == 1
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2"])
+def test_classify_rejects_bad_rational_weights(tmp_path, capsys, mix, weights):
+    out = tmp_path / "out.json"
+    rc = cli.main(["classify", "--state", mix, "--json", str(out),
+                   f"--rational-weights={weights}"])
+    assert rc == 1
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_simulate_rejects_empty_sample_set(tmp_path, capsys, ground):
     rc = cli.main([
         "simulate", "--state", ground, "--t-end", "1.0", "--samples", "0",

@@ -25,6 +25,9 @@ def test_multi_index_validation():
         MultiIndex((0, 1), (0,))
     with pytest.raises(ValueError):
         MultiIndex((-1,), (0,))
+    for count in (0.5, 1.0, True, "1"):
+        with pytest.raises(ValueError):
+            MultiIndex((count,), (0,))
     idx = MultiIndex((1, 2), (0, 3))
     assert idx.degree == 6
     assert idx.excitation == 0
@@ -153,18 +156,23 @@ def test_commutators_against_brute_force():
     for d in (1, 2):
         cut = Cutoff(k=6, d=d)
         eye_interior = [i for i in fock.basis(cut) if i.degree <= cut.k - 2]
+        pos = {idx: j for j, idx in enumerate(fock.basis(cut))}
+        sides = (
+            ("a", fock.apply_lowering_a, fock.apply_raising_a),
+            ("b", fock.apply_lowering_b, fock.apply_raising_b),
+        )
         for i in range(d):
-            low = dense_matrix(lambda v: fock.apply_lowering_a(i, v), cut)
-            high = dense_matrix(lambda v: fock.apply_raising_a(i, v), cut)
-            assert np.array_equal(low, brute_matrix(cut, "lower_a", i))
-            assert np.array_equal(high, brute_matrix(cut, "raise_a", i))
-            comm = low @ high - high @ low
-            pos = {idx: j for j, idx in enumerate(fock.basis(cut))}
-            for idx in eye_interior:
-                col = comm[:, pos[idx]]
-                expected = np.zeros_like(col)
-                expected[pos[idx]] = 1.0
-                assert np.abs(col - expected).max() < 1e-14
+            for side, lower, raise_ in sides:
+                low = dense_matrix(lambda v: lower(i, v), cut)
+                high = dense_matrix(lambda v: raise_(i, v), cut)
+                assert np.array_equal(low, brute_matrix(cut, f"lower_{side}", i))
+                assert np.array_equal(high, brute_matrix(cut, f"raise_{side}", i))
+                comm = low @ high - high @ low
+                for idx in eye_interior:
+                    col = comm[:, pos[idx]]
+                    expected = np.zeros_like(col)
+                    expected[pos[idx]] = 1.0
+                    assert np.abs(col - expected).max() < 1e-14
 
 
 def test_ladder_table_matches_brute_force():
@@ -187,12 +195,19 @@ def test_ladder_table_matches_brute_force():
                 kept2 = np.sum(np.abs(high @ high) ** 2, axis=0)
                 assert np.allclose(table.boundary[0, axis] + kept, n + 1, rtol=0, atol=1e-12)
                 assert np.allclose(table.boundary[1, axis] + kept2, (n + 1) * (n + 2), rtol=0, atol=1e-12)
-        # a random state's ladder images agree with the sparse operations
-        v = random_state(cut, np.random.default_rng(d), max_degree=cut.k - 2)
-        images = table.gather(fock.to_array(v))
+        # raising flags a state with support at degree K; lowering never does
+        rng = np.random.default_rng(d)
+        full = random_state(cut, rng)
+        inner_only = random_state(cut, rng, max_degree=cut.k - 1)
         for i in range(d):
-            assert np.abs(images[fock.LOWER, i] - fock.to_array(fock.apply_lowering_a(i, v))).max() <= 1e-15
-            assert np.abs(images[fock.RAISE, d + i] - fock.to_array(fock.apply_raising_b(i, v))).max() <= 1e-15
+            for lower, raise_ in (
+                (fock.apply_lowering_a, fock.apply_raising_a),
+                (fock.apply_lowering_b, fock.apply_raising_b),
+            ):
+                assert raise_(i, full).truncated
+                assert not lower(i, full).truncated
+                assert not raise_(i, inner_only).truncated
+                assert not lower(i, inner_only).truncated
 
 
 # ---------------------------------------------------------------------------

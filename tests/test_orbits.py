@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from _support import random_centered_state, random_component
+from _support import brute_matrix, random_centered_state, random_component
 from harmonic_hartree import fock, integrate as integ, orbits, reduction as red
-from harmonic_hartree.errors import NormalizationError, NotCenteredError
+from harmonic_hartree.errors import BasisMismatchError, NormalizationError, NotCenteredError
 from harmonic_hartree.fock import Cutoff
 
 CUT = Cutoff(k=8, d=1)
@@ -42,6 +42,36 @@ def test_is_centered_rejects_mixed_component():
     mixed = bv((0,), (0,)) + bv((0,), (2,))
     with pytest.raises(ValueError):
         orbits.is_centered({0: mixed})
+
+
+def test_ladder_pairings_against_brute_force():
+    cut = Cutoff(k=6, d=2)
+    rng = np.random.default_rng(7)
+    lower = {s: [brute_matrix(cut, f"lower_{s}", i) for i in range(2)] for s in "ab"}
+    raise_b = [brute_matrix(cut, "raise_b", i) for i in range(2)]
+
+    def arr(v):
+        return fock.to_array(v)
+
+    comps = {n: random_component(cut, n, rng) for n in (0, 1)}
+    lo, hi = arr(comps[0]), arr(comps[1])
+    expected = max(
+        max(abs(np.vdot(la @ lo, hi)), abs(np.vdot(lb @ hi, lo)))
+        for la, lb in zip(lower["a"], lower["b"])
+    )
+    assert orbits._adjacent_pair_defects(comps) == pytest.approx(expected, rel=1e-14)
+
+    dec = orbits.minimal_centered_subspace(random_centered_state(cut, (-2, 0, 2), rng))
+    ys = {n: arr(part) for n, part in dec.components.items()}
+    expected = sum(
+        np.vdot(rb @ rb @ ys[m - 2], ys[m]) - np.vdot(la @ la @ ys[m - 2], ys[m])
+        for m in (0, 2)
+        for rb, la in zip(raise_b, lower["a"])
+    )
+    assert abs(orbits.pair_coupling(dec) - expected) <= 1e-14 * abs(expected)
+
+    with pytest.raises(BasisMismatchError):
+        orbits.is_centered({0: bv((0,), (0,)), 1: bv((0,), (1,), Cutoff(k=6, d=1))})
 
 
 def test_minimal_centered_subspace():
@@ -328,5 +358,8 @@ def test_bifurcation_family_validation():
         orbits.bifurcation_family(base, bad, 2, 0.3)
     with pytest.raises(ValueError):  # eigenvalue does not match N + L
         orbits.bifurcation_family(base, bv((0,), (2,)), 3, 0.3)
-    with pytest.raises(ValueError):  # outside the perturbation kernel
+    # outside the perturbation kernel: Re<tilde, b* base> = 1, Re<tilde, a* base> = 1
+    with pytest.raises(ValueError, match="perturbation-kernel"):
         orbits.bifurcation_family(base, bv((0,), (1,)), 1, 0.3)
+    with pytest.raises(ValueError, match="perturbation-kernel"):
+        orbits.bifurcation_family(base, bv((1,), (0,)), -1, 0.3)
