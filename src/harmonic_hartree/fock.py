@@ -76,6 +76,8 @@ class Cutoff:
     d: int
 
     def __post_init__(self) -> None:
+        if not set(map(type, (self.k, self.d))) <= {int}:  # rejects bool, float, str
+            raise ValueError(f"cutoff K and d must be integers, got {self.k!r}, {self.d!r}")
         if self.k < 0:
             raise ValueError(f"cutoff degree must be >= 0, got {self.k}")
         if self.d < 1:
@@ -313,7 +315,7 @@ def to_json_dict(v: FockVector) -> dict:
 
 
 def from_json_dict(obj: dict) -> FockVector:
-    cutoff = Cutoff(k=int(obj["K"]), d=int(obj["d"]))
+    cutoff = Cutoff(k=obj["K"], d=obj["d"])
     coeffs: dict[MultiIndex, complex] = {}
     for term in obj["terms"]:
         idx = MultiIndex(tuple(term["a"]), tuple(term["b"]))

@@ -193,6 +193,8 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
 
     Norm and per-component norms are preserved exactly (pure phases).
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     phi = phase_integral(orbit, t)
     out = None
     for n, part in sorted(orbit.base.components.items()):

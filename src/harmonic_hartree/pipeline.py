@@ -1,7 +1,8 @@
 """Transformation chain from Fock coefficients to classical phase-space data.
 
-For d = 1 a state is realized as a function on an (q, p) grid through the
-orthonormal Hermite functions, rotated by the self-inverse map
+For d = 1 a state is realized as a function on (q, p) through the
+orthonormal Hermite functions, evaluated exactly at the image of each
+(x, xi) grid point under the linear self-inverse map
 
     tau: (x, xi) -> ((x + xi)/sqrt(2), (x - xi)/sqrt(2)),
 
@@ -24,9 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
-from . import fock
 from .fock import FockVector
 
 STAGE_QP = "qp"
@@ -44,8 +43,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
-        if not self.extent > 0:
-            raise ValueError(f"extent must be positive, got {self.extent}")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be finite and positive, got {self.extent}")
 
     @property
     def step(self) -> float:
@@ -115,32 +114,34 @@ def hermite_table(max_degree: int, x) -> np.ndarray:
     return table
 
 
-def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
-    """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
+def _hermite_sum(state: FockVector, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state; q and p broadcast."""
     if state.cutoff.d != 1:
         raise ValueError("grid synthesis supports d = 1 only")
-    ax = spec.axis()
-    table = hermite_table(state.cutoff.k, ax)
-    values = np.zeros((spec.n, spec.n), dtype=complex)
+    table_q = hermite_table(state.cutoff.k, q)
+    table_p = hermite_table(state.cutoff.k, p)
+    values = np.zeros(np.broadcast_shapes(q.shape, p.shape), dtype=complex)
     for idx, c in state.items():
-        values += c * np.outer(table[idx.a[0]], table[idx.b[0]])
-    return GridField(spec=spec, values=values, stage=STAGE_QP)
+        values += c * (table_q[idx.a[0]] * table_p[idx.b[0]])
+    return values
+
+
+def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
+    """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
+    ax = spec.axis()
+    return GridField(spec, _hermite_sum(state, ax[:, None], ax[None, :]), STAGE_QP)
 
 
 # ---------------------------------------------------------------------------
 # phase-space rotation and partial Fourier transform
 
-def _spline_pair(field: GridField):
-    ax = field.spec.axis()
-    return (
-        RectBivariateSpline(ax, ax, field.values.real, kx=3, ky=3),
-        RectBivariateSpline(ax, ax, field.values.imag, kx=3, ky=3),
-    )
-
-
 def _resample(field: GridField, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Bicubic values of ``field`` at mapped points; 0 outside the grid."""
-    sp_re, sp_im = _spline_pair(field)
+    from scipy.interpolate import RectBivariateSpline
+
+    ax = field.spec.axis()
+    sp_re = RectBivariateSpline(ax, ax, field.values.real, kx=3, ky=3)
+    sp_im = RectBivariateSpline(ax, ax, field.values.imag, kx=3, ky=3)
     inside = (
         (np.abs(first) <= field.spec.extent)
         & (np.abs(second) <= field.spec.extent)
@@ -199,16 +200,12 @@ def inverse_velocity_fourier(field: GridField) -> GridField:
     return GridField(field.spec, field.values @ inverse.T, STAGE_XV)
 
 
-def state_to_classical(
-    state: FockVector, spec: GridSpec, oversample: int = 4
-) -> GridField:
-    """Full chain state -> (q,p) -> (x,xi) -> (x,v) amplitude.
-
-    The (q,p) stage is synthesized on an ``oversample``-times finer grid so
-    the bicubic 45-degree resampling stays below the 1e-6 error budget.
-    """
-    fine = GridSpec(n=spec.n * oversample, extent=spec.extent)
-    return inverse_velocity_fourier(tau_pullback(synthesize_position(state, fine), spec))
+def state_to_classical(state: FockVector, spec: GridSpec) -> GridField:
+    """Full chain state -> (x,xi) -> (x,v) amplitude, the (x,xi) stage being
+    the Hermite sum evaluated exactly at tau(x, xi) on ``spec``."""
+    ax = spec.axis() / math.sqrt(2.0)
+    rotated = _hermite_sum(state, ax[:, None] + ax[None, :], ax[:, None] - ax[None, :])
+    return inverse_velocity_fourier(GridField(spec, rotated, STAGE_XXI))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +230,8 @@ def vlasov_residual(f_series, dt: float, spec: GridSpec) -> float:
     f_series = np.asarray(f_series, dtype=float)
     if f_series.ndim != 3 or f_series.shape[0] < 3:
         raise ValueError("need at least three time slices")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     ax = spec.axis()
     h = spec.step
     x = ax[:, None]

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import harmonic_hartree
 from harmonic_hartree import cli, fock, integrate
 from harmonic_hartree.fock import Cutoff
 
@@ -200,6 +204,7 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize(
@@ -237,10 +242,16 @@ def _with_index(count):
     return obj
 
 
+def _with_cutoff(k, d):
+    return dict(_ground_obj(), K=k, d=d)
+
+
 @pytest.mark.parametrize(
     "obj",
-    [_without_k(), [_ground_obj()], _with_index(0.5), _with_index(True)],
-    ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index"],
+    [_without_k(), [_ground_obj()], _with_index(0.5), _with_index(True),
+     _with_cutoff(8.9, 1), _with_cutoff(True, True)],
+    ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index",
+         "K-float", "K-bool"],
 )
 def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
@@ -278,6 +289,32 @@ def test_simulate_rejects_bad_t_end(tmp_path, capsys, ground, t_end):
     ])
     assert rc == 1
     assert_one_line_error(capsys)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+@pytest.mark.parametrize(
+    "option",
+    [["--t", "inf"], ["--t", "nan"], ["--residual-dt", "inf"],
+     ["--residual-dt", "nan"], ["--grid-l", "inf"], ["--grid-l", "nan"]],
+    ids=lambda opt: " ".join(opt),
+)
+def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
+    prefix = tmp_path / "pipe"
+    rc = cli.main(["pipeline", "--state", mix, "--grid-n", "32",
+                   "--out-prefix", str(prefix)] + option)
+    assert rc == 1
+    assert option[1] in assert_one_line_error(capsys)  # names the bad value
+    assert not (tmp_path / "pipe_report.json").exists()
+
+
+def test_cli_import_leaves_out_the_spline_module():
+    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
+    code = "import sys, harmonic_hartree.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def per_value_csv(header, rows):

@@ -38,6 +38,9 @@ def test_cutoff_validation():
         Cutoff(k=-1, d=1)
     with pytest.raises(ValueError):
         Cutoff(k=2, d=0)
+    for k, d in ((8.9, 1), (8.0, 1), (True, 1), (8, True), ("8", 1), (8, 1.0)):
+        with pytest.raises(ValueError):
+            Cutoff(k=k, d=d)
 
 
 def test_basis_size_and_order():

@@ -287,6 +287,35 @@ def test_density_matches_frozen_closed_form():
         assert np.abs(rho - example_family_marginal(ax, t, gamma)).max() <= 1e-6
 
 
+def test_density_is_exact_on_default_grid():
+    # tau is evaluated at the mapped points, so only rounding remains
+    ax = SPEC.axis()
+    x, v = np.meshgrid(ax, ax, indexing="ij")
+    for gamma in (0.4, math.pi / 2, 2.5):
+        orbit = orbits.orbit_from_state(example_family_state(gamma))
+        for t in (0.0, 0.7, 2.0):
+            state = orbits.analytic_solution(orbit, t)
+            f, rho = pl.density(pl.state_to_classical(state, SPEC))
+            assert np.abs(f - example_family_density(x, v, t, gamma)).max() <= 1e-12
+            assert np.abs(rho - example_family_marginal(ax, t, gamma)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_state_to_classical_matches_resampled_chain(seed):
+    # reference: synthesis on a 4x finer grid, bicubic tau, velocity transform
+    rng = np.random.default_rng(seed)
+    state = fock.zero(CUT)
+    for a, b in (((1,), (2,)), ((0,), (3,)), ((3,), (1,))):
+        state = state + complex(*rng.normal(size=2)) * bv(a, b)
+    fine = pl.GridSpec(n=4 * SPEC.n, extent=SPEC.extent)
+    ref = pl.inverse_velocity_fourier(
+        pl.tau_pullback(pl.synthesize_position(state, fine), SPEC)
+    )
+    out = pl.state_to_classical(state, SPEC)
+    assert out.stage == "xv"
+    assert np.abs(out.values - ref.values).max() <= 1e-6
+
+
 def test_symbolic_rederivation_of_example_density():
     # independent sympy derivation of the closed form used above
     sp = pytest.importorskip("sympy")
