@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     state = _load_state(args.state)
-    cutoff = Cutoff(k=args.cutoff, d=state.cutoff.d) if args.cutoff else None
+    cutoff = None if args.cutoff is None else Cutoff(k=args.cutoff, d=state.cutoff.d)
     report = equilibria.classify_spectrum(equilibria.linearize(state, cutoff))
     eigen = [[z.real, z.imag] for z in report.eigenvalues]
     _write_json(
@@ -207,6 +207,8 @@ def _minimal_eigenvector(cutoff: Cutoff, n: int) -> FockVector:
 
 
 def _cmd_family(args) -> int:
+    if args.gamma_steps < 1:
+        raise ValueError(f"--gamma-steps must be >= 1, got {args.gamma_steps}")
     cutoff = Cutoff(k=args.cutoff, d=1)
     v_n = _minimal_eigenvector(cutoff, args.n)
     v_m = _minimal_eigenvector(cutoff, args.m)
@@ -233,8 +235,8 @@ def _cmd_family(args) -> int:
             "m": args.m,
             "cutoff": args.cutoff,
             "members": members,
-            "shared_period": members[0]["relative_period"] if members else None,
-            "period_is_shared": len(periods) <= 1,
+            "shared_period": members[0]["relative_period"],
+            "period_is_shared": len(periods) == 1,
         },
     )
     return 0

@@ -15,7 +15,9 @@ real orthogonality conditions per axis) the map is the diagonal rotation
 The map is only real-linear (the Re<.,.> pairings break complex
 linearity), so the matrix is assembled in an orthonormal *real* basis of
 the chart tangent: each complex direction e_j contributes the pair
-(e_j, i e_j), interleaved.
+(e_j, i e_j), interleaved.  The e_j are the right singular vectors of the
+row <base, .> with zero singular value, so they are orthonormal and
+orthogonal to the base.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import fock, hamiltonian
 from .fock import LOWER, RAISE, Cutoff, FockVector
@@ -54,6 +55,21 @@ class LinearizationReport:
     perturbed_subspace_dim: int | None = None
     integer_spectrum_ok: bool | None = None
     kernel_block_deviation: float | None = None
+
+
+def _null_space(
+    a: np.ndarray, rcond: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal kernel basis (as columns) of ``a`` and its singular values.
+
+    A right singular vector belongs to the kernel when its singular value is
+    at most ``rcond * s.max()``; the default ``rcond`` is eps * max(a.shape).
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(s.dtype).eps * max(a.shape)
+    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
+    return vh[rank:].conj().T, s
 
 
 def _interleave(g: np.ndarray) -> np.ndarray:
@@ -110,7 +126,7 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     base_arr = fock.to_array(base)
 
     # complex orthonormal basis of the chart tangent {delta : <base, delta> = 0}
-    chart = scipy.linalg.null_space(base_arr.conj()[None, :])
+    chart, _ = _null_space(base_arr.conj()[None, :])
     cols = _real_basis_columns(chart)
     image = _apply_chart_derivative(cols, table.n_diag, exc, table.gather(base_arr))
     matrix = _interleave(chart.conj().T @ image)
@@ -163,8 +179,8 @@ def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
             rows.append(_interleave(g[:, None])[:, 0])
     cond = np.array(rows)
 
-    rank = int(np.linalg.matrix_rank(cond, tol=1e-8))
-    kernel = scipy.linalg.null_space(cond, rcond=1e-8)
+    kernel, singular = _null_space(cond, rcond=1e-8)
+    rank = int(np.sum(singular > 1e-8))
     deviation = (
         float(np.abs((report.matrix - diag_matrix) @ kernel).max())
         if kernel.size

@@ -133,44 +133,7 @@ def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# phase-space rotation and partial Fourier transform
-
-def _resample(field: GridField, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Bicubic values of ``field`` at mapped points; 0 outside the grid."""
-    from scipy.interpolate import RectBivariateSpline
-
-    ax = field.spec.axis()
-    sp_re = RectBivariateSpline(ax, ax, field.values.real, kx=3, ky=3)
-    sp_im = RectBivariateSpline(ax, ax, field.values.imag, kx=3, ky=3)
-    inside = (
-        (np.abs(first) <= field.spec.extent)
-        & (np.abs(second) <= field.spec.extent)
-    )
-    flat_f, flat_s = first.ravel(), second.ravel()
-    vals = sp_re.ev(flat_f, flat_s) + 1j * sp_im.ev(flat_f, flat_s)
-    vals = vals.reshape(first.shape)
-    vals[~inside] = 0.0
-    return vals
-
-
-def tau_pullback(field: GridField, target: GridSpec | None = None) -> GridField:
-    """Compose with tau: out(x, xi) = in((x + xi)/sqrt(2), (x - xi)/sqrt(2)).
-
-    Bicubic interpolation on the source grid; synthesize the source on a
-    finer grid (same extent) when the 45-degree resampling error matters.
-    """
-    if field.stage != STAGE_QP:
-        raise ValueError(f"tau_pullback expects stage 'qp', got {field.stage!r}")
-    spec = target if target is not None else field.spec
-    ax = spec.axis()
-    x, xi = np.meshgrid(ax, ax, indexing="ij")
-    inv = 1.0 / math.sqrt(2.0)
-    return GridField(
-        spec=spec,
-        values=_resample(field, (x + xi) * inv, (x - xi) * inv),
-        stage=STAGE_XXI,
-    )
-
+# partial Fourier transform in the velocity and the full chain
 
 @lru_cache(maxsize=None)
 def _fourier_kernels(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -253,26 +216,6 @@ def vlasov_residual(f_series, dt: float, spec: GridSpec) -> float:
         res = ft + v * d4(f, axis=0) - (x - xbar) * d4(f, axis=1)
         worst = max(worst, float(np.abs(res[2:-2, 2:-2]).max()))
     return worst
-
-
-def rotating_oracle(f0: np.ndarray, t: float, spec: GridSpec) -> np.ndarray:
-    """Rigid phase-space rotation f(t, x, v) = f0(x cos t - v sin t,
-    x sin t + v cos t), resampled bicubically; requires a centered profile
-    (zero mean in x and v within 1e-8)."""
-    f0 = np.asarray(f0, dtype=float)
-    field = GridField(spec, f0.astype(complex), STAGE_XV)
-    ax = spec.axis()
-    mass = float(trapezoid_2d(f0, spec))
-    mean_x = float(trapezoid_2d(ax[:, None] * f0, spec))
-    mean_v = float(trapezoid_2d(ax[None, :] * f0, spec))
-    bound = 1e-8 * max(1.0, abs(mass))
-    if abs(mean_x) > bound or abs(mean_v) > bound:
-        raise ValueError(
-            f"profile not centered: mean_x={mean_x:.3e}, mean_v={mean_v:.3e}"
-        )
-    x, v = np.meshgrid(ax, ax, indexing="ij")
-    ct, st = math.cos(t), math.sin(t)
-    return _resample(field, x * ct - v * st, x * st + v * ct).real
 
 
 def noether_charges(field: GridField) -> tuple[float, complex, float]:

@@ -3,7 +3,9 @@
 The brute-force operator matrices below are built directly from the
 combinatorial matrix elements (sqrt factors and index shifts), independent
 of the package's sparse ladder implementation, so they can serve as
-oracles for it.
+oracles for it.  Likewise the bicubic resampling references at the end
+(``tau_pullback``, ``rotating_oracle``) interpolate grid data with splines,
+independent of the package's exact Hermite evaluation of the rotation.
 """
 
 from __future__ import annotations
@@ -12,10 +14,19 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.interpolate import RectBivariateSpline
 from scipy.optimize import minimize_scalar
 
 from harmonic_hartree import fock
 from harmonic_hartree.fock import Cutoff, FockVector
+from harmonic_hartree.pipeline import (
+    STAGE_QP,
+    STAGE_XV,
+    STAGE_XXI,
+    GridField,
+    GridSpec,
+    trapezoid_2d,
+)
 
 
 def random_state(cut: Cutoff, rng, max_degree: int | None = None) -> FockVector:
@@ -163,3 +174,61 @@ def brute_field(kind: str, cut: Cutoff, y: np.ndarray) -> np.ndarray:
             corr = corr + (lb @ lb + rb @ rb - la @ la - ra @ ra) @ y
         out = out + 0.25 * (float(np.vdot(y, y).real) - 1.0) * corr
     return -1j * out
+
+
+# ---------------------------------------------------------------------------
+# bicubic resampling of grid data (independent oracle for the classical chain)
+
+def _resample(field: GridField, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Bicubic values of ``field`` at mapped points; 0 outside the grid."""
+    ax = field.spec.axis()
+    sp_re = RectBivariateSpline(ax, ax, field.values.real, kx=3, ky=3)
+    sp_im = RectBivariateSpline(ax, ax, field.values.imag, kx=3, ky=3)
+    inside = (
+        (np.abs(first) <= field.spec.extent)
+        & (np.abs(second) <= field.spec.extent)
+    )
+    flat_f, flat_s = first.ravel(), second.ravel()
+    vals = sp_re.ev(flat_f, flat_s) + 1j * sp_im.ev(flat_f, flat_s)
+    vals = vals.reshape(first.shape)
+    vals[~inside] = 0.0
+    return vals
+
+
+def tau_pullback(field: GridField, target: GridSpec | None = None) -> GridField:
+    """Compose with tau: out(x, xi) = in((x + xi)/sqrt(2), (x - xi)/sqrt(2)).
+
+    Bicubic interpolation on the source grid; synthesize the source on a
+    finer grid (same extent) when the 45-degree resampling error matters.
+    """
+    if field.stage != STAGE_QP:
+        raise ValueError(f"tau_pullback expects stage 'qp', got {field.stage!r}")
+    spec = target if target is not None else field.spec
+    ax = spec.axis()
+    x, xi = np.meshgrid(ax, ax, indexing="ij")
+    inv = 1.0 / math.sqrt(2.0)
+    return GridField(
+        spec=spec,
+        values=_resample(field, (x + xi) * inv, (x - xi) * inv),
+        stage=STAGE_XXI,
+    )
+
+
+def rotating_oracle(f0: np.ndarray, t: float, spec: GridSpec) -> np.ndarray:
+    """Rigid phase-space rotation f(t, x, v) = f0(x cos t - v sin t,
+    x sin t + v cos t), resampled bicubically; requires a centered profile
+    (zero mean in x and v within 1e-8)."""
+    f0 = np.asarray(f0, dtype=float)
+    field = GridField(spec, f0.astype(complex), STAGE_XV)
+    ax = spec.axis()
+    mass = float(trapezoid_2d(f0, spec))
+    mean_x = float(trapezoid_2d(ax[:, None] * f0, spec))
+    mean_v = float(trapezoid_2d(ax[None, :] * f0, spec))
+    bound = 1e-8 * max(1.0, abs(mass))
+    if abs(mean_x) > bound or abs(mean_v) > bound:
+        raise ValueError(
+            f"profile not centered: mean_x={mean_x:.3e}, mean_v={mean_v:.3e}"
+        )
+    x, v = np.meshgrid(ax, ax, indexing="ij")
+    ct, st = math.cos(t), math.sin(t)
+    return _resample(field, x * ct - v * st, x * st + v * ct).real

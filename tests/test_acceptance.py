@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+import _support
 from _support import (
     aligned_distance,
     measure_closure_time,
@@ -319,7 +320,7 @@ def criterion_10_pipeline_end_to_end():
 
     f0 = f_at(0.0)
     worst_rot = max(
-        float(np.abs(f_at(t) - pl.rotating_oracle(f0, t, spec)).max())
+        float(np.abs(f_at(t) - _support.rotating_oracle(f0, t, spec)).max())
         for t in (0.4, math.pi / 4)
     )
     assert worst_rot <= 1e-4, f"rotation mismatch {worst_rot:.3e}"

@@ -92,6 +92,18 @@ def test_spectrum_cutoff_override(tmp_path):
     assert len(rep["eigenvalues"]) == 54
 
 
+def test_spectrum_rejects_cutoff_zero(tmp_path, capsys):
+    vac = write_state(tmp_path / "vac8.json", fock.basis_vector(CUT, (0,), (0,)))
+    jpath = tmp_path / "s.json"
+    rc = cli.main([
+        "spectrum", "--state", vac, "--cutoff", "0",
+        "--json", str(jpath), "--csv", str(tmp_path / "s.csv"),
+    ])
+    assert rc == 1
+    assert "too close to cutoff K=0" in assert_one_line_error(capsys)
+    assert not jpath.exists()
+
+
 def test_classify_centered_state(tmp_path, mix):
     jpath = tmp_path / "cls.json"
     rc = cli.main([
@@ -141,6 +153,17 @@ def test_family_shared_period(tmp_path):
     assert len(rep["members"]) == 8
     assert rep["period_is_shared"] is True
     assert rep["shared_period"] == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_family_rejects_empty_gamma_grid(tmp_path, capsys, steps):
+    jpath = tmp_path / "fam.json"
+    rc = cli.main([
+        "family", "--n", "0", "--m", "-2", f"--gamma-steps={steps}", "--out", str(jpath)
+    ])
+    assert rc == 1
+    assert steps in assert_one_line_error(capsys)
+    assert not jpath.exists()
 
 
 def test_pipeline_outputs(tmp_path, mix):
@@ -307,14 +330,26 @@ def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
     assert not (tmp_path / "pipe_report.json").exists()
 
 
-def test_cli_import_leaves_out_the_spline_module():
+def test_package_imports_only_declared_dependencies():
+    # every third-party module the package loads must be a declared runtime
+    # dependency; scipy and the other test oracles must stay out.  Modules
+    # loaded at interpreter start-up (site hooks) are not the package's.
     src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
-    code = "import sys, harmonic_hartree.cli; print('scipy.interpolate' in sys.modules)"
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import harmonic_hartree\n"
+        "for m in pkgutil.iter_modules(harmonic_hartree.__path__):\n"
+        "    importlib.import_module('harmonic_hartree.' + m.name)\n"
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(tops - sys.stdlib_module_names)))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    loaded = set(out.stdout.split()) - {"harmonic_hartree"}
+    assert loaded == {"numpy"}
 
 
 def per_value_csv(header, rows):

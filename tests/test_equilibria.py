@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from _support import random_component
+from _support import brute_matrix, random_component
 from harmonic_hartree import equilibria as eq, fock, hamiltonian as ham
 from harmonic_hartree.errors import NormalizationError
 from harmonic_hartree.fock import Cutoff
@@ -163,6 +164,37 @@ def test_classify_d2_perturbed_dimension():
     assert rep.integer_spectrum_ok
     rep2 = eq.classify_spectrum(eq.linearize(fock.basis_vector(cut, (0, 0), (2, 0))))
     assert rep2.perturbed_subspace_dim <= 8
+
+
+@pytest.mark.parametrize("cut", [Cutoff(k=8, d=1), Cutoff(k=6, d=2)], ids=str)
+def test_svd_null_space_matches_scipy(cut):
+    # scipy's null_space is an independent oracle for the chart basis and the
+    # classification kernel; compare projectors, which are basis-free.  The
+    # conditions Re<delta, o base> = 0, o in {a_i, a*_i, b_i, b*_i}, come
+    # from the brute-force ladder matrices.
+    ladders = [
+        brute_matrix(cut, kind, i)
+        for i in range(cut.d)
+        for kind in ("lower_a", "raise_a", "lower_b", "raise_b")
+    ]
+    for idx in fock.basis(cut):
+        if idx.degree > cut.k - 2:
+            continue
+        base = fock.FockVector(cut, {idx: 1.0 + 0j})
+        rep = eq.classify_spectrum(eq.linearize(base))
+        base_arr = fock.to_array(base)
+        ref_chart = scipy.linalg.null_space(base_arr.conj()[None, :])
+        assert rep.chart.shape == ref_chart.shape
+        assert np.abs(
+            rep.chart @ rep.chart.conj().T - ref_chart @ ref_chart.conj().T
+        ).max() <= 1e-12
+
+        cond = np.array([_real_coords(rep.chart, op @ base_arr) for op in ladders])
+        kernel, _ = eq._null_space(cond, rcond=1e-8)
+        ref_kernel = scipy.linalg.null_space(cond, rcond=1e-8)
+        assert kernel.shape == ref_kernel.shape
+        assert np.abs(kernel @ kernel.T - ref_kernel @ ref_kernel.T).max() <= 1e-12
+        assert rep.perturbed_subspace_dim == np.linalg.matrix_rank(cond, tol=1e-8)
 
 
 def test_degenerate_directions_match_translation_generator():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _support
 from harmonic_hartree import fock, orbits, pipeline as pl
 from harmonic_hartree.fock import Cutoff
 
@@ -152,22 +153,22 @@ def test_synthesize_rejects_d2():
 
 def test_tau_fixed_point_radial_gaussian():
     field = pl.synthesize_position(bv((0,), (0,)), SPEC)
-    rotated = pl.tau_pullback(field)
+    rotated = _support.tau_pullback(field)
     assert np.abs(rotated.values - field.values).max() <= 1e-6
 
 
 def test_tau_is_self_inverse():
     state = example_family_state(1.1)
     field = pl.synthesize_position(state, SPEC)
-    once = pl.tau_pullback(field)
-    twice = pl.tau_pullback(pl.GridField(once.spec, once.values, "qp"))
+    once = _support.tau_pullback(field)
+    twice = _support.tau_pullback(pl.GridField(once.spec, once.values, "qp"))
     assert np.abs(twice.values - field.values).max() <= 5e-7  # 2x bicubic budget
 
 
 def test_tau_analytic_image():
     # h2(q) h0(p) maps to ((x+xi)^2 - 1)/sqrt(2) times the radial Gaussian
     field = pl.synthesize_position(bv((2,), (0,)), SPEC)
-    out = pl.tau_pullback(field)
+    out = _support.tau_pullback(field)
     ax = SPEC.axis()
     x, xi = np.meshgrid(ax, ax, indexing="ij")
     expected = (
@@ -183,7 +184,7 @@ def test_tau_analytic_image():
 def test_tau_oversampled_source_is_sharp():
     state = example_family_state(0.9)
     fine = pl.GridSpec(n=1024, extent=8.0)
-    out = pl.tau_pullback(pl.synthesize_position(state, fine), SPEC)
+    out = _support.tau_pullback(pl.synthesize_position(state, fine), SPEC)
     ax = SPEC.axis()
     x, xi = np.meshgrid(ax, ax, indexing="ij")
     q, p = (x + xi) / math.sqrt(2), (x - xi) / math.sqrt(2)
@@ -197,9 +198,9 @@ def test_tau_oversampled_source_is_sharp():
 
 def test_tau_requires_qp_stage():
     field = pl.synthesize_position(bv((0,), (0,)), SPEC)
-    moved = pl.tau_pullback(field)
+    moved = _support.tau_pullback(field)
     with pytest.raises(ValueError):
-        pl.tau_pullback(moved)
+        _support.tau_pullback(moved)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def test_state_to_classical_matches_resampled_chain(seed):
         state = state + complex(*rng.normal(size=2)) * bv(a, b)
     fine = pl.GridSpec(n=4 * SPEC.n, extent=SPEC.extent)
     ref = pl.inverse_velocity_fourier(
-        pl.tau_pullback(pl.synthesize_position(state, fine), SPEC)
+        _support.tau_pullback(pl.synthesize_position(state, fine), SPEC)
     )
     out = pl.state_to_classical(state, SPEC)
     assert out.stage == "xv"
@@ -401,19 +402,19 @@ def radial_profile():
 
 def test_rotating_oracle_full_turn():
     f0 = pl.density(pl.state_to_classical(example_family_state(1.2), SPEC))[0]
-    out = pl.rotating_oracle(f0, 2 * math.pi, SPEC)
+    out = _support.rotating_oracle(f0, 2 * math.pi, SPEC)
     assert np.abs(out - f0).max() <= 1e-9  # grid-aligned resample
 
 
 def test_rotating_oracle_radial_invariance():
     f0 = radial_profile()
     for t in (0.3, 1.1, 2.0):
-        assert np.abs(pl.rotating_oracle(f0, t, SPEC) - f0).max() <= 2e-5
+        assert np.abs(_support.rotating_oracle(f0, t, SPEC) - f0).max() <= 2e-5
 
 
 def test_rotating_oracle_quarter_turn():
     f0 = pl.density(pl.state_to_classical(example_family_state(0.8), SPEC))[0]
-    out = pl.rotating_oracle(f0, math.pi / 2, SPEC)
+    out = _support.rotating_oracle(f0, math.pi / 2, SPEC)
     # f(pi/2, x, v) = f0(-v, x); -v_j lands on the grid at row n - j for j >= 1
     n = SPEC.n
     expected = f0[(n - np.arange(n)) % n, :].T
@@ -422,7 +423,7 @@ def test_rotating_oracle_quarter_turn():
 
 def test_rotating_oracle_mass_preserved():
     f0 = pl.density(pl.state_to_classical(example_family_state(1.2), SPEC))[0]
-    out = pl.rotating_oracle(f0, 0.9, SPEC)
+    out = _support.rotating_oracle(f0, 0.9, SPEC)
     assert pl.trapezoid_2d(out, SPEC) == pytest.approx(
         pl.trapezoid_2d(f0, SPEC), abs=1e-6
     )
@@ -433,7 +434,7 @@ def test_rotating_oracle_rejects_uncentered():
     x, v = np.meshgrid(ax, ax, indexing="ij")
     shifted = np.exp(-(((x - 1.0) ** 2) + v**2)) / math.pi
     with pytest.raises(ValueError):
-        pl.rotating_oracle(shifted, 0.5, SPEC)
+        _support.rotating_oracle(shifted, 0.5, SPEC)
 
 
 def test_rotation_convention_fixture():
@@ -446,9 +447,9 @@ def test_rotation_convention_fixture():
 
     f0 = f_at(0.0)
     t = 0.4
-    assert np.abs(f_at(t) - pl.rotating_oracle(f0, t, SPEC)).max() <= 1e-4
+    assert np.abs(f_at(t) - _support.rotating_oracle(f0, t, SPEC)).max() <= 1e-4
     # the opposite direction is sharply distinguishable
-    assert np.abs(f_at(t) - pl.rotating_oracle(f0, -t, SPEC)).max() > 1e-2
+    assert np.abs(f_at(t) - _support.rotating_oracle(f0, -t, SPEC)).max() > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +490,7 @@ def test_noether_constant_along_orbit():
 def test_end_to_end_unitarity():
     state = example_family_state(0.7)
     qp = pl.synthesize_position(state, SPEC)
-    xxi = pl.tau_pullback(qp)
+    xxi = _support.tau_pullback(qp)
     xv = pl.inverse_velocity_fourier(xxi)
     assert abs(pl.grid_norm_sq(qp) - 1.0) <= 1e-8
     assert abs(pl.grid_norm_sq(xxi) - 1.0) <= 1e-6
