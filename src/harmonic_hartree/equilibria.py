@@ -1,34 +1,56 @@
 """Relative equilibria and the spectrum of the linearized chart field.
 
 Unit excitation eigenvectors are stationary in the quotient.  At such a
-state the derivative of the chart field is the real-linear map
+state (excitation n0) the derivative of the chart field is the
+real-linear map
 
-    D(delta) = -i (N_op - N) delta
+    D(delta) = -i (N_op - n0) delta
                + i sum_i Re<delta, (b*_i + b_i) base> (b*_i + b_i) base
                - i sum_i Re<delta, (a*_i + a_i) base> (a*_i + a_i) base
 
-restricted to the chart tangent {delta : <base, delta> = 0}.  The second
-and third terms form a finite-rank perturbation; on its kernel (the four
-real orthogonality conditions per axis) the map is the diagonal rotation
--i (N_op - N), so the spectrum there consists of imaginary integers.
+on the chart tangent {delta : <base, delta> = 0}.  It is only real-linear
+(the Re<.,.> pairings break complex linearity), so it acts on real
+coordinates: a complex direction e contributes the pair (e, i e).
 
-The map is only real-linear (the Re<.,.> pairings break complex
-linearity), so the matrix is assembled in an orthonormal *real* basis of
-the chart tangent: each complex direction e_j contributes the pair
-(e_j, i e_j), interleaved.  The e_j are the right singular vectors of the
-row <base, .> with zero singular value, so they are orthonormal and
-orthogonal to the base.
+The spectrum comes from an exact splitting of the chart tangent.  The
+ladder images o base, o in {a_i, a*_i, b_i, b*_i}, lie in the excitation
+slices n0 - 1 and n0 + 1, so they are orthogonal to the base.  Any
+subspace W of those two slices that contains them is invariant under D:
+N_op is a scalar on each slice and the finite-rank terms point along the
+images.  The orthogonal complement of W (and of the base) in each slice N
+is invariant too, and there D is the rotation -i (N - n0), with the exact
+eigenvalues +-i (N - n0), each once per complex dimension of that
+complement.  Only the block on W is solved numerically.  Its basis is the
+orthonormalized images, slice by slice, so its real dimension is at most
+8d.
+
+The translation zero modes sit in Jordan 2-blocks, whose eigenvalues a
+dense solver resolves only to ~sqrt(machine eps) (Golub & Van Loan,
+Matrix Computations, sec. 7.2).  So the integer test does not threshold
+eigenvalues: for each candidate integer l it counts the generalized
+kernel of M - i l on the block by Kublanovskaya deflation (Kagstrom &
+Ruhe, ACM TOMS 6 (1980) 398), and passes when the counts fill the block.
+
+The dense real matrix on the whole chart tangent (``matrix``, in the
+orthonormal chart basis ``chart``) is built only on first access.  It is
+the independent oracle for the block spectrum and for the
+finite-difference derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import fock, hamiltonian
 from .fock import LOWER, RAISE, Cutoff, FockVector
 from .hamiltonian import FieldKind
+
+# singular values of M - i l up to this, relative to max(1, |M|_F), count
+# as kernel in the integer test
+INTEGER_TOL = 1e-9
 
 
 def is_relative_equilibrium(v: FockVector, tol: float) -> bool:
@@ -41,20 +63,43 @@ def is_relative_equilibrium(v: FockVector, tol: float) -> bool:
 class LinearizationReport:
     """Linearized chart field at a relative equilibrium.
 
-    ``matrix`` is the real form of the derivative on the chart tangent in
-    an orthonormal real basis (real dimension 2 * (basis size - 1));
-    ``chart`` holds the complex orthonormal directions e_j defining it.
-    Classification fields stay None until ``classify_spectrum`` runs.
+    ``eigenvalues`` holds all 2 * (basis size - 1) eigenvalues, sorted by
+    (imag, real).  ``block`` is the real matrix of the derivative on the
+    invariant block spanned by the ladder images of the base.  ``jordan``
+    maps each integer l in the block spectrum to the Weyr characteristic
+    of i l: the nullities of successive deflations, whose first entry is
+    the geometric and whose sum is the algebraic multiplicity.  When it is
+    set, every eigenvalue is an exact imaginary integer; when the block
+    spectrum is not integer it is None, and the block part of
+    ``eigenvalues`` holds the block's raw eigenvalues.  Classification
+    fields stay None until ``classify_spectrum`` runs.
     """
 
     base: FockVector
     excitation: int
-    matrix: np.ndarray
     eigenvalues: tuple[complex, ...]
-    chart: np.ndarray
+    block: np.ndarray
+    jordan: dict[int, tuple[int, ...]] | None
     perturbed_subspace_dim: int | None = None
     integer_spectrum_ok: bool | None = None
     kernel_block_deviation: float | None = None
+
+    @cached_property
+    def chart(self) -> np.ndarray:
+        """Complex orthonormal directions e_j of the chart tangent, as columns."""
+        chart, _ = _null_space(fock.to_array(self.base).conj()[None, :])
+        return chart
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Real form of the derivative on the whole chart tangent in the
+        real basis e_0, i e_0, e_1, ... (dimension 2 * (basis size - 1))."""
+        table = fock.ladder_table(self.base.cutoff)
+        images = table.gather(fock.to_array(self.base))
+        image = _apply_chart_derivative(
+            _real_basis_columns(self.chart), table.n_diag, self.excitation, images
+        )
+        return _interleave(self.chart.conj().T @ image)
 
 
 def _null_space(
@@ -80,11 +125,11 @@ def _interleave(g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _real_basis_columns(chart: np.ndarray) -> np.ndarray:
-    """Real basis of the chart tangent as complex columns e_0, i e_0, e_1, ..."""
-    cols = np.empty((chart.shape[0], 2 * chart.shape[1]), dtype=complex)
-    cols[:, 0::2] = chart
-    cols[:, 1::2] = 1j * chart
+def _real_basis_columns(basis: np.ndarray) -> np.ndarray:
+    """Real basis of a complex span as complex columns e_0, i e_0, e_1, ..."""
+    cols = np.empty((basis.shape[0], 2 * basis.shape[1]), dtype=complex)
+    cols[:, 0::2] = basis
+    cols[:, 1::2] = 1j * basis
     return cols
 
 
@@ -104,8 +149,73 @@ def _apply_chart_derivative(
     return out
 
 
+def _ladder_rows(images: np.ndarray) -> np.ndarray:
+    """The 4d images o base, o in {a_i, b_i, a*_i, b*_i}, as rows."""
+    return images[[LOWER, RAISE]].reshape(-1, images.shape[-1])
+
+
+def _image_basis(
+    images: np.ndarray, n_diag: np.ndarray, exc: int
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Orthonormal columns spanning the ladder images of the base, and
+    their number per slice.
+
+    Each slice exc -+ 1 gets its own thin SVD over its own rows, so every
+    column lies exactly in one slice.
+    """
+    ladder = _ladder_rows(images)
+    parts, ranks = [], {}
+    for n in (exc - 1, exc + 1):
+        rows = np.flatnonzero(n_diag == n)
+        u, s, _ = np.linalg.svd(ladder[:, rows].T, full_matrices=False)
+        rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(u.shape)))
+        part = np.zeros((n_diag.size, rank), dtype=complex)
+        part[rows] = u[:, :rank]
+        parts.append(part)
+        ranks[n] = rank
+    return np.hstack(parts), ranks
+
+
+def _weyr(a: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Weyr characteristic of the eigenvalue 0 of the square matrix ``a``.
+
+    Kublanovskaya deflation: with V2 the numerical kernel of ``a`` (singular
+    values <= tol) and V1 its orthogonal complement, the columns of
+    [V1 V2]^H a [V1 V2] on V2 vanish, so the rest of the spectrum is that
+    of V1^H a V1.  The kernel dimensions of the successive steps form the
+    Weyr characteristic.
+    """
+    chain = []
+    while a.shape[0]:
+        _, s, vh = np.linalg.svd(a)
+        rank = int(np.sum(s > tol))
+        if rank == a.shape[0]:
+            break
+        chain.append(a.shape[0] - rank)
+        keep = vh[:rank].conj().T
+        a = keep.conj().T @ a @ keep
+    return tuple(chain)
+
+
+def _integer_jordan(
+    block: np.ndarray, raw: list[complex]
+) -> dict[int, tuple[int, ...]] | None:
+    """Weyr characteristic of each imaginary integer i l near the block's
+    raw eigenvalues; None unless their multiplicities fill the block."""
+    size = block.shape[0]
+    tol = INTEGER_TOL * max(1.0, float(np.linalg.norm(block)))
+    jordan = {}
+    for ell in sorted({abs(round(z.imag)) for z in raw}):
+        chain = _weyr(block - 1j * ell * np.eye(size), tol)
+        if chain:  # a real matrix has the same structure at i l and -i l
+            jordan.update({-ell: chain, ell: chain})
+    if sum(map(sum, jordan.values())) != size:
+        return None
+    return dict(sorted(jordan.items()))
+
+
 def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationReport:
-    """Assemble the real linearization matrix and its eigenvalues.
+    """Linearize the chart field at ``base`` and compute its spectrum.
 
     ``base`` must be a unit excitation eigenvector supported at degree
     <= K - 2 and a relative equilibrium (checked).  An explicit ``cutoff``
@@ -123,21 +233,33 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
         raise ValueError("state is not a relative equilibrium")
 
     table = fock.ladder_table(base.cutoff)
-    base_arr = fock.to_array(base)
+    images = table.gather(fock.to_array(base))
+    q, ranks = _image_basis(images, table.n_diag, exc)
+    image = _apply_chart_derivative(_real_basis_columns(q), table.n_diag, exc, images)
+    block = _interleave(q.conj().T @ image)
 
-    # complex orthonormal basis of the chart tangent {delta : <base, delta> = 0}
-    chart, _ = _null_space(base_arr.conj()[None, :])
-    cols = _real_basis_columns(chart)
-    image = _apply_chart_derivative(cols, table.n_diag, exc, table.gather(base_arr))
-    matrix = _interleave(chart.conj().T @ image)
-
-    eigs = spectrum(matrix)
+    raw = spectrum(block)
+    jordan = _integer_jordan(block, raw)
+    if jordan is None:
+        eigs, imag = np.array(raw), []
+    else:
+        eigs = np.zeros(0, dtype=complex)
+        imag = [np.full(sum(chain), float(ell)) for ell, chain in jordan.items()]
+    # the complement: +-i (n - exc) once per complex dimension of slice n
+    # outside the base and the block
+    slices, dims = np.unique(table.n_diag, return_counts=True)
+    free = dims - [ranks.get(n, 0) for n in slices] - (slices == exc)
+    imag += [np.repeat(slices - exc, free), np.repeat(exc - slices, free)]
+    exact = np.zeros(sum(map(len, imag)), dtype=complex)  # real parts +0.0
+    exact.imag = np.concatenate(imag)
+    eigs = np.concatenate((eigs, exact))
+    order = np.lexsort((eigs.real, eigs.imag))
     return LinearizationReport(
         base=base,
         excitation=exc,
-        matrix=matrix,
-        eigenvalues=tuple(eigs),
-        chart=chart,
+        eigenvalues=tuple(eigs[order].tolist()),
+        block=block,
+        jordan=jordan,
     )
 
 
@@ -158,45 +280,30 @@ def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
 
     Checks that (a) on the joint kernel of the real orthogonality
     conditions Re<delta, o base> = 0, o in {a_i, a*_i, b_i, b*_i}, the
-    matrix equals the diagonal rotation -i (N_op - N) to 1e-12, and
+    derivative equals the diagonal rotation -i (N_op - N) to 1e-12, and
     (b) the codimension of that kernel is at most 4d.  Also flags whether
-    every eigenvalue is an imaginary integer to 1e-9.
+    the spectrum is integer (``report.jordan`` is set).
+
+    Both checks run in ambient real coordinates: the images lie in the
+    chart tangent, so the conditions' rank and kernel there are those on
+    the chart tangent.  D minus the rotation is sum_j +-i w_j Re<., w_j>
+    with w_j = (o_j + o*_j) base, so on the kernel its operator norm is at
+    most sum_j |w_j| |P f_j|, where f_j are the real coordinates of w_j
+    and P projects off the span of the conditions.
     """
-    base = report.base
-    table = fock.ladder_table(base.cutoff)
-    chart = report.chart
-    cols = _real_basis_columns(chart)
-
-    diag_image = -1j * ((table.n_diag - report.excitation)[:, None] * cols)
-    diag_matrix = _interleave(chart.conj().T @ diag_image)
-
-    images = table.gather(fock.to_array(base))
-    d = base.cutoff.d
-    rows = []
-    for i in range(d):
-        for op, axis in ((LOWER, i), (RAISE, i), (LOWER, d + i), (RAISE, d + i)):
-            g = chart.conj().T @ images[op, axis]
-            rows.append(_interleave(g[:, None])[:, 0])
-    cond = np.array(rows)
-
-    kernel, singular = _null_space(cond, rcond=1e-8)
+    table = fock.ladder_table(report.base.cutoff)
+    images = table.gather(fock.to_array(report.base))
+    cond = _interleave(_ladder_rows(images).T)  # conditions as columns
+    u, singular, _ = np.linalg.svd(cond, full_matrices=False)
     rank = int(np.sum(singular > 1e-8))
-    deviation = (
-        float(np.abs((report.matrix - diag_matrix) @ kernel).max())
-        if kernel.size
-        else 0.0
-    )
-
-    # The translation zero modes sit in defective (Jordan) blocks, whose
-    # eigenvalues dense solvers resolve only to ~sqrt(machine eps); the
-    # integer test therefore runs at 1e-6 while Re stays at 1e-9.
-    integer_ok = all(
-        abs(z.real) <= 1e-9 and abs(z.imag - round(z.imag)) <= 1e-6
-        for z in report.eigenvalues
-    )
+    span = u[:, :rank]
+    pairing = images[LOWER] + images[RAISE]
+    f = _interleave(pairing.T)
+    off = f - span @ (span.T @ f)
+    deviation = float(np.linalg.norm(pairing, axis=1) @ np.linalg.norm(off, axis=0))
     return replace(
         report,
         perturbed_subspace_dim=rank,
-        integer_spectrum_ok=bool(integer_ok and deviation <= 1e-12),
+        integer_spectrum_ok=bool(report.jordan is not None and deviation <= 1e-12),
         kernel_block_deviation=deviation,
     )

@@ -205,11 +205,18 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
 
 
 def orbit_velocity(v: FockVector) -> float:
-    """Constant speed of the projected trajectory: sqrt(<N^2> - <N>^2)."""
+    """Constant speed of the projected trajectory: sqrt(<N^2> - <N>^2).
+
+    The variance is summed as sum_k |v_k|^2 (n_k - <N>)^2, without the
+    cancellation of <N^2> - <N>^2.  Excitations are measured from the one
+    of the largest coefficient, so a single-component state gives exactly 0.
+    """
     minimal_centered_subspace(v)  # rejects non-centered input
-    mean = fock.expectation_n(v)
-    second = fock.expectation_n2(v)
-    return math.sqrt(max(second - mean * mean, 0.0))
+    fock.require_unit(v)
+    weight = np.abs(fock.to_array(v)) ** 2
+    n_diag = fock.ladder_table(v.cutoff).n_diag
+    shifted = n_diag - n_diag[np.argmax(weight)]
+    return math.sqrt(float(weight @ (shifted - weight @ shifted) ** 2))
 
 
 def _rational_lcm(a: Fraction, b: Fraction) -> Fraction:

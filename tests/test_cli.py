@@ -423,3 +423,20 @@ def test_spectrum_and_pipeline_csv_match_per_value_formatter(
 
     monkeypatch.setattr(cli, "_write_csv", write_per_value)
     assert table == run("per_value")
+
+
+def test_spectrum_d3_k8_is_exact_integers(tmp_path):
+    # n = 3003: the whole spectrum comes from a 16 x 16 block and exact
+    # slice counts, not from a 6004 x 6004 eigensolve
+    cut = Cutoff(k=8, d=3)
+    state = write_state(tmp_path / "eq.json", fock.basis_vector(cut, (1, 0, 0), (0, 2, 0)))
+    jpath, cpath = tmp_path / "s.json", tmp_path / "s.csv"
+    rc = cli.main(["spectrum", "--state", state, "--json", str(jpath), "--csv", str(cpath)])
+    assert rc == 0
+    rep = json.loads(jpath.read_text())
+    assert rep["integer_ok"] is True
+    eig = np.array(rep["eigenvalues"])
+    assert eig.shape == (6004, 2)
+    assert np.all(eig[:, 0] == 0.0) and np.all(eig[:, 1] == np.round(eig[:, 1]))
+    rows = np.loadtxt(cpath, delimiter=",", skiprows=1)
+    assert np.array_equal(rows, eig)

@@ -218,3 +218,83 @@ def test_degenerate_directions_match_translation_generator():
         gd = pl.synthesize_position(delta, spec)
         grid = pl.trapezoid_2d(gd.values * np.conj(dq_grid), spec)
         assert ladder == pytest.approx(math.sqrt(2) * grid.real, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# block spectrum against the dense oracle
+
+def _basis_equilibria(cut):
+    return [
+        fock.FockVector(cut, {idx: 1.0 + 0j})
+        for idx in fock.basis(cut)
+        if idx.degree <= cut.k - 2
+    ]
+
+
+def _assert_same_multiset(got, ref, tol):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    free = np.ones(ref.size, dtype=bool)
+    for z in got:
+        dist = np.where(free, np.abs(ref - z), np.inf)
+        j = int(np.argmin(dist))
+        assert dist[j] <= tol, f"{z} has no partner within {tol}"
+        free[j] = False
+
+
+@pytest.mark.parametrize("cut", [Cutoff(k=8, d=1), Cutoff(k=6, d=2)], ids=str)
+def test_block_spectrum_matches_dense_oracle(cut):
+    rng = np.random.default_rng(11)
+    states = _basis_equilibria(cut) + [
+        random_component(cut, n, rng).normalized() for n in range(-3, 4)
+    ]
+    assert len(states) == {1: 28, 2: 70}[cut.d] + 7
+    for base in states:
+        rep = eq.linearize(base)
+        assert rep.jordan is not None
+        assert len(rep.eigenvalues) == 2 * (cut.size - 1)
+        assert all(z.real == 0.0 and z.imag == round(z.imag) for z in rep.eigenvalues)
+        _assert_same_multiset(rep.eigenvalues, eq.spectrum(rep.matrix), 1e-6)
+
+
+@pytest.mark.parametrize("cut", [Cutoff(k=8, d=1), Cutoff(k=6, d=2)], ids=str)
+def test_translation_modes_are_jordan_pairs(cut):
+    # on the block, 0 has algebraic multiplicity 4d and geometric 2d; the
+    # ranks of powers of the block check the deflation count independently
+    for base in _basis_equilibria(cut):
+        rep = eq.linearize(base)
+        assert sum(rep.jordan[0]) == 4 * cut.d
+        assert rep.jordan[0][0] == 2 * cut.d
+        dim = rep.block.shape[0]
+        ranks = [
+            np.linalg.matrix_rank(np.linalg.matrix_power(rep.block, m), tol=1e-8)
+            for m in (1, 2, 3)
+        ]
+        assert ranks == [dim - 2 * cut.d, dim - 4 * cut.d, dim - 4 * cut.d]
+
+
+def test_non_integer_block_falls_back_to_raw_eigenvalues(monkeypatch):
+    # with a zero kernel tolerance no eigenvalue counts as an integer: the
+    # block part of the spectrum is then its raw eigenvalues
+    monkeypatch.setattr(eq, "INTEGER_TOL", 0.0)
+    base = fock.basis_vector(Cutoff(k=8, d=1), (1,), (2,))
+    rep = eq.classify_spectrum(eq.linearize(base))
+    assert rep.jordan is None
+    assert not rep.integer_spectrum_ok
+    _assert_same_multiset(rep.eigenvalues, eq.spectrum(rep.matrix), 1e-6)
+
+
+def test_all_d2_k8_basis_equilibria_have_integer_spectra():
+    # dense eigenvalues of the defective zero-mode blocks split by ~2e-8,
+    # which failed the integer test on 167 of these 210 states
+    cut = Cutoff(k=8, d=2)
+    states = _basis_equilibria(cut)
+    assert len(states) == 210
+    for base in states:
+        lin = eq.linearize(base)
+        rep = eq.classify_spectrum(lin)
+        assert rep.integer_spectrum_ok, base
+        assert rep.perturbed_subspace_dim <= 4 * cut.d
+        # the spectrum path never builds the dense chart or matrix
+        for r in (lin, rep):
+            assert "chart" not in vars(r) and "matrix" not in vars(r)

@@ -363,3 +363,11 @@ def test_bifurcation_family_validation():
         orbits.bifurcation_family(base, bv((0,), (1,)), 1, 0.3)
     with pytest.raises(ValueError, match="perturbation-kernel"):
         orbits.bifurcation_family(base, bv((1,), (0,)), -1, 0.3)
+
+
+def test_orbit_velocity_is_exactly_zero_on_single_components():
+    # <N^2> - <N>^2 cancels to nonzero values of up to 4e-8 on these states
+    cut = Cutoff(k=8, d=3)
+    for seed in range(20):
+        s = random_component(cut, 2, np.random.default_rng(seed)).normalized()
+        assert orbits.orbit_velocity(s) == 0.0
