@@ -3,8 +3,15 @@ JSON reports and CSV tables.
 
 Exit codes: 0 success, 1 domain errors (bad states, truncation, failed
 preconditions), 2 usage errors.  Outputs are byte-identical across reruns
-for identical inputs: iteration orders are fixed, floats are printed with
-17 significant digits, and no randomness is used.
+for identical inputs: iteration orders are fixed, CSV floats are printed
+with 17 significant digits (``%.17g``), JSON floats as ``json`` prints
+them, and no randomness is used.
+
+The large outputs (the ``vector-field`` state JSON, the ``spectrum``
+eigenvalue list and the ``pipeline`` f grid) are rendered from one text
+template per file filled by a single ``%`` call (``_fill``).  Their bytes
+are those of ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``
+and of the per-value ``%.17g`` format; the tests compare them.
 """
 
 from __future__ import annotations
@@ -47,6 +54,43 @@ def _write_json(path: str, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _fill(items: list[str], sep: str, values: list) -> str:
+    """Join the ``%``-templates ``items`` with ``sep`` and fill them with
+    ``values`` in one ``%`` call.
+
+    ``%d`` of a Python int and ``%r`` of a Python float print what ``json``
+    prints, so a template in the indent=2, sort_keys layout renders the
+    bytes of ``json.dumps``.  The values must be Python numbers (``%r`` of
+    a numpy float prints ``np.float64(...)``).  As under
+    ``json.dumps(..., allow_nan=False)``, a NaN or infinity raises
+    ``ValueError``.
+    """
+    if not all(map(math.isfinite, values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return sep.join(items) % tuple(values)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _state_json(v: FockVector) -> str:
+    """The text ``_write_json`` writes for ``fock.to_json_dict(v)``."""
+    d = v.cutoff.d
+    counts = ",\n".join(["        %d"] * d)
+    term = (
+        '    {\n      "a": [\n%s\n      ],\n      "b": [\n%s\n      ],\n'
+        '      "im": %%r,\n      "re": %%r\n    }' % (counts, counts)
+    )
+    terms = v.items()
+    values = [x for idx, c in terms for x in (*idx.a, *idx.b, c.imag, c.real)]
+    listed = "[]"
+    if terms:
+        listed = "[\n" + _fill([term] * len(terms), ",\n", values) + "\n  ]"
+    return '{\n  "K": %d,\n  "d": %d,\n  "terms": %s\n}\n' % (v.cutoff.k, d, listed)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -100,15 +144,24 @@ def _cmd_spectrum(args) -> int:
     cutoff = None if args.cutoff is None else Cutoff(k=args.cutoff, d=state.cutoff.d)
     report = equilibria.classify_spectrum(equilibria.linearize(state, cutoff))
     eigen = [[z.real, z.imag] for z in report.eigenvalues]
-    _write_json(
-        args.json,
+    # the small keys go through json, then the eigenvalue pairs are
+    # rendered from one template into the "eigenvalues" slot
+    text = json.dumps(
         {
-            "eigenvalues": eigen,
+            "eigenvalues": [],
             "perturbed_dim": report.perturbed_subspace_dim,
             "integer_ok": report.integer_spectrum_ok,
             "excitation": report.excitation,
         },
+        indent=2, sort_keys=True, allow_nan=False,
     )
+    pair = "    [\n      %r,\n      %r\n    ]"
+    values = [x for z in report.eigenvalues for x in (z.real, z.imag)]
+    listed = "[]"
+    if eigen:
+        listed = "[\n" + _fill([pair] * len(eigen), ",\n", values) + "\n  ]"
+    slot = '"eigenvalues": []'
+    _write_text(args.json, text.replace(slot, slot[:-2] + listed, 1) + "\n")
     _write_csv(args.csv, ["re", "im"], eigen)
     return 0
 
@@ -159,6 +212,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    dt = args.residual_dt
+    if not 0 < dt < math.inf:
+        raise ValueError(f"--residual-dt must be finite and positive, got {dt}")
     state = _load_state(args.state)
     orbit = orbits.orbit_from_state(state)
     spec = pipeline.GridSpec(n=args.grid_n, extent=args.grid_l)
@@ -171,7 +227,6 @@ def _cmd_pipeline(args) -> int:
     f_now, rho_now = pipeline.density(field_now)
     mass, pseudo, momentum = pipeline.noether_charges(field_now)
 
-    dt = args.residual_dt
     f_series = [
         pipeline.density(field_at(args.t - dt))[0],
         f_now,
@@ -179,10 +234,13 @@ def _cmd_pipeline(args) -> int:
     ]
     residual = pipeline.vlasov_residual(f_series, dt, spec)
 
-    x, v = np.meshgrid(ax, ax, indexing="ij")  # row i * n + j holds (ax[i], ax[j])
-    rows_f = np.column_stack([x.ravel(), v.ravel(), f_now.ravel()])
-    # Python floats format faster than numpy scalars
-    _write_csv(args.out_prefix + "_f.csv", ["x", "v", "f"], rows_f.tolist())
+    # row i * n + j holds (ax[i], ax[j], f[i, j]); each axis value is
+    # formatted once and the n^2 rows are filled in one %
+    coords = [_FMT % x for x in ax.tolist()]
+    tails = ["," + c + "," + _FMT + "\n" for c in coords]
+    blocks = [c + c.join(tails) for c in coords]
+    _write_text(args.out_prefix + "_f.csv",
+                "x,v,f\n" + _fill(blocks, "", f_now.ravel().tolist()))
     _write_csv(args.out_prefix + "_rho.csv", ["x", "rho"], np.column_stack([ax, rho_now]))
     _write_json(
         args.out_prefix + "_report.json",
@@ -251,8 +309,7 @@ def _cmd_energy(args) -> int:
 def _cmd_vector_field(args) -> int:
     state = _load_state(args.state)
     kind = hamiltonian.FieldKind(args.kind)
-    field = hamiltonian.vector_field(kind, state)
-    _write_json(args.json, fock.to_json_dict(field))
+    _write_text(args.json, _state_json(hamiltonian.vector_field(kind, state)))
     return 0
 
 

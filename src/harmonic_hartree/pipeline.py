@@ -45,6 +45,10 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0 < self.extent < math.inf:
             raise ValueError(f"extent must be finite and positive, got {self.extent}")
+        # the chain squares coordinates: up to 2 L^2 in the Hermite Gaussian
+        # at tau(x, xi), L^2 in the Fourier phase v * xi
+        if 2.0 * self.extent * self.extent == math.inf:
+            raise ValueError(f"extent {self.extent} overflows 2 L^2 on the grid")
 
     @property
     def step(self) -> float:

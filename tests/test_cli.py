@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import harmonic_hartree
-from harmonic_hartree import cli, fock, integrate
+from harmonic_hartree import cli, equilibria, fock, hamiltonian, integrate, orbits
+from harmonic_hartree import pipeline as pl
 from harmonic_hartree.fock import Cutoff
 
 CUT = Cutoff(k=8, d=1)
@@ -314,11 +315,18 @@ def test_simulate_rejects_bad_t_end(tmp_path, capsys, ground, t_end):
     assert_one_line_error(capsys)
 
 
+# the word each option's error message must contain
+PIPELINE_OPTION_WORD = {
+    "--t": "time", "--residual-dt": "--residual-dt", "--grid-l": "extent",
+}
+
+
 @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @pytest.mark.parametrize(
     "option",
     [["--t", "inf"], ["--t", "nan"], ["--residual-dt", "inf"],
-     ["--residual-dt", "nan"], ["--grid-l", "inf"], ["--grid-l", "nan"]],
+     ["--residual-dt", "nan"], ["--grid-l", "inf"], ["--grid-l", "nan"],
+     ["--grid-l", "1e+200"]],  # finite, but 2 L^2 overflows
     ids=lambda opt: " ".join(opt),
 )
 def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
@@ -326,7 +334,9 @@ def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
     rc = cli.main(["pipeline", "--state", mix, "--grid-n", "32",
                    "--out-prefix", str(prefix)] + option)
     assert rc == 1
-    assert option[1] in assert_one_line_error(capsys)  # names the bad value
+    err = assert_one_line_error(capsys)
+    assert option[1] in err  # names the bad value
+    assert PIPELINE_OPTION_WORD[option[0]] in err  # and what it was read as
     assert not (tmp_path / "pipe_report.json").exists()
 
 
@@ -417,6 +427,16 @@ def test_spectrum_and_pipeline_csv_match_per_value_formatter(
 
     table = run("table")
 
+    # the f grid is not written through _write_csv: rebuild its rows one
+    # grid point at a time from the same chain
+    state = cli._load_state(mix)
+    spec = pl.GridSpec(n=32, extent=8.0)
+    orbit = orbits.orbit_from_state(state)
+    f, _ = pl.density(pl.state_to_classical(orbits.analytic_solution(orbit, 0.5), spec))
+    ax = spec.axis()
+    rows = [[ax[i], ax[j], f[i, j]] for i in range(spec.n) for j in range(spec.n)]
+    assert table[1] == sha256(per_value_csv(["x", "v", "f"], rows))
+
     def write_per_value(path, header, rows):
         with open(path, "wb") as fh:
             fh.write(per_value_csv(header, rows))
@@ -440,3 +460,65 @@ def test_spectrum_d3_k8_is_exact_integers(tmp_path):
     assert np.all(eig[:, 0] == 0.0) and np.all(eig[:, 1] == np.round(eig[:, 1]))
     rows = np.loadtxt(cpath, delimiter=",", skiprows=1)
     assert np.array_equal(rows, eig)
+
+
+def stdlib_json(obj):
+    """The bytes of the stdlib encoder in the CLI's layout."""
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+def seeded_state(cut, seed, terms=6):
+    """Unit state on ``terms`` seeded basis vectors of degree <= K - 2."""
+    rng = np.random.default_rng(seed)
+    idxs = [idx for idx in fock.basis(cut) if idx.degree <= cut.k - 2]
+    picks = rng.choice(len(idxs), size=terms, replace=False)
+    amps = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+    amps /= np.linalg.norm(amps)
+    return fock.FockVector(cut, {idxs[j]: complex(a) for j, a in zip(picks, amps)})
+
+
+@pytest.mark.parametrize("kind", [k.value for k in hamiltonian.FieldKind])
+@pytest.mark.parametrize(
+    "state",
+    [seeded_state(Cutoff(k=8, d=1), 1), seeded_state(Cutoff(k=6, d=2), 2),
+     seeded_state(Cutoff(k=6, d=3), 3),
+     fock.basis_vector(Cutoff(k=8, d=2), (1, 0), (0, 2))],
+    ids=["d1", "d2", "d3", "d2-equilibrium"],
+)
+def test_vector_field_json_matches_stdlib(tmp_path, state, kind):
+    path = write_state(tmp_path / "state.json", state)
+    out = tmp_path / "vf.json"
+    assert cli.main(["vector-field", "--state", path, "--kind", kind,
+                     "--json", str(out)]) == 0
+    field = hamiltonian.vector_field(hamiltonian.FieldKind(kind), state)
+    assert out.read_bytes() == stdlib_json(fock.to_json_dict(field))
+    if kind == "chart" and len(state.coeffs) == 1:  # zero field at an equilibrium
+        assert not field.coeffs and '"terms": []' in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "state",
+    [fock.basis_vector(Cutoff(k=8, d=1), (1,), (2,)),
+     fock.basis_vector(Cutoff(k=6, d=2), (1, 0), (0, 2))],
+    ids=["d1", "d2"],
+)
+def test_spectrum_json_matches_stdlib(tmp_path, state):
+    path = write_state(tmp_path / "eq.json", state)
+    out = tmp_path / "s.json"
+    assert cli.main(["spectrum", "--state", path, "--json", str(out),
+                     "--csv", str(tmp_path / "s.csv")]) == 0
+    report = equilibria.classify_spectrum(equilibria.linearize(state))
+    assert out.read_bytes() == stdlib_json({
+        "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
+        "perturbed_dim": report.perturbed_subspace_dim,
+        "integer_ok": report.integer_spectrum_ok,
+        "excitation": report.excitation,
+    })
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_template_fill_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        json.dumps([1.0, bad], allow_nan=False)
+    with pytest.raises(ValueError):
+        cli._fill(["[%r, %r]"], "", [1.0, bad])

@@ -2,7 +2,8 @@
 form over random states.
 
 States are drawn in d = 1, 2 with support at degree <= K - 2, where the
-truncated algebra is exact.
+truncated algebra is exact; the JSON text property also draws d = 3 and
+any support.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from harmonic_hartree import fock, hamiltonian as ham, reduction as red
+from harmonic_hartree import cli, fock, hamiltonian as ham, reduction as red
 from harmonic_hartree.errors import TruncationError
 from harmonic_hartree.fock import Cutoff, FockVector, MultiIndex
 from harmonic_hartree.hamiltonian import FieldKind
@@ -77,6 +78,27 @@ def test_json_round_trip_is_exact(v):
     assert back.cutoff == v.cutoff
     assert back.coeffs == v.coeffs
     assert not back.truncated
+
+
+# parts whose text is easy to get wrong: signed zeros, subnormals and the
+# 1e16 scale where repr switches to exponent form
+EDGE_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16]),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    st.floats(1e15, 1e17) | st.floats(-1e17, -1e15),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CUTOFFS + (Cutoff(k=4, d=3),)), st.data())
+def test_state_json_template_matches_stdlib(cut, data):
+    idxs = fock.basis(cut)
+    picks = data.draw(st.lists(st.sampled_from(idxs), max_size=8, unique=True))
+    coeffs = {idx: complex(data.draw(EDGE_PARTS), data.draw(EDGE_PARTS)) for idx in picks}
+    v = FockVector(cut, coeffs)
+    text = json.dumps(fock.to_json_dict(v), indent=2, sort_keys=True, allow_nan=False)
+    assert cli._state_json(v) == text + "\n"
 
 
 @settings(max_examples=60, deadline=None)
