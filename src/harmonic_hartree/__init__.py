@@ -7,7 +7,8 @@ Library layout:
 * :mod:`.reduction`   -- phase-quotient geometry (projection, form, metric)
 * :mod:`.equilibria`  -- relative equilibria and linearization spectra
 * :mod:`.orbits`      -- centered subspaces and closed-form periodic orbits
-* :mod:`.integrate`   -- adaptive Dormand-Prince oracle for the sphere flow
+* :mod:`.integrate`   -- adaptive Dormand-Prince 8(5,3) oracle for the sphere
+                         flow, with 7th-order dense output
 * :mod:`.pipeline`    -- d=1 grid chain down to classical densities
 * :mod:`.cli`         -- command-line interface
 """

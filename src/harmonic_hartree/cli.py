@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -313,7 +314,10 @@ def _cmd_vector_field(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="harmonic-hartree",
         description="Fock-basis dynamics of the harmonic Hartree system.",

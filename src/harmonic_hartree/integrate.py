@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) integration of the sphere-restricted flow.
+"""Adaptive Dormand-Prince 8(5,3) integration of the sphere-restricted flow.
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
@@ -8,22 +8,26 @@ vector field share one definition of the algebra.
 
 Specifics:
 
-* embedded Dormand-Prince 5(4) pair with PI-free standard step control;
+* the 12-stage 8th-order pair DOP853 of Prince and Dormand (J. Comput.
+  Appl. Math. 7 (1981) 67; Hairer-Norsett-Wanner, Solving ODEs I,
+  Sec. II.5 and II.6) with the combined 5th/3rd-order error estimate and
+  standard step control; the coefficients are those of Hairer's
+  ``dop853.f``;
 * after every accepted step the state is projected back to the unit
   sphere; the projection magnitude is logged and must stay below ten
   times the local tolerance (the continuous flow conserves the norm, so
   the projection removes integrator drift only);
-* the stages live in one preallocated (7, n) buffer and the tableau is
-  applied as matmuls on it; an accepted step costs 7 field evaluations
-  (6 stages plus one at the midpoint), a rejected step 6;
-* dense output from a quintic two-point Hermite interpolant whose
-  midpoint value comes from Shampine's free 4th-order continuous
-  extension of the step and whose midpoint slope is one extra field
-  evaluation there, keeping sample-time accuracy at the step-tolerance
-  level;
+* the stages live in one preallocated (16, n) buffer and the tableau is
+  applied as matmuls on it; stage 12 is the field at the new state, the
+  next step's first stage (FSAL);
+* 7th-order dense output from the step's own continuous extension: three
+  more stages per accepted step give the 7 coefficient rows of each
+  segment, so an accepted step costs 15 field evaluations and a rejected
+  step 12;
 * amplitude that a raising operator would push past the degree cutoff is
-  monitored; if a state with nonzero centering moments reaches the
-  boundary the integration aborts with TruncationError.
+  monitored at every evaluation, dense-output stages included; if a state
+  with nonzero centering moments reaches the boundary the integration
+  aborts with TruncationError.
 """
 
 from __future__ import annotations
@@ -37,69 +41,192 @@ from .errors import IntegrationError
 from .fock import Cutoff, FockVector
 from .hamiltonian import FieldKind
 
-# Dormand-Prince 5(4) tableau as a strictly lower-triangular matrix: stage s
-# is evaluated at y + h * (_A[s, :s] @ K[:s]).  Row 6 holds the 5th-order
-# weights, so stage 6 is evaluated at the new state (FSAL).  Complex dtype
-# so the matmuls against the complex stage buffer need no per-call cast.
-_A = np.array(
-    [
-        [0, 0, 0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-    ],
-    dtype=complex,
-)
-_B5 = _A[6]
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_ERR = _B5 - _B4
+# DOP853 tableau (Hairer's dop853.f) as a strictly lower-triangular matrix:
+# stage s is evaluated at y + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
+# 8th-order weights, so stage 12 is evaluated at the new state (FSAL);
+# rows 13-15 are the three extra stages of the dense output.
+_A = np.zeros((16, 16))
+_A[1, 0] = 5.26001519587677318785587544488e-2
+_A[2, :2] = [1.97250569845378994544595329183e-2,
+             5.91751709536136983633785987549e-2]
+_A[3, [0, 2]] = [2.95875854768068491816892993775e-2,
+                 8.87627564304205475450678981324e-2]
+_A[4, [0, 2, 3]] = [2.41365134159266685502369798665e-1,
+                    -8.84549479328286085344864962717e-1,
+                    9.24834003261792003115737966543e-1]
+_A[5, [0, 3, 4]] = [3.7037037037037037037037037037e-2,
+                    1.70828608729473871279604482173e-1,
+                    1.25467687566822425016691814123e-1]
+_A[6, [0, 3, 4, 5]] = [3.7109375e-2,
+                       1.70252211019544039314978060272e-1,
+                       6.02165389804559606850219397283e-2,
+                       -1.7578125e-2]
+_A[7, [0, 3, 4, 5, 6]] = [3.70920001185047927108779319836e-2,
+                          1.70383925712239993810214054705e-1,
+                          1.07262030446373284651809199168e-1,
+                          -1.53194377486244017527936158236e-2,
+                          8.27378916381402288758473766002e-3]
+_A[8, [0, 3, 4, 5, 6, 7]] = [6.24110958716075717114429577812e-1,
+                             -3.36089262944694129406857109825,
+                             -8.68219346841726006818189891453e-1,
+                             2.75920996994467083049415600797e1,
+                             2.01540675504778934086186788979e1,
+                             -4.34898841810699588477366255144e1]
+_A[9, [0, 3, 4, 5, 6, 7, 8]] = [4.77662536438264365890433908527e-1,
+                                -2.48811461997166764192642586468,
+                                -5.90290826836842996371446475743e-1,
+                                2.12300514481811942347288949897e1,
+                                1.52792336328824235832596922938e1,
+                                -3.32882109689848629194453265587e1,
+                                -2.03312017085086261358222928593e-2]
+_A[10, [0, 3, 4, 5, 6, 7, 8, 9]] = [-9.3714243008598732571704021658e-1,
+                                    5.18637242884406370830023853209,
+                                    1.09143734899672957818500254654,
+                                    -8.14978701074692612513997267357,
+                                    -1.85200656599969598641566180701e1,
+                                    2.27394870993505042818970056734e1,
+                                    2.49360555267965238987089396762,
+                                    -3.0467644718982195003823669022]
+_A[11, [0, 3, 4, 5, 6, 7, 8, 9, 10]] = [2.27331014751653820792359768449,
+                                        -1.05344954667372501984066689879e1,
+                                        -2.00087205822486249909675718444,
+                                        -1.79589318631187989172765950534e1,
+                                        2.79488845294199600508499808837e1,
+                                        -2.85899827713502369474065508674,
+                                        -8.87285693353062954433549289258,
+                                        1.23605671757943030647266201528e1,
+                                        6.43392746015763530355970484046e-1]
+_A[12, [0, 5, 6, 7, 8, 9, 10, 11]] = [5.42937341165687622380535766363e-2,
+                                      4.45031289275240888144113950566,
+                                      1.89151789931450038304281599044,
+                                      -5.8012039600105847814672114227,
+                                      3.1116436695781989440891606237e-1,
+                                      -1.52160949662516078556178806805e-1,
+                                      2.01365400804030348374776537501e-1,
+                                      4.47106157277725905176885569043e-2]
+_A[13, [0, 6, 7, 8, 9, 10, 11, 12]] = [5.61675022830479523392909219681e-2,
+                                       2.53500210216624811088794765333e-1,
+                                       -2.46239037470802489917441475441e-1,
+                                       -1.24191423263816360469010140626e-1,
+                                       1.5329179827876569731206322685e-1,
+                                       8.20105229563468988491666602057e-3,
+                                       7.56789766054569976138603589584e-3,
+                                       -8.298e-3]
+_A[14, [0, 5, 6, 7, 10, 11, 12, 13]] = [3.18346481635021405060768473261e-2,
+                                        2.83009096723667755288322961402e-2,
+                                        5.35419883074385676223797384372e-2,
+                                        -5.49237485713909884646569340306e-2,
+                                        -1.08347328697249322858509316994e-4,
+                                        3.82571090835658412954920192323e-4,
+                                        -3.40465008687404560802977114492e-4,
+                                        1.41312443674632500278074618366e-1]
+_A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
+                                       -4.69762141536116384314449447206,
+                                       7.68342119606259904184240953878,
+                                       4.06898981839711007970213554331,
+                                       3.56727187455281109270669543021e-1,
+                                       -1.39902416515901462129418009734e-3,
+                                       2.9475147891527723389556272149,
+                                       -9.15095847217987001081870187138]
+_B = _A[12, :12]
 
-# Shampine's free 4th-order continuous extension of the same step
-# (Math. Comp. 46 (1986) 135; Hairer-Norsett-Wanner I, Sec. II.6):
-# y(s0 + theta h) = y + h * ((_P @ [theta, theta^2, theta^3, theta^4]) @ K).
-# At theta = 1 the weights reduce to _B5.
-_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-         -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-         87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-         -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883,
-         -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
-_B_MID = (_P @ 0.5 ** np.arange(1, 5)).astype(complex)
+# Stage times as fractions of the step.  The sphere field is autonomous,
+# so they enter only as the row sums of _A.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01,
+    0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
+    0.281649658092772603273242802490, 0.333333333333333333333333333333,
+    0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+    0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
+    0.777777777777777777777777777778,
+])
 
-_H_MAX = 0.05  # keeps the quintic dense output within the step tolerance
-_SAFETY = 1.0 / 20.0  # internal per-step error target relative to the
+# Error rows over stages 0..11: the 8th-order update minus the embedded
+# 5th-order one (_E5) and minus the embedded 3rd-order one (_E3).
+_E5 = np.zeros(12)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [0.1312004499419488073250102996e-1,
+                                   -0.1225156446376204440720569753e+1,
+                                   -0.4957589496572501915214079952,
+                                   0.1664377182454986536961530415e+1,
+                                   -0.3503288487499736816886487290,
+                                   0.3341791187130174790297318841,
+                                   0.8192320648511571246570742613e-1,
+                                   -0.2235530786388629525884427845e-1]
+_E3 = _B.copy()
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_ERR = np.stack([_E5, _E3]).astype(complex)
+
+# Last four coefficient rows of the dense output, over all 16 stages.
+_D = np.zeros((4, 16))
+_D[0, [0, *range(5, 16)]] = [-0.84289382761090128651353491142e+1,
+                             0.56671495351937776962531783590,
+                             -0.30689499459498916912797304727e+1,
+                             0.23846676565120698287728149680e+1,
+                             0.21170345824450282767155149946e+1,
+                             -0.87139158377797299206789907490,
+                             0.22404374302607882758541771650e+1,
+                             0.63157877876946881815570249290,
+                             -0.88990336451333310820698117400e-1,
+                             0.18148505520854727256656404962e+2,
+                             -0.91946323924783554000451984436e+1,
+                             -0.44360363875948939664310572000e+1]
+_D[1, [0, *range(5, 16)]] = [0.10427508642579134603413151009e+2,
+                             0.24228349177525818288430175319e+3,
+                             0.16520045171727028198505394887e+3,
+                             -0.37454675472269020279518312152e+3,
+                             -0.22113666853125306036270938578e+2,
+                             0.77334326684722638389603898808e+1,
+                             -0.30674084731089398182061213626e+2,
+                             -0.93321305264302278729567221706e+1,
+                             0.15697238121770843886131091075e+2,
+                             -0.31139403219565177677282850411e+2,
+                             -0.93529243588444783865713862664e+1,
+                             0.35816841486394083752465898540e+2]
+_D[2, [0, *range(5, 16)]] = [0.19985053242002433820987653617e+2,
+                             -0.38703730874935176555105901742e+3,
+                             -0.18917813819516756882830838328e+3,
+                             0.52780815920542364900561016686e+3,
+                             -0.11573902539959630126141871134e+2,
+                             0.68812326946963000169666922661e+1,
+                             -0.10006050966910838403183860980e+1,
+                             0.77771377980534432092869265740,
+                             -0.27782057523535084065932004339e+1,
+                             -0.60196695231264120758267380846e+2,
+                             0.84320405506677161018159903784e+2,
+                             0.11992291136182789328035130030e+2]
+_D[3, [0, *range(5, 16)]] = [-0.25693933462703749003312586129e+2,
+                             -0.15418974869023643374053993627e+3,
+                             -0.23152937917604549567536039109e+3,
+                             0.35763911791061412378285349910e+3,
+                             0.93405324183624310003907691704e+2,
+                             -0.37458323136451633156875139351e+2,
+                             0.10409964950896230045147246184e+3,
+                             0.29840293426660503123344363579e+2,
+                             -0.43533456590011143754432175058e+2,
+                             0.96324553959188282948394950600e+2,
+                             -0.39177261675615439165231486172e+2,
+                             -0.14972683625798562581422125276e+3]
+
+# All 7 coefficient rows of a segment as h * (_DENSE @ K): the first three
+# are y_new - y, h f(y) - (y_new - y) and 2 (y_new - y) - h (f(y) + f(y_new)),
+# written through the weights _B (stage 0 is f(y), stage 12 is f(y_new)).
+_DENSE = np.zeros((7, 16), dtype=complex)
+_DENSE[0, :12] = _B
+_DENSE[1, :12] = -_B
+_DENSE[1, 0] += 1.0
+_DENSE[2, :12] = 2.0 * _B
+_DENSE[2, [0, 12]] -= 1.0
+_DENSE[3:] = _D
+_A = _A.astype(complex)  # the stage buffer is complex: no per-call cast
+
+_H_MAX = 0.1  # keeps the 7th-order dense output within the step tolerance
+_SAFETY = 1.0 / 100.0  # internal per-step error target relative to the
 # requested tolerance, sized so conserved-quantity drift over O(10) time
 # units stays at the requested tolerance level
 _TRUNCATION_FLUX_TOL = 1e-12
 _END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
-
-
-def _quintic_matrix() -> np.ndarray:
-    """Inverse of the condition matrix for a quintic in theta on [0, 1]:
-    value and slope at theta = 0, 1/2, 1."""
-    rows = []
-    for th in (0.0, 0.5, 1.0):
-        rows.append([th**k for k in range(6)])
-        rows.append([k * th ** (k - 1) if k >= 1 else 0.0 for k in range(6)])
-    return np.linalg.inv(np.array(rows))
-
-
-_QUINTIC_INV = _quintic_matrix()
 
 
 def sphere_field(cutoff: Cutoff, y: np.ndarray) -> np.ndarray:
@@ -113,7 +240,8 @@ def sphere_field(cutoff: Cutoff, y: np.ndarray) -> np.ndarray:
 class _Segment:
     s0: float
     h: float
-    coeffs: np.ndarray  # (6, dim) quintic coefficients in theta
+    y: np.ndarray  # (dim,) state at the segment start
+    coeffs: np.ndarray  # (7, dim) dense-output rows, see _interp_raw
 
 
 @dataclass(frozen=True)
@@ -159,7 +287,7 @@ class Trajectory:
         s = t * self._direction
         lo, hi = self._segments[0], self._segments[-1]
         # slack covers the float-roundoff sliver the stepper may leave at
-        # the window end; quintic extrapolation over it is exact in practice
+        # the window end; polynomial extrapolation over it is exact in practice
         if s < lo.s0 - 1e-9 or s > hi.s0 + hi.h + 1e-9:
             raise ValueError(f"time {t} outside the integrated range")
         return fock.from_array(self.cutoff, _interp_raw(self._segments, s))
@@ -179,14 +307,14 @@ def _bisect_segment(segments: tuple[_Segment, ...], s: float) -> _Segment:
     return segments[lo]
 
 
-def _dp5_step(f, y: np.ndarray, h: float, K: np.ndarray):
-    """One Dormand-Prince step from ``K[0] = f(y)``; fills stages 1..6 of the
-    (7, n) buffer ``K`` and returns (y_new, err_vector).  ``K[6]`` ends as
-    f(y_new), the next step's first stage (FSAL)."""
-    for stage in range(1, 7):
+def _dop853_step(f, y: np.ndarray, h: float, K: np.ndarray):
+    """One DOP853 step from ``K[0] = f(y)``; fills stages 1..12 of the
+    (16, n) buffer ``K`` and returns y_new.  ``K[12]`` ends as f(y_new),
+    the next step's first stage (FSAL)."""
+    for stage in range(1, 13):
         y_stage = y + h * (_A[stage, :stage] @ K[:stage])
         K[stage] = f(y_stage)
-    return y_stage, h * (_ERR @ K)
+    return y_stage
 
 
 def integrate(
@@ -239,10 +367,10 @@ def integrate(
 
     y0 = fock.to_array(state.normalized())
     y = y0
-    stages = np.empty((7, y0.size), dtype=complex)
+    stages = np.empty((16, y0.size), dtype=complex)
     stages[0] = f(y)
     s = 0.0
-    h = min(_H_MAX, span, max(1e-4, tol ** (1 / 5)))
+    h = min(_H_MAX, span, tol ** (1 / 8))
     segments: list[_Segment] = []
     max_renorm = 0.0
     accepted = rejected = 0
@@ -254,21 +382,20 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        y_new, err = _dp5_step(f, y, h, stages)
+        y_new = _dop853_step(f, y, h, stages)
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-        err_norm = float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
+        # combined 5th/3rd-order estimate of dop853.f
+        err = (_ERR @ stages[:12]) / scale
+        e5, e3 = np.einsum("ij,ij->i", err, err.conj()).real
+        err_norm = h * e5 / np.sqrt(y.size * (e5 + 0.01 * e3)) if e5 > 0.0 else 0.0
         if err_norm > 1.0:
             rejected += 1
-            h *= max(0.2, 0.9 * err_norm ** (-0.2))
+            h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        # quintic dense output: the midpoint value comes from the step's
-        # continuous extension, its slope from one more field evaluation
-        y_mid = y + h * (_B_MID @ stages)
-        rhs = np.stack(
-            [y, h * stages[0], y_mid, h * f(y_mid), y_new, h * stages[6]]
-        )
-        segments.append(_Segment(s0=s, h=h, coeffs=_QUINTIC_INV @ rhs))
+        for stage in range(13, 16):
+            stages[stage] = f(y + h * (_A[stage, :stage] @ stages[:stage]))
+        segments.append(_Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages)))
 
         norm = float(np.linalg.norm(y_new))
         renorm = abs(norm - 1.0)
@@ -280,11 +407,11 @@ def integrate(
         y = y_new / norm
         # FSAL: copy f(y_new) out of the slot the next step overwrites
         # (projection perturbs it below the local tolerance)
-        stages[0] = stages[6]
+        stages[0] = stages[12]
         s += h
         accepted += 1
         if err_norm > 0.0:
-            h *= min(5.0, max(0.2, 0.9 * err_norm ** (-0.2)))
+            h *= min(5.0, max(0.2, 0.9 * err_norm ** (-1 / 8)))
         else:
             h *= 5.0
 
@@ -321,10 +448,14 @@ def integrate(
 
 
 def _interp_raw(segments: tuple[_Segment, ...], s: float) -> np.ndarray:
+    """Dense output y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))),
+    the alternating Horner scheme of ``dop853.f``'s contd8."""
     seg = _bisect_segment(segments, s)
     theta = (s - seg.s0) / seg.h
-    powers = np.array([theta**k for k in range(6)])
-    return powers @ seg.coeffs
+    acc = seg.coeffs[6] * theta
+    for row in range(5, -1, -1):
+        acc = (acc + seg.coeffs[row]) * (theta if row % 2 == 0 else 1.0 - theta)
+    return seg.y + acc
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:

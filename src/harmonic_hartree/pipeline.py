@@ -45,10 +45,16 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
         if not 0 < self.extent < math.inf:
             raise ValueError(f"extent must be finite and positive, got {self.extent}")
-        # the chain squares coordinates: up to 2 L^2 in the Hermite Gaussian
-        # at tau(x, xi), L^2 in the Fourier phase v * xi
-        if 2.0 * self.extent * self.extent == math.inf:
-            raise ValueError(f"extent {self.extent} overflows 2 L^2 on the grid")
+        # a step above one oscillator length cannot resolve even the ground
+        # state's Gaussian; the bound also keeps L <= n / 2, so the squares
+        # the chain takes (2 L^2 in the Hermite Gaussian at tau(x, xi), L^2
+        # in the Fourier phase v * xi) stay finite on any grid that fits in
+        # memory
+        if self.step > 1.0:
+            raise ValueError(
+                f"extent {self.extent} is too coarse for n={self.n}: grid step "
+                f"2 L / n = {self.step:g} exceeds the oscillator length 1"
+            )
 
     @property
     def step(self) -> float:

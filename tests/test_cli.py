@@ -326,7 +326,9 @@ PIPELINE_OPTION_WORD = {
     "option",
     [["--t", "inf"], ["--t", "nan"], ["--residual-dt", "inf"],
      ["--residual-dt", "nan"], ["--grid-l", "inf"], ["--grid-l", "nan"],
-     ["--grid-l", "1e+200"]],  # finite, but 2 L^2 overflows
+     ["--grid-l", "1e+200"],  # finite, but 2 L^2 overflows
+     # 2 L^2 finite, but the charges' integrands overflow
+     ["--grid-l", "1e+100"], ["--grid-l", "1e+150"]],
     ids=lambda opt: " ".join(opt),
 )
 def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
@@ -338,6 +340,50 @@ def test_pipeline_rejects_non_finite_inputs(tmp_path, capsys, mix, option):
     assert option[1] in err  # names the bad value
     assert PIPELINE_OPTION_WORD[option[0]] in err  # and what it was read as
     assert not (tmp_path / "pipe_report.json").exists()
+
+
+def test_back_to_back_calls_match_separate_processes(tmp_path, capsys, ground):
+    # the parser is built once per process; consecutive cli.main calls must
+    # give what a fresh process gives for each command
+    def commands(out):
+        return [
+            ["spectrum", "--state", ground, "--json", str(out / "spec.json"),
+             "--csv", str(out / "spec.csv")],
+            ["simulate", "--state", ground, "--t-end", "1.0", "--samples", "5",
+             "--out", str(out / "sim.csv"), "--report", str(out / "sim.json")],
+            ["energy", "--state", ground, "--no-such-option"],
+        ]
+
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    separate = tmp_path / "separate"
+    separate.mkdir()
+    sep_codes, sep_errs = [], []
+    for argv in commands(separate):
+        run = subprocess.run(
+            [sys.executable, "-m", "harmonic_hartree.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        sep_codes.append(run.returncode)
+        sep_errs.append(run.stderr)
+
+    together = tmp_path / "together"
+    together.mkdir()
+    codes, errs = [], []
+    for argv in commands(together):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        errs.append(capsys.readouterr().err)
+    assert codes == sep_codes == [0, 0, 2]
+    assert errs == sep_errs
+    assert "unrecognized arguments: --no-such-option" in errs[2]
+    assert outputs(together) == outputs(separate)
+    assert len(outputs(together)) == 4
 
 
 def test_package_imports_only_declared_dependencies():

@@ -108,8 +108,8 @@ def test_dense_output_accuracy():
 
 
 def test_field_evaluations_per_step(monkeypatch):
-    # 1 initial evaluation, 6 stages plus 1 midpoint slope per accepted step,
-    # 6 stages per rejected step
+    # 1 initial evaluation; 11 stages plus f(y_new) per step, and 3 more
+    # dense-output stages per accepted step
     calls = []
     field = integ.sphere_field
 
@@ -121,11 +121,40 @@ def test_field_evaluations_per_step(monkeypatch):
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
     traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
     assert traj.accepted_steps > 0 and traj.rejected_steps > 0
-    assert len(calls) == 1 + 7 * traj.accepted_steps + 6 * traj.rejected_steps
+    assert len(calls) == 1 + 15 * traj.accepted_steps + 12 * traj.rejected_steps
 
 
-def test_continuous_extension_reduces_to_fifth_order_update():
-    assert np.abs(integ._P.sum(axis=1) - integ._B5).max() <= 1e-14
+def test_tableau_matches_reference_coefficients():
+    # the inlined dop853.f literals against scipy's copy of the same table
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(integ._A, ref.A)
+    assert np.array_equal(integ._B, ref.B)
+    assert np.array_equal(integ._C, ref.C)
+    assert np.array_equal(integ._E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(integ._E3, ref.E3[:12]) and ref.E3[12] == 0.0
+    assert np.array_equal(integ._ERR, np.stack([ref.E5[:12], ref.E3[:12]]))
+    assert np.array_equal(integ._D, ref.D)
+    assert np.array_equal(integ._DENSE[3:], ref.D)
+
+
+def test_tableau_rows_sum_to_stage_times():
+    # rounding of the row sums grows with the size of the entries (up to ~43)
+    bound = 4 * np.finfo(float).eps * np.abs(integ._A).sum(axis=1)
+    assert np.all(np.abs(integ._A.sum(axis=1) - integ._C) <= bound)
+
+
+def test_dense_output_reproduces_segment_endpoints():
+    s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
+    traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
+    segs = traj._segments
+    assert len(segs) > 1
+    for seg, nxt in zip(segs, segs[1:]):
+        start = integ._interp_raw((seg,), seg.s0)
+        assert np.abs(start - seg.y).max() <= 1e-15
+        # theta = 1 gives the unprojected step result, which the next
+        # segment starts from after projection to the sphere
+        end = integ._interp_raw((seg,), seg.s0 + seg.h)
+        assert np.abs(end / np.linalg.norm(end) - nxt.y).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -134,14 +163,30 @@ def test_continuous_extension_reduces_to_fifth_order_update():
     ids=["d1", "d2"],
 )
 def test_dense_output_at_mid_step_times(cut, indices, t_end):
-    # the quintic's midpoint value comes from the continuous extension, so
-    # the segment midpoints are where its error shows first
+    # the segment midpoints are where the dense output is farthest from
+    # both step endpoints
     s = random_centered_state(cut, indices, np.random.default_rng(5))
     orbit = orbits.orbit_from_state(s)
     traj = integ.integrate(s, t_end, tol=1e-10, samples=3)
     worst = max(
         (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
         for t in (seg.s0 + 0.5 * seg.h for seg in traj._segments)
+    )
+    assert worst <= 1e-9
+
+
+def test_backward_dense_output_at_interior_times():
+    cut = Cutoff(k=6, d=2)
+    s = random_centered_state(cut, (0, -2), np.random.default_rng(6))
+    orbit = orbits.orbit_from_state(s)
+    traj = integ.integrate(s, -math.pi / 4, tol=1e-10, samples=3)
+    assert np.all(np.diff(traj.times) > 0)
+    rng = np.random.default_rng(7)
+    times = [-(seg.s0 + 0.5 * seg.h) for seg in traj._segments]
+    times += list(rng.uniform(-math.pi / 4, 0.0, size=12))
+    worst = max(
+        (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
+        for t in times
     )
     assert worst <= 1e-9
 

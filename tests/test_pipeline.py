@@ -69,6 +69,14 @@ def test_grid_spec_validation():
     assert spec.step == pytest.approx(0.125)
 
 
+def test_grid_spec_rejects_steps_above_one_oscillator_length():
+    for n, extent in ((256, 8.0), (128, 6.0), (32, 16.0)):
+        assert pl.GridSpec(n=n, extent=extent).step <= 1.0
+    for extent in (16.5, 1e100, 1e150):
+        with pytest.raises(ValueError, match="extent"):
+            pl.GridSpec(n=32, extent=extent)
+
+
 # ---------------------------------------------------------------------------
 # Hermite functions
 
