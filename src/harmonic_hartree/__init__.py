@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`.fock`        -- truncated ladder algebra and sparse state vectors
+* :mod:`.fock`        -- truncated ladder algebra and dense state vectors
 * :mod:`.hamiltonian` -- energy and the full / sphere / chart vector fields
 * :mod:`.reduction`   -- phase-quotient geometry (projection, form, metric)
 * :mod:`.equilibria`  -- relative equilibria and linearization spectra

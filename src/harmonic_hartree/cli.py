@@ -17,7 +17,6 @@ and of the per-value ``%.17g`` format; the tests compare them.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -46,7 +45,7 @@ def _load_state(path: str) -> FockVector:
         state = fock.from_json_dict(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
-    if not all(cmath.isfinite(c) for c in state.coeffs.values()):
+    if not np.isfinite(state.array).all():
         raise ValueError(f"{path}: state has a non-finite coefficient")
     return state
 
@@ -112,7 +111,7 @@ def _cmd_simulate(args) -> int:
     header += ["norm", "meanN", "energy"]
 
     # a float64 view of the complex states interleaves re/im per coefficient
-    states = np.array([fock.to_array(st) for st in traj.states])
+    states = np.array([st.array for st in traj.states])
     table = np.column_stack([
         traj.times,
         states.view(np.float64),

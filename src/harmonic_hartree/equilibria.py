@@ -87,7 +87,7 @@ class LinearizationReport:
     @cached_property
     def chart(self) -> np.ndarray:
         """Complex orthonormal directions e_j of the chart tangent, as columns."""
-        chart, _ = _null_space(fock.to_array(self.base).conj()[None, :])
+        chart, _ = _null_space(self.base.array.conj()[None, :])
         return chart
 
     @cached_property
@@ -95,7 +95,7 @@ class LinearizationReport:
         """Real form of the derivative on the whole chart tangent in the
         real basis e_0, i e_0, e_1, ... (dimension 2 * (basis size - 1))."""
         table = fock.ladder_table(self.base.cutoff)
-        images = table.gather(fock.to_array(self.base))
+        images = table.gather(self.base.array)
         image = _apply_chart_derivative(
             _real_basis_columns(self.chart), table.n_diag, self.excitation, images
         )
@@ -222,7 +222,7 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     re-embeds the state before linearizing.
     """
     if cutoff is not None and cutoff != base.cutoff:
-        base = FockVector(cutoff, dict(base.coeffs))
+        base = FockVector(cutoff, base.coeffs)
     exc = fock._single_excitation(base)
     fock.require_unit(base, what="equilibrium")
     if base.max_degree() > base.cutoff.k - 2:
@@ -233,7 +233,7 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
         raise ValueError("state is not a relative equilibrium")
 
     table = fock.ladder_table(base.cutoff)
-    images = table.gather(fock.to_array(base))
+    images = table.gather(base.array)
     q, ranks = _image_basis(images, table.n_diag, exc)
     image = _apply_chart_derivative(_real_basis_columns(q), table.n_diag, exc, images)
     block = _interleave(q.conj().T @ image)
@@ -292,7 +292,7 @@ def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
     and P projects off the span of the conditions.
     """
     table = fock.ladder_table(report.base.cutoff)
-    images = table.gather(fock.to_array(report.base))
+    images = table.gather(report.base.array)
     cond = _interleave(_ladder_rows(images).T)  # conditions as columns
     u, singular, _ = np.linalg.svd(cond, full_matrices=False)
     rank = int(np.sum(singular > 1e-8))

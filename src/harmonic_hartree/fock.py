@@ -1,8 +1,9 @@
 """Truncated bosonic basis over R^d_q x R^d_p and its ladder algebra.
 
 A basis element |a, b> carries two multi-indices: ``a`` counts oscillator
-excitations along the q axes, ``b`` along the p axes.  Vectors are sparse
-complex combinations of basis elements with total degree |a| + |b| <= K.
+excitations along the q axes, ``b`` along the p axes.  A cutoff K keeps
+the basis elements of total degree |a| + |b| <= K, in lexicographic order;
+a vector stores its complex coefficients as one dense array in that order.
 
 Conventions used throughout the package:
 
@@ -22,21 +23,24 @@ The algebra is defined once per cutoff, in ``ladder_table``: gather
 indices and weights over the basis order, so every ladder image of a
 dense coefficient array comes from one gather.  The ``FockVector`` ops
 ``apply_*`` are views of that table: each applies one row of it (or its
-excitation diagonal) through ``to_array`` / ``from_array``.
+excitation diagonal) to the vector's stored array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import BasisMismatchError, NormalizationError
 
 NORM_TOL = 1e-10
+# bound on 2d x basis size, the entries per op of the ladder table: the largest
+# admitted d=3 table (K=12, n=18564) builds in ~0.4 s on a 2-core Xeon
+_MAX_TABLE_ENTRIES = 2**17
 
 
 @dataclass(frozen=True, order=True)
@@ -82,13 +86,19 @@ class Cutoff:
             raise ValueError(f"cutoff degree must be >= 0, got {self.k}")
         if self.d < 1:
             raise ValueError(f"spatial dimension must be >= 1, got {self.d}")
+        # size >= K + 1, so math.comb runs only once the first test passed
+        axes = 2 * self.d
+        if axes * (self.k + 1) > _MAX_TABLE_ENTRIES or axes * self.size > _MAX_TABLE_ENTRIES:
+            raise ValueError(f"cutoff K={self.k}, d={self.d} is too large: {axes} axes x "
+                             f"C({self.k + axes}, {axes}) basis elements > {_MAX_TABLE_ENTRIES}")
 
     def contains(self, idx: MultiIndex) -> bool:
         return len(idx.a) == self.d and idx.degree <= self.k
 
     @property
     def size(self) -> int:
-        return len(basis(self))
+        """Number of basis elements, C(K + 2d, 2d)."""
+        return math.comb(self.k + 2 * self.d, 2 * self.d)
 
 
 def _tuples_with_sum_at_most(d: int, s: int) -> Iterator[tuple[int, ...]]:
@@ -115,31 +125,50 @@ def _basis_positions(cutoff: Cutoff) -> dict[MultiIndex, int]:
     return {idx: j for j, idx in enumerate(basis(cutoff))}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FockVector:
-    """Sparse complex combination of basis elements under a shared cutoff.
+    """Complex combination of basis elements under a shared cutoff.
 
-    ``coeffs`` maps MultiIndex -> complex amplitude; absent means zero.
-    Treat instances as immutable; all operations return new vectors.
-    ``truncated`` records that some upstream raising dropped amplitude
-    past the cutoff, so the value is no longer exact.
+    ``array`` holds the amplitudes in the cutoff's basis order (see
+    ``basis``).  It is read-only, so instances are immutable; all
+    operations return new vectors.  The constructor takes a mapping
+    MultiIndex -> complex amplitude (absent means zero); ``from_array``
+    takes a dense array.  ``truncated`` records that some upstream raising
+    dropped amplitude past the cutoff, so the value is no longer exact.
     """
 
     cutoff: Cutoff
-    coeffs: dict[MultiIndex, complex] = field(default_factory=dict)
+    array: np.ndarray
     truncated: bool = False
 
-    def __post_init__(self) -> None:
-        for idx in self.coeffs:
-            if not self.cutoff.contains(idx):
-                raise ValueError(f"{idx} violates cutoff {self.cutoff}")
+    def __init__(self, cutoff: Cutoff, coeffs: Mapping[MultiIndex, complex] = {},
+                 truncated: bool = False) -> None:
+        pos = _basis_positions(cutoff)
+        arr = np.zeros(cutoff.size, dtype=complex)
+        try:
+            arr[[pos[idx] for idx in coeffs]] = list(coeffs.values())
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} violates cutoff {cutoff}") from None
+        self._set(cutoff, arr, truncated)
+
+    def _set(self, cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> None:
+        arr.flags.writeable = False
+        self.__dict__.update(cutoff=cutoff, array=arr, truncated=truncated)  # past frozen
 
     def items(self) -> list[tuple[MultiIndex, complex]]:
-        """Terms in deterministic (lexicographic) order."""
-        return sorted(self.coeffs.items())
+        """Nonzero terms in basis (lexicographic) order."""
+        nz = np.flatnonzero(self.array)
+        idxs = basis(self.cutoff)
+        return [(idxs[j], c) for j, c in zip(nz.tolist(), self.array[nz].tolist())]
+
+    @property
+    def coeffs(self) -> dict[MultiIndex, complex]:
+        """Nonzero terms as a dict MultiIndex -> complex, in basis order."""
+        return dict(self.items())
 
     @property
     def norm_sq(self) -> float:
+        # sequential sum in basis order: the integrator normalizes by it
         return sum((c * c.conjugate()).real for _, c in self.items())
 
     @property
@@ -147,30 +176,17 @@ class FockVector:
         return math.sqrt(self.norm_sq)
 
     def max_degree(self) -> int:
-        return max((idx.degree for idx in self.coeffs), default=0)
+        return max((idx.degree for idx, _ in self.items()), default=0)
 
     def __add__(self, other: "FockVector") -> "FockVector":
         _check_compatible(self, other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx, 0j) + c
-            if s == 0:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return FockVector(self.cutoff, out, self.truncated or other.truncated)
+        return _vector(self.cutoff, self.array + other.array, self.truncated or other.truncated)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "FockVector":
-        if scalar == 0:
-            return FockVector(self.cutoff, {}, self.truncated)
-        return FockVector(
-            self.cutoff,
-            {idx: scalar * c for idx, c in self.coeffs.items()},
-            self.truncated,
-        )
+        return _vector(self.cutoff, scalar * self.array, self.truncated)
 
     def normalized(self) -> "FockVector":
         n = self.norm
@@ -179,20 +195,24 @@ class FockVector:
         return (1.0 / n) * self
 
 
+def _vector(cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> FockVector:
+    """The vector storing ``arr`` itself (made read-only, not copied)."""
+    v = FockVector.__new__(FockVector)
+    v._set(cutoff, arr, truncated)
+    return v
+
+
 def _check_compatible(u: FockVector, v: FockVector) -> None:
     if u.cutoff != v.cutoff:
         raise BasisMismatchError(f"cutoff mismatch: {u.cutoff} vs {v.cutoff}")
 
 
 def zero(cutoff: Cutoff) -> FockVector:
-    return FockVector(cutoff, {})
+    return FockVector(cutoff)
 
 
 def basis_vector(cutoff: Cutoff, a: Iterable[int], b: Iterable[int]) -> FockVector:
-    idx = MultiIndex(tuple(a), tuple(b))
-    if not cutoff.contains(idx):
-        raise ValueError(f"{idx} violates cutoff {cutoff}")
-    return FockVector(cutoff, {idx: 1.0 + 0j})
+    return FockVector(cutoff, {MultiIndex(tuple(a), tuple(b)): 1.0 + 0j})
 
 
 def _check_axis(i: int, cutoff: Cutoff) -> None:
@@ -211,10 +231,10 @@ def _apply(op: int, side: int, i: int, v: FockVector) -> FockVector:
     _check_axis(i, v.cutoff)
     axis = side * v.cutoff.d + i
     table = ladder_table(v.cutoff)
-    y = to_array(v)
+    y = v.array
     image = table.weight[op, axis] * np.concatenate((y, _PAD))[table.index[op, axis]]
     dropped = op == RAISE and bool(table.boundary[0, axis][y != 0].any())
-    return from_array(v.cutoff, image, v.truncated or dropped)
+    return _vector(v.cutoff, image, v.truncated or dropped)
 
 
 def apply_lowering_a(i: int, v: FockVector) -> FockVector:
@@ -241,20 +261,13 @@ def apply_raising_b(i: int, v: FockVector) -> FockVector:
 
 def apply_excitation(v: FockVector) -> FockVector:
     """Diagonal excitation operator: |a,b> -> (|b| - |a|) |a,b>.  Exact."""
-    return from_array(v.cutoff, ladder_table(v.cutoff).n_diag * to_array(v), v.truncated)
+    return _vector(v.cutoff, ladder_table(v.cutoff).n_diag * v.array, v.truncated)
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
     """<u, v> = sum u_k conj(v_k); conjugate-linear in the second slot."""
     _check_compatible(u, v)
-    small, big, flip = (u, v, False) if len(u.coeffs) <= len(v.coeffs) else (v, u, True)
-    acc = 0j
-    for idx, c in sorted(small.coeffs.items()):
-        other = big.coeffs.get(idx)
-        if other is None:
-            continue
-        acc += (c * other.conjugate()) if not flip else (other * c.conjugate())
-    return acc
+    return complex(np.vdot(v.array, u.array))
 
 
 def component_split(v: FockVector) -> dict[int, FockVector]:
@@ -262,13 +275,10 @@ def component_split(v: FockVector) -> dict[int, FockVector]:
 
     The components are pairwise orthogonal and sum to ``v`` exactly.
     """
-    groups: dict[int, dict[MultiIndex, complex]] = {}
-    for idx, c in v.coeffs.items():
-        groups.setdefault(idx.excitation, {})[idx] = c
-    return {
-        n: FockVector(v.cutoff, terms, v.truncated)
-        for n, terms in sorted(groups.items())
-    }
+    n_diag = ladder_table(v.cutoff).n_diag
+    keys = sorted(set(n_diag[v.array != 0].tolist()))
+    parts = np.where(n_diag == np.array(keys)[:, None], v.array, 0)  # one row per key
+    return {int(n): _vector(v.cutoff, part, v.truncated) for n, part in zip(keys, parts)}
 
 
 def _single_excitation(v: FockVector) -> int:
@@ -319,11 +329,7 @@ def from_json_dict(obj: dict) -> FockVector:
     coeffs: dict[MultiIndex, complex] = {}
     for term in obj["terms"]:
         idx = MultiIndex(tuple(term["a"]), tuple(term["b"]))
-        if not cutoff.contains(idx):
-            raise ValueError(f"term {idx} violates cutoff {cutoff}")
-        c = complex(float(term["re"]), float(term["im"]))
-        if c != 0:
-            coeffs[idx] = coeffs.get(idx, 0j) + c
+        coeffs[idx] = coeffs.get(idx, 0j) + complex(float(term["re"]), float(term["im"]))
     return FockVector(cutoff, coeffs)
 
 
@@ -331,21 +337,15 @@ def from_json_dict(obj: dict) -> FockVector:
 # dense bridge and the per-cutoff ladder table
 
 def to_array(v: FockVector) -> np.ndarray:
-    """Coefficients as a dense complex array in lexicographic basis order."""
-    pos = _basis_positions(v.cutoff)
-    arr = np.zeros(len(pos), dtype=complex)
-    for idx, c in v.coeffs.items():
-        arr[pos[idx]] = c
-    return arr
+    """A writable copy of the coefficients, in lexicographic basis order."""
+    return v.array.copy()
 
 
 def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> FockVector:
-    idxs = basis(cutoff)
-    if arr.shape != (len(idxs),):
-        raise BasisMismatchError(f"array length {arr.shape} != basis size {len(idxs)}")
-    nz = np.flatnonzero(arr)
-    coeffs = dict(zip((idxs[j] for j in nz), arr[nz].astype(complex).tolist()))
-    return FockVector(cutoff, coeffs, truncated)
+    """The vector with a copy of the dense array ``arr`` as coefficients."""
+    if arr.shape != (cutoff.size,):
+        raise BasisMismatchError(f"array length {arr.shape} != basis size {cutoff.size}")
+    return _vector(cutoff, arr.astype(complex), truncated)
 
 
 _PAD = np.zeros(1)

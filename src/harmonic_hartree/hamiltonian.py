@@ -45,7 +45,7 @@ class FieldKind(Enum):
 def _first_moment(v: FockVector, side: int, i: int) -> float:
     """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b)."""
     fock._check_axis(i, v.cutoff)
-    _, proj, _ = _moments(fock.ladder_table(v.cutoff), fock.to_array(v))
+    _, proj, _ = _moments(fock.ladder_table(v.cutoff), v.array)
     return float(proj[LOWER, side * v.cutoff.d + i])
 
 
@@ -111,7 +111,7 @@ def field_array(
 def energy(v: FockVector) -> float:
     """Energy of a unit state (norm checked to 1e-10); phase invariant."""
     fock.require_unit(v, what="energy state")
-    return energy_array(fock.ladder_table(v.cutoff), fock.to_array(v))
+    return energy_array(fock.ladder_table(v.cutoff), v.array)
 
 
 def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
@@ -120,5 +120,5 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     Raises TruncationError when a contributing ladder application (nonzero
     prefactor) crosses the cutoff boundary.
     """
-    arr = field_array(kind, fock.ladder_table(v.cutoff), fock.to_array(v))
+    arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
     return fock.from_array(v.cutoff, arr, v.truncated)

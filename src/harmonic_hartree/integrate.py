@@ -365,7 +365,7 @@ def integrate(
         field = sphere_field(cutoff, y)
         return field if direction > 0 else -field
 
-    y0 = fock.to_array(state.normalized())
+    y0 = state.normalized().array
     y = y0
     stages = np.empty((16, y0.size), dtype=complex)
     stages[0] = f(y)

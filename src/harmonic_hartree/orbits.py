@@ -73,7 +73,7 @@ def _arrays_and_images(components: Mapping[int, FockVector]):
         raise BasisMismatchError(f"components mix cutoffs {cutoffs}")
     (cutoff,) = cutoffs
     table = fock.ladder_table(cutoff)
-    arrays = {n: fock.to_array(part) for n, part in components.items()}
+    arrays = {n: part.array for n, part in components.items()}
     images = {n: table.gather(y) for n, y in arrays.items()}
     return arrays, images, cutoff.d
 
@@ -213,7 +213,7 @@ def orbit_velocity(v: FockVector) -> float:
     """
     minimal_centered_subspace(v)  # rejects non-centered input
     fock.require_unit(v)
-    weight = np.abs(fock.to_array(v)) ** 2
+    weight = np.abs(v.array) ** 2
     n_diag = fock.ladder_table(v.cutoff).n_diag
     shifted = n_diag - n_diag[np.argmax(weight)]
     return math.sqrt(float(weight @ (shifted - weight @ shifted) ** 2))
@@ -307,8 +307,8 @@ def bifurcation_family(
     if abs(fock.inner(base, tilde)) > 1e-12:
         raise ValueError("direction must be chart-orthogonal to the base")
     # Re<tilde, op_i base> for op in (a, a*, b, b*) on every axis i
-    images = fock.ladder_table(base.cutoff).gather(fock.to_array(base))
-    worst = np.abs((images[[LOWER, RAISE]] @ fock.to_array(tilde).conj()).real).max()
+    images = fock.ladder_table(base.cutoff).gather(base.array)
+    worst = np.abs((images[[LOWER, RAISE]] @ tilde.array.conj()).real).max()
     if worst > 1e-12:
         raise ValueError(
             f"direction violates the perturbation-kernel conditions by {worst:.3e}"

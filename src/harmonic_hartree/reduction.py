@@ -13,8 +13,9 @@ Sign convention: with ``inner`` conjugate-linear in the second slot,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fock
 from .errors import BasisMismatchError, NormalizationError
@@ -77,13 +78,10 @@ def gauge_fix(v: FockVector) -> QuotientPoint:
     """
     fock.require_unit(v, 1e-8, what="gauge_fix input")
     u = (1.0 / v.norm) * v
-    lead = None
-    for idx, c in u.items():
-        if abs(c) > GAUGE_EPS:
-            lead = c
-            break
-    if lead is None:
+    above = np.flatnonzero(np.abs(u.array) > GAUGE_EPS)
+    if above.size == 0:
         raise NormalizationError("state has no coefficient above the gauge threshold")
+    lead = complex(u.array[above[0]])
     phase = lead.conjugate() / abs(lead)
     return QuotientPoint(rep=phase * u)
 

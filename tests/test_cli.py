@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -284,6 +285,53 @@ def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     assert cli.main(["classify", "--state", str(path), "--json", str(out)]) == 1
     assert_one_line_error(capsys)
     assert not out.exists()
+
+
+# address-space cap of the child: far above a normal run, far below the
+# basis of any oversized cutoff below
+OVERSIZED_AS_BYTES = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (OVERSIZED_AS_BYTES, OVERSIZED_AS_BYTES))
+
+
+@pytest.mark.parametrize(
+    "command, state",
+    [(["energy", "--json", "{out}.json"], _with_cutoff(100000, 1)),
+     (["classify", "--json", "{out}.json"], _with_cutoff(100000, 1)),
+     (["vector-field", "--json", "{out}.json"], _with_cutoff(100000, 1)),
+     (["simulate", "--t-end", "1.0", "--out", "{out}.csv", "--report", "{out}.json"],
+      _with_cutoff(100000, 1)),
+     (["spectrum", "--json", "{out}.json", "--csv", "{out}.csv"], _with_cutoff(100000, 1)),
+     (["pipeline", "--out-prefix", "{out}"], _with_cutoff(100000, 1)),
+     (["energy", "--json", "{out}.json"], {"K": 8, "d": 1000, "terms": []}),
+     (["classify", "--json", "{out}.json"], {"K": 0, "d": 10**6, "terms": []}),
+     (["spectrum", "--cutoff", "100000", "--json", "{out}.json", "--csv", "{out}.csv"],
+      _ground_obj()),
+     (["family", "--n", "0", "--m", "2", "--cutoff", "100000", "--out", "{out}.json"],
+      None)],
+    ids=["energy", "classify", "vector-field", "simulate", "spectrum", "pipeline",
+         "energy-d1000", "classify-d1e6", "spectrum-cutoff", "family-cutoff"],
+)
+def test_oversized_cutoff_exits_one_in_bounded_time(tmp_path, command, state):
+    # in a child process capped in time and address space, so that a basis
+    # enumeration of the oversized cutoff fails this test instead of the host
+    argv = [arg.format(out=tmp_path / "out") for arg in command]
+    if state is not None:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(state))
+        argv[1:1] = ["--state", str(path)]
+    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "harmonic_hartree.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "too large" in run.stderr
+    assert list(tmp_path.iterdir()) == ([] if state is None else [tmp_path / "big.json"])
 
 
 @pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2"])

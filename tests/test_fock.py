@@ -308,9 +308,16 @@ def test_dense_round_trip():
     arr = fock.to_array(v)
     assert arr.shape == (45,)
     back = fock.from_array(CUT, arr)
-    assert (back - v).norm == 0.0
-    arr[::3] = 0.0  # exact zeros are not stored
-    sparse = fock.from_array(CUT, arr)
+    assert np.array_equal(back.array, v.array)
+    # from_array copies its input and to_array returns a copy: writing into
+    # either array leaves both vectors as they were
+    arr[::3] = 0.0
+    fock.to_array(back)[:] = 0.0
+    assert np.array_equal(back.array, v.array) and np.count_nonzero(v.array[::3])
+    # the stored array is read-only
+    with pytest.raises(ValueError):
+        v.array[0] = 1.0
+    sparse = fock.from_array(CUT, arr)  # exact zeros are not listed
     assert list(sparse.coeffs) == [idx for idx, c in zip(fock.basis(CUT), arr) if c != 0]
     with pytest.raises(BasisMismatchError):
         fock.from_array(CUT, np.zeros(7, dtype=complex))

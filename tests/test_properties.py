@@ -101,6 +101,35 @@ def test_state_json_template_matches_stdlib(cut, data):
     assert cli._state_json(v) == text + "\n"
 
 
+def _bits(terms):
+    return [(idx, c.real.hex(), c.imag.hex()) for idx, c in terms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CUTOFFS + (Cutoff(k=4, d=3),)), st.data())
+def test_items_list_nonzero_terms_in_basis_order(cut, data):
+    # exact zeros, signed zeros included, are dropped; every other part
+    # keeps its bits
+    idxs = fock.basis(cut)
+    picks = data.draw(st.lists(st.sampled_from(idxs), max_size=8, unique=True))
+    coeffs = {idx: complex(data.draw(EDGE_PARTS), data.draw(EDGE_PARTS)) for idx in picks}
+    v = FockVector(cut, coeffs)
+    expected = [(idx, coeffs[idx]) for idx in idxs if coeffs.get(idx, 0) != 0]
+    assert _bits(v.items()) == _bits(expected)
+    assert _bits(v.coeffs.items()) == _bits(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interior_states(), st.floats(-math.pi, math.pi))
+def test_norm_sq_is_the_sequential_sum_over_items(v, theta):
+    # bit for bit: normalized() scales the integrator's initial state by it
+    for u in (v, complex(np.exp(1j * theta)) * v, v + v):
+        acc = 0.0
+        for _, c in u.items():
+            acc += (c * c.conjugate()).real
+        assert u.norm_sq.hex() == acc.hex()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(CUTOFFS),
