@@ -36,6 +36,7 @@ from .errors import (
 from .fock import Cutoff, FockVector
 
 _FMT = "%.17g"
+_MASS_TOL = 1e-6  # pipeline: the density tolerance of acceptance criterion 10
 
 
 def _load_state(path: str) -> FockVector:
@@ -226,6 +227,15 @@ def _cmd_pipeline(args) -> int:
     field_now = field_at(args.t)
     f_now, rho_now = pipeline.density(field_now)
     mass, pseudo, momentum = pipeline.noether_charges(field_now)
+    # every stage is an isometry in the continuum; on the grid the (x, v)
+    # mass also carries the velocity quadrature's aliasing, and it bounds
+    # the (x, xi) stage's error in every measured case
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise ValueError(
+            f"(x, v) stage mass {mass:.6g} misses 1 by more than {_MASS_TOL:g}: "
+            f"the grid n={spec.n}, L={spec.extent:g} does not resolve the state; "
+            "use a larger --grid-n or a smaller --grid-l"
+        )
 
     f_series = [
         pipeline.density(field_at(args.t - dt))[0],

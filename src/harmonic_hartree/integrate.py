@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 8(5,3) integration of the sphere-restricted flow.
+"""Adaptive Lawson Dormand-Prince 8(5,3) integration of the sphere-restricted flow.
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
@@ -8,26 +8,37 @@ vector field share one definition of the algebra.
 
 Specifics:
 
-* the 12-stage 8th-order pair DOP853 of Prince and Dormand (J. Comput.
-  Appl. Math. 7 (1981) 67; Hairer-Norsett-Wanner, Solving ODEs I,
-  Sec. II.5 and II.6) with the combined 5th/3rd-order error estimate and
-  standard step control; the coefficients are those of Hairer's
-  ``dop853.f``;
+* the sphere field is -i N y plus a nonlinear remainder, and N, the
+  excitation operator, is diagonal and exact in every cutoff; each step
+  integrates the remainder in the interaction picture z(tau) =
+  e^{iN tau} y(s0 + tau) (Lawson, SIAM J. Numer. Anal. 4 (1967) 372;
+  Hochbruck-Ostermann, Acta Numerica 19 (2010) 209), so the fast phases
+  e^{-iNt} are exact and the step size follows the remainder alone.  The
+  frame uses only the cutoff's N diagonal;
+* the scheme on z is the 12-stage 8th-order pair DOP853 of Prince and
+  Dormand (J. Comput. Appl. Math. 7 (1981) 67; Hairer-Norsett-Wanner,
+  Solving ODEs I, Sec. II.5 and II.6) with the combined 5th/3rd-order
+  error estimate and standard step control; the coefficients are those of
+  Hairer's ``dop853.f``.  Stage j evaluates the field at
+  y = e^{-iN c_j h} z_j and returns e^{iN c_j h} (F(y) + iN y); the phase
+  rows e^{iN c_j h} are computed once per step over the distinct values
+  of N only;
 * after every accepted step the state is projected back to the unit
   sphere; the projection magnitude is logged and must stay below ten
   times the local tolerance (the continuous flow conserves the norm, so
   the projection removes integrator drift only);
 * the stages live in one preallocated (16, n) buffer and the tableau is
-  applied as matmuls on it; stage 12 is the field at the new state, the
-  next step's first stage (FSAL);
-* 7th-order dense output from the step's own continuous extension: three
-  more stages per accepted step give the 7 coefficient rows of each
-  segment, so an accepted step costs 15 field evaluations and a rejected
-  step 12;
+  applied as matmuls on it; stage 12 is the remainder at the new state,
+  which rotated back to the new frame is the next step's first stage
+  (FSAL);
+* 7th-order dense output of z from the step's own continuous extension,
+  rotated back by e^{-iN(s - s0)}: three more stages per accepted step
+  give the 7 coefficient rows of each segment, so an accepted step costs
+  15 field evaluations and a rejected step 12;
 * amplitude that a raising operator would push past the degree cutoff is
-  monitored at every evaluation, dense-output stages included; if a state
-  with nonzero centering moments reaches the boundary the integration
-  aborts with TruncationError.
+  monitored at every evaluation of y, dense-output stages included; if a
+  state with nonzero centering moments reaches the boundary the
+  integration aborts with TruncationError.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from .fock import Cutoff, FockVector
 from .hamiltonian import FieldKind
 
 # DOP853 tableau (Hairer's dop853.f) as a strictly lower-triangular matrix:
-# stage s is evaluated at y + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
+# stage s is evaluated at z + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
 # 8th-order weights, so stage 12 is evaluated at the new state (FSAL);
 # rows 13-15 are the three extra stages of the dense output.
 _A = np.zeros((16, 16))
@@ -130,8 +141,8 @@ _A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
                                        -9.15095847217987001081870187138]
 _B = _A[12, :12]
 
-# Stage times as fractions of the step.  The sphere field is autonomous,
-# so they enter only as the row sums of _A.
+# Stage times as fractions of the step: the row sums of _A, and the times
+# at which each stage rotates between the z and y frames.
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
@@ -210,8 +221,8 @@ _D[3, [0, *range(5, 16)]] = [-0.25693933462703749003312586129e+2,
                              -0.14972683625798562581422125276e+3]
 
 # All 7 coefficient rows of a segment as h * (_DENSE @ K): the first three
-# are y_new - y, h f(y) - (y_new - y) and 2 (y_new - y) - h (f(y) + f(y_new)),
-# written through the weights _B (stage 0 is f(y), stage 12 is f(y_new)).
+# are z_new - z, h z'(0) - (z_new - z) and 2 (z_new - z) - h (z'(0) + z'(h)),
+# written through the weights _B (stage 0 is z'(0), stage 12 is z'(h)).
 _DENSE = np.zeros((7, 16), dtype=complex)
 _DENSE[0, :12] = _B
 _DENSE[1, :12] = -_B
@@ -221,7 +232,12 @@ _DENSE[2, [0, 12]] -= 1.0
 _DENSE[3:] = _D
 _A = _A.astype(complex)  # the stage buffer is complex: no per-call cast
 
-_H_MAX = 0.1  # keeps the 7th-order dense output within the step tolerance
+# The frame takes the fast phases e^{-iNt} out of the steps, so the cap
+# now bounds the 7th-order dense output on the remaining nonlinear scalar
+# rotation -i s(y) y (and, off the centered states, the ladder terms).
+# 0.25 is the largest cap that keeps a basis-vector equilibrium's norm
+# drift over 4 pi below 1e-12 (2.6e-13; a cap of 0.3 gives 1.1e-12).
+_H_MAX = 0.25
 _SAFETY = 1.0 / 100.0  # internal per-step error target relative to the
 # requested tolerance, sized so conserved-quantity drift over O(10) time
 # units stays at the requested tolerance level
@@ -240,8 +256,9 @@ def sphere_field(cutoff: Cutoff, y: np.ndarray) -> np.ndarray:
 class _Segment:
     s0: float
     h: float
-    y: np.ndarray  # (dim,) state at the segment start
-    coeffs: np.ndarray  # (7, dim) dense-output rows, see _interp_raw
+    y: np.ndarray  # (dim,) state at the segment start, z(0) of its frame
+    coeffs: np.ndarray  # (7, dim) dense-output rows of z, see _interp_raw
+    rate: np.ndarray  # (dim,) frame rate: N, times -1 when integrating backward
 
 
 @dataclass(frozen=True)
@@ -307,13 +324,18 @@ def _bisect_segment(segments: tuple[_Segment, ...], s: float) -> _Segment:
     return segments[lo]
 
 
-def _dop853_step(f, y: np.ndarray, h: float, K: np.ndarray):
-    """One DOP853 step from ``K[0] = f(y)``; fills stages 1..12 of the
-    (16, n) buffer ``K`` and returns y_new.  ``K[12]`` ends as f(y_new),
-    the next step's first stage (FSAL)."""
-    for stage in range(1, 13):
-        y_stage = y + h * (_A[stage, :stage] @ K[:stage])
-        K[stage] = f(y_stage)
+def _lawson_stages(g, y, h, K, fwd, back, stages: range) -> np.ndarray:
+    """Fill ``stages`` of the (16, n) buffer ``K`` for the step of size h
+    from y, in the frame z(tau) = e^{i rate tau} y(s0 + tau) where z(0) = y.
+
+    Stage j evaluates ``g`` (the field plus i rate y) at
+    y_j = back[j] z_j and stores fwd[j] g(y_j), the derivative of z, where
+    fwd[j] = e^{i rate c_j h} and back[j] is its inverse.  Returns the last
+    y_j: for stages 1..12 that is the step's y_new, and ``K[12]`` ends as
+    z'(h)."""
+    for stage in stages:
+        y_stage = back[stage] * (y + h * (_A[stage, :stage] @ K[:stage]))
+        K[stage] = fwd[stage] * g(y_stage)
     return y_stage
 
 
@@ -361,14 +383,20 @@ def integrate(
     if sample_s[0] < -1e-12 or sample_s[-1] > span + 1e-12:
         raise ValueError("sample times outside [0, t_end]")
 
-    def f(y: np.ndarray) -> np.ndarray:
+    # the flow is y' = -i rate y + g(y) with rate = direction * N
+    rate = direction * table.n_diag
+    i_rate = 1j * rate
+    # N is an integer: the phases need one exponential per distinct value
+    levels, level_of = np.unique(rate, return_inverse=True)
+
+    def g(y: np.ndarray) -> np.ndarray:
         field = sphere_field(cutoff, y)
-        return field if direction > 0 else -field
+        return (field if direction > 0 else -field) + i_rate * y
 
     y0 = state.normalized().array
     y = y0
     stages = np.empty((16, y0.size), dtype=complex)
-    stages[0] = f(y)
+    stages[0] = g(y)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
     segments: list[_Segment] = []
@@ -382,7 +410,9 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        y_new = _dop853_step(f, y, h, stages)
+        rows = np.exp(1j * np.outer(_C * h, levels))
+        fwd, back = rows[:, level_of], rows.conj()[:, level_of]
+        y_new = _lawson_stages(g, y, h, stages, fwd, back, range(1, 13))
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         # combined 5th/3rd-order estimate of dop853.f
         err = (_ERR @ stages[:12]) / scale
@@ -393,9 +423,10 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        for stage in range(13, 16):
-            stages[stage] = f(y + h * (_A[stage, :stage] @ stages[:stage]))
-        segments.append(_Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages)))
+        _lawson_stages(g, y, h, stages, fwd, back, range(13, 16))
+        segments.append(
+            _Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages), rate=rate)
+        )
 
         norm = float(np.linalg.norm(y_new))
         renorm = abs(norm - 1.0)
@@ -405,9 +436,10 @@ def integrate(
                 f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
             )
         y = y_new / norm
-        # FSAL: copy f(y_new) out of the slot the next step overwrites
-        # (projection perturbs it below the local tolerance)
-        stages[0] = stages[12]
+        # FSAL: rotate z'(h) back to g(y_new), the next frame's z'(0), out of
+        # the slot the next step overwrites (projection perturbs it below
+        # the local tolerance)
+        stages[0] = back[12] * stages[12]
         s += h
         accepted += 1
         if err_norm > 0.0:
@@ -448,14 +480,15 @@ def integrate(
 
 
 def _interp_raw(segments: tuple[_Segment, ...], s: float) -> np.ndarray:
-    """Dense output y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))),
-    the alternating Horner scheme of ``dop853.f``'s contd8."""
+    """Dense output e^{-i rate (s - s0)} z, where
+    z = y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))) is the
+    alternating Horner scheme of ``dop853.f``'s contd8."""
     seg = _bisect_segment(segments, s)
     theta = (s - seg.s0) / seg.h
     acc = seg.coeffs[6] * theta
     for row in range(5, -1, -1):
         acc = (acc + seg.coeffs[row]) * (theta if row % 2 == 0 else 1.0 - theta)
-    return seg.y + acc
+    return np.exp(-1j * (s - seg.s0) * seg.rate) * (seg.y + acc)
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:

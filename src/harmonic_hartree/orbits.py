@@ -102,16 +102,20 @@ def is_centered(components: Mapping[int, FockVector]) -> bool:
     with no adjacent occupied indices pass by the gap criterion; otherwise
     the bilinear conditions on adjacent pairs are evaluated.
     """
-    if not components:
-        return True
     for n, part in components.items():
         split = fock.component_split(part)
         if set(split) not in ({n}, set()):
             raise ValueError(f"component {n} mixes eigenvalues {sorted(split)}")
+    return _centering_defect(components) <= CENTER_TOL
+
+
+def _centering_defect(components: Mapping[int, FockVector]) -> float:
+    """Centering defect of pure eigencomponents: 0 by the gap criterion
+    when no occupied indices are adjacent, else the adjacent-pair defect."""
     occupied = sorted(components)
     if all(b - a != 1 for a, b in zip(occupied, occupied[1:])):
-        return True
-    return _adjacent_pair_defects(components) <= CENTER_TOL
+        return 0.0
+    return _adjacent_pair_defects(components)
 
 
 def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
@@ -120,10 +124,11 @@ def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
     parts = fock.component_split(v)
     if not parts:
         raise NotCenteredError("zero state has no centered decomposition")
-    if not is_centered(parts):
+    defect = _centering_defect(parts)
+    if not defect <= CENTER_TOL:
         raise NotCenteredError(
             "component family violates the centering conditions; "
-            f"worst defect {_adjacent_pair_defects(parts):.3e}"
+            f"worst defect {defect:.3e}"
         )
     count = len(parts)
     return CenteredDecomposition(
@@ -280,7 +285,7 @@ def interpolating_family(
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     for v in (v_n, v_m):
         fock.require_unit(v, what="family endpoint")
-    if not is_centered({n: v_n, m: v_m}):
+    if not _centering_defect({n: v_n, m: v_m}) <= CENTER_TOL:
         raise NotCenteredError(f"span of eigenvalues {n}, {m} is not centered")
     return math.cos(gamma / 2.0) * v_n + math.sin(gamma / 2.0) * v_m
 

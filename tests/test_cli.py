@@ -186,6 +186,18 @@ def test_pipeline_outputs(tmp_path, mix):
     assert len(rho_lines) == 1 + 128
 
 
+def test_pipeline_rejects_unresolving_grid(tmp_path, capsys, ground):
+    # n=32, L=16: the velocity quadrature aliases, and the (x, v) mass is ~5
+    prefix = tmp_path / "pipe"
+    rc = cli.main(["pipeline", "--state", ground, "--grid-n", "32",
+                   "--grid-l", "16", "--out-prefix", str(prefix)])
+    assert rc == 1
+    err = assert_one_line_error(capsys)
+    assert "(x, v)" in err and "mass 5" in err
+    assert "larger --grid-n" in err and "smaller --grid-l" in err
+    assert not (tmp_path / "pipe_report.json").exists()
+
+
 def test_energy_and_vector_field(tmp_path, mix):
     jpath = tmp_path / "e.json"
     assert cli.main(["energy", "--state", mix, "--json", str(jpath)]) == 0

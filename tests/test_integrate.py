@@ -119,9 +119,31 @@ def test_field_evaluations_per_step(monkeypatch):
 
     monkeypatch.setattr(integ, "sphere_field", counted)
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
-    traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
+    traj = integ.integrate(s, 2 * math.pi, tol=1e-10, samples=3)
     assert traj.accepted_steps > 0 and traj.rejected_steps > 0
     assert len(calls) == 1 + 15 * traj.accepted_steps + 12 * traj.rejected_steps
+
+
+def test_fast_phases_are_exact():
+    # excitations -6 and 6 at equal weight: <N> = 0, so the state moves only
+    # by the fast phases e^{-iNt}, which the frame takes exactly; it may not
+    # cost more steps than a slow (0, 2) state
+    rng = np.random.default_rng(8)
+    phases = np.exp(2j * math.pi * rng.uniform(size=2))
+    fast = (phases[0] * bv((6,), (0,)) + phases[1] * bv((0,), (6,))).normalized()
+    slow = random_centered_state(CUT, (0, 2), rng)
+    steps = []
+    for s in (fast, slow):
+        orbit = orbits.orbit_from_state(s)
+        traj = integ.integrate(s, 2 * math.pi, tol=1e-10, samples=3)
+        steps.append(traj.accepted_steps)
+        worst = max(
+            (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
+            for t in [seg.s0 + 0.5 * seg.h for seg in traj._segments]
+            + list(rng.uniform(0.05, 2 * math.pi - 0.05, size=12))
+        )
+        assert worst <= 1e-9
+    assert steps[0] <= steps[1]
 
 
 def test_tableau_matches_reference_coefficients():

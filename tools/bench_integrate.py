@@ -14,7 +14,8 @@ orbit error against ``orbits.analytic_solution`` at the samples and at 30
 seeded interior times of the dense output, and the worst drift of norm,
 excitation mean and energy.  A rung that runs past TIMEOUT_S (default
 600) is stopped and reported as not finished.  Prints one JSON object
-with the figures and the host, Python and numpy versions.
+with the figures and the host, Python and numpy versions; exits 1 when a
+rung failed or did not finish.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def main() -> int:
         "repeats": REPEATS,
         "rungs": rungs,
     }, indent=1))
-    return 0
+    return 1 if any("result" in rung for rung in rungs) else 0
 
 
 if __name__ == "__main__":
