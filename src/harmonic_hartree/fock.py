@@ -350,8 +350,9 @@ def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> Fock
 
 _PAD = np.zeros(1)
 
-# rows of LadderTable.index / .weight
-LOWER, RAISE, PAIR_LOWER, DOUBLE_RAISE = range(4)
+# rows of LadderTable.index / .weight: the lowering ops first, so that
+# they gather as one slice, then their adjoints in the same order
+LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE = range(4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,7 +360,7 @@ class LadderTable:
     """Ladder action of one cutoff as gather arrays over the basis order.
 
     Axes run over a_0..a_{d-1}, then b_0..b_{d-1}.  For each op (rows
-    LOWER, RAISE, PAIR_LOWER, DOUBLE_RAISE: o, o*, o o, o* o*) and axis,
+    LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE: o, o o, o*, o* o*) and axis,
     ``(op y)[k] = weight[op, axis, k] * y[index[op, axis, k]]``, where
     index n points at a zero pad slot.  Raising truncates at degree K like
     ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
@@ -373,9 +374,10 @@ class LadderTable:
     weight: np.ndarray  # (4, 2d, n)
     boundary: np.ndarray  # (2, 2d, n)
 
-    def gather(self, y: np.ndarray) -> np.ndarray:
-        """Images of y under every op along every axis, shape (4, 2d, n)."""
-        return self.weight * np.concatenate((y, _PAD))[self.index]
+    def gather(self, y: np.ndarray, ops: int | slice = slice(None)) -> np.ndarray:
+        """Images of y under the rows ``ops`` (default all four) along every
+        axis: shape (2d, n) for one row, (rows, 2d, n) for a slice."""
+        return self.weight[ops] * np.concatenate((y, _PAD))[self.index[ops]]
 
 
 @lru_cache(maxsize=None)
@@ -391,12 +393,12 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
             [pos.get(_shift(idx.a + idx.b, axis, step), n) for idx in idxs]
             for axis in range(2 * d)
         ]
-        for step in (1, -1, 2, -2)  # row k of each op reads basis element k + step e_axis
+        for step in (1, 2, -1, -2)  # row k of each op reads basis element k + step e_axis
     ])
     weight = np.stack([
         np.sqrt(m + 1),
-        np.sqrt(m),
         np.sqrt(m + 1) * np.sqrt(m + 2),
+        np.sqrt(m),
         np.sqrt(m) * np.sqrt(np.maximum(m - 1, 0)),
     ])
     weight[index == n] = 0.0

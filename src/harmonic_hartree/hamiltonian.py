@@ -14,18 +14,26 @@ Hamiltonian vector field are exposed:
   along i*v; it satisfies <v, X(v)> = 0 and vanishes exactly at the
   relative equilibria (unit excitation eigenvectors).
 
-The energy and the three fields are written once, in ``energy_array`` and
-``field_array``, on dense coefficient arrays over the cutoff's
-:class:`.fock.LadderTable`: one gather gives every ladder image of the
-state, and one small matmul combines them.  ``energy`` and
-``vector_field`` wrap these for ``FockVector`` states; the integrator
-calls ``field_array`` directly.  A ladder image enters only with a scalar
-prefactor; when that prefactor is nonzero and the raising loses amplitude
-past the cutoff, the field raises TruncationError.
+The energy and the fields are written once, in ``energy_array`` and one
+moment core shared by ``field_array`` and ``frame_field``, on dense
+coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
+gathers the lowering images of the state (one slice of the table), takes
+their moments <y, o y>, and gathers the raising images only when a first
+moment is nonzero; the energy gathers the single lowerings alone.
+``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
+
+``frame_field`` is the sphere field's remainder in the interaction picture
+of N, which the integrator steps: every ladder op shifts N by a fixed
+amount, so the frame phases enter as scalars e^{i sign theta} on the
+moments and on the ladder terms, and no vector is rotated.  A ladder image
+enters only with a scalar prefactor; when that prefactor is nonzero and
+the raising loses amplitude past the cutoff, the field raises
+TruncationError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 
@@ -42,11 +50,15 @@ class FieldKind(Enum):
     CHART = "chart"
 
 
+_LOWERING = slice(LOWER, RAISE)  # the rows LOWER and PAIR_LOWER
+
+
 def _first_moment(v: FockVector, side: int, i: int) -> float:
     """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b)."""
     fock._check_axis(i, v.cutoff)
-    _, proj, _ = _moments(fock.ladder_table(v.cutoff), v.array)
-    return float(proj[LOWER, side * v.cutoff.d + i])
+    y = v.array
+    moment = fock.ladder_table(v.cutoff).gather(y, LOWER) @ y.conj()
+    return float(moment[side * v.cutoff.d + i].real)
 
 
 def first_moment_a(v: FockVector, i: int) -> float:
@@ -59,17 +71,61 @@ def first_moment_b(v: FockVector, i: int) -> float:
     return _first_moment(v, 1, i)
 
 
-def _moments(table: LadderTable, y: np.ndarray):
-    """Ladder images of y, Re<y, op y> for each image, and |y_k|^2."""
-    images = table.gather(y)
+def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
+                flux_tol: float) -> None:
+    """Raise when a raising of y with prefactors ``coef`` (one per axis)
+    loses amplitude above ``flux_tol`` past the cutoff."""
+    lost_sq = (coef**2 * (boundary @ (y * y.conj()).real)).max()
+    if lost_sq > flux_tol**2:
+        raise TruncationError(
+            f"field lost amplitude {math.sqrt(lost_sq):.3e} past the cutoff; increase K"
+        )
+
+
+def _field_core(table: LadderTable, y: np.ndarray, theta: float, flux_tol: float):
+    """What every field shares, on y taken to the frame angle theta.
+
+    The moments are those of e^{-iN theta} y.  A lowering o_i shifts N by
+    sign_i, so <., o_i .> turns by e^{i sign_i theta} and <., o_i o_i .>
+    by e^{2i sign_i theta}: scalars on the moments of y itself.  Returns
+
+    * the lowering images of y (rows LOWER and PAIR_LOWER, one gather),
+    * the first moments Re<., o_i .>,
+    * <N> and the sphere field's scalar s = 1/2 (<N> + s2), where
+      s2 = sum_i Re<., (b_i b_i - a_i a_i) .>,
+    * the ladder part sum_i lead_i (e^{i sign_i theta} o_i
+      + e^{-i sign_i theta} o*_i) y with lead_i = sign_i Re<., o_i .>,
+      or None when every first moment is zero (as on centered states);
+      only then are the raising images gathered and the truncation flux
+      checked.
+    """
+    lowered = table.gather(y, _LOWERING)
     yc = y.conj()
-    return images, (images @ yc).real, (y * yc).real
+    moment = lowered @ yc
+    mean_n = float(((table.n_diag * y) @ yc).real)
+    # s2 from the pair moments summed per side: the a-axes turn by
+    # e^{2i theta}, the b-axes by its conjugate
+    pairs = moment[PAIR_LOWER].tolist()
+    d = len(pairs) // 2
+    turn2 = cmath.exp(2j * theta)
+    s2 = (turn2.conjugate() * sum(pairs[d:])).real - (turn2 * sum(pairs[:d])).real
+    shift = 0.5 * (mean_n + s2)
+    if not np.count_nonzero(moment[LOWER]):
+        return lowered, moment[LOWER].real, mean_n, shift, None
+    turn = np.exp((1j * theta) * table.sign)
+    first = (turn * moment[LOWER]).real
+    lead = table.sign * first
+    _check_flux(lead, table.boundary[0], y, flux_tol)
+    ladder = (lead * turn) @ lowered[LOWER] + (lead * turn.conj()) @ table.gather(y, RAISE)
+    return lowered, first, mean_n, shift, ladder
 
 
 def energy_array(table: LadderTable, y: np.ndarray) -> float:
     """Energy of the coefficient array y (unit norm is not checked)."""
-    _, proj, weights = _moments(table, y)
-    return 0.5 * float(table.n_diag @ weights) + 0.5 * float(table.sign @ proj[LOWER] ** 2)
+    yc = y.conj()
+    first = (table.gather(y, LOWER) @ yc).real
+    mean_n = float(((table.n_diag * y) @ yc).real)
+    return 0.5 * mean_n + 0.5 * float(table.sign @ first**2)
 
 
 def field_array(
@@ -80,32 +136,44 @@ def field_array(
     Raises TruncationError when a raising term with nonzero prefactor loses
     amplitude above ``flux_tol`` past the cutoff.
     """
-    images, proj, weights = _moments(table, y)
-    mean_n = float(table.n_diag @ weights)
-    # prefactor of each image: Re<y, a_i y> (a_i + a*_i) - Re<y, b_i y> (b_i + b*_i)
-    coef = np.zeros(proj.shape)
-    coef[LOWER] = coef[RAISE] = table.sign * proj[LOWER]
+    # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
+    lowered, first, mean_n, shift, ladder = _field_core(table, y, 0.0, flux_tol)
     if kind is FieldKind.CHART:
-        diag = table.n_diag - (mean_n + 2.0 * float(table.sign @ proj[LOWER] ** 2))
+        diag = table.n_diag - (mean_n + 2.0 * float(table.sign @ first**2))
     else:
-        # s2 = sum_i Re<y, (b_i b_i - a_i a_i) y> = -sign @ proj[PAIR_LOWER]
-        diag = table.n_diag + 0.5 * (mean_n - float(table.sign @ proj[PAIR_LOWER]))
+        diag = table.n_diag + shift
         if kind is FieldKind.FULL:
             # off-sphere term (w/4) (2N + sum_i (bb + b*b* - aa - a*a*)) y
-            w = float(weights.sum()) - 1.0
-            coef[PAIR_LOWER] = coef[DOUBLE_RAISE] = -0.25 * w * table.sign
+            w = float((y @ y.conj()).real) - 1.0
             diag = diag + 0.5 * w * table.n_diag
+            if w:
+                coef = -0.25 * w * table.sign
+                _check_flux(coef, table.boundary[1], y, flux_tol)
+                pairs = coef @ (lowered[PAIR_LOWER] + table.gather(y, DOUBLE_RAISE))
+                ladder = pairs if ladder is None else ladder + pairs
         elif kind is not FieldKind.SPHERE:
             raise ValueError(f"unknown field kind {kind!r}")
     out = diag * y
-    if np.count_nonzero(coef):  # zero on centered states, whose images drop out exactly
-        lost_sq = (coef[RAISE::2] ** 2 * (table.boundary @ weights)).max()
-        if lost_sq > flux_tol**2:
-            raise TruncationError(
-                f"field lost amplitude {math.sqrt(lost_sq):.3e} past the cutoff; increase K"
-            )
-        out += coef.ravel() @ images.reshape(coef.size, -1)
+    if ladder is not None:
+        out += ladder
     return -1j * out
+
+
+def frame_field(
+    table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0
+) -> np.ndarray:
+    """The sphere field's remainder in the interaction picture of N.
+
+    For the sphere field F this is e^{iN theta} (F(y) + iN y) at
+    y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
+    with s and the ladder part of ``_field_core`` at theta.  Raises
+    TruncationError like ``field_array``.
+    """
+    *_, shift, ladder = _field_core(table, z, theta, flux_tol)
+    out = (-1j * shift) * z
+    if ladder is not None:
+        out -= 1j * ladder
+    return out
 
 
 def energy(v: FockVector) -> float:

@@ -2,9 +2,9 @@
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
-``hamiltonian.field_array`` for the sphere field, evaluated on dense
-coefficient arrays over the cutoff's ladder table, so the flow and the
-vector field share one definition of the algebra.
+``hamiltonian.frame_field``, the sphere field in the integrator's frame,
+evaluated on dense coefficient arrays over the cutoff's ladder table, so
+the flow and the vector field share one definition of the algebra.
 
 Specifics:
 
@@ -19,38 +19,41 @@ Specifics:
   Dormand (J. Comput. Appl. Math. 7 (1981) 67; Hairer-Norsett-Wanner,
   Solving ODEs I, Sec. II.5 and II.6) with the combined 5th/3rd-order
   error estimate and standard step control; the coefficients are those of
-  Hairer's ``dop853.f``.  Stage j evaluates the field at
-  y = e^{-iN c_j h} z_j and returns e^{iN c_j h} (F(y) + iN y); the phase
-  rows e^{iN c_j h} are computed once per step over the distinct values
-  of N only;
-* after every accepted step the state is projected back to the unit
-  sphere; the projection magnitude is logged and must stay below ten
-  times the local tolerance (the continuous flow conserves the norm, so
-  the projection removes integrator drift only);
+  Hairer's ``dop853.f``.  Stage j needs z' = e^{iN theta} (F(y) + iN y)
+  at y = e^{-iN theta} z and the frame angle theta = c_j h; every ladder
+  op shifts N by a fixed amount, so ``sphere_field`` computes it from z
+  and scalar phases e^{i sign theta} alone, and no vector is rotated
+  inside a step;
+* after every accepted step the state y_new = e^{-iN h} z(h) is projected
+  back to the unit sphere; the projection magnitude is logged and must
+  stay below ten times the local tolerance (the continuous flow conserves
+  the norm, so the projection removes integrator drift only);
 * the stages live in one preallocated (16, n) buffer and the tableau is
-  applied as matmuls on it; stage 12 is the remainder at the new state,
-  which rotated back to the new frame is the next step's first stage
-  (FSAL);
+  applied as matmuls on it; stage 12 is z'(h), which rotated by the same
+  e^{-iN h} is the next step's first stage (FSAL);
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
-  15 field evaluations and a rejected step 12;
+  15 field evaluations and a rejected step 12.  All samples are read in
+  one vectorized pass (segment lookup by ``np.searchsorted``, the Horner
+  scheme on (samples, n) rows), and samples times basis size is capped
+  at 2^20;
 * amplitude that a raising operator would push past the degree cutoff is
-  monitored at every evaluation of y, dense-output stages included; if a
+  monitored at every evaluation, dense-output stages included; if a
   state with nonzero centering moments reaches the boundary the
   integration aborts with TruncationError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fock, hamiltonian
 from .errors import IntegrationError
 from .fock import Cutoff, FockVector
-from .hamiltonian import FieldKind
 
 # DOP853 tableau (Hairer's dop853.f) as a strictly lower-triangular matrix:
 # stage s is evaluated at z + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
@@ -245,10 +248,14 @@ _TRUNCATION_FLUX_TOL = 1e-12
 _END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
 
 
-def sphere_field(cutoff: Cutoff, y: np.ndarray) -> np.ndarray:
-    """Sphere vector field on dense coefficients; aborts on truncation flux."""
-    return hamiltonian.field_array(
-        FieldKind.SPHERE, fock.ladder_table(cutoff), y, _TRUNCATION_FLUX_TOL
+_MAX_SAMPLE_ENTRIES = 2**20  # samples x basis size: the sampled states' table
+
+
+def sphere_field(cutoff: Cutoff, z: np.ndarray, theta: float) -> np.ndarray:
+    """Sphere field's remainder e^{iN theta} (F(y) + iN y) at
+    y = e^{-iN theta} z, evaluated on z; aborts on truncation flux."""
+    return hamiltonian.frame_field(
+        fock.ladder_table(cutoff), z, theta, _TRUNCATION_FLUX_TOL
     )
 
 
@@ -296,47 +303,34 @@ class Trajectory:
     max_renormalization: float
     accepted_steps: int
     rejected_steps: int
-    _segments: tuple[_Segment, ...]
+    _segments: tuple[_Segment, ...] = field(repr=False)
     _direction: float
 
     def interpolate(self, t: float) -> FockVector:
         """Dense-output state at any time inside the integration window."""
+        if not math.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
         s = t * self._direction
         lo, hi = self._segments[0], self._segments[-1]
         # slack covers the float-roundoff sliver the stepper may leave at
         # the window end; polynomial extrapolation over it is exact in practice
         if s < lo.s0 - 1e-9 or s > hi.s0 + hi.h + 1e-9:
             raise ValueError(f"time {t} outside the integrated range")
-        return fock.from_array(self.cutoff, _interp_raw(self._segments, s))
+        return fock.from_array(self.cutoff, _interp_raw(self._segments, s)[0])
 
 
-def _bisect_segment(segments: tuple[_Segment, ...], s: float) -> _Segment:
-    lo, hi = 0, len(segments) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        seg = segments[mid]
-        if s < seg.s0:
-            hi = mid - 1
-        elif s > seg.s0 + seg.h:
-            lo = mid + 1
-        else:
-            return segments[mid]
-    return segments[lo]
-
-
-def _lawson_stages(g, y, h, K, fwd, back, stages: range) -> np.ndarray:
+def _lawson_stages(z_prime, z0, h, K, stages: range) -> np.ndarray:
     """Fill ``stages`` of the (16, n) buffer ``K`` for the step of size h
-    from y, in the frame z(tau) = e^{i rate tau} y(s0 + tau) where z(0) = y.
+    from z0 = z(0), in the frame z(tau) = e^{i rate tau} y(s0 + tau).
 
-    Stage j evaluates ``g`` (the field plus i rate y) at
-    y_j = back[j] z_j and stores fwd[j] g(y_j), the derivative of z, where
-    fwd[j] = e^{i rate c_j h} and back[j] is its inverse.  Returns the last
-    y_j: for stages 1..12 that is the step's y_new, and ``K[12]`` ends as
-    z'(h)."""
+    Stage j evaluates ``z_prime`` (the derivative of z) at
+    z_j = z0 + h sum_k A[j, k] K[k] and the frame time c_j h.  Returns the
+    last z_j: for stages 1..12 that is the step's z(h), and ``K[12]`` ends
+    as z'(h)."""
     for stage in stages:
-        y_stage = back[stage] * (y + h * (_A[stage, :stage] @ K[:stage]))
-        K[stage] = fwd[stage] * g(y_stage)
-    return y_stage
+        z = z0 + h * (_A[stage, :stage] @ K[:stage])
+        K[stage] = z_prime(z, _C[stage] * h)
+    return z
 
 
 def integrate(
@@ -351,7 +345,9 @@ def integrate(
     initial support must stay at least two degrees below the cutoff.
     ``t_end`` must be finite with ``|t_end| > 1e-13``; negative ``t_end``
     integrates backward.  ``samples`` is either a count (equally spaced,
-    endpoints included) or an array of finite times inside the window.
+    endpoints included) or an array of finite times inside the window;
+    samples times basis size may not exceed 2^20, the size of the table of
+    sampled states.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
@@ -371,8 +367,15 @@ def integrate(
     cutoff = state.cutoff
     table = fock.ladder_table(cutoff)
 
-    if isinstance(samples, (int, np.integer)):
-        sample_times = np.linspace(0.0, t_end, int(samples))
+    spaced = isinstance(samples, (int, np.integer))
+    count = int(samples) if spaced else np.size(samples)
+    if count * cutoff.size > _MAX_SAMPLE_ENTRIES:
+        raise ValueError(
+            f"sample table too large: {count} samples x {cutoff.size} coefficients "
+            f"exceeds {_MAX_SAMPLE_ENTRIES} entries"
+        )
+    if spaced:
+        sample_times = np.linspace(0.0, t_end, count)
     else:
         sample_times = np.asarray(samples, dtype=float)
     sample_s = np.sort(sample_times * direction)
@@ -383,20 +386,20 @@ def integrate(
     if sample_s[0] < -1e-12 or sample_s[-1] > span + 1e-12:
         raise ValueError("sample times outside [0, t_end]")
 
-    # the flow is y' = -i rate y + g(y) with rate = direction * N
+    # the flow is y' = -i rate y + remainder with rate = direction * N, and
+    # the frame angle of frame time tau is direction * tau
     rate = direction * table.n_diag
-    i_rate = 1j * rate
     # N is an integer: the phases need one exponential per distinct value
     levels, level_of = np.unique(rate, return_inverse=True)
 
-    def g(y: np.ndarray) -> np.ndarray:
-        field = sphere_field(cutoff, y)
-        return (field if direction > 0 else -field) + i_rate * y
+    def z_prime(z: np.ndarray, tau: float) -> np.ndarray:
+        remainder = sphere_field(cutoff, z, direction * tau)
+        return remainder if direction > 0 else -remainder
 
     y0 = state.normalized().array
     y = y0
     stages = np.empty((16, y0.size), dtype=complex)
-    stages[0] = g(y)
+    stages[0] = z_prime(y, 0.0)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
     segments: list[_Segment] = []
@@ -410,10 +413,9 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        rows = np.exp(1j * np.outer(_C * h, levels))
-        fwd, back = rows[:, level_of], rows.conj()[:, level_of]
-        y_new = _lawson_stages(g, y, h, stages, fwd, back, range(1, 13))
-        scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        z_new = _lawson_stages(z_prime, y, h, stages, range(1, 13))
+        # |y_new| = |z_new| entrywise: the frame only turns phases
+        scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(z_new)))
         # combined 5th/3rd-order estimate of dop853.f
         err = (_ERR @ stages[:12]) / scale
         e5, e3 = np.einsum("ij,ij->i", err, err.conj()).real
@@ -423,11 +425,13 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(g, y, h, stages, fwd, back, range(13, 16))
+        _lawson_stages(z_prime, y, h, stages, range(13, 16))
         segments.append(
             _Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages), rate=rate)
         )
 
+        back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
+        y_new = back * z_new
         norm = float(np.linalg.norm(y_new))
         renorm = abs(norm - 1.0)
         max_renorm = max(max_renorm, renorm)
@@ -436,10 +440,10 @@ def integrate(
                 f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
             )
         y = y_new / norm
-        # FSAL: rotate z'(h) back to g(y_new), the next frame's z'(0), out of
-        # the slot the next step overwrites (projection perturbs it below
-        # the local tolerance)
-        stages[0] = back[12] * stages[12]
+        # FSAL: rotate z'(h) back to the next frame's z'(0), out of the slot
+        # the next step overwrites (projection perturbs it below the local
+        # tolerance)
+        stages[0] = back * stages[12]
         s += h
         accepted += 1
         if err_norm > 0.0:
@@ -448,26 +452,22 @@ def integrate(
             h *= 5.0
 
     traj_segments = tuple(segments)
-    norms, means, energies, states = [], [], [], []
-    for st in sample_s:
-        arr = y0 if st <= 0.0 else _interp_raw(traj_segments, st)
-        norm = float(np.linalg.norm(arr))
-        unit = arr / norm
-        norms.append(norm)
-        means.append(float(table.n_diag @ (unit * unit.conj()).real))
-        energies.append(hamiltonian.energy_array(table, unit))
-        states.append(fock.from_array(cutoff, unit))
-
-    order = np.argsort(sample_s * direction)
-    times = (sample_s * direction)[order]
+    # one pass over all samples; sample_s is sorted, so reversing it puts
+    # a backward trajectory's times in increasing order
+    raw = _interp_raw(traj_segments, sample_s)
+    raw[sample_s <= 0.0] = y0
+    norms = np.linalg.norm(raw, axis=1)
+    units = raw / norms[:, None]
+    order = slice(None) if direction > 0 else slice(None, None, -1)
+    units = units[order]
     return Trajectory(
         cutoff=cutoff,
-        times=times,
-        states=tuple(states[j] for j in order),
+        times=(sample_s * direction)[order],
+        states=tuple(fock.from_array(cutoff, unit) for unit in units),
         conserved=ConservedSamples(
-            norm=np.array(norms)[order],
-            mean_n=np.array(means)[order],
-            energy=np.array(energies)[order],
+            norm=norms[order],
+            mean_n=(units * units.conj()).real @ table.n_diag,
+            energy=np.array([hamiltonian.energy_array(table, unit) for unit in units]),
         ),
         initial_mean_n=float(table.n_diag @ (y0 * y0.conj()).real),
         initial_energy=hamiltonian.energy_array(table, y0),
@@ -479,16 +479,30 @@ def integrate(
     )
 
 
-def _interp_raw(segments: tuple[_Segment, ...], s: float) -> np.ndarray:
-    """Dense output e^{-i rate (s - s0)} z, where
+def _interp_raw(segments: tuple[_Segment, ...], s) -> np.ndarray:
+    """Dense output at the frame times s, one row per time:
+    e^{-i rate (s - s0)} z, where
     z = y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))) is the
-    alternating Horner scheme of ``dop853.f``'s contd8."""
-    seg = _bisect_segment(segments, s)
-    theta = (s - seg.s0) / seg.h
-    acc = seg.coeffs[6] * theta
-    for row in range(5, -1, -1):
-        acc = (acc + seg.coeffs[row]) * (theta if row % 2 == 0 else 1.0 - theta)
-    return np.exp(-1j * (s - seg.s0) * seg.rate) * (seg.y + acc)
+    alternating Horner scheme of ``dop853.f``'s contd8, run on all rows at
+    once.  Each time is read from the last segment starting at or before
+    it (from the first one before the window)."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    starts = np.array([seg.s0 for seg in segments])
+    which = np.maximum(np.searchsorted(starts, s, side="right") - 1, 0)
+    used, row = np.unique(which, return_inverse=True)
+    segs = [segments[j] for j in used]
+    coeffs = np.stack([seg.coeffs for seg in segs])  # (used, 7, n)
+    lag = s - starts[which]
+    theta = (lag / np.array([seg.h for seg in segs])[row])[:, None]
+    rest = 1.0 - theta
+    acc = coeffs[row, 6] * theta
+    for r in range(5, -1, -1):
+        acc += coeffs[row, r]
+        acc *= theta if r % 2 == 0 else rest
+    acc += np.stack([seg.y for seg in segs])[row]
+    # N is an integer: one exponential per time and distinct value of N
+    levels, level_of = np.unique(segments[0].rate, return_inverse=True)
+    return np.exp(-1j * lag[:, None] * levels)[:, level_of] * acc
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:

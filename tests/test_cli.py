@@ -346,6 +346,23 @@ def test_oversized_cutoff_exits_one_in_bounded_time(tmp_path, command, state):
     assert list(tmp_path.iterdir()) == ([] if state is None else [tmp_path / "big.json"])
 
 
+def test_simulate_rejects_oversized_sample_table(tmp_path, ground):
+    # in a capped child like the test above: 10^8 samples of the 45-element
+    # state would be a table of 72 GB
+    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "harmonic_hartree.cli", "simulate", "--state", ground,
+         "--t-end", "1.0", "--samples", "100000000",
+         "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json")],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "too large" in run.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.json"]
+
+
 @pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2"])
 def test_classify_rejects_bad_rational_weights(tmp_path, capsys, mix, weights):
     out = tmp_path / "out.json"

@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _support import brute_field, random_centered_state, random_state
-from harmonic_hartree import fock, integrate as integ, orbits, reduction as red
+from _support import (
+    brute_excitation,
+    brute_field,
+    random_centered_state,
+    random_component,
+    random_state,
+)
+from harmonic_hartree import fock, hamiltonian, integrate as integ, orbits, reduction as red
 from harmonic_hartree.errors import NormalizationError, TruncationError
 from harmonic_hartree.fock import Cutoff
 
@@ -15,14 +21,62 @@ def bv(a, b, cut=CUT):
     return fock.basis_vector(cut, a, b)
 
 
+def brute_frame_field(cut, z, theta):
+    """e^{iN theta} (F(y) + iN y) at y = e^{-iN theta} z, F the brute-force
+    sphere field."""
+    n = np.diag(brute_excitation(cut))
+    y = np.exp(-1j * n * theta) * z
+    return np.exp(1j * n * theta) * (brute_field("sphere", cut, y) + 1j * n * y)
+
+
 def test_dense_field_matches_sparse_field():
-    # the integrator's table-driven field against the brute-force matrices
+    # the integrator's table-driven frame field against the brute-force
+    # matrices, on states with nonzero first moments (the raising branch)
     rng = np.random.default_rng(0)
     for cut in (CUT, Cutoff(k=6, d=2)):
         for _ in range(5):
-            y = fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
-            dense = brute_field("sphere", cut, y)
-            assert np.abs(integ.sphere_field(cut, y) - dense).max() <= 1e-13
+            z = fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
+            for theta in (0.0, 0.7, -2.3, 4.0):
+                dense = brute_frame_field(cut, z, theta)
+                assert np.abs(integ.sphere_field(cut, z, theta) - dense).max() <= 1e-13
+
+
+def test_frame_field_flux_abort_follows_the_frame_angle():
+    # z = (|0,7> + i|0,8>)/sqrt2 has <z, b z> = i sqrt2: its first moment
+    # Re<y, b y> at y = e^{-iN theta} z is sqrt2 sin(theta), so the raising
+    # of the degree-K term loses amplitude at theta = pi/2 but not at 0
+    z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
+    for theta in (0.0, math.pi):
+        dense = brute_frame_field(CUT, z, theta)
+        assert np.abs(integ.sphere_field(CUT, z, theta) - dense).max() <= 1e-13
+    for theta in (math.pi / 2, -math.pi / 2):
+        with pytest.raises(TruncationError):
+            integ.sphere_field(CUT, z, theta)
+
+
+@pytest.mark.parametrize("t_end", [0.4, -0.4], ids=["forward", "backward"])
+def test_uncentered_flow_matches_brute_force_reference(t_end):
+    # an uncentered state keeps the raising branch on at every stage;
+    # reference: scipy's DOP853 on the brute-force sphere field
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    # support degree <= 3, or the leak past K = 8 aborts the integration
+    rng = np.random.default_rng(11)
+    part = random_component(CUT, 0, rng, margin=5) + random_component(CUT, -2, rng, margin=5)
+    odd = random_component(CUT, 1, rng, margin=5)
+    s = (part.normalized() + (0.02 / odd.norm) * odd).normalized()
+    assert abs(hamiltonian.first_moment_b(s, 0)) > 1e-2
+    times = np.linspace(0.0, t_end, 9)
+    traj = integ.integrate(s, t_end, tol=1e-10, samples=times)
+    ref = solve_ivp(
+        lambda t, y: brute_field("sphere", CUT, y), (0.0, t_end), fock.to_array(s),
+        method="DOP853", t_eval=times, rtol=1e-13, atol=1e-14,
+    )
+    assert np.array_equal(traj.times, np.sort(times))
+    worst = max(
+        np.abs(st.array - ref.y[:, j]).max()
+        for j, st in zip(np.argsort(times), traj.states)
+    )
+    assert worst <= 1e-9
 
 
 def test_equilibrium_is_stationary_in_quotient():
@@ -113,9 +167,9 @@ def test_field_evaluations_per_step(monkeypatch):
     calls = []
     field = integ.sphere_field
 
-    def counted(cutoff, y):
+    def counted(*args):
         calls.append(1)
-        return field(cutoff, y)
+        return field(*args)
 
     monkeypatch.setattr(integ, "sphere_field", counted)
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
@@ -215,8 +269,40 @@ def test_backward_dense_output_at_interior_times():
 
 def test_interpolate_rejects_out_of_range():
     traj = integ.integrate(bv((0,), (1,)), 1.0, tol=1e-8, samples=3)
-    with pytest.raises(ValueError):
-        traj.interpolate(2.0)
+    for t in (2.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            traj.interpolate(t)
+
+
+@pytest.mark.parametrize("t_end", [2.0, -2.0], ids=["forward", "backward"])
+def test_samples_equal_dense_output(t_end):
+    # the one-pass sampling against interpolate, one time at a time
+    rng = np.random.default_rng(12)
+    s = random_centered_state(CUT, (0, -2, -4), rng)
+    times = np.concatenate(([0.0, t_end], t_end * rng.uniform(size=20)))
+    traj = integ.integrate(s, t_end, tol=1e-10, samples=times)
+    assert np.all(np.diff(traj.times) >= 0)
+    for t, st in zip(traj.times, traj.states):
+        assert not st.array.flags.writeable
+        expected = traj.interpolate(float(t)).normalized().array
+        assert np.abs(st.array - expected).max() <= 1e-15
+
+
+def test_trajectory_repr_omits_segments():
+    traj = integ.integrate(bv((0,), (1,)), 1.0, tol=1e-10, samples=3)
+    assert len(traj._segments) > 1
+    assert "_Segment" not in repr(traj)
+
+
+def test_oversized_sample_table_is_rejected_before_integrating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(integ, "sphere_field", fail)
+    v = bv((0,), (1,))  # basis size 45: 2^20 entries are 23301 samples
+    for samples in (23302, 10**8, np.zeros(23302)):
+        with pytest.raises(ValueError, match="too large"):
+            integ.integrate(v, 1.0, samples=samples)
 
 
 def test_input_validation():
