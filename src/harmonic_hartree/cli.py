@@ -44,7 +44,7 @@ def _load_state(path: str) -> FockVector:
         obj = json.load(fh)
     try:
         state = fock.from_json_dict(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # Overflow: float() of a huge int
         raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
     if not np.isfinite(state.array).all():
         raise ValueError(f"{path}: state has a non-finite coefficient")
@@ -86,11 +86,12 @@ def _state_json(v: FockVector) -> str:
         '    {\n      "a": [\n%s\n      ],\n      "b": [\n%s\n      ],\n'
         '      "im": %%r,\n      "re": %%r\n    }' % (counts, counts)
     )
-    terms = v.items()
-    values = [x for idx, c in terms for x in (*idx.a, *idx.b, c.imag, c.real)]
+    nz = np.flatnonzero(v.array)
+    # one float row per term: the counts (which %d prints as integers), im, re
+    rows = np.column_stack((fock.counts(v.cutoff)[nz], v.array[nz].imag, v.array[nz].real))
     listed = "[]"
-    if terms:
-        listed = "[\n" + _fill([term] * len(terms), ",\n", values) + "\n  ]"
+    if nz.size:
+        listed = "[\n" + _fill([term] * nz.size, ",\n", rows.ravel().tolist()) + "\n  ]"
     return '{\n  "K": %d,\n  "d": %d,\n  "terms": %s\n}\n' % (v.cutoff.k, d, listed)
 
 

@@ -19,6 +19,19 @@ is dropped and the result is marked ``truncated``.  All algebra on states
 supported at degree <= K - 2 is exact, which is where every identity used
 downstream is evaluated.
 
+Positions in the basis order are computed, not looked up.  ``counts``
+lists the basis as one (n, 2d) integer array: the count rows with sum <= K
+are the gaps between the 2d-subsets of range(K + 2d) (stars and bars), and
+``itertools.combinations`` yields those subsets in the same lexicographic
+order.  The position (rank) of a count row c is a sum of binomials, the
+combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3): with r_j = K minus
+the counts before axis j and t_j = 2d - j axes from j on, the rows that
+share c's prefix before axis j and hold fewer than c_j at j number
+C(r_j + t_j, t_j) - C(r_j - c_j + t_j, t_j).  ``_rank_table`` tabulates
+these per cutoff, so ranking m rows is one gather and one row sum.  States
+load, and the ladder table is built, through that rank; ``MultiIndex``
+objects are built only for labels (``basis``, ``items``).
+
 The algebra is defined once per cutoff, in ``ladder_table``: gather
 indices and weights over the basis order, so every ladder image of a
 dense coefficient array comes from one gather.  The ``FockVector`` ops
@@ -31,7 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, combinations
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -101,28 +115,80 @@ class Cutoff:
         return math.comb(self.k + 2 * self.d, 2 * self.d)
 
 
-def _tuples_with_sum_at_most(d: int, s: int) -> Iterator[tuple[int, ...]]:
-    if d == 0:
-        yield ()
-        return
-    for first in range(s + 1):
-        for rest in _tuples_with_sum_at_most(d - 1, s - first):
-            yield (first,) + rest
+@lru_cache(maxsize=None)
+def counts(cutoff: Cutoff) -> np.ndarray:
+    """The basis as a read-only (n, 2d) array of excitation counts, one row
+    (a_0..a_{d-1}, b_0..b_{d-1}) per element, in basis order."""
+    axes = 2 * cutoff.d
+    subsets = combinations(range(cutoff.k + axes), axes)
+    ends = np.fromiter(chain.from_iterable(subsets), dtype=np.int64, count=cutoff.size * axes)
+    rows = np.diff(ends.reshape(-1, axes), axis=1, prepend=-1) - 1
+    rows.flags.writeable = False  # shared through the cache
+    return rows
 
 
 @lru_cache(maxsize=None)
 def basis(cutoff: Cutoff) -> tuple[MultiIndex, ...]:
     """All admissible multi-indices, sorted lexicographically by (a, b)."""
-    out = []
-    for a in _tuples_with_sum_at_most(cutoff.d, cutoff.k):
-        for b in _tuples_with_sum_at_most(cutoff.d, cutoff.k - sum(a)):
-            out.append(MultiIndex(a, b))
-    return tuple(sorted(out))
+    d = cutoff.d
+    return tuple(MultiIndex(tuple(row[:d]), tuple(row[d:])) for row in counts(cutoff).tolist())
 
 
 @lru_cache(maxsize=None)
-def _basis_positions(cutoff: Cutoff) -> dict[MultiIndex, int]:
-    return {idx: j for j, idx in enumerate(basis(cutoff))}
+def _rank_table(cutoff: Cutoff) -> np.ndarray:
+    """cum[j, r, c] = C(r + t, t) - C(r - c + t, t) with t = 2d - j for
+    c <= r (0 above): the rows ranked before a row that holds c at axis j
+    with budget r left there, among the rows sharing its prefix."""
+    k, axes = cutoff.k, 2 * cutoff.d
+    # binom[t, r] = C(r + t, t) by Pascal's rule; entries stay <= the basis size
+    binom = np.ones((axes + 1, k + 1), dtype=np.int64)
+    for s in range(1, axes + 1):
+        binom[s] = np.cumsum(binom[s - 1])
+    t = np.arange(axes, 0, -1)[:, None, None]
+    r = np.arange(k + 1)[:, None]
+    c = np.arange(k + 1)
+    cum = np.where(c <= r, binom[t, r] - binom[t, np.maximum(r - c, 0)], 0)
+    cum.flags.writeable = False  # shared through the cache
+    return cum
+
+
+def _rank(cutoff: Cutoff, rows: np.ndarray) -> np.ndarray:
+    """Basis positions of the (m, 2d) count rows, each of sum <= K."""
+    budget = cutoff.k - (np.cumsum(rows, axis=1) - rows)
+    return _rank_table(cutoff)[np.arange(rows.shape[1]), budget, rows].sum(axis=1)
+
+
+def _count_rows(cutoff: Cutoff, a_rows: Sequence, b_rows: Sequence) -> np.ndarray | None:
+    """The (m, 2d) count rows of the terms |a_rows[t], b_rows[t]>, or None
+    unless every term is a basis element of the cutoff."""
+    d, k = cutoff.d, cutoff.k
+    flat = [*chain.from_iterable(a_rows), *chain.from_iterable(b_rows)]
+    if not (set(map(len, a_rows)) | set(map(len, b_rows)) <= {d}
+            and set(map(type, flat)) <= {int}):  # rejects bool, float, str
+        return None
+    try:
+        values = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:
+        return None
+    rows = np.concatenate(values.reshape(2, -1, d), axis=1)
+    # as uint64 a negative count exceeds K; the row sums run only once every
+    # count lies in [0, K], so they cannot wrap
+    if values.size and not (values.view(np.uint64).max() <= k and rows.sum(axis=1).max() <= k):
+        return None
+    return rows
+
+
+def _positions(cutoff: Cutoff, a_rows: Sequence, b_rows: Sequence) -> np.ndarray:
+    """Basis positions of the terms |a_rows[t], b_rows[t]>, ranked as one
+    array.  When some term is not a basis element of the cutoff, the first
+    one raises the ValueError that ``MultiIndex`` or the cutoff check gives
+    it."""
+    rows = _count_rows(cutoff, a_rows, b_rows)
+    if rows is not None:
+        return _rank(cutoff, rows)
+    idxs = [MultiIndex(tuple(a), tuple(b)) for a, b in zip(a_rows, b_rows)]
+    bad = next(idx for idx in idxs if not cutoff.contains(idx))
+    raise ValueError(f"{bad} violates cutoff {cutoff}")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -143,12 +209,9 @@ class FockVector:
 
     def __init__(self, cutoff: Cutoff, coeffs: Mapping[MultiIndex, complex] = {},
                  truncated: bool = False) -> None:
-        pos = _basis_positions(cutoff)
         arr = np.zeros(cutoff.size, dtype=complex)
-        try:
-            arr[[pos[idx] for idx in coeffs]] = list(coeffs.values())
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]} violates cutoff {cutoff}") from None
+        pos = _positions(cutoff, [idx.a for idx in coeffs], [idx.b for idx in coeffs])
+        arr[pos] = list(coeffs.values())
         self._set(cutoff, arr, truncated)
 
     def _set(self, cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> None:
@@ -168,15 +231,19 @@ class FockVector:
 
     @property
     def norm_sq(self) -> float:
-        # sequential sum in basis order: the integrator normalizes by it
-        return sum((c * c.conjugate()).real for _, c in self.items())
+        # a sequential sum in basis order, so it rounds alike on every Python
+        # (sum() of floats is compensated from 3.12 on)
+        re, im = self.array.real, self.array.imag
+        with np.errstate(over="ignore"):  # overflows to inf, as Python floats do
+            return float(np.cumsum(re * re + im * im)[-1])
 
     @property
     def norm(self) -> float:
         return math.sqrt(self.norm_sq)
 
     def max_degree(self) -> int:
-        return max((idx.degree for idx, _ in self.items()), default=0)
+        nz = np.flatnonzero(self.array)
+        return int(counts(self.cutoff)[nz].sum(axis=1).max(initial=0))
 
     def __add__(self, other: "FockVector") -> "FockVector":
         _check_compatible(self, other)
@@ -218,10 +285,6 @@ def basis_vector(cutoff: Cutoff, a: Iterable[int], b: Iterable[int]) -> FockVect
 def _check_axis(i: int, cutoff: Cutoff) -> None:
     if not 0 <= i < cutoff.d:
         raise ValueError(f"axis {i} out of range for d={cutoff.d}")
-
-
-def _shift(t: tuple[int, ...], i: int, step: int) -> tuple[int, ...]:
-    return t[:i] + (t[i] + step,) + t[i + 1 :]
 
 
 def _apply(op: int, side: int, i: int, v: FockVector) -> FockVector:
@@ -325,12 +388,17 @@ def to_json_dict(v: FockVector) -> dict:
 
 
 def from_json_dict(obj: dict) -> FockVector:
+    """The state of a JSON object; the amplitudes of repeated terms add up
+    in file order."""
     cutoff = Cutoff(k=obj["K"], d=obj["d"])
-    coeffs: dict[MultiIndex, complex] = {}
-    for term in obj["terms"]:
-        idx = MultiIndex(tuple(term["a"]), tuple(term["b"]))
-        coeffs[idx] = coeffs.get(idx, 0j) + complex(float(term["re"]), float(term["im"]))
-    return FockVector(cutoff, coeffs)
+    terms = obj["terms"]
+    pos = _positions(cutoff, [t["a"] for t in terms], [t["b"] for t in terms])
+    amps = np.empty(len(terms), dtype=complex)
+    amps.real = list(map(float, [t["re"] for t in terms]))
+    amps.imag = list(map(float, [t["im"] for t in terms]))
+    arr = np.zeros(cutoff.size, dtype=complex)
+    np.add.at(arr, pos, amps)  # unbuffered, in term order
+    return _vector(cutoff, arr, False)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +450,25 @@ class LadderTable:
 
 @lru_cache(maxsize=None)
 def ladder_table(cutoff: Cutoff) -> LadderTable:
-    """The cutoff's ladder table, built once from ``basis`` and shared."""
-    idxs = basis(cutoff)
-    n, d = len(idxs), cutoff.d
-    pos = {idx.a + idx.b: j for j, idx in enumerate(idxs)}
-    m = np.array([idx.a + idx.b for idx in idxs], dtype=float).T  # (2d, n) counts
-    degree = m.sum(axis=0)
-    index = np.array([
-        [
-            [pos.get(_shift(idx.a + idx.b, axis, step), n) for idx in idxs]
-            for axis in range(2 * d)
-        ]
-        for step in (1, 2, -1, -2)  # row k of each op reads basis element k + step e_axis
-    ])
+    """The cutoff's ladder table, built once from ``counts`` and shared."""
+    rows = counts(cutoff)
+    n, axes = rows.shape
+    d = axes // 2
+    degree = rows.sum(axis=1)
+    index = np.full((4, axes, n), n)
+    for low, high, step in ((LOWER, RAISE, 1), (PAIR_LOWER, DOUBLE_RAISE, 2)):
+        # row k of the lowering reads basis element k + step e_axis; the
+        # raising by the same step is its inverse
+        fits = np.flatnonzero(degree + step <= cutoff.k)
+        if not fits.size:  # K < step; skips the axis loop where d is large
+            continue
+        for axis in range(axes):
+            shifted = rows[fits]
+            shifted[:, axis] += step
+            target = _rank(cutoff, shifted)
+            index[low, axis, fits] = target
+            index[high, axis, target] = fits
+    m = rows.T.astype(float)  # (2d, n) counts
     weight = np.stack([
         np.sqrt(m + 1),
         np.sqrt(m + 1) * np.sqrt(m + 2),

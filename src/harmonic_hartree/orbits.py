@@ -65,23 +65,24 @@ class AnalyticOrbit:
     relative_period: float  # math.inf when relatively constant
 
 
-def _arrays_and_images(components: Mapping[int, FockVector]):
-    """Coefficient arrays of the components and their ladder images (one
-    gather each), keyed like ``components``, plus the dimension d."""
+def _arrays_and_images(components: Mapping[int, FockVector], op: int):
+    """Coefficient arrays of the components and their images under the
+    ladder row ``op`` along every axis (one gather each), keyed like
+    ``components``, plus the dimension d."""
     cutoffs = {part.cutoff for part in components.values()}
     if len(cutoffs) != 1:
         raise BasisMismatchError(f"components mix cutoffs {cutoffs}")
     (cutoff,) = cutoffs
     table = fock.ladder_table(cutoff)
     arrays = {n: part.array for n, part in components.items()}
-    images = {n: table.gather(y) for n, y in arrays.items()}
+    images = {n: table.gather(y, op) for n, y in arrays.items()}
     return arrays, images, cutoff.d
 
 
 def _adjacent_pair_defects(components: Mapping[int, FockVector]) -> float:
     """Largest violation of the centering conditions on adjacent components:
     |<v_{n+1}, a_i v_n>| and |<v_n, b_i v_{n+1}>| over all axes i."""
-    arrays, images, d = _arrays_and_images(components)
+    arrays, images, d = _arrays_and_images(components, LOWER)
     worst = 0.0
     for n in sorted(components):
         if n + 1 not in components:
@@ -89,8 +90,8 @@ def _adjacent_pair_defects(components: Mapping[int, FockVector]) -> float:
         lo, hi = arrays[n], arrays[n + 1]
         worst = max(
             worst,
-            np.abs(images[n][LOWER, :d] @ hi.conj()).max(),
-            np.abs(images[n + 1][LOWER, d:] @ lo.conj()).max(),
+            np.abs(images[n][:d] @ hi.conj()).max(),
+            np.abs(images[n + 1][d:] @ lo.conj()).max(),
         )
     return float(worst)
 
@@ -142,15 +143,15 @@ def pair_coupling(dec: CenteredDecomposition) -> complex:
     Raising on v_{M-2} is evaluated through the adjoint (double lowering on
     v_M), so the value is exact for any support inside the cutoff.
     """
-    arrays, images, d = _arrays_and_images(dec.components)
+    arrays, images, d = _arrays_and_images(dec.components, PAIR_LOWER)
     acc = 0j
     for m, hi in arrays.items():
         lo = arrays.get(m - 2)
         if lo is None:
             continue
         # <hi, b*_i b*_i lo> = <b_i b_i hi, lo>
-        acc += (images[m][PAIR_LOWER, d:] @ lo.conj()).sum()
-        acc -= (images[m - 2][PAIR_LOWER, :d].conj() @ hi).sum()
+        acc += (images[m][d:] @ lo.conj()).sum()
+        acc -= (images[m - 2][:d].conj() @ hi).sum()
     return complex(acc)
 
 

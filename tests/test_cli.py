@@ -283,12 +283,23 @@ def _with_cutoff(k, d):
     return dict(_ground_obj(), K=k, d=d)
 
 
+def _with_term(**fields):
+    obj = _ground_obj()
+    obj["terms"].append(dict({"a": [1], "b": [0], "re": 0.0, "im": 0.0}, **fields))
+    return obj
+
+
 @pytest.mark.parametrize(
     "obj",
     [_without_k(), [_ground_obj()], _with_index(0.5), _with_index(True),
-     _with_cutoff(8.9, 1), _with_cutoff(True, True)],
+     _with_cutoff(8.9, 1), _with_cutoff(True, True),
+     _with_term(a=[2**70]), _with_term(b=[-1]), _with_term(a=[0, 0]),
+     _with_term(a=[0, 0], b=[0, 0]), _with_term(a=[5], b=[4]), _with_term(a=["1"]),
+     _with_term(b=[False]), _with_term(re=10**400)],
     ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index",
-         "K-float", "K-bool"],
+         "K-float", "K-bool",
+         "count-2**70", "negative-count", "a-b-length-mismatch", "length-not-d",
+         "degree-above-K", "string-count", "bool-count", "amplitude-2**1329"],
 )
 def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -48,6 +49,75 @@ def test_basis_size_and_order():
     assert len(fock.basis(Cutoff(k=8, d=2))) == 495  # C(8+4, 4)
     idxs = fock.basis(CUT)
     assert list(idxs) == sorted(idxs)
+
+
+def product_basis(k, d):
+    """Every count row (a, b) with |a| + |b| <= k, from itertools.product
+    over each half, sorted: an enumeration independent of ``fock``."""
+    rows = [
+        a + b
+        for a in product(range(k + 1), repeat=d) if sum(a) <= k
+        for b in product(range(k + 1 - sum(a)), repeat=d) if sum(a) + sum(b) <= k
+    ]
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("k, d", [(8, 1), (8, 2), (8, 3), (8, 4), (12, 3), (24, 2)])
+def test_rank_is_position_in_product_enumeration(k, d):
+    cut = Cutoff(k=k, d=d)
+    rows = product_basis(k, d)
+    assert len(rows) == cut.size
+    assert np.array_equal(fock.counts(cut), rows)
+    # ranked as the loader ranks them, in a shuffled term order
+    order = np.random.default_rng(k + d).permutation(len(rows))
+    pos = fock._positions(cut, [rows[j][:d] for j in order], [rows[j][d:] for j in order])
+    assert np.array_equal(pos, order)
+    assert [idx.a + idx.b for idx in fock.basis(cut)] == rows
+
+
+def dict_placement(cut, terms):
+    """The dense array of ``terms`` summed in a dict (repeats in order) and
+    placed at the positions of the product enumeration."""
+    pos = {row: j for j, row in enumerate(product_basis(cut.k, cut.d))}
+    coeffs = {}
+    for t in terms:
+        key = tuple(t["a"]) + tuple(t["b"])
+        coeffs[key] = coeffs.get(key, 0j) + complex(t["re"], t["im"])
+    arr = np.zeros(cut.size, dtype=complex)
+    for key, c in coeffs.items():
+        arr[pos[key]] = c
+    return arr
+
+
+@pytest.mark.parametrize("k, d", [(8, 1), (6, 2), (8, 3)])
+def test_loader_matches_dict_placement(k, d):
+    cut = Cutoff(k=k, d=d)
+    rows = product_basis(k, d)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        picks = rng.integers(0, len(rows), size=40)
+        picks[20:30] = picks[:10]  # repeated terms
+        scale = rng.choice([0.0, -0.0, 1.0, 1e-300], size=(40, 2))
+        parts = rng.normal(size=(40, 2)) * scale
+        terms = [{"a": list(rows[j][:d]), "b": list(rows[j][d:]),
+                  "re": float(re), "im": float(im)} for j, (re, im) in zip(picks, parts)]
+        v = fock.from_json_dict(json.loads(json.dumps({"K": k, "d": d, "terms": terms})))
+        assert v.array.tobytes() == dict_placement(cut, terms).tobytes()
+        # the mapping constructor places each amplitude as given, -0.0 too
+        mapping = {MultiIndex(rows[j][:d], rows[j][d:]): complex(re, im)
+                   for j, (re, im) in zip(picks, parts)}
+        expected = np.zeros(cut.size, dtype=complex)
+        expected[list(map(rows.index, (i.a + i.b for i in mapping)))] = list(mapping.values())
+        assert FockVector(cut, mapping).array.tobytes() == expected.tobytes()
+
+
+def test_norm_sq_is_a_sequential_sum():
+    # squares 1, 1e-16, 1e-16: each addition rounds back to 1.0, where a
+    # compensated sum (Python's sum() from 3.12 on) would round up
+    v = FockVector(CUT, {MultiIndex((0,), (0,)): 1.0, MultiIndex((1,), (0,)): 1e-8,
+                         MultiIndex((0,), (1,)): 1e-8j})
+    assert v.norm_sq == 1.0
+    assert fock.zero(CUT).norm_sq == 0.0
 
 
 def test_vector_rejects_out_of_cutoff_terms():
