@@ -295,7 +295,7 @@ def _apply(op: int, side: int, i: int, v: FockVector) -> FockVector:
     axis = side * v.cutoff.d + i
     table = ladder_table(v.cutoff)
     y = v.array
-    image = table.weight[op, axis] * np.concatenate((y, _PAD))[table.index[op, axis]]
+    image = table.gather(y, (op, axis))
     dropped = op == RAISE and bool(table.boundary[0, axis][y != 0].any())
     return _vector(v.cutoff, image, v.truncated or dropped)
 
@@ -442,9 +442,12 @@ class LadderTable:
     weight: np.ndarray  # (4, 2d, n)
     boundary: np.ndarray  # (2, 2d, n)
 
-    def gather(self, y: np.ndarray, ops: int | slice = slice(None)) -> np.ndarray:
+    def gather(
+        self, y: np.ndarray, ops: int | slice | tuple[int, int] = slice(None)
+    ) -> np.ndarray:
         """Images of y under the rows ``ops`` (default all four) along every
-        axis: shape (2d, n) for one row, (rows, 2d, n) for a slice."""
+        axis: shape (2d, n) for one row, (rows, 2d, n) for a slice, (n,)
+        for one (row, axis) pair."""
         return self.weight[ops] * np.concatenate((y, _PAD))[self.index[ops]]
 
 

@@ -144,8 +144,8 @@ _A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
                                        -9.15095847217987001081870187138]
 _B = _A[12, :12]
 
-# Stage times as fractions of the step: the row sums of _A, and the times
-# at which each stage rotates between the z and y frames.
+# Stage times as fractions of the step: the row sums of _A; c_j h is the
+# frame angle at which stage j evaluates ``sphere_field``.
 _C = np.array([
     0.0, 0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
@@ -245,6 +245,9 @@ _SAFETY = 1.0 / 100.0  # internal per-step error target relative to the
 # requested tolerance, sized so conserved-quantity drift over O(10) time
 # units stays at the requested tolerance level
 _TRUNCATION_FLUX_TOL = 1e-12
+# step budget of dop853.f (NMAX, IDID = -2 there): accepted plus rejected
+# steps; as no step exceeds _H_MAX, no span above _H_MAX * _MAX_STEPS fits
+_MAX_STEPS = 100_000
 _END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
 
 
@@ -343,8 +346,10 @@ def integrate(
 
     ``tol`` (both absolute and relative) must lie in [1e-12, 1e-4]; the
     initial support must stay at least two degrees below the cutoff.
-    ``t_end`` must be finite with ``|t_end| > 1e-13``; negative ``t_end``
-    integrates backward.  ``samples`` is either a count (equally spaced,
+    ``t_end`` must be finite with ``1e-13 < |t_end| <= 25000``, the span
+    that the budget of 100000 steps covers at the largest step; negative
+    ``t_end`` integrates backward, and a run that needs more steps raises
+    ``IntegrationError``.  ``samples`` is either a count (equally spaced,
     endpoints included) or an array of finite times inside the window;
     samples times basis size may not exceed 2^20, the size of the table of
     sampled states.
@@ -360,6 +365,11 @@ def integrate(
     if not (np.isfinite(t_end) and abs(t_end) > _END_SLACK):
         raise ValueError(
             f"t_end must be finite with |t_end| > {_END_SLACK:g}, got {t_end}"
+        )
+    if abs(t_end) > _H_MAX * _MAX_STEPS:
+        raise ValueError(
+            f"t_end {t_end:g} too large: |t_end| may not exceed {_H_MAX * _MAX_STEPS:g}, "
+            f"{_MAX_STEPS} steps of the largest step size {_H_MAX:g}"
         )
 
     direction = 1.0 if t_end > 0 else -1.0
@@ -410,6 +420,10 @@ def integrate(
         remaining = span - s
         if remaining <= _END_SLACK * max(1.0, span):
             break
+        if accepted + rejected == _MAX_STEPS:
+            raise IntegrationError(
+                f"step budget of {_MAX_STEPS} steps exhausted at t={s * direction}"
+            )
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")

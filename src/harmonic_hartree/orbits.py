@@ -43,7 +43,6 @@ class CenteredDecomposition:
     """Excitation eigencomponents of a state inside a centered span."""
 
     components: dict[int, FockVector]
-    decomposition_index: int
     oscillation_index: int
 
     def state(self) -> FockVector:
@@ -131,10 +130,7 @@ def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
             "component family violates the centering conditions; "
             f"worst defect {defect:.3e}"
         )
-    count = len(parts)
-    return CenteredDecomposition(
-        components=parts, decomposition_index=count, oscillation_index=count
-    )
+    return CenteredDecomposition(components=parts, oscillation_index=len(parts))
 
 
 def pair_coupling(dec: CenteredDecomposition) -> complex:

@@ -124,12 +124,31 @@ def hermite_table(max_degree: int, x) -> np.ndarray:
     return table
 
 
-def _hermite_sum(state: FockVector, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state; q and p broadcast."""
+# (max degree + 1) x n^2, the entries of each of the two Hermite tables of
+# a grid synthesis: 2^24 entries are 128 MiB per table.  This admits degree
+# 15 at n = 1024 and stops an oversized grid before it is allocated.
+_MAX_TABLE_ENTRIES = 2**24
+
+
+def _table_degree(state: FockVector, spec: GridSpec) -> int:
+    """The highest Hermite degree that synthesizing the d=1 ``state`` on
+    ``spec`` needs, once the size of its tables has been checked."""
     if state.cutoff.d != 1:
         raise ValueError("grid synthesis supports d = 1 only")
-    table_q = hermite_table(state.cutoff.k, q)
-    table_p = hermite_table(state.cutoff.k, p)
+    degree = state.max_degree()
+    if (degree + 1) * spec.n**2 > _MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"Hermite tables too large: {degree + 1} degrees x {spec.n}^2 grid points "
+            f"exceeds {_MAX_TABLE_ENTRIES} entries"
+        )
+    return degree
+
+
+def _hermite_sum(state: FockVector, degree: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state of support degree at
+    most ``degree``; q and p broadcast."""
+    table_q = hermite_table(degree, q)
+    table_p = hermite_table(degree, p)
     values = np.zeros(np.broadcast_shapes(q.shape, p.shape), dtype=complex)
     for idx, c in state.items():
         values += c * (table_q[idx.a[0]] * table_p[idx.b[0]])
@@ -138,8 +157,9 @@ def _hermite_sum(state: FockVector, q: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
     """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
+    degree = _table_degree(state, spec)
     ax = spec.axis()
-    return GridField(spec, _hermite_sum(state, ax[:, None], ax[None, :]), STAGE_QP)
+    return GridField(spec, _hermite_sum(state, degree, ax[:, None], ax[None, :]), STAGE_QP)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +196,11 @@ def inverse_velocity_fourier(field: GridField) -> GridField:
 def state_to_classical(state: FockVector, spec: GridSpec) -> GridField:
     """Full chain state -> (x,xi) -> (x,v) amplitude, the (x,xi) stage being
     the Hermite sum evaluated exactly at tau(x, xi) on ``spec``."""
+    degree = _table_degree(state, spec)
     ax = spec.axis() / math.sqrt(2.0)
-    rotated = _hermite_sum(state, ax[:, None] + ax[None, :], ax[:, None] - ax[None, :])
+    rotated = _hermite_sum(
+        state, degree, ax[:, None] + ax[None, :], ax[:, None] - ax[None, :]
+    )
     return inverse_velocity_fourier(GridField(spec, rotated, STAGE_XXI))
 
 

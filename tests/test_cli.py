@@ -319,6 +319,22 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (OVERSIZED_AS_BYTES, OVERSIZED_AS_BYTES))
 
 
+def run_capped(argv):
+    """The CLI run in a child process capped in time and address space."""
+    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "harmonic_hartree.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+
+
+def assert_too_large(run):
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "too large" in run.stderr
+
+
 @pytest.mark.parametrize(
     "command, state",
     [(["energy", "--json", "{out}.json"], _with_cutoff(100000, 1)),
@@ -345,33 +361,47 @@ def test_oversized_cutoff_exits_one_in_bounded_time(tmp_path, command, state):
         path = tmp_path / "big.json"
         path.write_text(json.dumps(state))
         argv[1:1] = ["--state", str(path)]
-    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
-    run = subprocess.run(
-        [sys.executable, "-m", "harmonic_hartree.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-    )
-    assert run.returncode == 1
-    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
-    assert "too large" in run.stderr
+    assert_too_large(run_capped(argv))
     assert list(tmp_path.iterdir()) == ([] if state is None else [tmp_path / "big.json"])
 
 
 def test_simulate_rejects_oversized_sample_table(tmp_path, ground):
     # in a capped child like the test above: 10^8 samples of the 45-element
     # state would be a table of 72 GB
-    src = os.path.dirname(os.path.dirname(harmonic_hartree.__file__))
-    run = subprocess.run(
-        [sys.executable, "-m", "harmonic_hartree.cli", "simulate", "--state", ground,
-         "--t-end", "1.0", "--samples", "100000000",
-         "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json")],
-        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
-        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
-    )
-    assert run.returncode == 1
-    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
-    assert "too large" in run.stderr
+    assert_too_large(run_capped(
+        ["simulate", "--state", ground, "--t-end", "1.0", "--samples", "100000000",
+         "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "s.json")]
+    ))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.json"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    # 10^7 time units are 4e7 steps of at most 0.25, past the budget of
+    # 100000 steps; one n x n grid of floats at n = 65536 is 32 GiB
+    [["simulate", "--t-end", "1e7", "--out", "{out}.csv", "--report", "{out}.json"],
+     ["pipeline", "--grid-n", "65536", "--out-prefix", "{out}"]],
+    ids=["simulate-t-end-1e7", "pipeline-grid-n-65536"],
+)
+def test_oversized_run_exits_one_in_bounded_time(tmp_path, mix, command):
+    # in a capped child like the tests above
+    argv = [arg.format(out=tmp_path / "out") for arg in command]
+    assert_too_large(run_capped([argv[0], "--state", mix, *argv[1:]]))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.json"]
+
+
+def test_pipeline_tables_follow_the_state_degree(tmp_path):
+    # in a capped child: Hermite tables of K + 1 = 301 rows over the n = 1024
+    # grid would be 2 x 2.35 GiB; the state's degree 2 needs 3 rows
+    cut = Cutoff(k=300, d=1)
+    state = write_state(tmp_path / "k300.json", (1 / math.sqrt(2)) * (
+        fock.basis_vector(cut, (0,), (0,)) + fock.basis_vector(cut, (2,), (0,))
+    ))
+    run = run_capped(["pipeline", "--state", state, "--grid-n", "1024",
+                      "--out-prefix", str(tmp_path / "p")])
+    assert run.returncode == 0, run.stderr
+    report = json.loads((tmp_path / "p_report.json").read_text())
+    assert report["grid_n"] == 1024 and abs(report["mass"] - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2"])

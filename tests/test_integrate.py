@@ -11,7 +11,7 @@ from _support import (
     random_state,
 )
 from harmonic_hartree import fock, hamiltonian, integrate as integ, orbits, reduction as red
-from harmonic_hartree.errors import NormalizationError, TruncationError
+from harmonic_hartree.errors import IntegrationError, NormalizationError, TruncationError
 from harmonic_hartree.fock import Cutoff
 
 CUT = Cutoff(k=8, d=1)
@@ -303,6 +303,29 @@ def test_oversized_sample_table_is_rejected_before_integrating(monkeypatch):
     for samples in (23302, 10**8, np.zeros(23302)):
         with pytest.raises(ValueError, match="too large"):
             integ.integrate(v, 1.0, samples=samples)
+
+
+def test_span_beyond_step_budget_is_rejected_before_integrating(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(integ, "sphere_field", fail)
+    v = bv((0,), (1,))
+    for t_end in (25000.001, -1e7, 1e300):  # 100000 steps of at most 0.25
+        with pytest.raises(ValueError, match="too large"):
+            integ.integrate(v, t_end, samples=3)
+
+
+def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
+    state = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
+    traj = integ.integrate(state, 2 * math.pi, samples=3)
+    assert traj.rejected_steps > 0
+    steps = traj.accepted_steps + traj.rejected_steps
+    monkeypatch.setattr(integ, "_MAX_STEPS", steps)
+    assert integ.integrate(state, 2 * math.pi, samples=3).accepted_steps == traj.accepted_steps
+    monkeypatch.setattr(integ, "_MAX_STEPS", steps - 1)
+    with pytest.raises(IntegrationError, match="step budget"):
+        integ.integrate(state, 2 * math.pi, samples=3)
 
 
 def test_input_validation():

@@ -156,6 +156,23 @@ def test_synthesize_rejects_d2():
         pl.synthesize_position(fock.basis_vector(cut2, (0, 0), (0, 0)), SPEC)
 
 
+def test_hermite_tables_are_bounded_by_the_state_degree(monkeypatch):
+    # n = 4096 is 2^24 grid points: one table row fits the bound, a
+    # degree-2 state's three rows do not, and are rejected before any
+    # grid coordinate is computed
+    def fail(*args):
+        raise AssertionError("a Hermite table was built")
+
+    monkeypatch.setattr(pl, "hermite_table", fail)
+    big = pl.GridSpec(n=4096, extent=8.0)
+    state = (bv((0,), (0,)) + bv((2,), (0,))).normalized()
+    for synthesize in (pl.synthesize_position, pl.state_to_classical):
+        with pytest.raises(ValueError, match="too large"):
+            synthesize(state, big)
+    assert pl._table_degree(bv((0,), (0,)), big) == 0
+    assert pl._table_degree(state, SPEC) == 2
+
+
 # ---------------------------------------------------------------------------
 # tau rotation
 

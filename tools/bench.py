@@ -1,0 +1,388 @@
+"""Time the library layer by layer on fixed size ladders.
+
+    PYTHONPATH=src python3 tools/bench.py [LAYER]
+
+LAYER is one of ``fock``, ``integrate``, ``spectrum`` and ``output``;
+without it every layer runs.  With PYTHONPATH pointing at another
+checkout's ``src`` it times that tree.
+
+Every case (a rung, or one op of a ``fock`` rung) runs in its own process
+with one BLAS thread and is stopped after TIMEOUT_S.  Timing rule: one
+warm-up call, then REPEATS runs of up to CALLS calls each (fewer when the
+warm-up call shows that CALLS calls would take longer than BUDGET_S); the
+figure is the minimum over the runs of the mean time per call.  Prints one
+JSON object: the host, Python and numpy versions, then per layer its
+constants and rungs.  A case that fails or does not finish is recorded as
+its rung's ``result``, and the exit code is then 1.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from types import SimpleNamespace
+from typing import Callable, Iterator, NamedTuple
+from unittest import mock
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+from harmonic_hartree import (  # noqa: E402
+    cli, equilibria, fock, hamiltonian, integrate, orbits, pipeline, reduction,
+)
+
+REPEATS = 5
+CALLS = 100
+BUDGET_S = 0.2
+TIMEOUT_S = 300.0
+
+
+def timed(op: Callable):
+    """Wall time of one call of ``op``, and its result."""
+    t0 = time.perf_counter()
+    result = op()
+    return time.perf_counter() - t0, result
+
+
+def best_mean(op: Callable, first_s: float) -> dict:
+    """The timing rule, after a warm-up call that took ``first_s``."""
+    calls = max(1, min(CALLS, int(BUDGET_S / first_s)))
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            op()
+        runs.append((time.perf_counter() - t0) / calls)
+    return {"min_s": min(runs), "calls_per_run": calls}
+
+
+def _seeded_state(cut: fock.Cutoff, rng, keep=lambda idx: True) -> fock.FockVector:
+    """Unit state with seeded amplitudes on the basis elements of degree
+    <= K - 2 that ``keep`` accepts."""
+    idxs = [i for i in fock.basis(cut) if keep(i) and i.degree <= cut.k - 2]
+    amps = rng.normal(size=len(idxs)) + 1j * rng.normal(size=len(idxs))
+    amps /= np.linalg.norm(amps)
+    return fock.FockVector(cut, {i: complex(a) for i, a in zip(idxs, amps)})
+
+
+def _centered_state(k: int, d: int, seed: int) -> fock.FockVector:
+    """Seeded unit state on the excitations -4, -2, 0 and 2, degree <= K - 2."""
+    return _seeded_state(fock.Cutoff(k=k, d=d), np.random.default_rng(seed),
+                         lambda i: i.excitation in (-4, -2, 0, 2))
+
+
+# fock: the state layer and two of its callers, one case per op, on two
+# seeded unit states supported on every basis element of degree <= K - 2.
+# ``build`` is the cold build of the basis and ladder table (every cache of
+# ``fock`` cleared first); ``load`` reads the first state's JSON object.
+
+def _cold_build(cut: fock.Cutoff) -> None:
+    for cached in vars(fock).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    fock.basis(cut)
+    fock.ladder_table(cut)
+
+
+FOCK_OPS = {
+    "build": lambda s: _cold_build(s.cut),
+    "load": lambda s: fock.from_json_dict(s.obj),
+    "construct": lambda s: fock.FockVector(s.cut, s.mapping),
+    "to_array": lambda s: fock.to_array(s.v),
+    "from_array": lambda s: fock.from_array(s.cut, s.arr),
+    "add": lambda s: s.v + s.w,
+    "scalar_mul": lambda s: s.z * s.v,
+    "inner": lambda s: fock.inner(s.v, s.w),
+    "component_split": lambda s: fock.component_split(s.v),
+    "vector_field": lambda s: hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, s.v),
+    "gauge_fix": lambda s: reduction.gauge_fix(s.v),
+}
+
+
+def fock_case(rung: dict, name: str) -> Iterator[dict]:
+    cut = fock.Cutoff(k=rung["K"], d=rung["d"])
+    rng = np.random.default_rng(cut.d)
+    v, w = _seeded_state(cut, rng), _seeded_state(cut, rng)
+    s = SimpleNamespace(cut=cut, v=v, w=w, mapping=v.coeffs, arr=fock.to_array(v),
+                        z=complex(np.exp(0.7j)),
+                        obj=json.loads(json.dumps(fock.to_json_dict(v))))
+
+    def op():
+        return FOCK_OPS[name](s)
+
+    best = best_mean(op, timed(op)[0])
+    yield {"n": cut.size, "terms": len(s.mapping),
+           "us_per_call": {name: 1e6 * best["min_s"]},
+           "calls_per_run": {name: best["calls_per_run"]}}
+
+
+# integrate: a seeded centered state at tol = TOL with SAMPLES samples; the
+# field evaluations are counted through ``integrate.sphere_field``, and the
+# orbit error against ``orbits.analytic_solution`` is the worst over the
+# samples and INTERIOR seeded times of the dense output.
+
+INTEGRATE_SEED = 9
+TOL = 1e-10
+SAMPLES = 41
+INTERIOR = 30
+
+
+def integrate_case(rung: dict, _) -> Iterator[dict]:
+    t_end = rung["t_end"]
+    state = _centered_state(rung["K"], rung["d"], INTEGRATE_SEED)
+    field, evals = integrate.sphere_field, [0]
+
+    def counted(*args):  # any signature, so that one harness times every tree
+        evals[0] += 1
+        return field(*args)
+
+    def op():
+        return integrate.integrate(state, t_end, tol=TOL, samples=SAMPLES)
+
+    with mock.patch.object(integrate, "sphere_field", counted):
+        first, traj = timed(op)
+    orbit = orbits.orbit_from_state(state)
+    interior = np.random.default_rng(INTEGRATE_SEED).uniform(0.0, t_end, INTERIOR)
+    checks = list(zip(traj.times.tolist(), traj.states)) + [
+        (t, traj.interpolate(t).normalized()) for t in interior.tolist()
+    ]
+    drift = integrate.conserved_drift(traj)
+    yield {
+        "n": state.cutoff.size,
+        "accepted_steps": traj.accepted_steps,
+        "rejected_steps": traj.rejected_steps,
+        "field_evals": evals[0],
+        "first_call_s": first,
+        "orbit_err": max((st - orbits.analytic_solution(orbit, t)).norm for t, st in checks),
+        "drift": max(drift.norm, drift.mean_n, drift.energy),
+    }
+    yield best_mean(op, first)
+
+
+# spectrum: ``linearize`` + ``classify_spectrum`` at basis-vector relative
+# equilibria (basis sizes 45, 210, 495, 3003)
+
+EQUILIBRIA = [
+    {"K": 8, "d": 1, "a": [1], "b": [2]},
+    {"K": 6, "d": 2, "a": [1, 0], "b": [0, 2]},
+    {"K": 8, "d": 2, "a": [1, 0], "b": [0, 2]},
+    {"K": 8, "d": 3, "a": [1, 0, 0], "b": [0, 2, 0]},
+]
+
+
+def _equilibrium(rung: dict) -> fock.FockVector:
+    return fock.basis_vector(fock.Cutoff(k=rung["K"], d=rung["d"]), rung["a"], rung["b"])
+
+
+def spectrum_case(rung: dict, _) -> Iterator[dict]:
+    base = _equilibrium(rung)
+
+    def op():
+        return equilibria.classify_spectrum(equilibria.linearize(base))
+
+    first, report = timed(op)
+    yield {"n": base.cutoff.size, "first_call_s": first,
+           "integer_ok": report.integer_spectrum_ok}
+    yield best_mean(op, first)
+
+
+# output: one CLI command through ``cli.main`` with the library calls it
+# makes replaced by their results, so the timed call is argument parsing
+# plus rendering and writing the output files: state JSON (``vector-field
+# --kind full``), spectrum JSON (``spectrum``, its CSV writer a no-op) and
+# the f-grid CSV (``pipeline``, with the rho CSV and the report).  Records
+# the size and SHA-256 of every file.
+
+OUTPUT_SEED = 8
+
+
+def _const(value):
+    return lambda *args, **kwargs: value
+
+
+def _output_setup(rung: dict, outdir: str):
+    """Return (argv, stubs, output files, description) for one rung."""
+    if rung["output"] == "state_json":
+        state = _centered_state(8, rung["d"], OUTPUT_SEED)
+        field = hamiltonian.vector_field(hamiltonian.FieldKind.FULL, state)
+        out = os.path.join(outdir, "vf.json")
+        argv = ["vector-field", "--state", "-", "--kind", "full", "--json", out]
+        stubs = [(cli, {"_load_state": _const(state)}),
+                 (hamiltonian, {"vector_field": _const(field)})]
+        return argv, stubs, [out], {"K": 8, "terms": len(field.coeffs)}
+    if rung["output"] == "spectrum_json":
+        state = _equilibrium(rung)
+        report = equilibria.classify_spectrum(equilibria.linearize(state))
+        out = os.path.join(outdir, "s.json")
+        argv = ["spectrum", "--state", "-", "--json", out, "--csv", os.devnull]
+        stubs = [(cli, {"_load_state": _const(state), "_write_csv": _const(None)}),
+                 (equilibria, {"linearize": _const(report),
+                               "classify_spectrum": _const(report)})]
+        return argv, stubs, [out], {"n": state.cutoff.size,
+                                    "eigenvalues": len(report.eigenvalues)}
+    spec = pipeline.GridSpec(n=rung["grid_n"], extent=6.0)
+    state = fock.FockVector(fock.Cutoff(k=8, d=1), {
+        fock.MultiIndex((0,), (0,)): 0.8 + 0j, fock.MultiIndex((2,), (0,)): 0.6 + 0j,
+    })
+    orbit = orbits.orbit_from_state(state)
+    field = pipeline.state_to_classical(orbits.analytic_solution(orbit, 0.5), spec)
+    prefix = os.path.join(outdir, "pipe")
+    argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
+            "--grid-l", "6.0", "--out-prefix", prefix]
+    stubs = [
+        (cli, {"_load_state": _const(state)}),
+        (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
+        (pipeline, {
+            "state_to_classical": _const(field),
+            "density": _const(pipeline.density(field)),
+            "noether_charges": _const(pipeline.noether_charges(field)),
+            "vlasov_residual": _const(0.0),
+        }),
+    ]
+    outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
+    return argv, stubs, outs, {"grid_l": 6.0}
+
+
+def output_case(rung: dict, _) -> Iterator[dict]:
+    with tempfile.TemporaryDirectory() as outdir:
+        argv, stubs, outs, desc = _output_setup(rung, outdir)
+
+        def op():
+            if cli.main(argv):
+                raise RuntimeError(f"cli.main {argv[0]} returned nonzero")
+
+        with contextlib.ExitStack() as stack:
+            for module, attrs in stubs:
+                stack.enter_context(mock.patch.multiple(module, **attrs))
+            first = timed(op)[0]
+            best = best_mean(op, first)
+        files = {}
+        for path in outs:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            files[os.path.basename(path)] = {
+                "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+            }
+    yield dict(desc, first_call_s=first, **best, files=files)
+
+
+class Layer(NamedTuple):
+    ladder: list[dict]  # the rungs' parameters, which lead their records
+    case: Callable[[dict, str | None], Iterator[dict]]  # figures as they are known
+    constants: dict
+    parts: tuple = (None,)  # the cases of one rung
+
+
+LAYERS = {
+    "fock": Layer(
+        [{"K": 8, "d": 1}, {"K": 8, "d": 2}, {"K": 8, "d": 3}, {"K": 12, "d": 3}],
+        fock_case, {}, tuple(FOCK_OPS),
+    ),
+    "integrate": Layer(
+        [{"K": 8, "d": 1, "t_end": 2 * math.pi}, {"K": 8, "d": 2, "t_end": math.pi / 4},
+         {"K": 8, "d": 3, "t_end": math.pi / 4}],
+        integrate_case,
+        {"seed": INTEGRATE_SEED, "tol": TOL, "samples": SAMPLES, "interior": INTERIOR},
+    ),
+    "spectrum": Layer(EQUILIBRIA, spectrum_case, {}),
+    "output": Layer(
+        [{"output": "state_json", "d": d} for d in (1, 2, 3)]
+        + [{"output": "spectrum_json", **EQUILIBRIA[i]} for i in (0, 2, 3)]
+        + [{"output": "f_csv", "grid_n": n} for n in (64, 128, 256, 512)],
+        output_case, {"seed": OUTPUT_SEED},
+    ),
+}
+
+
+def child(layer: str, index: int, part: str | None) -> None:
+    """Run one case, printing each figure dict as one JSON line when known."""
+    spec = LAYERS[layer]
+    for figures in spec.case(spec.ladder[index], part):
+        print(json.dumps(figures), flush=True)
+
+
+def run_case(layer: str, index: int, part: str | None) -> tuple[list[dict], str | None]:
+    """Figures of one case run in its own process, and its failure if any."""
+    tools = os.path.dirname(os.path.abspath(__file__))
+    code = (f"import sys; sys.path.insert(0, {tools!r}); import bench; "
+            f"bench.child({layer!r}, {index}, {part!r})")
+    result = None
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=TIMEOUT_S)
+        stdout = out.stdout
+        if out.returncode:
+            lines = out.stderr.strip().splitlines()
+            result = lines[-1] if lines else f"exit code {out.returncode}"
+    except subprocess.TimeoutExpired as exc:
+        stdout = exc.stdout or ""
+        if isinstance(stdout, bytes):
+            stdout = stdout.decode()
+        result = f"did not finish in {TIMEOUT_S:g} s"
+    return [json.loads(line) for line in stdout.splitlines()], result
+
+
+def run_layer(name: str) -> dict:
+    layer = LAYERS[name]
+    rungs = []
+    for index, params in enumerate(layer.ladder):
+        rung, failures = dict(params), []
+        for part in layer.parts:
+            figures, result = run_case(name, index, part)
+            for fig in figures:
+                for key, value in fig.items():
+                    if isinstance(value, dict) and key in rung:
+                        rung[key].update(value)  # a fock op's entry
+                    else:
+                        rung[key] = value
+            if result is not None:
+                failures.append(result if part is None else f"{part}: {result}")
+        if failures:
+            rung["result"] = "; ".join(failures)
+        rungs.append(rung)
+    return {"constants": layer.constants, "rungs": rungs}
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1 or (argv and argv[0] not in LAYERS):
+        print(f"usage: bench.py [{'|'.join(LAYERS)}]", file=sys.stderr)
+        return 2
+    layers = {name: run_layer(name) for name in argv or LAYERS}
+    print(json.dumps({
+        "host": {"cpu": _cpu_model(), "cpus": os.cpu_count()},
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": 1,
+        "repeats": REPEATS,
+        "max_calls_per_run": CALLS,
+        "budget_s": BUDGET_S,
+        "timeout_s": TIMEOUT_S,
+        "layers": layers,
+    }, indent=1))
+    failed = any("result" in rung for layer in layers.values() for rung in layer["rungs"])
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
