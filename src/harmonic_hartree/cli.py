@@ -7,11 +7,14 @@ for identical inputs: iteration orders are fixed, CSV floats are printed
 with 17 significant digits (``%.17g``), JSON floats as ``json`` prints
 them, and no randomness is used.
 
-The large outputs (the ``vector-field`` state JSON, the ``spectrum``
-eigenvalue list and the ``pipeline`` f grid) are rendered from one text
-template per file filled by a single ``%`` call (``_fill``).  Their bytes
-are those of ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``
-and of the per-value ``%.17g`` format; the tests compare them.
+Every CSV (``simulate``, ``spectrum``, and the ``pipeline`` f grid and rho
+table) goes through one block renderer (``_cells``), which writes the bytes
+of the per-value ``%.17g`` format for whole arrays, a fixed block of values
+at a time.  The large JSON outputs (the ``vector-field`` state JSON and the
+``spectrum`` eigenvalue list) are rendered from one text template per file
+filled by a single ``%`` call (``_fill``); their bytes are those of
+``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The tests
+compare both with the per-value formatters.
 """
 
 from __future__ import annotations
@@ -95,12 +98,208 @@ def _state_json(v: FockVector) -> str:
     return '{\n  "K": %d,\n  "d": %d,\n  "terms": %s\n}\n' % (v.cutoff.k, d, listed)
 
 
+# ---------------------------------------------------------------------------
+# CSV: the bytes of "%.17g" % float(v) for whole float64 arrays
+#
+# A finite nonzero |v| = m 2^e (m in [0.5, 1)) has the 17 significant
+# digits D = round(|v| 10^(16 - x10)), 10^16 <= D < 10^17, where x10 is its
+# decimal exponent.  The product m 2^e 10^k is formed as a double-double
+# (Dekker) from 10^k = (hi + lo) 2^s, with hi and lo correctly rounded from
+# Python integers; its error is below 1e-14 in units of D.  A value whose
+# scaled magnitude lies within _GUARD of a rounding tie or of a point where
+# the rounded exponent changes, and NaN and the infinities, are written by
+# "%.17g" itself, so every byte matches the per-value format.
+#
+# Each value is laid out in a cell of _CELL bytes, six 8-byte words in
+# which 0 is a pad byte: word 0 holds the sign, the "0.000" lead-in of
+# 1e-4 <= |v| < 1, the first digit and the slot after it; words 1-4 hold
+# the other 16 digits in even slots with a '.'-or-pad slot after each;
+# word 5 holds the exponent and, last, the separator.  Trailing zeros are
+# pads.  The cells are written a block at a time with the pads deleted.
+
+_CELL = 48
+_BLOCK = 2048  # values per block: the cells of one block are 96 KiB
+_GUARD = 2.0**-20
+
+
+def _words(table) -> np.ndarray:
+    """Rows of 8 bytes as one uint64 each, for whole-word gathers."""
+    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64).ravel()
+
+
+# by decimal exponent x10 + _X0 (finite doubles have -324 <= x10 <= 308)
+_X0 = 330
+_X10 = np.arange(-_X0, _X0 + 1)
+_FIXED = (_X10 >= -4) & (_X10 < 17)  # "%g" writes these without an exponent
+_POINT = np.where(_FIXED & (_X10 >= 0), _X10, 0)  # the '.' follows digit _POINT
+_LEAD = np.where(_FIXED & (_X10 < 0), -_X10, 0)  # lead-in "0." and _LEAD - 1 zeros
+_DOT0 = _POINT + _LEAD == 0  # the '.' follows the first digit: in word 0
+_TAIL = np.zeros((_X10.size, 8), dtype=np.uint8)
+_TAIL[:, 0] = ord("e")
+_TAIL[:, 1] = np.where(_X10 < 0, ord("-"), ord("+"))
+_TAIL[:, 2] = np.where(abs(_X10) >= 100, 48 + abs(_X10) // 100, 0)
+_TAIL[:, 3] = 48 + abs(_X10) // 10 % 10
+_TAIL[:, 4] = 48 + abs(_X10) % 10
+_TAIL[_FIXED] = 0
+_TAIL = _words(_TAIL)
+
+# word 0 by 100 sign + 20 lead + 2 first digit + dot
+_H = np.arange(200)
+_HEAD = np.zeros((200, 8), dtype=np.uint8)
+_HEAD[:, 0] = np.where(_H >= 100, ord("-"), 0)
+_HEAD[:, 1:6] = np.frombuffer(
+    b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000", dtype=np.uint8
+).reshape(5, 5)[_H // 20 % 5]
+_HEAD[:, 6] = 48 + _H // 2 % 10
+_HEAD[:, 7] = np.where(_H % 2, ord("."), 0)
+_HEAD = _words(_HEAD)
+
+# a quad is four digits q = 0..9999, in the even slots of one word; quad g
+# (0..3) holds digits 4g + 1 .. 4g + 4 of the 17
+_QDIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+_QUADS = np.zeros((10000, 8), dtype=np.uint8)
+_QUADS[:, ::2] = 48 + _QDIGITS
+_QUADS = _words(_QUADS)
+_QMASK = _words(np.where(np.arange(8) < 2 * np.arange(5)[:, None], 255, 0))  # keep k digits
+_QKEEP = np.clip(np.arange(17) - 4 * np.arange(4)[:, None], 0, 4)  # [g, last kept digit]
+_QPOS = np.max((_QDIGITS > 0) * np.arange(1, 5, dtype=np.int8), axis=1)  # 0 for q = 0
+_QLAST = np.where(_QPOS > 0, _QPOS + 4 * np.arange(4, dtype=np.int8)[:, None], 0).astype(np.int8)
+_QBASE = 10000 * np.arange(4)[:, None]
+
+# 10^k = (hi + lo) 2^s with 0.5 <= hi <= 1, row k + _K0; each row is filled
+# when a value first needs it and is a pure function of k
+_K0 = 300
+_POW_HI = np.full(2 * _K0 + 50, np.nan)
+_POW_LO = np.zeros_like(_POW_HI)
+_POW_EXP = np.zeros(_POW_HI.size, dtype=np.int64)
+
+
+def _fill_pow(k: int) -> None:
+    s = (10**k).bit_length() if k >= 0 else 1 - (10**-k).bit_length()
+    num = 10 ** max(k, 0) << max(-s, 0)
+    den = 10 ** max(-k, 0) << max(s, 0)
+    hi = num / den  # int / int is correctly rounded
+    hn, hd = hi.as_integer_ratio()
+    _POW_HI[k + _K0] = hi
+    _POW_LO[k + _K0] = (num * hd - hn * den) / (den * hd)
+    _POW_EXP[k + _K0] = s
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, x10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m 2^e 10^(16 - x10) as an integer-valued float64 and a small remainder."""
+    row = 16 - x10 + _K0
+    hi = _POW_HI[row]
+    if np.isnan(hi).any():
+        for k in np.unique(row[np.isnan(hi)] - _K0).tolist():
+            _fill_pow(k)
+        hi = _POW_HI[row]
+    p = m * hi
+    mh, ml = _split(m)
+    hh, hl = _split(hi)
+    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * _POW_LO[row]
+    shift = e + _POW_EXP[row]
+    return np.ldexp(p, shift), np.ldexp(err, shift)
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D, x10 and whether D is certain, for finite a > 0."""
+    m, e = np.frexp(a)
+    x10 = np.floor(np.log10(a)).astype(np.int64)  # may be off by one
+    big, rem = _scaled(m, e, x10)
+    # x10 is right when the scaled value rounds into [10^16, 10^17); just
+    # below 10^16 it rounds to 10^16 at either exponent
+    low = (big - 1e16) + rem + 0.05
+    high = (big - 1e17) + rem + 0.5
+    fix = np.flatnonzero((low < 0) | (high >= 0))
+    if fix.size:
+        x10[fix] += np.where(low[fix] < 0, -1, 1)
+        big[fix], rem[fix] = _scaled(m[fix], e[fix], x10[fix])
+        low[fix] = (big[fix] - 1e16) + rem[fix] + 0.05
+        high[fix] = (big[fix] - 1e17) + rem[fix] + 0.5
+    near = np.floor(rem + 0.5)
+    ok = (low >= _GUARD) & (high <= -_GUARD) & (np.abs(rem - near) < 0.5 - _GUARD)
+    return big.astype(np.int64) + near.astype(np.int64), x10, ok
+
+
+def _cells(values) -> np.ndarray:
+    """The (N, _CELL) uint8 cells of the N values, separators still pads."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    a = np.abs(v)
+    plain = np.isfinite(a) & (a > 0)
+    d, x10, ok = _digits(np.where(plain, a, 1.0))
+    ok &= plain
+    d[~ok] = 0  # zero is "0" (or "-0"); the other cells not ok are rewritten below
+    x10[~ok] = 0
+    ok |= a == 0
+    hi8, lo8 = np.divmod(d, 10**8)
+    first, rest = np.divmod(hi8, 10**8)
+    q = np.empty((4, v.size), dtype=np.int64)
+    np.divmod(rest, 10**4, out=(q[0], q[1]))
+    np.divmod(lo8, 10**4, out=(q[2], q[3]))
+    row = x10 + _X0
+    point = _POINT[row]
+    keep = np.maximum(np.take(_QLAST, q + _QBASE).max(axis=0), point)  # last digit kept
+    words = np.empty((v.size, _CELL // 8), dtype=np.uint64)
+    words[:, 0] = _HEAD[100 * np.signbit(v) + 20 * _LEAD[row] + 2 * first
+                        + ((keep > 0) & _DOT0[row])]
+    quads = np.take(_QUADS, q) & np.take(_QMASK, np.take(_QKEEP, keep, axis=1))
+    for g in range(4):
+        words[:, 1 + g] = quads[g]
+    words[:, 5] = _TAIL[row]
+    cells = words.view(np.uint8)
+    dots = np.flatnonzero((keep > point) & (point > 0))
+    cells[dots, 7 + 2 * point[dots]] = ord(".")
+    for i in np.flatnonzero(~ok).tolist():
+        text = (_FMT % v[i]).encode()
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cells
+
+
+def _write_cells(fh, cells: np.ndarray) -> None:
+    fh.write(cells.tobytes().translate(None, b"\0"))
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    line = ",".join([_FMT] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+    table = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
+    step = max(1, _BLOCK // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for i in range(0, len(table), step):
+            cells = _cells(table[i : i + step]).reshape(-1, len(header), _CELL)
+            cells[:, :, -1] = ord(",")
+            cells[:, -1, -1] = ord("\n")
+            _write_cells(fh, cells)
+
+
+def _write_grid_csv(path: str, ax: np.ndarray, f: np.ndarray) -> None:
+    """Row i * n + j of the CSV holds ax[i], ax[j], f[i, j]: the n axis
+    values are rendered once, the n^2 values of f one block of rows at a
+    time."""
+    n = ax.size
+    labels = _cells(ax)
+    labels[:, -1] = ord(",")
+    # each label's bytes to its front (a stable sort of the pad flags)
+    labels = np.take_along_axis(labels, np.argsort(labels == 0, axis=1, kind="stable"), axis=1)
+    width = np.count_nonzero(labels, axis=1).max()
+    labels = labels[:, :width]
+    step = max(1, _BLOCK // n)
+    with open(path, "wb") as fh:
+        fh.write(b"x,v,f\n")
+        for i in range(0, n, step):
+            block = f[i : i + step]
+            cells = np.empty((len(block), n, 2 * width + _CELL), dtype=np.uint8)
+            cells[:, :, :width] = labels[i : i + step, None]
+            cells[:, :, width : 2 * width] = labels
+            cells[:, :, 2 * width :] = _cells(block).reshape(len(block), n, _CELL)
+            cells[:, :, -1] = ord("\n")
+            _write_cells(fh, cells)
 
 
 def _cmd_simulate(args) -> int:
@@ -145,7 +344,6 @@ def _cmd_spectrum(args) -> int:
     state = _load_state(args.state)
     cutoff = None if args.cutoff is None else Cutoff(k=args.cutoff, d=state.cutoff.d)
     report = equilibria.classify_spectrum(equilibria.linearize(state, cutoff))
-    eigen = [[z.real, z.imag] for z in report.eigenvalues]
     # the small keys go through json, then the eigenvalue pairs are
     # rendered from one template into the "eigenvalues" slot
     text = json.dumps(
@@ -160,11 +358,11 @@ def _cmd_spectrum(args) -> int:
     pair = "    [\n      %r,\n      %r\n    ]"
     values = [x for z in report.eigenvalues for x in (z.real, z.imag)]
     listed = "[]"
-    if eigen:
-        listed = "[\n" + _fill([pair] * len(eigen), ",\n", values) + "\n  ]"
+    if values:
+        listed = "[\n" + _fill([pair] * (len(values) // 2), ",\n", values) + "\n  ]"
     slot = '"eigenvalues": []'
     _write_text(args.json, text.replace(slot, slot[:-2] + listed, 1) + "\n")
-    _write_csv(args.csv, ["re", "im"], eigen)
+    _write_csv(args.csv, ["re", "im"], np.reshape(values, (-1, 2)))
     return 0
 
 
@@ -222,10 +420,14 @@ def _cmd_pipeline(args) -> int:
     spec = pipeline.GridSpec(n=args.grid_n, extent=args.grid_l)
     ax = spec.axis()
 
-    def field_at(t: float):
-        return pipeline.state_to_classical(orbits.analytic_solution(orbit, t), spec)
+    now = orbits.analytic_solution(orbit, args.t)
+    # the three slices have the support of ``now``: one pair of tables
+    tables = pipeline.rotated_tables(now, spec)
 
-    field_now = field_at(args.t)
+    def field_at(t: float):
+        return pipeline.state_to_classical(orbits.analytic_solution(orbit, t), spec, tables)
+
+    field_now = pipeline.state_to_classical(now, spec, tables)
     f_now, rho_now = pipeline.density(field_now)
     mass, pseudo, momentum = pipeline.noether_charges(field_now)
     # every stage is an isometry in the continuum; on the grid the (x, v)
@@ -243,15 +445,10 @@ def _cmd_pipeline(args) -> int:
         f_now,
         pipeline.density(field_at(args.t + dt))[0],
     ]
+    del tables  # free them before the residual's grids
     residual = pipeline.vlasov_residual(f_series, dt, spec)
 
-    # row i * n + j holds (ax[i], ax[j], f[i, j]); each axis value is
-    # formatted once and the n^2 rows are filled in one %
-    coords = [_FMT % x for x in ax.tolist()]
-    tails = ["," + c + "," + _FMT + "\n" for c in coords]
-    blocks = [c + c.join(tails) for c in coords]
-    _write_text(args.out_prefix + "_f.csv",
-                "x,v,f\n" + _fill(blocks, "", f_now.ravel().tolist()))
+    _write_grid_csv(args.out_prefix + "_f.csv", ax, f_now)
     _write_csv(args.out_prefix + "_rho.csv", ["x", "rho"], np.column_stack([ax, rho_now]))
     _write_json(
         args.out_prefix + "_report.json",

@@ -144,12 +144,10 @@ def _table_degree(state: FockVector, spec: GridSpec) -> int:
     return degree
 
 
-def _hermite_sum(state: FockVector, degree: int, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state of support degree at
-    most ``degree``; q and p broadcast."""
-    table_q = hermite_table(degree, q)
-    table_p = hermite_table(degree, p)
-    values = np.zeros(np.broadcast_shapes(q.shape, p.shape), dtype=complex)
+def _hermite_sum(state: FockVector, table_q: np.ndarray, table_p: np.ndarray) -> np.ndarray:
+    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state from the Hermite tables
+    at q and at p (rows 0 to at least its degree); q and p broadcast."""
+    values = np.zeros(np.broadcast_shapes(table_q.shape[1:], table_p.shape[1:]), dtype=complex)
     for idx, c in state.items():
         values += c * (table_q[idx.a[0]] * table_p[idx.b[0]])
     return values
@@ -159,7 +157,8 @@ def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
     """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
     degree = _table_degree(state, spec)
     ax = spec.axis()
-    return GridField(spec, _hermite_sum(state, degree, ax[:, None], ax[None, :]), STAGE_QP)
+    values = _hermite_sum(state, hermite_table(degree, ax[:, None]), hermite_table(degree, ax[None, :]))
+    return GridField(spec, values, STAGE_QP)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +192,31 @@ def inverse_velocity_fourier(field: GridField) -> GridField:
     return GridField(field.spec, field.values @ inverse.T, STAGE_XV)
 
 
-def state_to_classical(state: FockVector, spec: GridSpec) -> GridField:
-    """Full chain state -> (x,xi) -> (x,v) amplitude, the (x,xi) stage being
-    the Hermite sum evaluated exactly at tau(x, xi) on ``spec``."""
+def rotated_tables(state: FockVector, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermite tables at the two coordinates of tau(x, xi) on ``spec``,
+    rows 0 to the degree of the d=1 ``state``.  They depend on the state's
+    degree alone, so the states of one orbit share them."""
     degree = _table_degree(state, spec)
     ax = spec.axis() / math.sqrt(2.0)
-    rotated = _hermite_sum(
-        state, degree, ax[:, None] + ax[None, :], ax[:, None] - ax[None, :]
-    )
+    return (hermite_table(degree, ax[:, None] + ax[None, :]),
+            hermite_table(degree, ax[:, None] - ax[None, :]))
+
+
+def state_to_classical(
+    state: FockVector, spec: GridSpec, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> GridField:
+    """Full chain state -> (x,xi) -> (x,v) amplitude, the (x,xi) stage being
+    the Hermite sum evaluated exactly at tau(x, xi) on ``spec``.  ``tables``
+    are ``rotated_tables`` of a state of at least this state's degree on
+    ``spec``; without them they are built here."""
+    if tables is None:
+        tables = rotated_tables(state, spec)
+    elif _table_degree(state, spec) >= len(tables[0]):
+        raise ValueError(
+            f"Hermite tables of {len(tables[0])} rows cannot synthesize degree "
+            f"{state.max_degree()}"
+        )
+    rotated = _hermite_sum(state, *tables)
     return inverse_velocity_fourier(GridField(spec, rotated, STAGE_XXI))
 
 

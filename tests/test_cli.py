@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmonic_hartree
 from harmonic_hartree import cli, equilibria, fock, hamiltonian, integrate, orbits
@@ -686,3 +687,55 @@ def test_template_fill_rejects_non_finite_values(bad):
         json.dumps([1.0, bad], allow_nan=False)
     with pytest.raises(ValueError):
         cli._fill(["[%r, %r]"], "", [1.0, bad])
+
+
+def sweep_values():
+    """A seeded sweep of float64 values that stress the 17-digit renderer."""
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # the "%g" switch points and the 64 doubles either side of each
+    switches = np.array([1e-5, 1e-4, 1e16, 1e17]).view(np.int64)
+    around = (switches[:, None] + np.arange(-64, 65)).ravel().view(np.float64)
+    values = np.concatenate([
+        rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64),
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        np.array([0.0, np.inf, np.nan]),
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        rng.integers(1, 2**52, size=10_000, dtype=np.uint64).view(np.float64),
+        around,
+        np.arange(1.0, 5001.0),
+        np.arange(1, 4097) / 1024.0,
+        rng.lognormal(sigma=30.0, size=30_000),
+    ])
+    return np.concatenate([values, -values])
+
+
+def test_csv_renderer_matches_per_value_formatter_on_a_sweep(tmp_path):
+    values = sweep_values()
+    assert values.size >= 500_000
+    out = tmp_path / "sweep.csv"
+    cli._write_csv(str(out), ["v"], values[:, None])
+    assert out.read_bytes() == per_value_csv(["v"], values[:, None].tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_csv_renderer_matches_per_value_formatter(tmp_path_factory, values):
+    out = tmp_path_factory.getbasetemp() / "renderer_row.csv"
+    header = [f"c{j}" for j in range(len(values))]
+    cli._write_csv(str(out), header, [values])
+    assert out.read_bytes() == per_value_csv(header, [values])
+
+
+def test_csv_renderer_falls_back_at_rounding_ties():
+    # 10 * (1e15 + 0.25) ends in an exact half: a tie that the
+    # double-double product cannot resolve, so "%.17g" itself writes it
+    # (half to even); exact powers of ten need no fallback
+    values = np.array([1e15 + 0.25, 1e15 + 0.375, 1e20, 1.0, 0.1])
+    _, _, certain = cli._digits(values)
+    assert certain.tolist() == [False, True, True, True, True]
+    cells = cli._cells(values)
+    cells[:, -1] = ord("\n")
+    assert cells.tobytes().translate(None, b"\0") == (
+        b"1000000000000000.2\n1000000000000000.4\n1e+20\n1\n0.10000000000000001\n"
+    )

@@ -520,3 +520,16 @@ def test_end_to_end_unitarity():
     assert abs(pl.grid_norm_sq(qp) - 1.0) <= 1e-8
     assert abs(pl.grid_norm_sq(xxi) - 1.0) <= 1e-6
     assert abs(pl.grid_norm_sq(xv) - 1.0) <= 1e-6
+
+
+def test_shared_tables_give_the_same_slices():
+    # the slices of one orbit share the tables of its support's degree;
+    # each slice is bit-identical to one built with its own tables
+    orbit = orbits.orbit_from_state(example_family_state(1.1))
+    slices = [orbits.analytic_solution(orbit, t) for t in (0.4, 0.5, 0.6)]
+    tables = pl.rotated_tables(slices[1], SPEC)
+    for state in slices:
+        shared = pl.state_to_classical(state, SPEC, tables)
+        assert np.array_equal(shared.values, pl.state_to_classical(state, SPEC).values)
+    with pytest.raises(ValueError, match="cannot synthesize degree 2"):
+        pl.state_to_classical(slices[0], SPEC, pl.rotated_tables(bv((1,), (0,)), SPEC))

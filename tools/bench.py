@@ -2,11 +2,11 @@
 
     PYTHONPATH=src python3 tools/bench.py [LAYER]
 
-LAYER is one of ``fock``, ``integrate``, ``spectrum`` and ``output``;
-without it every layer runs.  With PYTHONPATH pointing at another
+LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``pipeline`` and
+``output``; without it every layer runs.  With PYTHONPATH pointing at another
 checkout's ``src`` it times that tree.
 
-Every case (a rung, or one op of a ``fock`` rung) runs in its own process
+Every case (a rung, or one op of a ``fock`` or ``pipeline`` rung) runs in its own process
 with one BLAS thread and is stopped after TIMEOUT_S.  Timing rule: one
 warm-up call, then REPEATS runs of up to CALLS calls each (fewer when the
 warm-up call shows that CALLS calls would take longer than BUDGET_S); the
@@ -196,10 +196,63 @@ def spectrum_case(rung: dict, _) -> Iterator[dict]:
     yield best_mean(op, first)
 
 
+# pipeline: the classical chain on the state 0.8|0,0> + 0.6|2,0> at
+# t = PIPELINE_T, L = PIPELINE_L, one case per op:
+# ``tables`` builds the two Hermite tables over tau(x, xi), ``synthesis``
+# is one cold ``state_to_classical`` slice (the tables, the Hermite sum
+# and the inverse velocity transform), ``dft`` that transform alone, then
+# ``density``, ``residual`` (over three slices dt = 1e-3 apart) and
+# ``charges``.  Only public functions are called, so one harness times
+# every tree.
+
+PIPELINE_T = 0.5
+PIPELINE_L = 6.0
+
+
+def _mix_state() -> fock.FockVector:
+    return fock.FockVector(fock.Cutoff(k=8, d=1), {
+        fock.MultiIndex((0,), (0,)): 0.8 + 0j, fock.MultiIndex((2,), (0,)): 0.6 + 0j,
+    })
+
+
+PIPELINE_OPS = {
+    "tables": lambda s: [pipeline.hermite_table(s.degree, z) for z in s.tau],
+    "synthesis": lambda s: pipeline.state_to_classical(s.state, s.spec),
+    "dft": lambda s: pipeline.inverse_velocity_fourier(s.xxi),
+    "density": lambda s: pipeline.density(s.field),
+    "residual": lambda s: pipeline.vlasov_residual(s.f_series, 1e-3, s.spec),
+    "charges": lambda s: pipeline.noether_charges(s.field),
+}
+
+
+def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
+    spec = pipeline.GridSpec(n=rung["grid_n"], extent=PIPELINE_L)
+    orbit = orbits.orbit_from_state(_mix_state())
+    slices = [orbits.analytic_solution(orbit, PIPELINE_T + dt) for dt in (-1e-3, 0.0, 1e-3)]
+    ax = spec.axis() / math.sqrt(2.0)
+    # the (x, xi) stage: state_to_classical without its inverse transform
+    with mock.patch.object(pipeline, "inverse_velocity_fourier", lambda field: field):
+        xxi = pipeline.state_to_classical(slices[1], spec)
+    field = pipeline.inverse_velocity_fourier(xxi)
+    s = SimpleNamespace(
+        state=slices[1], spec=spec, degree=slices[1].max_degree(), xxi=xxi, field=field,
+        tau=(ax[:, None] + ax[None, :], ax[:, None] - ax[None, :]),
+        f_series=[pipeline.density(pipeline.state_to_classical(st, spec))[0] for st in slices],
+    )
+
+    def op():
+        return PIPELINE_OPS[name](s)
+
+    best = best_mean(op, timed(op)[0])
+    yield {"us_per_call": {name: 1e6 * best["min_s"]},
+           "calls_per_run": {name: best["calls_per_run"]}}
+
+
 # output: one CLI command through ``cli.main`` with the library calls it
 # makes replaced by their results, so the timed call is argument parsing
 # plus rendering and writing the output files: state JSON (``vector-field
-# --kind full``), spectrum JSON (``spectrum``, its CSV writer a no-op) and
+# --kind full``), spectrum JSON (``spectrum``, its CSV writer a no-op),
+# the simulate CSV (``simulate``, SAMPLES samples, with its report) and
 # the f-grid CSV (``pipeline``, with the rho CSV and the report).  Records
 # the size and SHA-256 of every file.
 
@@ -230,24 +283,35 @@ def _output_setup(rung: dict, outdir: str):
                                "classify_spectrum": _const(report)})]
         return argv, stubs, [out], {"n": state.cutoff.size,
                                     "eigenvalues": len(report.eigenvalues)}
+    if rung["output"] == "simulate_csv":
+        state = _centered_state(8, rung["d"], OUTPUT_SEED)
+        traj = integrate.integrate(state, math.pi / 4, tol=TOL, samples=SAMPLES)
+        out = os.path.join(outdir, "sim")
+        argv = ["simulate", "--state", "-", "--t-end", repr(math.pi / 4),
+                "--samples", str(SAMPLES), "--out", out + ".csv", "--report", out + ".json"]
+        stubs = [(cli, {"_load_state": _const(state)}),
+                 (integrate, {"integrate": _const(traj),
+                              "conserved_drift": _const(integrate.conserved_drift(traj))})]
+        return argv, stubs, [out + ".csv", out + ".json"], {
+            "K": 8, "samples": SAMPLES, "columns": 2 * state.cutoff.size + 4}
     spec = pipeline.GridSpec(n=rung["grid_n"], extent=6.0)
-    state = fock.FockVector(fock.Cutoff(k=8, d=1), {
-        fock.MultiIndex((0,), (0,)): 0.8 + 0j, fock.MultiIndex((2,), (0,)): 0.6 + 0j,
-    })
+    state = _mix_state()
     orbit = orbits.orbit_from_state(state)
     field = pipeline.state_to_classical(orbits.analytic_solution(orbit, 0.5), spec)
     prefix = os.path.join(outdir, "pipe")
     argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
             "--grid-l", "6.0", "--out-prefix", prefix]
+    chain = {
+        "rotated_tables": _const(None),  # only in trees that share the tables
+        "state_to_classical": _const(field),
+        "density": _const(pipeline.density(field)),
+        "noether_charges": _const(pipeline.noether_charges(field)),
+        "vlasov_residual": _const(0.0),
+    }
     stubs = [
         (cli, {"_load_state": _const(state)}),
         (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
-        (pipeline, {
-            "state_to_classical": _const(field),
-            "density": _const(pipeline.density(field)),
-            "noether_charges": _const(pipeline.noether_charges(field)),
-            "vlasov_residual": _const(0.0),
-        }),
+        (pipeline, {name: f for name, f in chain.items() if hasattr(pipeline, name)}),
     ]
     outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
     return argv, stubs, outs, {"grid_l": 6.0}
@@ -295,11 +359,16 @@ LAYERS = {
         {"seed": INTEGRATE_SEED, "tol": TOL, "samples": SAMPLES, "interior": INTERIOR},
     ),
     "spectrum": Layer(EQUILIBRIA, spectrum_case, {}),
+    "pipeline": Layer(
+        [{"grid_n": n} for n in (128, 256)], pipeline_case,
+        {"t": PIPELINE_T, "grid_l": PIPELINE_L}, tuple(PIPELINE_OPS),
+    ),
     "output": Layer(
         [{"output": "state_json", "d": d} for d in (1, 2, 3)]
         + [{"output": "spectrum_json", **EQUILIBRIA[i]} for i in (0, 2, 3)]
+        + [{"output": "simulate_csv", "d": 2}]
         + [{"output": "f_csv", "grid_n": n} for n in (64, 128, 256, 512)],
-        output_case, {"seed": OUTPUT_SEED},
+        output_case, {"seed": OUTPUT_SEED, "samples": SAMPLES},
     ),
 }
 
