@@ -420,19 +420,15 @@ def _cmd_pipeline(args) -> int:
     spec = pipeline.GridSpec(n=args.grid_n, extent=args.grid_l)
     ax = spec.axis()
 
-    now = orbits.analytic_solution(orbit, args.t)
-    # the three slices have the support of ``now``: one pair of tables
-    tables = pipeline.rotated_tables(now, spec)
-
     def field_at(t: float):
-        return pipeline.state_to_classical(orbits.analytic_solution(orbit, t), spec, tables)
+        return pipeline.state_to_classical(orbits.analytic_solution(orbit, t), spec)
 
-    field_now = pipeline.state_to_classical(now, spec, tables)
+    field_now = field_at(args.t)
     f_now, rho_now = pipeline.density(field_now)
     mass, pseudo, momentum = pipeline.noether_charges(field_now)
-    # every stage is an isometry in the continuum; on the grid the (x, v)
-    # mass also carries the velocity quadrature's aliasing, and it bounds
-    # the (x, xi) stage's error in every measured case
+    # the amplitude is exact at the grid points and of unit norm in the
+    # continuum, so the (x, v) mass misses 1 only by the trapezoid rule's
+    # error: the grid's step or extent does not resolve the state
     if not abs(mass - 1.0) <= _MASS_TOL:
         raise ValueError(
             f"(x, v) stage mass {mass:.6g} misses 1 by more than {_MASS_TOL:g}: "
@@ -445,7 +441,6 @@ def _cmd_pipeline(args) -> int:
         f_now,
         pipeline.density(field_at(args.t + dt))[0],
     ]
-    del tables  # free them before the residual's grids
     residual = pipeline.vlasov_residual(f_series, dt, spec)
 
     _write_grid_csv(args.out_prefix + "_f.csv", ax, f_now)

@@ -1,20 +1,18 @@
 """Transformation chain from Fock coefficients to classical phase-space data.
 
-For d = 1 a state is realized as a function on (q, p) through the
-orthonormal Hermite functions, evaluated exactly at the image of each
-(x, xi) grid point under the linear self-inverse map
-
-    tau: (x, xi) -> ((x + xi)/sqrt(2), (x - xi)/sqrt(2)),
-
-and sent through the inverse partial Fourier transform in the velocity
-(kernel exp(-i v xi) / sqrt(2 pi)) to an amplitude on (x, v).  Its squared
-magnitude is a classical density f whose marginal in v gives rho.  Each
-stage is an isometry in the continuum; on the grid the discretization is
-spectrally accurate for Gaussian-decaying data (defaults L = 8, n = 256
-keep Hermite tails below 1e-13 for degrees <= 8).
+A d = 1 state is sum_[a,b] c_ab h_a(q) h_b(p) in the orthonormal Hermite
+functions.  Pulled back by the self-inverse map tau: (x, xi) ->
+((x + xi)/sqrt(2), (x - xi)/sqrt(2)) and sent through the inverse partial
+Fourier transform in the velocity (kernel exp(+i v xi) / sqrt(2 pi)), it
+becomes an amplitude alpha on (x, v), and f = |alpha|^2 is a classical
+density with v-marginal rho.  ``state_to_classical`` evaluates alpha on a
+grid exactly, from one (degree + 1)^2 coefficient matrix; nothing is
+interpolated or aliased.  ``synthesize_position`` and the velocity
+transforms realize single stages on a grid.
 
 Grids are uniform, symmetric, endpoint-free: x_j = -L + j * (2L/n).  This
 makes trapezoid quadrature spectrally accurate for decaying smooth data
+(defaults L = 8, n = 256 keep Hermite tails below 1e-13 for degrees <= 8)
 and keeps FFT differentiation exact up to aliasing.
 """
 
@@ -23,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from .fock import FockVector
+from . import fock
 
 STAGE_QP = "qp"
 STAGE_XXI = "xxi"
@@ -47,9 +46,8 @@ class GridSpec:
             raise ValueError(f"extent must be finite and positive, got {self.extent}")
         # a step above one oscillator length cannot resolve even the ground
         # state's Gaussian; the bound also keeps L <= n / 2, so the squares
-        # the chain takes (2 L^2 in the Hermite Gaussian at tau(x, xi), L^2
-        # in the Fourier phase v * xi) stay finite on any grid that fits in
-        # memory
+        # taken on the grid (L^2 in the Hermite Gaussian, L^2 in the
+        # Fourier phase v * xi) stay finite on any grid that fits in memory
         if self.step > 1.0:
             raise ValueError(
                 f"extent {self.extent} is too coarse for n={self.n}: grid step "
@@ -124,15 +122,14 @@ def hermite_table(max_degree: int, x) -> np.ndarray:
     return table
 
 
-# (max degree + 1) x n^2, the entries of each of the two Hermite tables of
-# a grid synthesis: 2^24 entries are 128 MiB per table.  This admits degree
-# 15 at n = 1024 and stops an oversized grid before it is allocated.
+# The entries of one grid-sized array: (max degree + 1) x n^2 in each Hermite
+# table of ``synthesize_position``, n^2 in the output of ``state_to_classical``
+# (2^24 are 128 MiB of floats); an oversized grid is stopped before allocation.
 _MAX_TABLE_ENTRIES = 2**24
 
 
-def _table_degree(state: FockVector, spec: GridSpec) -> int:
-    """The highest Hermite degree that synthesizing the d=1 ``state`` on
-    ``spec`` needs, once the size of its tables has been checked."""
+def synthesize_position(state: fock.FockVector, spec: GridSpec) -> GridField:
+    """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
     if state.cutoff.d != 1:
         raise ValueError("grid synthesis supports d = 1 only")
     degree = state.max_degree()
@@ -141,28 +138,16 @@ def _table_degree(state: FockVector, spec: GridSpec) -> int:
             f"Hermite tables too large: {degree + 1} degrees x {spec.n}^2 grid points "
             f"exceeds {_MAX_TABLE_ENTRIES} entries"
         )
-    return degree
-
-
-def _hermite_sum(state: FockVector, table_q: np.ndarray, table_p: np.ndarray) -> np.ndarray:
-    """sum_[a,b] c_ab h_a(q) h_b(p) for a d=1 state from the Hermite tables
-    at q and at p (rows 0 to at least its degree); q and p broadcast."""
-    values = np.zeros(np.broadcast_shapes(table_q.shape[1:], table_p.shape[1:]), dtype=complex)
+    ax = spec.axis()
+    table_q, table_p = hermite_table(degree, ax[:, None]), hermite_table(degree, ax[None, :])
+    values = np.zeros((spec.n, spec.n), dtype=complex)
     for idx, c in state.items():
         values += c * (table_q[idx.a[0]] * table_p[idx.b[0]])
-    return values
-
-
-def synthesize_position(state: FockVector, spec: GridSpec) -> GridField:
-    """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
-    degree = _table_degree(state, spec)
-    ax = spec.axis()
-    values = _hermite_sum(state, hermite_table(degree, ax[:, None]), hermite_table(degree, ax[None, :]))
     return GridField(spec, values, STAGE_QP)
 
 
 # ---------------------------------------------------------------------------
-# partial Fourier transform in the velocity and the full chain
+# partial Fourier transform in the velocity
 
 @lru_cache(maxsize=None)
 def _fourier_kernels(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -192,32 +177,50 @@ def inverse_velocity_fourier(field: GridField) -> GridField:
     return GridField(field.spec, field.values @ inverse.T, STAGE_XV)
 
 
-def rotated_tables(state: FockVector, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermite tables at the two coordinates of tau(x, xi) on ``spec``,
-    rows 0 to the degree of the d=1 ``state``.  They depend on the state's
-    degree alone, so the states of one orbit share them."""
-    degree = _table_degree(state, spec)
-    ax = spec.axis() / math.sqrt(2.0)
-    return (hermite_table(degree, ax[:, None] + ax[None, :]),
-            hermite_table(degree, ax[:, None] - ax[None, :]))
+# ---------------------------------------------------------------------------
+# the chain in the Hermite basis
+
+def _rotation_shells(top: int) -> Iterator[np.ndarray]:
+    """Yield R^s for s = 0..top: the orthogonal (s+1)^2 matrix with
+    h_a(q) h_b(p) = sum_j R^s[a, j] h_j(x) h_(s-j)(xi) for a + b = s and
+    (q, p) = tau(x, xi).  R^s[a, j] is sqrt(C(s,a) / (C(s,j) 2^s)) times the
+    t^j coefficient of P^s_a = (1+t)^a (t-1)^(s-a), exact in Python ints from
+    P^s_a = (1+t) P^(s-1)_(a-1) and P^s_0 = (t-1) P^(s-1)_0 until it is scaled."""
+    poly = np.ones((1, 1), dtype=object)  # P^0_0 = 1; rows a, columns j
+    for s in range(top + 1):
+        if s:
+            prev, poly = poly, np.zeros((s + 1, s + 1), dtype=object)
+            poly[1:, :-1] = prev
+            poly[1:, 1:] += prev
+            poly[0, 1:] = prev[0]
+            poly[0, :-1] -= prev[0]
+        binom = np.array([math.comb(s, a) for a in range(s + 1)], dtype=float)
+        yield poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s))
 
 
-def state_to_classical(
-    state: FockVector, spec: GridSpec, tables: tuple[np.ndarray, np.ndarray] | None = None
-) -> GridField:
-    """Full chain state -> (x,xi) -> (x,v) amplitude, the (x,xi) stage being
-    the Hermite sum evaluated exactly at tau(x, xi) on ``spec``.  ``tables``
-    are ``rotated_tables`` of a state of at least this state's degree on
-    ``spec``; without them they are built here."""
-    if tables is None:
-        tables = rotated_tables(state, spec)
-    elif _table_degree(state, spec) >= len(tables[0]):
+def state_to_classical(state: fock.FockVector, spec: GridSpec) -> GridField:
+    """The (x, v) amplitude of a d=1 state on ``spec``: H(x)^T D H(v) with H
+    the Hermite table on the grid axis.  tau keeps each shell a + b = s and
+    acts on it by R^s, and the inverse velocity transform takes h_k(xi) to
+    i^k h_k(v), so D_jk = i^k sum_(a+b=j+k) c_ab R^s[a, j]."""
+    if state.cutoff.d != 1:
+        raise ValueError("grid synthesis supports d = 1 only")
+    if spec.n**2 > _MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"Hermite tables of {len(tables[0])} rows cannot synthesize degree "
-            f"{state.max_degree()}"
+            f"output grid too large: {spec.n}^2 points exceeds {_MAX_TABLE_ENTRIES} entries"
         )
-    rotated = _hermite_sum(state, *tables)
-    return inverse_velocity_fourier(GridField(spec, rotated, STAGE_XXI))
+    degree = state.max_degree()
+    nz = np.flatnonzero(state.array)
+    ab = fock.counts(state.cutoff)[nz]
+    coeffs = np.zeros((degree + 1, degree + 1), dtype=complex)
+    coeffs[ab[:, 0], ab[:, 1]] = state.array[nz]
+    # shell s is the antidiagonal j + k = s of c and of D: D replaces c in place
+    for s, rotation in enumerate(_rotation_shells(degree)):
+        j = np.arange(s + 1)
+        coeffs[j, s - j] = coeffs[j, s - j] @ rotation
+    coeffs *= np.array([1, 1j, -1, -1j])[np.arange(degree + 1) % 4]  # i^k, column k
+    table = hermite_table(degree, spec.axis())
+    return GridField(spec, table.T @ coeffs @ table, STAGE_XV)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +282,10 @@ def noether_charges(field: GridField) -> tuple[float, complex, float]:
     spec = field.spec
     vals = field.values
     ax = spec.axis()
-    mass = float(trapezoid_2d(np.abs(vals) ** 2, spec).real)
+    f = np.abs(vals) ** 2
+    mass = float(trapezoid_2d(f, spec).real)
     wavenumbers = 2.0 * math.pi * np.fft.fftfreq(spec.n, d=spec.step)
     dx_vals = np.fft.ifft(1j * wavenumbers[:, None] * np.fft.fft(vals, axis=0), axis=0)
     pseudo = complex(trapezoid_2d(vals * np.conj(1j * dx_vals), spec))
-    momentum = float(trapezoid_2d(np.abs(vals) ** 2 * ax[None, :], spec).real)
+    momentum = float(trapezoid_2d(f * ax[None, :], spec).real)
     return mass, pseudo, momentum

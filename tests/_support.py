@@ -3,9 +3,11 @@
 The brute-force operator matrices below are built directly from the
 combinatorial matrix elements (sqrt factors and index shifts), independent
 of the package's sparse ladder implementation, so they can serve as
-oracles for it.  Likewise the bicubic resampling references at the end
-(``tau_pullback``, ``rotating_oracle``) interpolate grid data with splines,
-independent of the package's exact Hermite evaluation of the rotation.
+oracles for it.  Likewise the grid references at the end interpolate grid
+data with splines (``tau_pullback``, ``rotating_oracle``) or evaluate the
+Hermite sum at the rotated points and apply the dense velocity DFT
+(``tau_dft_chain``), independent of the package's coefficient transform of
+the classical chain.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from harmonic_hartree.pipeline import (
     STAGE_XXI,
     GridField,
     GridSpec,
+    hermite_table,
+    inverse_velocity_fourier,
     trapezoid_2d,
 )
 
@@ -177,7 +181,7 @@ def brute_field(kind: str, cut: Cutoff, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bicubic resampling of grid data (independent oracle for the classical chain)
+# grid references for the classical chain (bicubic resampling, tau + DFT)
 
 def _resample(field: GridField, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Bicubic values of ``field`` at mapped points; 0 outside the grid."""
@@ -212,6 +216,20 @@ def tau_pullback(field: GridField, target: GridSpec | None = None) -> GridField:
         values=_resample(field, (x + xi) * inv, (x - xi) * inv),
         stage=STAGE_XXI,
     )
+
+
+def tau_dft_chain(state: FockVector, spec: GridSpec) -> GridField:
+    """The (x, v) amplitude of a d=1 state by the grid route: the Hermite
+    sum evaluated at the points tau(x, xi) of ``spec``, then the dense
+    inverse velocity DFT."""
+    ax = spec.axis() / math.sqrt(2.0)
+    degree = state.max_degree()
+    table_q = hermite_table(degree, ax[:, None] + ax[None, :])
+    table_p = hermite_table(degree, ax[:, None] - ax[None, :])
+    values = np.zeros((spec.n, spec.n), dtype=complex)
+    for idx, c in state.items():
+        values += c * (table_q[idx.a[0]] * table_p[idx.b[0]])
+    return inverse_velocity_fourier(GridField(spec, values, STAGE_XXI))
 
 
 def rotating_oracle(f0: np.ndarray, t: float, spec: GridSpec) -> np.ndarray:

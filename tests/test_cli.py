@@ -55,15 +55,21 @@ def test_simulate_outputs(tmp_path, ground):
     assert rep["max_renormalization"] <= 1e-9
 
 
-def test_simulate_determinism(tmp_path, mix):
-    args = ["simulate", "--state", mix, "--t-end", "3.14159", "--tol", "1e-10",
-            "--samples", "7"]
-    a_csv, a_json = tmp_path / "a.csv", tmp_path / "a.json"
-    b_csv, b_json = tmp_path / "b.csv", tmp_path / "b.json"
-    assert cli.main(args + ["--out", str(a_csv), "--report", str(a_json)]) == 0
-    assert cli.main(args + ["--out", str(b_csv), "--report", str(b_json)]) == 0
-    assert a_csv.read_bytes() == b_csv.read_bytes()
-    assert a_json.read_bytes() == b_json.read_bytes()
+@pytest.mark.parametrize(
+    "command, suffixes",
+    [(["simulate", "--t-end", "3.14159", "--tol", "1e-10", "--samples", "7",
+       "--out", "{out}.csv", "--report", "{out}.json"], [".csv", ".json"]),
+     (["pipeline", "--t", "0.5", "--grid-n", "128", "--grid-l", "6.0",
+       "--out-prefix", "{out}"], ["_f.csv", "_rho.csv", "_report.json"])],
+    ids=["simulate", "pipeline"],
+)
+def test_simulate_determinism(tmp_path, mix, command, suffixes):
+    # two runs write byte-identical files
+    for run in ("a", "b"):
+        argv = [arg.format(out=tmp_path / run) for arg in command]
+        assert cli.main([argv[0], "--state", mix, *argv[1:]]) == 0
+    for suffix in suffixes:
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
 def test_spectrum_outputs(tmp_path):
@@ -188,13 +194,14 @@ def test_pipeline_outputs(tmp_path, mix):
 
 
 def test_pipeline_rejects_unresolving_grid(tmp_path, capsys, ground):
-    # n=32, L=16: the velocity quadrature aliases, and the (x, v) mass is ~5
+    # n=32, L=16: a step of one oscillator length; the amplitude is exact at
+    # the grid points, but the trapezoid (x, v) mass is 1.00021
     prefix = tmp_path / "pipe"
     rc = cli.main(["pipeline", "--state", ground, "--grid-n", "32",
                    "--grid-l", "16", "--out-prefix", str(prefix)])
     assert rc == 1
     err = assert_one_line_error(capsys)
-    assert "(x, v)" in err and "mass 5" in err
+    assert "(x, v)" in err and "mass 1.00021" in err
     assert "larger --grid-n" in err and "smaller --grid-l" in err
     assert not (tmp_path / "pipe_report.json").exists()
 

@@ -152,25 +152,30 @@ def test_synthesize_linearity():
 
 def test_synthesize_rejects_d2():
     cut2 = Cutoff(k=2, d=2)
-    with pytest.raises(ValueError):
-        pl.synthesize_position(fock.basis_vector(cut2, (0, 0), (0, 0)), SPEC)
+    for synthesize in (pl.synthesize_position, pl.state_to_classical):
+        with pytest.raises(ValueError, match="d = 1 only"):
+            synthesize(fock.basis_vector(cut2, (0, 0), (0, 0)), SPEC)
 
 
 def test_hermite_tables_are_bounded_by_the_state_degree(monkeypatch):
-    # n = 4096 is 2^24 grid points: one table row fits the bound, a
-    # degree-2 state's three rows do not, and are rejected before any
-    # grid coordinate is computed
+    # n = 4096 is 2^24 grid points: one synthesis table row fits the bound,
+    # a degree-2 state's three rows do not; the classical chain's n^2
+    # output grid fits at n = 4096, not at n = 8192.  What the bound
+    # rejects is rejected before any Hermite table is built.
     def fail(*args):
         raise AssertionError("a Hermite table was built")
 
     monkeypatch.setattr(pl, "hermite_table", fail)
     big = pl.GridSpec(n=4096, extent=8.0)
     state = (bv((0,), (0,)) + bv((2,), (0,))).normalized()
-    for synthesize in (pl.synthesize_position, pl.state_to_classical):
-        with pytest.raises(ValueError, match="too large"):
-            synthesize(state, big)
-    assert pl._table_degree(bv((0,), (0,)), big) == 0
-    assert pl._table_degree(state, SPEC) == 2
+    with pytest.raises(ValueError, match="too large"):
+        pl.synthesize_position(state, big)
+    with pytest.raises(ValueError, match="too large"):
+        pl.state_to_classical(state, pl.GridSpec(n=8192, extent=8.0))
+    for fits in (lambda: pl.synthesize_position(bv((0,), (0,)), big),
+                 lambda: pl.state_to_classical(state, big)):
+        with pytest.raises(AssertionError, match="table was built"):
+            fits()
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +319,38 @@ def test_density_matches_frozen_closed_form():
 
 
 def test_density_is_exact_on_default_grid():
-    # tau is evaluated at the mapped points, so only rounding remains
-    ax = SPEC.axis()
-    x, v = np.meshgrid(ax, ax, indexing="ij")
-    for gamma in (0.4, math.pi / 2, 2.5):
-        orbit = orbits.orbit_from_state(example_family_state(gamma))
-        for t in (0.0, 0.7, 2.0):
-            state = orbits.analytic_solution(orbit, t)
-            f, rho = pl.density(pl.state_to_classical(state, SPEC))
-            assert np.abs(f - example_family_density(x, v, t, gamma)).max() <= 1e-12
-            assert np.abs(rho - example_family_marginal(ax, t, gamma)).max() <= 1e-12
+    # the chain is evaluated in the Hermite basis, so f carries only
+    # rounding, also on the coarser n = 128, L = 6 grid; there the marginal
+    # misses the tail |v| >= 6 of the closed form, about 1.6e-14 of it
+    for spec, rho_tol in ((SPEC, 1e-14), (pl.GridSpec(n=128, extent=6.0), 5e-14)):
+        ax = spec.axis()
+        x, v = np.meshgrid(ax, ax, indexing="ij")
+        for gamma in (0.4, math.pi / 2, 2.5):
+            orbit = orbits.orbit_from_state(example_family_state(gamma))
+            for t in (0.0, 0.7, 2.0):
+                state = orbits.analytic_solution(orbit, t)
+                f, rho = pl.density(pl.state_to_classical(state, spec))
+                assert np.abs(f - example_family_density(x, v, t, gamma)).max() <= 1e-14
+                assert np.abs(rho - example_family_marginal(ax, t, gamma)).max() <= rho_tol
+
+
+def test_rotation_shells_are_orthogonal():
+    # R^s carries the orthonormal products h_a(q) h_b(p) of one shell to
+    # the orthonormal h_j(x) h_k(xi); R^1 is the 45-degree rotation itself
+    for s, rotation in enumerate(pl._rotation_shells(128)):
+        assert np.abs(rotation.T @ rotation - np.eye(s + 1)).max() <= 1e-12
+        if s == 1:
+            assert np.abs(rotation * math.sqrt(2) - [[-1, 1], [1, 1]]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_state_to_classical_matches_tau_dft_chain(seed):
+    # reference: the Hermite sum at tau(x, xi) and the dense velocity DFT
+    state = _support.random_state(CUT, np.random.default_rng(seed))
+    spec = pl.GridSpec(n=256, extent=8.0)
+    out = pl.state_to_classical(state, spec)
+    assert out.stage == "xv"
+    assert np.abs(out.values - _support.tau_dft_chain(state, spec).values).max() <= 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -520,16 +547,3 @@ def test_end_to_end_unitarity():
     assert abs(pl.grid_norm_sq(qp) - 1.0) <= 1e-8
     assert abs(pl.grid_norm_sq(xxi) - 1.0) <= 1e-6
     assert abs(pl.grid_norm_sq(xv) - 1.0) <= 1e-6
-
-
-def test_shared_tables_give_the_same_slices():
-    # the slices of one orbit share the tables of its support's degree;
-    # each slice is bit-identical to one built with its own tables
-    orbit = orbits.orbit_from_state(example_family_state(1.1))
-    slices = [orbits.analytic_solution(orbit, t) for t in (0.4, 0.5, 0.6)]
-    tables = pl.rotated_tables(slices[1], SPEC)
-    for state in slices:
-        shared = pl.state_to_classical(state, SPEC, tables)
-        assert np.array_equal(shared.values, pl.state_to_classical(state, SPEC).values)
-    with pytest.raises(ValueError, match="cannot synthesize degree 2"):
-        pl.state_to_classical(slices[0], SPEC, pl.rotated_tables(bv((1,), (0,)), SPEC))

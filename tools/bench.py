@@ -198,9 +198,9 @@ def spectrum_case(rung: dict, _) -> Iterator[dict]:
 
 # pipeline: the classical chain on the state 0.8|0,0> + 0.6|2,0> at
 # t = PIPELINE_T, L = PIPELINE_L, one case per op:
-# ``tables`` builds the two Hermite tables over tau(x, xi), ``synthesis``
-# is one cold ``state_to_classical`` slice (the tables, the Hermite sum
-# and the inverse velocity transform), ``dft`` that transform alone, then
+# ``tables`` builds the Hermite table of the state's degree on the grid
+# axis, ``synthesis`` is one cold ``state_to_classical`` slice, ``dft``
+# the inverse velocity transform of the slice's (x, xi) field, then
 # ``density``, ``residual`` (over three slices dt = 1e-3 apart) and
 # ``charges``.  Only public functions are called, so one harness times
 # every tree.
@@ -216,7 +216,7 @@ def _mix_state() -> fock.FockVector:
 
 
 PIPELINE_OPS = {
-    "tables": lambda s: [pipeline.hermite_table(s.degree, z) for z in s.tau],
+    "tables": lambda s: pipeline.hermite_table(s.degree, s.spec.axis()),
     "synthesis": lambda s: pipeline.state_to_classical(s.state, s.spec),
     "dft": lambda s: pipeline.inverse_velocity_fourier(s.xxi),
     "density": lambda s: pipeline.density(s.field),
@@ -229,14 +229,10 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
     spec = pipeline.GridSpec(n=rung["grid_n"], extent=PIPELINE_L)
     orbit = orbits.orbit_from_state(_mix_state())
     slices = [orbits.analytic_solution(orbit, PIPELINE_T + dt) for dt in (-1e-3, 0.0, 1e-3)]
-    ax = spec.axis() / math.sqrt(2.0)
-    # the (x, xi) stage: state_to_classical without its inverse transform
-    with mock.patch.object(pipeline, "inverse_velocity_fourier", lambda field: field):
-        xxi = pipeline.state_to_classical(slices[1], spec)
-    field = pipeline.inverse_velocity_fourier(xxi)
+    field = pipeline.state_to_classical(slices[1], spec)
     s = SimpleNamespace(
-        state=slices[1], spec=spec, degree=slices[1].max_degree(), xxi=xxi, field=field,
-        tau=(ax[:, None] + ax[None, :], ax[:, None] - ax[None, :]),
+        state=slices[1], spec=spec, degree=slices[1].max_degree(), field=field,
+        xxi=pipeline.velocity_fourier(field),
         f_series=[pipeline.density(pipeline.state_to_classical(st, spec))[0] for st in slices],
     )
 
@@ -301,17 +297,15 @@ def _output_setup(rung: dict, outdir: str):
     prefix = os.path.join(outdir, "pipe")
     argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
             "--grid-l", "6.0", "--out-prefix", prefix]
-    chain = {
-        "rotated_tables": _const(None),  # only in trees that share the tables
-        "state_to_classical": _const(field),
-        "density": _const(pipeline.density(field)),
-        "noether_charges": _const(pipeline.noether_charges(field)),
-        "vlasov_residual": _const(0.0),
-    }
     stubs = [
         (cli, {"_load_state": _const(state)}),
         (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
-        (pipeline, {name: f for name, f in chain.items() if hasattr(pipeline, name)}),
+        (pipeline, {
+            "state_to_classical": _const(field),
+            "density": _const(pipeline.density(field)),
+            "noether_charges": _const(pipeline.noether_charges(field)),
+            "vlasov_residual": _const(0.0),
+        }),
     ]
     outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
     return argv, stubs, outs, {"grid_l": 6.0}
