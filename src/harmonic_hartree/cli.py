@@ -10,11 +10,14 @@ them, and no randomness is used.
 Every CSV (``simulate``, ``spectrum``, and the ``pipeline`` f grid and rho
 table) goes through one block renderer (``_cells``), which writes the bytes
 of the per-value ``%.17g`` format for whole arrays, a fixed block of values
-at a time.  The large JSON outputs (the ``vector-field`` state JSON and the
-``spectrum`` eigenvalue list) are rendered from one text template per file
-filled by a single ``%`` call (``_fill``); their bytes are those of
-``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The tests
-compare both with the per-value formatters.
+at a time.  In a table whose values are mostly exact zeros (a ``simulate``
+CSV of a centered state, which keeps its support), the zeros skip that
+digit pipeline: each is written as ``0`` or ``-0`` directly, and the bytes
+are unchanged.  The large JSON outputs (the ``vector-field`` state JSON
+and the ``spectrum`` eigenvalue list) are rendered from one text template
+per file filled by a single ``%`` call (``_fill``); their bytes are those
+of ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The
+tests compare both with the per-value formatters.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -119,6 +123,7 @@ def _state_json(v: FockVector) -> str:
 
 _CELL = 48
 _BLOCK = 2048  # values per block: the cells of one block are 96 KiB
+_SPARSE = 4 * _BLOCK  # values per block of a sparse table: its tokens are 64 KiB
 _GUARD = 2.0**-20
 
 
@@ -266,12 +271,48 @@ def _write_cells(fh, cells: np.ndarray) -> None:
     fh.write(cells.tobytes().translate(None, b"\0"))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _sparse_rows(table: np.ndarray) -> bytes:
+    """The CSV rows of ``table`` built around its exact zeros: only the
+    nonzero values go through ``_cells``, a block at a time, and every
+    zero is written as "0" or "-0" with its separator."""
+    cols = table.shape[1]
+    flat = table.ravel()
+    nz = np.flatnonzero(flat)
+    pieces = []
+    for i in range(0, nz.size, _BLOCK):
+        at = nz[i : i + _BLOCK]
+        cells = _cells(flat[at])
+        # each text ends in its separator and a 1 byte, in the two slots
+        # before the end that a cell never fills, so the translated bytes
+        # split into the values' pieces
+        cells[:, -2] = np.where(at % cols == cols - 1, ord("\n"), ord(","))
+        cells[:, -1] = 1
+        pieces += cells.tobytes().translate(None, b"\0").split(b"\1")[:-1]
+    tokens = np.empty(table.shape, dtype=object)
+    tokens[:, :-1] = b"0,"
+    tokens[:, -1] = b"0\n"
+    negative = np.signbit(table) & (table == 0)
+    if negative.any():
+        tokens[:, :-1][negative[:, :-1]] = b"-0,"
+        tokens[:, -1][negative[:, -1]] = b"-0\n"
+    tokens.ravel()[nz] = pieces
+    return b"".join(tokens.ravel().tolist())
+
+
+def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write ``rows`` under ``header``.  A table with fewer nonzero values
+    than zeros (a centered state's coefficients keep their support)
+    takes ``_sparse_rows``, _SPARSE values at a time; the bytes are the
+    same on either path."""
     table = np.asarray(rows, dtype=np.float64).reshape(-1, len(header))
-    step = max(1, _BLOCK // len(header))
+    sparse = 2 * np.count_nonzero(table) < table.size
+    step = max(1, (_SPARSE if sparse else _BLOCK) // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for i in range(0, len(table), step):
+            if sparse:
+                fh.write(_sparse_rows(table[i : i + step]))
+                continue
             cells = _cells(table[i : i + step]).reshape(-1, len(header), _CELL)
             cells[:, :, -1] = ord(",")
             cells[:, -1, -1] = ord("\n")
@@ -302,14 +343,20 @@ def _write_grid_csv(path: str, ax: np.ndarray, f: np.ndarray) -> None:
             _write_cells(fh, cells)
 
 
+@functools.lru_cache(maxsize=None)
+def _simulate_header(cutoff: Cutoff) -> tuple[str, ...]:
+    """The column names of a ``simulate`` CSV, built once per cutoff."""
+    header = ["t"]
+    for idx in fock.basis(cutoff):
+        lab = idx.label()
+        header += [f"re_{lab}", f"im_{lab}"]
+    return (*header, "norm", "meanN", "energy")
+
+
 def _cmd_simulate(args) -> int:
     state = _load_state(args.state)
     traj = integrate.integrate(state, args.t_end, tol=args.tol, samples=args.samples)
-    labels = [idx.label() for idx in fock.basis(state.cutoff)]
-    header = ["t"]
-    for lab in labels:
-        header += [f"re_{lab}", f"im_{lab}"]
-    header += ["norm", "meanN", "energy"]
+    header = _simulate_header(state.cutoff)
 
     # a float64 view of the complex states interleaves re/im per coefficient
     states = np.array([st.array for st in traj.states])

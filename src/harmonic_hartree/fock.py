@@ -129,9 +129,19 @@ def counts(cutoff: Cutoff) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def basis(cutoff: Cutoff) -> tuple[MultiIndex, ...]:
-    """All admissible multi-indices, sorted lexicographically by (a, b)."""
+    """All admissible multi-indices, sorted lexicographically by (a, b).
+
+    The rows of ``counts`` are valid by construction, so the labels are
+    made without the checks of ``MultiIndex.__post_init__`` (most of a
+    cold build's time at d=3 otherwise)."""
     d = cutoff.d
-    return tuple(MultiIndex(tuple(row[:d]), tuple(row[d:])) for row in counts(cutoff).tolist())
+    cols = counts(cutoff).T.tolist()
+    labels = []
+    for a, b in zip(zip(*cols[:d]), zip(*cols[d:])):
+        idx = object.__new__(MultiIndex)
+        idx.__dict__.update(a=a, b=b)  # past frozen, as the dataclass __init__ sets them
+        labels.append(idx)
+    return tuple(labels)
 
 
 @lru_cache(maxsize=None)
@@ -417,10 +427,12 @@ def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> Fock
 
 
 _PAD = np.zeros(1)
+_COMPLEX = np.dtype(complex)
 
 # rows of LadderTable.index / .weight: the lowering ops first, so that
 # they gather as one slice, then their adjoints in the same order
 LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE = range(4)
+LOWERING = slice(LOWER, RAISE)  # the rows LOWER and PAIR_LOWER
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +445,10 @@ class LadderTable:
     index n points at a zero pad slot.  Raising truncates at degree K like
     ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
     amplitude that a single | double raising of basis element k loses
-    past the cutoff.
+    past the cutoff.  ``n_complex`` and ``lowering_weight`` are complex
+    copies of ``n_diag`` and of the lowering rows of ``weight``, so the
+    fields multiply complex arrays without casting the float ones on
+    every call (the products are the same bits).
     """
 
     n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
@@ -441,14 +456,25 @@ class LadderTable:
     index: np.ndarray  # (4, 2d, n)
     weight: np.ndarray  # (4, 2d, n)
     boundary: np.ndarray  # (2, 2d, n)
+    n_complex: np.ndarray  # (n,) n_diag as complex
+    lowering_weight: np.ndarray  # (2, 2d, n) weight[LOWERING] as complex
 
     def gather(
         self, y: np.ndarray, ops: int | slice | tuple[int, int] = slice(None)
     ) -> np.ndarray:
         """Images of y under the rows ``ops`` (default all four) along every
         axis: shape (2d, n) for one row, (rows, 2d, n) for a slice, (n,)
-        for one (row, axis) pair."""
-        return self.weight[ops] * np.concatenate((y, _PAD))[self.index[ops]]
+        for one (row, axis) pair.
+
+        y is either the (n,) coefficient array, which is copied with the
+        zero pad slot appended, or an (n + 1,) buffer whose last slot is
+        that zero pad, which is indexed in place."""
+        if y.size == self.n_diag.size:
+            y = np.concatenate((y, _PAD))
+        weight = self.weight
+        if y.dtype is _COMPLEX and (ops is LOWERING or ops == LOWER or ops == PAIR_LOWER):
+            weight = self.lowering_weight  # the lowering rows sit at the same positions
+        return weight[ops] * y[self.index[ops]]
 
 
 @lru_cache(maxsize=None)
@@ -483,12 +509,15 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
         np.where(degree == cutoff.k, m + 1, 0.0),
         np.where(degree >= cutoff.k - 1, (m + 1) * (m + 2), 0.0),
     ])
+    n_diag = m[d:].sum(axis=0) - m[:d].sum(axis=0)
     table = LadderTable(
-        n_diag=m[d:].sum(axis=0) - m[:d].sum(axis=0),
+        n_diag=n_diag,
         sign=np.repeat([1.0, -1.0], d),
         index=index,
         weight=weight,
         boundary=boundary,
+        n_complex=n_diag.astype(complex),
+        lowering_weight=weight[LOWERING].astype(complex),
     )
     for arr in vars(table).values():
         arr.flags.writeable = False  # shared through the cache

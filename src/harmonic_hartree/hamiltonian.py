@@ -19,7 +19,12 @@ moment core shared by ``field_array`` and ``frame_field``, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
 gathers the lowering images of the state (one slice of the table), takes
 their moments <y, o y>, and gathers the raising images only when a first
-moment is nonzero; the energy gathers the single lowerings alone.
+moment is nonzero; the energy gathers the single lowerings alone.  The
+core also takes the state as an (n + 1,) buffer whose last slot is the
+table's zero pad, as the integrator keeps its stage points, and then
+gathers from it in place.  Its gather and moments multiply by the
+table's complex copies of the lowering weights and of N, so a field
+evaluation on a centered state casts no float array.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
 ``frame_field`` is the sphere field's remainder in the interaction picture
@@ -41,16 +46,13 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError
-from .fock import DOUBLE_RAISE, LOWER, PAIR_LOWER, RAISE, FockVector, LadderTable
+from .fock import DOUBLE_RAISE, LOWER, LOWERING, PAIR_LOWER, RAISE, FockVector, LadderTable
 
 
 class FieldKind(Enum):
     FULL = "full"
     SPHERE = "sphere"
     CHART = "chart"
-
-
-_LOWERING = slice(LOWER, RAISE)  # the rows LOWER and PAIR_LOWER
 
 
 def _first_moment(v: FockVector, side: int, i: int) -> float:
@@ -82,49 +84,52 @@ def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
         )
 
 
-def _field_core(table: LadderTable, y: np.ndarray, theta: float, flux_tol: float):
+def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: float):
     """What every field shares, on y taken to the frame angle theta.
 
-    The moments are those of e^{-iN theta} y.  A lowering o_i shifts N by
-    sign_i, so <., o_i .> turns by e^{i sign_i theta} and <., o_i o_i .>
-    by e^{2i sign_i theta}: scalars on the moments of y itself.  Returns
+    ``buf`` is y itself or its padded (n + 1,) buffer (see
+    ``LadderTable.gather``); the gathers read it in place.  The moments are
+    those of e^{-iN theta} y.  A lowering o_i shifts N by sign_i, so
+    <., o_i .> turns by e^{i sign_i theta} and <., o_i o_i .> by
+    e^{2i sign_i theta}: scalars on the moments of y itself.  Returns
 
+    * y, the (n,) coefficient array (a view of a padded buffer),
     * the lowering images of y (rows LOWER and PAIR_LOWER, one gather),
-    * the first moments Re<., o_i .>,
     * <N> and the sphere field's scalar s = 1/2 (<N> + s2), where
       s2 = sum_i Re<., (b_i b_i - a_i a_i) .>,
-    * the ladder part sum_i lead_i (e^{i sign_i theta} o_i
-      + e^{-i sign_i theta} o*_i) y with lead_i = sign_i Re<., o_i .>,
-      or None when every first moment is zero (as on centered states);
-      only then are the raising images gathered and the truncation flux
-      checked.
+    * the first moments Re<., o_i .> and the ladder part
+      sum_i lead_i (e^{i sign_i theta} o_i + e^{-i sign_i theta} o*_i) y
+      with lead_i = sign_i Re<., o_i .>, both None when every first
+      moment is zero (as on centered states); only otherwise are the
+      raising images gathered and the truncation flux checked.
     """
-    lowered = table.gather(y, _LOWERING)
+    lowered = table.gather(buf, LOWERING)
+    y = buf[: lowered.shape[-1]]
     yc = y.conj()
     moment = lowered @ yc
-    mean_n = float(((table.n_diag * y) @ yc).real)
+    mean_n = float(((table.n_complex * y) @ yc).real)
     # s2 from the pair moments summed per side: the a-axes turn by
     # e^{2i theta}, the b-axes by its conjugate
-    pairs = moment[PAIR_LOWER].tolist()
+    lower, pairs = moment.tolist()
     d = len(pairs) // 2
     turn2 = cmath.exp(2j * theta)
     s2 = (turn2.conjugate() * sum(pairs[d:])).real - (turn2 * sum(pairs[:d])).real
     shift = 0.5 * (mean_n + s2)
-    if not np.count_nonzero(moment[LOWER]):
-        return lowered, moment[LOWER].real, mean_n, shift, None
+    if not any(lower):
+        return y, lowered, mean_n, shift, None, None
     turn = np.exp((1j * theta) * table.sign)
     first = (turn * moment[LOWER]).real
     lead = table.sign * first
     _check_flux(lead, table.boundary[0], y, flux_tol)
-    ladder = (lead * turn) @ lowered[LOWER] + (lead * turn.conj()) @ table.gather(y, RAISE)
-    return lowered, first, mean_n, shift, ladder
+    ladder = (lead * turn) @ lowered[LOWER] + (lead * turn.conj()) @ table.gather(buf, RAISE)
+    return y, lowered, mean_n, shift, first, ladder
 
 
 def energy_array(table: LadderTable, y: np.ndarray) -> float:
     """Energy of the coefficient array y (unit norm is not checked)."""
     yc = y.conj()
     first = (table.gather(y, LOWER) @ yc).real
-    mean_n = float(((table.n_diag * y) @ yc).real)
+    mean_n = float(((table.n_complex * y) @ yc).real)
     return 0.5 * mean_n + 0.5 * float(table.sign @ first**2)
 
 
@@ -137,9 +142,10 @@ def field_array(
     amplitude above ``flux_tol`` past the cutoff.
     """
     # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    lowered, first, mean_n, shift, ladder = _field_core(table, y, 0.0, flux_tol)
+    y, lowered, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
     if kind is FieldKind.CHART:
-        diag = table.n_diag - (mean_n + 2.0 * float(table.sign @ first**2))
+        second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
+        diag = table.n_diag - (mean_n + second)
     else:
         diag = table.n_diag + shift
         if kind is FieldKind.FULL:
@@ -166,10 +172,11 @@ def frame_field(
 
     For the sphere field F this is e^{iN theta} (F(y) + iN y) at
     y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
-    with s and the ladder part of ``_field_core`` at theta.  Raises
-    TruncationError like ``field_array``.
+    with s and the ladder part of ``_field_core`` at theta.  z may be a
+    padded (n + 1,) buffer (see ``LadderTable.gather``); the result is
+    (n,).  Raises TruncationError like ``field_array``.
     """
-    *_, shift, ladder = _field_core(table, z, theta, flux_tol)
+    z, _, _, shift, _, ladder = _field_core(table, z, theta, flux_tol)
     out = (-1j * shift) * z
     if ladder is not None:
         out -= 1j * ladder

@@ -30,7 +30,10 @@ Specifics:
   the norm, so the projection removes integrator drift only);
 * the stages live in one preallocated (16, n) buffer and the tableau is
   applied as matmuls on it; stage 12 is z'(h), which rotated by the same
-  e^{-iN h} is the next step's first stage (FSAL);
+  e^{-iN h} is the next step's first stage (FSAL).  Each stage point z_j
+  is written into row j of a (16, n + 1) buffer whose last column stays
+  the zero pad slot of ``fock.LadderTable.gather``, so the field gathers
+  from it in place and no stage copies its state;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
@@ -145,15 +148,16 @@ _A[15, [0, 5, 6, 7, 8, 12, 13, 14]] = [-4.28896301583791923408573538692e-1,
 _B = _A[12, :12]
 
 # Stage times as fractions of the step: the row sums of _A; c_j h is the
-# frame angle at which stage j evaluates ``sphere_field``.
-_C = np.array([
+# frame angle at which stage j evaluates ``sphere_field``.  Python floats,
+# so c_j h is a float product.
+_C = (
     0.0, 0.526001519587677318785587544488e-01,
     0.789002279381515978178381316732e-01, 0.118350341907227396726757197510,
     0.281649658092772603273242802490, 0.333333333333333333333333333333,
     0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
     0.6, 0.857142857142857142857142857142, 1.0, 1.0, 0.1, 0.2,
     0.777777777777777777777777777778,
-])
+)
 
 # Error rows over stages 0..11: the 8th-order update minus the embedded
 # 5th-order one (_E5) and minus the embedded 3rd-order one (_E3).
@@ -234,6 +238,7 @@ _DENSE[2, :12] = 2.0 * _B
 _DENSE[2, [0, 12]] -= 1.0
 _DENSE[3:] = _D
 _A = _A.astype(complex)  # the stage buffer is complex: no per-call cast
+_A_ROWS = tuple(_A[s, :s] for s in range(16))  # stage s reads row s over stages < s
 
 # The frame takes the fast phases e^{-iNt} out of the steps, so the cap
 # now bounds the 7th-order dense output on the remaining nonlinear scalar
@@ -322,18 +327,22 @@ class Trajectory:
         return fock.from_array(self.cutoff, _interp_raw(self._segments, s)[0])
 
 
-def _lawson_stages(z_prime, z0, h, K, stages: range) -> np.ndarray:
+def _lawson_stages(z_prime, z0, h, K, points, stages: range) -> np.ndarray:
     """Fill ``stages`` of the (16, n) buffer ``K`` for the step of size h
     from z0 = z(0), in the frame z(tau) = e^{i rate tau} y(s0 + tau).
 
     Stage j evaluates ``z_prime`` (the derivative of z) at
-    z_j = z0 + h sum_k A[j, k] K[k] and the frame time c_j h.  Returns the
-    last z_j: for stages 1..12 that is the step's z(h), and ``K[12]`` ends
-    as z'(h)."""
+    z_j = z0 + h sum_k A[j, k] K[k] and the frame time c_j h.  ``points[j]``
+    is row j of a (16, n + 1) buffer whose last column is the zero pad
+    slot, and that row's first n entries: z_j is written into the latter
+    and handed over padded, so the field gathers from it in place.
+    Returns the last z_j: for stages 1..12 that is the step's z(h), and
+    ``K[12]`` ends as z'(h)."""
     for stage in stages:
-        z = z0 + h * (_A[stage, :stage] @ K[:stage])
+        z, inner = points[stage]
+        np.add(z0, h * (_A_ROWS[stage] @ K[:stage]), out=inner)
         K[stage] = z_prime(z, _C[stage] * h)
-    return z
+    return inner
 
 
 def integrate(
@@ -409,6 +418,7 @@ def integrate(
     y0 = state.normalized().array
     y = y0
     stages = np.empty((16, y0.size), dtype=complex)
+    points = [(row, row[:-1]) for row in np.zeros((16, y0.size + 1), dtype=complex)]
     stages[0] = z_prime(y, 0.0)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
@@ -427,7 +437,7 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        z_new = _lawson_stages(z_prime, y, h, stages, range(1, 13))
+        z_new = _lawson_stages(z_prime, y, h, stages, points, range(1, 13))
         # |y_new| = |z_new| entrywise: the frame only turns phases
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(z_new)))
         # combined 5th/3rd-order estimate of dop853.f
@@ -439,7 +449,7 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(z_prime, y, h, stages, range(13, 16))
+        _lawson_stages(z_prime, y, h, stages, points, range(13, 16))
         segments.append(
             _Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages), rate=rate)
         )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _support import random_centered_state
 import harmonic_hartree
 from harmonic_hartree import cli, equilibria, fock, hamiltonian, integrate, orbits
 from harmonic_hartree import pipeline as pl
@@ -746,3 +747,81 @@ def test_csv_renderer_falls_back_at_rounding_ties():
     assert cells.tobytes().translate(None, b"\0") == (
         b"1000000000000000.2\n1000000000000000.4\n1e+20\n1\n0.10000000000000001\n"
     )
+
+
+def seeded_table(shape, zero_share, seed, specials=()):
+    """Seeded values over twenty decades with round(zero_share * size)
+    exact zeros in random places, which take the values of ``specials``
+    in turn when it is given."""
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-10, 10, size=size)
+    zeros = rng.permutation(size)[: round(zero_share * size)]
+    values[zeros] = 0.0
+    for j, special in zip(zeros, list(specials) * size):
+        values[j] = special
+    return values.reshape(shape)
+
+
+def written_csv(tmp_path, monkeypatch, table):
+    """The bytes ``_write_csv`` writes for ``table``, and whether it took
+    the sparse path."""
+    calls = []
+    sparse_rows = cli._sparse_rows
+    monkeypatch.setattr(cli, "_sparse_rows", lambda t: calls.append(1) or sparse_rows(t))
+    header = [f"c{j}" for j in range(table.shape[1])]
+    out = tmp_path / "table.csv"
+    cli._write_csv(str(out), header, table)
+    assert out.read_bytes() == per_value_csv(header, table.tolist())
+    return bool(calls)
+
+
+@pytest.mark.parametrize(
+    "zeros, sparse",
+    # a 40 x 99 table holds 3960 values: 1979 zeros stay dense, 1981 do not
+    [(0, False), (1979, False), (1980, False), (1981, True), (3564, True), (3960, True)],
+)
+def test_csv_writer_matches_per_value_formatter_at_every_zero_share(
+    tmp_path, monkeypatch, zeros, sparse
+):
+    table = seeded_table((40, 99), zeros / 3960, seed=zeros)
+    assert np.count_nonzero(table) == 3960 - zeros
+    assert written_csv(tmp_path, monkeypatch, table) == sparse
+
+
+@pytest.mark.parametrize("shape", [(300, 1), (1, 300), (0, 7)], ids=["column", "row", "empty"])
+@pytest.mark.parametrize("zero_share", [0.3, 0.9, 1.0])
+def test_csv_writer_renders_signed_zeros_and_non_finite_values(
+    tmp_path, monkeypatch, shape, zero_share
+):
+    specials = (-0.0, np.nan, -0.0, np.inf, -np.inf, 0.0, -0.0)
+    table = seeded_table(shape, zero_share, seed=len(shape), specials=specials)
+    if table.size:
+        assert np.signbit(table[table == 0]).any() and np.isnan(table).any()
+    # 4 of the 7 specials are zeros: the shares 0.9 and 1.0 stay sparse
+    assert written_csv(tmp_path, monkeypatch, table) == (zero_share > 0.5 and table.size > 0)
+
+
+def test_simulate_csv_of_a_centered_d2_state_matches_per_value_formatter(tmp_path):
+    # a centered state keeps its support: most coefficients are exact zeros,
+    # written over several sparse blocks
+    cut = Cutoff(k=8, d=2)
+    state = random_centered_state(cut, (-2, 0, 2), np.random.default_rng(18))
+    path = write_state(tmp_path / "state.json", state)
+    out = tmp_path / "sim.csv"
+    assert cli.main([
+        "simulate", "--state", path, "--t-end", repr(math.pi / 4), "--samples", "41",
+        "--out", str(out), "--report", str(tmp_path / "sim.json"),
+    ]) == 0
+    traj = integrate.integrate(state, math.pi / 4, samples=41)
+    header = ["t"]
+    for idx in fock.basis(cut):
+        header += [f"re_{idx.label()}", f"im_{idx.label()}"]
+    header += ["norm", "meanN", "energy"]
+    rows = [
+        [t, *(x for c in st.array.tolist() for x in (c.real, c.imag)),
+         traj.conserved.norm[j], traj.conserved.mean_n[j], traj.conserved.energy[j]]
+        for j, (t, st) in enumerate(zip(traj.times.tolist(), traj.states))
+    ]
+    assert 2 * np.count_nonzero(rows) < np.size(rows)
+    assert out.read_bytes() == per_value_csv(header, rows)

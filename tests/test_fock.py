@@ -44,6 +44,21 @@ def test_cutoff_validation():
             Cutoff(k=k, d=d)
 
 
+@pytest.mark.parametrize("k, d", [(0, 1), (8, 1), (6, 2), (4, 3)])
+def test_basis_equals_checked_labels(k, d):
+    # basis() skips MultiIndex's checks; its labels equal checked ones,
+    # hash alike and keep the dataclass behaviour
+    cut = Cutoff(k=k, d=d)
+    checked = tuple(MultiIndex(tuple(r[:d]), tuple(r[d:])) for r in fock.counts(cut).tolist())
+    labels = fock.basis(cut)
+    assert labels == checked
+    assert {idx: j for j, idx in enumerate(labels)} == {idx: j for j, idx in enumerate(checked)}
+    assert all(type(idx) is MultiIndex and type(idx.a) is tuple for idx in labels)
+    assert [repr(idx) for idx in labels] == [repr(idx) for idx in checked]
+    with pytest.raises(AttributeError):
+        labels[-1].a = (0,) * d  # still frozen
+
+
 def test_basis_size_and_order():
     assert len(fock.basis(Cutoff(k=8, d=1))) == 45  # (K+1)(K+2)/2
     assert len(fock.basis(Cutoff(k=8, d=2))) == 495  # C(8+4, 4)
@@ -281,6 +296,29 @@ def test_ladder_table_matches_brute_force():
                 assert not lower(i, full).truncated
                 assert not raise_(i, inner_only).truncated
                 assert not lower(i, inner_only).truncated
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gather_reads_a_padded_buffer_bit_for_bit(d):
+    # an (n + 1,) buffer with a zero last slot is gathered in place; every
+    # row, slice and (row, axis) pair gives the bits of the unpadded call
+    # and of the float weights applied to the padded copy
+    cut = Cutoff(k=6 if d < 3 else 5, d=d)
+    table = fock.ladder_table(cut)
+    y = fock.to_array(random_state(cut, np.random.default_rng(d)))
+    padded = np.concatenate((y, [0.0]))
+    rows = [*range(4), fock.LOWERING, slice(None), *product(range(4), range(2 * d))]
+    for ops in rows:
+        image = table.gather(y, ops)
+        assert image.tobytes() == table.gather(padded, ops).tobytes()
+        assert image.tobytes() == (table.weight[ops] * padded[table.index[ops]]).tobytes()
+    # a real buffer keeps the float weights and stays real
+    real = table.gather(padded.real.copy(), fock.LOWERING)
+    assert real.dtype == np.float64
+    assert real.tobytes() == table.gather(y.real, fock.LOWERING).tobytes()
+    # the complex copies hold the float values
+    assert np.array_equal(table.lowering_weight, table.weight[fock.LOWERING])
+    assert np.array_equal(table.n_complex, table.n_diag)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,24 @@ def test_dense_field_matches_sparse_field():
                 assert np.abs(integ.sphere_field(cut, z, theta) - dense).max() <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
+    # the integrator hands its stage points over with a zero pad slot; the
+    # field of the padded buffer is the field of the state, bit for bit,
+    # on centered states and on states with nonzero first moments
+    cut = Cutoff(k=6 if d < 3 else 5, d=d)
+    rng = np.random.default_rng(d)
+    states = [random_state(cut, rng, max_degree=cut.k - 2),
+              random_centered_state(cut, (0, 2), rng)]
+    for state in states:
+        z = fock.to_array(state)
+        padded = np.concatenate((z, [0.0]))
+        for theta in (0.0, 0.7, -2.3):
+            field = integ.sphere_field(cut, z, theta)
+            assert field.shape == z.shape
+            assert field.tobytes() == integ.sphere_field(cut, padded, theta).tobytes()
+
+
 def test_frame_field_flux_abort_follows_the_frame_angle():
     # z = (|0,7> + i|0,8>)/sqrt2 has <z, b z> = i sqrt2: its first moment
     # Re<y, b y> at y = e^{-iN theta} z is sqrt2 sin(theta), so the raising

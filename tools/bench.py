@@ -1,10 +1,18 @@
 """Time the library layer by layer on fixed size ladders.
 
-    PYTHONPATH=src python3 tools/bench.py [LAYER]
+    PYTHONPATH=src python3 tools/bench.py [--against SRC] [LAYER ...]
 
 LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``pipeline`` and
-``output``; without it every layer runs.  With PYTHONPATH pointing at another
-checkout's ``src`` it times that tree.
+``output``; without one every layer runs.  With PYTHONPATH pointing at
+another checkout's ``src`` it times that tree.
+
+``--against SRC`` pairs this tree (the package the harness imports) with the
+package under the directory SRC, another checkout's ``src``: each case's
+child runs PAIRS times on each tree, alternately (this tree, then SRC, in
+every repeat).  A rung then records each tree's figures under ``this`` and
+``against``, its timing the minimum over the pairs, and under ``ratio``
+the median and quartiles of the PAIRS ratios this / against of the
+timing, pair by pair.
 
 Every case (a rung, or one op of a ``fock`` or ``pipeline`` rung) runs in its own process
 with one BLAS thread and is stopped after TIMEOUT_S.  Timing rule: one
@@ -18,6 +26,7 @@ its rung's ``result``, and the exit code is then 1.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -37,10 +46,13 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
+import harmonic_hartree  # noqa: E402
 from harmonic_hartree import (  # noqa: E402
     cli, equilibria, fock, hamiltonian, integrate, orbits, pipeline, reduction,
 )
 
+THIS_SRC = os.path.dirname(os.path.dirname(os.path.abspath(harmonic_hartree.__file__)))
+PAIRS = 5
 REPEATS = 5
 CALLS = 100
 BUDGET_S = 0.2
@@ -367,22 +379,29 @@ LAYERS = {
 }
 
 
-def child(layer: str, index: int, part: str | None) -> None:
-    """Run one case, printing each figure dict as one JSON line when known."""
+def child(layer: str, index: int, part: str | None, src: str | None = None) -> None:
+    """Run one case, printing each figure dict as one JSON line when known;
+    with ``src``, first check that the package was imported from there."""
+    if src is not None and THIS_SRC != os.path.abspath(src):
+        raise ImportError(f"harmonic_hartree imported from {THIS_SRC}, not from {src}")
     spec = LAYERS[layer]
     for figures in spec.case(spec.ladder[index], part):
         print(json.dumps(figures), flush=True)
 
 
-def run_case(layer: str, index: int, part: str | None) -> tuple[list[dict], str | None]:
-    """Figures of one case run in its own process, and its failure if any."""
+def run_case(layer: str, index: int, part: str | None,
+             src: str | None = None) -> tuple[list[dict], str | None]:
+    """Figures of one case run in its own process, and its failure if any.
+    The child imports the package from ``src`` when given, else as this
+    process was started."""
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import sys; sys.path.insert(0, {tools!r}); import bench; "
-            f"bench.child({layer!r}, {index}, {part!r})")
+            f"bench.child({layer!r}, {index}, {part!r}, {src!r})")
+    env = None if src is None else dict(os.environ, PYTHONPATH=src)
     result = None
     try:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=TIMEOUT_S)
+                             text=True, timeout=TIMEOUT_S, env=env)
         stdout = out.stdout
         if out.returncode:
             lines = out.stderr.strip().splitlines()
@@ -395,21 +414,64 @@ def run_case(layer: str, index: int, part: str | None) -> tuple[list[dict], str 
     return [json.loads(line) for line in stdout.splitlines()], result
 
 
-def run_layer(name: str) -> dict:
+def _merge(rung: dict, figures: list[dict]) -> None:
+    for fig in figures:
+        for key, value in fig.items():
+            if isinstance(value, dict) and key in rung:
+                rung[key].update(value)  # a fock op's entry
+            else:
+                rung[key] = value
+
+
+def _timing(figures: list[dict]) -> tuple[str, float] | None:
+    """The timed figure of one case: ``min_s``, or its op's ``us_per_call``."""
+    for fig in figures:
+        if "min_s" in fig:
+            return "min_s", fig["min_s"]
+        if "us_per_call" in fig:
+            (name, value), = fig["us_per_call"].items()
+            return f"us_per_call.{name}", value
+    return None
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3, "pairs": values}
+
+
+def run_layer(name: str, against: str | None = None) -> dict:
     layer = LAYERS[name]
     rungs = []
     for index, params in enumerate(layer.ladder):
         rung, failures = dict(params), []
         for part in layer.parts:
-            figures, result = run_case(name, index, part)
-            for fig in figures:
-                for key, value in fig.items():
-                    if isinstance(value, dict) and key in rung:
-                        rung[key].update(value)  # a fock op's entry
-                    else:
-                        rung[key] = value
-            if result is not None:
-                failures.append(result if part is None else f"{part}: {result}")
+            label = "" if part is None else f"{part}: "
+            if against is None:
+                figures, result = run_case(name, index, part)
+                _merge(rung, figures)
+                if result is not None:
+                    failures.append(label + result)
+                continue
+            runs = {"this": [], "against": []}
+            for _ in range(PAIRS):
+                for tree, src in (("this", THIS_SRC), ("against", against)):
+                    figures, result = run_case(name, index, part, src)
+                    runs[tree].append(figures)
+                    if result is not None:
+                        failures.append(f"{label}{tree}: {result}")
+            if any(_timing(figures) is None for done in runs.values() for figures in done):
+                continue
+            timings = {}
+            for tree, done in runs.items():
+                _merge(rung.setdefault(tree, {}), done[0])
+                key = _timing(done[0])[0]
+                timings[tree] = [_timing(figures)[1] for figures in done]
+                if key == "min_s":
+                    rung[tree]["min_s"] = min(timings[tree])
+                else:
+                    rung[tree]["us_per_call"][key.split(".", 1)[1]] = min(timings[tree])
+            rung.setdefault("ratio", {})[key] = _quartiles(
+                [a / b for a, b in zip(timings["this"], timings["against"])])
         if failures:
             rung["result"] = "; ".join(failures)
         rungs.append(rung)
@@ -427,12 +489,33 @@ def _cpu_model() -> str:
     return platform.machine()
 
 
+def _tree(src: str) -> dict:
+    """The git commit of the checkout holding ``src``, and whether its
+    files differ from that commit."""
+    def git(*args):
+        out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"),
+            "modified": None if status is None else bool(status)}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) > 1 or (argv and argv[0] not in LAYERS):
-        print(f"usage: bench.py [{'|'.join(LAYERS)}]", file=sys.stderr)
-        return 2
-    layers = {name: run_layer(name) for name in argv or LAYERS}
-    print(json.dumps({
+    parser = argparse.ArgumentParser(prog="bench.py", description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="SRC",
+                        help="another checkout's src directory to pair this tree with")
+    parser.add_argument("layers", nargs="*", metavar="LAYER",
+                        help=f"one of {', '.join(LAYERS)} (default: all)")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.layers if name not in LAYERS]
+    if unknown:
+        parser.error(f"unknown layer {unknown[0]!r}; choose from {', '.join(LAYERS)}")
+    against = None if args.against is None else os.path.abspath(args.against)
+    if against is not None and not os.path.isdir(os.path.join(against, "harmonic_hartree")):
+        parser.error(f"--against {args.against}: no harmonic_hartree package there")
+    layers = {name: run_layer(name, against) for name in args.layers or LAYERS}
+    record = {
         "host": {"cpu": _cpu_model(), "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -441,8 +524,11 @@ def main(argv: list[str]) -> int:
         "max_calls_per_run": CALLS,
         "budget_s": BUDGET_S,
         "timeout_s": TIMEOUT_S,
-        "layers": layers,
-    }, indent=1))
+    }
+    if against is not None:
+        record["pairs"] = PAIRS
+        record["trees"] = {"this": _tree(THIS_SRC), "against": _tree(against)}
+    print(json.dumps({**record, "layers": layers}, indent=1))
     failed = any("result" in rung for layer in layers.values() for rung in layer["rungs"])
     return 1 if failed else 0
 
