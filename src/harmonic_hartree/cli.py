@@ -8,16 +8,20 @@ with 17 significant digits (``%.17g``), JSON floats as ``json`` prints
 them, and no randomness is used.
 
 Every CSV (``simulate``, ``spectrum``, and the ``pipeline`` f grid and rho
-table) goes through one block renderer (``_cells``), which writes the bytes
-of the per-value ``%.17g`` format for whole arrays, a fixed block of values
-at a time.  In a table whose values are mostly exact zeros (a ``simulate``
-CSV of a centered state, which keeps its support), the zeros skip that
-digit pipeline: each is written as ``0`` or ``-0`` directly, and the bytes
-are unchanged.  The large JSON outputs (the ``vector-field`` state JSON
-and the ``spectrum`` eigenvalue list) are rendered from one text template
-per file filled by a single ``%`` call (``_fill``); their bytes are those
-of ``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The
-tests compare both with the per-value formatters.
+table) goes through one block renderer (``_render.cells``), which writes
+the bytes of the per-value ``%.17g`` format for whole arrays, a fixed block
+of values at a time.  In a table whose values are mostly exact zeros (a
+``simulate`` CSV of a centered state, which keeps its support), the zeros
+skip that digit pipeline: each is written as ``0`` or ``-0`` directly, and
+the bytes are unchanged.  A ``vector-field`` state JSON of _FEW terms or
+more takes the same renderer in ``repr``'s form, the shortest digits that
+read back: each term is a row of bytes from one template, with its counts'
+digits looked up and its two floats' cells copied in, and the pads of all
+rows are deleted in one pass.  A smaller state JSON and the ``spectrum``
+eigenvalue list (exact integers, which ``repr`` writes fast) fill one text
+template by a single ``%`` call (``_fill``).  Every JSON is the bytes of
+``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The tests
+compare every path with the per-value formatters.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import equilibria, fock, hamiltonian, integrate, orbits, pipeline
+from . import _render, equilibria, fock, hamiltonian, integrate, orbits, pipeline
 from .errors import (
     BasisMismatchError,
     IntegrationError,
@@ -42,7 +46,6 @@ from .errors import (
 )
 from .fock import Cutoff, FockVector
 
-_FMT = "%.17g"
 _MASS_TOL = 1e-6  # pipeline: the density tolerance of acceptance criterion 10
 
 
@@ -55,6 +58,8 @@ def _load_state(path: str) -> FockVector:
         raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
     if not np.isfinite(state.array).all():
         raise ValueError(f"{path}: state has a non-finite coefficient")
+    if not math.isfinite(state.norm_sq):  # norm_sq overflows to inf silently
+        raise ValueError(f"{path}: state's squared norm overflows")
     return state
 
 
@@ -85,186 +90,8 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _state_json(v: FockVector) -> str:
-    """The text ``_write_json`` writes for ``fock.to_json_dict(v)``."""
-    d = v.cutoff.d
-    counts = ",\n".join(["        %d"] * d)
-    term = (
-        '    {\n      "a": [\n%s\n      ],\n      "b": [\n%s\n      ],\n'
-        '      "im": %%r,\n      "re": %%r\n    }' % (counts, counts)
-    )
-    nz = np.flatnonzero(v.array)
-    # one float row per term: the counts (which %d prints as integers), im, re
-    rows = np.column_stack((fock.counts(v.cutoff)[nz], v.array[nz].imag, v.array[nz].real))
-    listed = "[]"
-    if nz.size:
-        listed = "[\n" + _fill([term] * nz.size, ",\n", rows.ravel().tolist()) + "\n  ]"
-    return '{\n  "K": %d,\n  "d": %d,\n  "terms": %s\n}\n' % (v.cutoff.k, d, listed)
-
-
-# ---------------------------------------------------------------------------
-# CSV: the bytes of "%.17g" % float(v) for whole float64 arrays
-#
-# A finite nonzero |v| = m 2^e (m in [0.5, 1)) has the 17 significant
-# digits D = round(|v| 10^(16 - x10)), 10^16 <= D < 10^17, where x10 is its
-# decimal exponent.  The product m 2^e 10^k is formed as a double-double
-# (Dekker) from 10^k = (hi + lo) 2^s, with hi and lo correctly rounded from
-# Python integers; its error is below 1e-14 in units of D.  A value whose
-# scaled magnitude lies within _GUARD of a rounding tie or of a point where
-# the rounded exponent changes, and NaN and the infinities, are written by
-# "%.17g" itself, so every byte matches the per-value format.
-#
-# Each value is laid out in a cell of _CELL bytes, six 8-byte words in
-# which 0 is a pad byte: word 0 holds the sign, the "0.000" lead-in of
-# 1e-4 <= |v| < 1, the first digit and the slot after it; words 1-4 hold
-# the other 16 digits in even slots with a '.'-or-pad slot after each;
-# word 5 holds the exponent and, last, the separator.  Trailing zeros are
-# pads.  The cells are written a block at a time with the pads deleted.
-
-_CELL = 48
 _BLOCK = 2048  # values per block: the cells of one block are 96 KiB
 _SPARSE = 4 * _BLOCK  # values per block of a sparse table: its tokens are 64 KiB
-_GUARD = 2.0**-20
-
-
-def _words(table) -> np.ndarray:
-    """Rows of 8 bytes as one uint64 each, for whole-word gathers."""
-    return np.ascontiguousarray(table, dtype=np.uint8).view(np.uint64).ravel()
-
-
-# by decimal exponent x10 + _X0 (finite doubles have -324 <= x10 <= 308)
-_X0 = 330
-_X10 = np.arange(-_X0, _X0 + 1)
-_FIXED = (_X10 >= -4) & (_X10 < 17)  # "%g" writes these without an exponent
-_POINT = np.where(_FIXED & (_X10 >= 0), _X10, 0)  # the '.' follows digit _POINT
-_LEAD = np.where(_FIXED & (_X10 < 0), -_X10, 0)  # lead-in "0." and _LEAD - 1 zeros
-_DOT0 = _POINT + _LEAD == 0  # the '.' follows the first digit: in word 0
-_TAIL = np.zeros((_X10.size, 8), dtype=np.uint8)
-_TAIL[:, 0] = ord("e")
-_TAIL[:, 1] = np.where(_X10 < 0, ord("-"), ord("+"))
-_TAIL[:, 2] = np.where(abs(_X10) >= 100, 48 + abs(_X10) // 100, 0)
-_TAIL[:, 3] = 48 + abs(_X10) // 10 % 10
-_TAIL[:, 4] = 48 + abs(_X10) % 10
-_TAIL[_FIXED] = 0
-_TAIL = _words(_TAIL)
-
-# word 0 by 100 sign + 20 lead + 2 first digit + dot
-_H = np.arange(200)
-_HEAD = np.zeros((200, 8), dtype=np.uint8)
-_HEAD[:, 0] = np.where(_H >= 100, ord("-"), 0)
-_HEAD[:, 1:6] = np.frombuffer(
-    b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000", dtype=np.uint8
-).reshape(5, 5)[_H // 20 % 5]
-_HEAD[:, 6] = 48 + _H // 2 % 10
-_HEAD[:, 7] = np.where(_H % 2, ord("."), 0)
-_HEAD = _words(_HEAD)
-
-# a quad is four digits q = 0..9999, in the even slots of one word; quad g
-# (0..3) holds digits 4g + 1 .. 4g + 4 of the 17
-_QDIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-_QUADS = np.zeros((10000, 8), dtype=np.uint8)
-_QUADS[:, ::2] = 48 + _QDIGITS
-_QUADS = _words(_QUADS)
-_QMASK = _words(np.where(np.arange(8) < 2 * np.arange(5)[:, None], 255, 0))  # keep k digits
-_QKEEP = np.clip(np.arange(17) - 4 * np.arange(4)[:, None], 0, 4)  # [g, last kept digit]
-_QPOS = np.max((_QDIGITS > 0) * np.arange(1, 5, dtype=np.int8), axis=1)  # 0 for q = 0
-_QLAST = np.where(_QPOS > 0, _QPOS + 4 * np.arange(4, dtype=np.int8)[:, None], 0).astype(np.int8)
-_QBASE = 10000 * np.arange(4)[:, None]
-
-# 10^k = (hi + lo) 2^s with 0.5 <= hi <= 1, row k + _K0; each row is filled
-# when a value first needs it and is a pure function of k
-_K0 = 300
-_POW_HI = np.full(2 * _K0 + 50, np.nan)
-_POW_LO = np.zeros_like(_POW_HI)
-_POW_EXP = np.zeros(_POW_HI.size, dtype=np.int64)
-
-
-def _fill_pow(k: int) -> None:
-    s = (10**k).bit_length() if k >= 0 else 1 - (10**-k).bit_length()
-    num = 10 ** max(k, 0) << max(-s, 0)
-    den = 10 ** max(-k, 0) << max(s, 0)
-    hi = num / den  # int / int is correctly rounded
-    hn, hd = hi.as_integer_ratio()
-    _POW_HI[k + _K0] = hi
-    _POW_LO[k + _K0] = (num * hd - hn * den) / (den * hd)
-    _POW_EXP[k + _K0] = s
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _scaled(m: np.ndarray, e: np.ndarray, x10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m 2^e 10^(16 - x10) as an integer-valued float64 and a small remainder."""
-    row = 16 - x10 + _K0
-    hi = _POW_HI[row]
-    if np.isnan(hi).any():
-        for k in np.unique(row[np.isnan(hi)] - _K0).tolist():
-            _fill_pow(k)
-        hi = _POW_HI[row]
-    p = m * hi
-    mh, ml = _split(m)
-    hh, hl = _split(hi)
-    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * _POW_LO[row]
-    shift = e + _POW_EXP[row]
-    return np.ldexp(p, shift), np.ldexp(err, shift)
-
-
-def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D, x10 and whether D is certain, for finite a > 0."""
-    m, e = np.frexp(a)
-    x10 = np.floor(np.log10(a)).astype(np.int64)  # may be off by one
-    big, rem = _scaled(m, e, x10)
-    # x10 is right when the scaled value rounds into [10^16, 10^17); just
-    # below 10^16 it rounds to 10^16 at either exponent
-    low = (big - 1e16) + rem + 0.05
-    high = (big - 1e17) + rem + 0.5
-    fix = np.flatnonzero((low < 0) | (high >= 0))
-    if fix.size:
-        x10[fix] += np.where(low[fix] < 0, -1, 1)
-        big[fix], rem[fix] = _scaled(m[fix], e[fix], x10[fix])
-        low[fix] = (big[fix] - 1e16) + rem[fix] + 0.05
-        high[fix] = (big[fix] - 1e17) + rem[fix] + 0.5
-    near = np.floor(rem + 0.5)
-    ok = (low >= _GUARD) & (high <= -_GUARD) & (np.abs(rem - near) < 0.5 - _GUARD)
-    return big.astype(np.int64) + near.astype(np.int64), x10, ok
-
-
-def _cells(values) -> np.ndarray:
-    """The (N, _CELL) uint8 cells of the N values, separators still pads."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(v)
-    plain = np.isfinite(a) & (a > 0)
-    d, x10, ok = _digits(np.where(plain, a, 1.0))
-    ok &= plain
-    d[~ok] = 0  # zero is "0" (or "-0"); the other cells not ok are rewritten below
-    x10[~ok] = 0
-    ok |= a == 0
-    hi8, lo8 = np.divmod(d, 10**8)
-    first, rest = np.divmod(hi8, 10**8)
-    q = np.empty((4, v.size), dtype=np.int64)
-    np.divmod(rest, 10**4, out=(q[0], q[1]))
-    np.divmod(lo8, 10**4, out=(q[2], q[3]))
-    row = x10 + _X0
-    point = _POINT[row]
-    keep = np.maximum(np.take(_QLAST, q + _QBASE).max(axis=0), point)  # last digit kept
-    words = np.empty((v.size, _CELL // 8), dtype=np.uint64)
-    words[:, 0] = _HEAD[100 * np.signbit(v) + 20 * _LEAD[row] + 2 * first
-                        + ((keep > 0) & _DOT0[row])]
-    quads = np.take(_QUADS, q) & np.take(_QMASK, np.take(_QKEEP, keep, axis=1))
-    for g in range(4):
-        words[:, 1 + g] = quads[g]
-    words[:, 5] = _TAIL[row]
-    cells = words.view(np.uint8)
-    dots = np.flatnonzero((keep > point) & (point > 0))
-    cells[dots, 7 + 2 * point[dots]] = ord(".")
-    for i in np.flatnonzero(~ok).tolist():
-        text = (_FMT % v[i]).encode()
-        cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return cells
 
 
 def _write_cells(fh, cells: np.ndarray) -> None:
@@ -273,7 +100,7 @@ def _write_cells(fh, cells: np.ndarray) -> None:
 
 def _sparse_rows(table: np.ndarray) -> bytes:
     """The CSV rows of ``table`` built around its exact zeros: only the
-    nonzero values go through ``_cells``, a block at a time, and every
+    nonzero values go through the renderer, a block at a time, and every
     zero is written as "0" or "-0" with its separator."""
     cols = table.shape[1]
     flat = table.ravel()
@@ -281,7 +108,7 @@ def _sparse_rows(table: np.ndarray) -> bytes:
     pieces = []
     for i in range(0, nz.size, _BLOCK):
         at = nz[i : i + _BLOCK]
-        cells = _cells(flat[at])
+        cells = _render.cells(flat[at])
         # each text ends in its separator and a 1 byte, in the two slots
         # before the end that a cell never fills, so the translated bytes
         # split into the values' pieces
@@ -313,7 +140,7 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             if sparse:
                 fh.write(_sparse_rows(table[i : i + step]))
                 continue
-            cells = _cells(table[i : i + step]).reshape(-1, len(header), _CELL)
+            cells = _render.cells(table[i : i + step]).reshape(-1, len(header), _render.CELL)
             cells[:, :, -1] = ord(",")
             cells[:, -1, -1] = ord("\n")
             _write_cells(fh, cells)
@@ -324,7 +151,7 @@ def _write_grid_csv(path: str, ax: np.ndarray, f: np.ndarray) -> None:
     values are rendered once, the n^2 values of f one block of rows at a
     time."""
     n = ax.size
-    labels = _cells(ax)
+    labels = _render.cells(ax)
     labels[:, -1] = ord(",")
     # each label's bytes to its front (a stable sort of the pad flags)
     labels = np.take_along_axis(labels, np.argsort(labels == 0, axis=1, kind="stable"), axis=1)
@@ -335,12 +162,83 @@ def _write_grid_csv(path: str, ax: np.ndarray, f: np.ndarray) -> None:
         fh.write(b"x,v,f\n")
         for i in range(0, n, step):
             block = f[i : i + step]
-            cells = np.empty((len(block), n, 2 * width + _CELL), dtype=np.uint8)
+            cells = np.empty((len(block), n, 2 * width + _render.CELL), dtype=np.uint8)
             cells[:, :, :width] = labels[i : i + step, None]
             cells[:, :, width : 2 * width] = labels
-            cells[:, :, 2 * width :] = _cells(block).reshape(len(block), n, _CELL)
+            cells[:, :, 2 * width :] = _render.cells(block).reshape(len(block), n, _render.CELL)
             cells[:, :, -1] = ord("\n")
             _write_cells(fh, cells)
+
+
+# ---------------------------------------------------------------------------
+# JSON: the state JSON of ``vector-field``
+
+_FEW = 64  # terms below which the per-value template is the cheaper route
+
+
+def _term(d: int, count: str, im: str, re: str) -> str:
+    """One term of a state JSON with the text ``count`` in each count slot."""
+    cols = ",\n".join(["        " + count] * d)
+    return ('    {\n      "a": [\n%s\n      ],\n      "b": [\n%s\n      ],\n'
+            '      "im": %s,\n      "re": %s\n    }' % (cols, cols, im, re))
+
+
+def _state_json(v: FockVector) -> str:
+    """The text ``_write_json`` writes for ``fock.to_json_dict(v)``: fewer
+    than _FEW terms fill one ``%`` template (``_fill``), more go through
+    ``_terms``."""
+    cutoff = v.cutoff
+    head = '{\n  "K": %d,\n  "d": %d,\n  "terms": ' % (cutoff.k, cutoff.d)
+    nz = np.flatnonzero(v.array)
+    if not nz.size:
+        return head + "[]\n}\n"
+    counts = fock.counts(cutoff)[nz]
+    z = v.array[nz]
+    if nz.size < _FEW:
+        values = [x for row, im, re in zip(counts.tolist(), z.imag.tolist(), z.real.tolist())
+                  for x in (*row, im, re)]
+        items = [_term(cutoff.d, "%d", "%r", "%r")] * nz.size
+        return head + "[\n" + _fill(items, ",\n", values) + "\n  ]\n}\n"
+    if not np.isfinite(z).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return "".join((head, "[\n", _terms(cutoff, counts, z).decode(), "\n  ]\n}\n"))
+
+
+def _terms(cutoff: Cutoff, counts: np.ndarray, z: np.ndarray) -> bytearray:
+    """The terms of a state JSON, separated by ",\n": one row of bytes per
+    term, from its template, its counts' digits looked up by count and the
+    cells of its two floats in ``repr``'s form, with the pads of all rows
+    deleted in one pass.  The cells come first, so the renderer's
+    temporaries are freed before the rows exist, and the rows live in a
+    bytearray, which is translated without a copy to bytes."""
+    cells = _render.cells(np.column_stack((z.imag, z.real)), shortest=True)
+    template, slots, starts, digits = _term_layout(cutoff)
+    buf = bytearray(len(z) * template.size)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(len(z), template.size)
+    rows[:] = template
+    rows[-1, -2:] = 0  # the last term takes no separator
+    rows[:, slots] = digits[counts]
+    for j, col in enumerate(starts):
+        rows[:, col : col + _render.CELL] = cells[j::2]
+    return buf.translate(None, b"\0")
+
+
+@functools.lru_cache(maxsize=None)
+def _term_layout(cutoff: Cutoff) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """A term of a state JSON and its separator ",\n" as a row of bytes
+    with pads in the slots; the (2d, width) columns of the count slots; the
+    first columns of the im and re cells; and the digits of each count
+    0..K as a (K + 1, width) table, pads after them."""
+    width = len(str(cutoff.k))
+    text = _term(cutoff.d, "\1" * width, "\2" * _render.CELL, "\3" * _render.CELL) + ",\n"
+    template = np.frombuffer(text.encode(), dtype=np.uint8).copy()
+    slots = np.flatnonzero(template == 1).reshape(2 * cutoff.d, width)
+    starts = [int(np.argmax(template == 2)), int(np.argmax(template == 3))]
+    template[template <= 3] = 0
+    digits = np.zeros((cutoff.k + 1, width), dtype=np.uint8)
+    for c in range(cutoff.k + 1):
+        digits[c, : len(str(c))] = np.frombuffer(str(c).encode(), dtype=np.uint8)
+    return template, slots, starts, digits
 
 
 @functools.lru_cache(maxsize=None)
@@ -472,7 +370,7 @@ def _cmd_pipeline(args) -> int:
 
     field_now = field_at(args.t)
     f_now, rho_now = pipeline.density(field_now)
-    mass, pseudo, momentum = pipeline.noether_charges(field_now)
+    mass, pseudo, momentum = pipeline._charges(field_now, f_now, rho_now)
     # the amplitude is exact at the grid points and of unit norm in the
     # continuum, so the (x, v) mass misses 1 only by the trapezoid rule's
     # error: the grid's step or extent does not resolve the state

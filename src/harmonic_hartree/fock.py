@@ -403,9 +403,13 @@ def from_json_dict(obj: dict) -> FockVector:
     cutoff = Cutoff(k=obj["K"], d=obj["d"])
     terms = obj["terms"]
     pos = _positions(cutoff, [t["a"] for t in terms], [t["b"] for t in terms])
+    re, im = [t["re"] for t in terms], [t["im"] for t in terms]
+    if not set(map(type, re + im)) <= {int, float}:  # rejects bool and str
+        bad = next(x for x in re + im if type(x) not in (int, float))
+        raise TypeError(f"amplitude {bad!r} is not a number")
     amps = np.empty(len(terms), dtype=complex)
-    amps.real = list(map(float, [t["re"] for t in terms]))
-    amps.imag = list(map(float, [t["im"] for t in terms]))
+    amps.real = list(map(float, re))
+    amps.imag = list(map(float, im))
     arr = np.zeros(cutoff.size, dtype=complex)
     np.add.at(arr, pos, amps)  # unbuffered, in term order
     return _vector(cutoff, arr, False)

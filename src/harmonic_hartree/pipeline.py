@@ -279,11 +279,16 @@ def noether_charges(field: GridField) -> tuple[float, complex, float]:
     """
     if field.stage != STAGE_XV:
         raise ValueError(f"noether_charges expects stage 'xv', got {field.stage!r}")
+    return _charges(field, *density(field))
+
+
+def _charges(field: GridField, f: np.ndarray, rho: np.ndarray) -> tuple[float, complex, float]:
+    """``noether_charges`` of the field whose ``density`` is (f, rho): the
+    mass is the trapezoid sum of rho, the same sum as trapezoid_2d(f)."""
     spec = field.spec
     vals = field.values
     ax = spec.axis()
-    f = np.abs(vals) ** 2
-    mass = float(trapezoid_2d(f, spec).real)
+    mass = float(np.trapezoid(rho, ax))
     wavenumbers = 2.0 * math.pi * np.fft.fftfreq(spec.n, d=spec.step)
     dx_vals = np.fft.ifft(1j * wavenumbers[:, None] * np.fft.fft(vals, axis=0), axis=0)
     pseudo = complex(trapezoid_2d(vals * np.conj(1j * dx_vals), spec))

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from _support import random_centered_state
 import harmonic_hartree
-from harmonic_hartree import cli, equilibria, fock, hamiltonian, integrate, orbits
+from harmonic_hartree import _render, cli, equilibria, fock, hamiltonian, integrate, orbits
 from harmonic_hartree import pipeline as pl
 from harmonic_hartree.fock import Cutoff
 
@@ -298,17 +299,28 @@ def _with_term(**fields):
     return obj
 
 
+def _with_amplitude(**fields):
+    """The ground state with its amplitude's parts replaced: a unit state
+    if they were read as numbers."""
+    obj = _ground_obj()
+    obj["terms"][0].update(fields)
+    return obj
+
+
 @pytest.mark.parametrize(
     "obj",
     [_without_k(), [_ground_obj()], _with_index(0.5), _with_index(True),
      _with_cutoff(8.9, 1), _with_cutoff(True, True),
      _with_term(a=[2**70]), _with_term(b=[-1]), _with_term(a=[0, 0]),
      _with_term(a=[0, 0], b=[0, 0]), _with_term(a=[5], b=[4]), _with_term(a=["1"]),
-     _with_term(b=[False]), _with_term(re=10**400)],
+     _with_term(b=[False]), _with_term(re=10**400),
+     _with_amplitude(re=True), _with_amplitude(im=False), _with_amplitude(re="1"),
+     _with_amplitude(re=" 1.0 ")],
     ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index",
          "K-float", "K-bool",
          "count-2**70", "negative-count", "a-b-length-mismatch", "length-not-d",
-         "degree-above-K", "string-count", "bool-count", "amplitude-2**1329"],
+         "degree-above-K", "string-count", "bool-count", "amplitude-2**1329",
+         "bool-re", "bool-im", "string-re", "padded-string-re"],
 )
 def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
@@ -316,6 +328,33 @@ def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     out = tmp_path / "out.json"
     assert cli.main(["classify", "--state", str(path), "--json", str(out)]) == 1
     assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_integer_amplitudes_are_numbers(tmp_path):
+    obj = _with_amplitude(re=1, im=0)  # JSON ints stay valid amplitudes
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "e.json"
+    assert cli.main(["energy", "--state", str(path), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["energy"] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "command", [["vector-field", "--kind", "full"], ["energy"]], ids=["vector-field", "energy"]
+)
+def test_overflowing_state_is_rejected(tmp_path, capsys, command):
+    # finite coefficients whose squared norm overflows: the field's cubic
+    # terms would overflow too, with numpy warnings before the error
+    obj = _with_term(a=[2], re=1e308)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(command + ["--state", str(path), "--json", str(out)]) == 1
+    err = assert_one_line_error(capsys)
+    assert "squared norm overflows" in err
     assert not out.exists()
 
 
@@ -655,8 +694,9 @@ def seeded_state(cut, seed, terms=6):
     "state",
     [seeded_state(Cutoff(k=8, d=1), 1), seeded_state(Cutoff(k=6, d=2), 2),
      seeded_state(Cutoff(k=6, d=3), 3),
-     fock.basis_vector(Cutoff(k=8, d=2), (1, 0), (0, 2))],
-    ids=["d1", "d2", "d3", "d2-equilibrium"],
+     fock.basis_vector(Cutoff(k=8, d=2), (1, 0), (0, 2)),
+     random_centered_state(Cutoff(k=8, d=3), (-4, -2, 0, 2), np.random.default_rng(19))],
+    ids=["d1", "d2", "d3", "d2-equilibrium", "d3-k8-centered"],
 )
 def test_vector_field_json_matches_stdlib(tmp_path, state, kind):
     path = write_state(tmp_path / "state.json", state)
@@ -689,12 +729,32 @@ def test_spectrum_json_matches_stdlib(tmp_path, state):
     })
 
 
+def test_d3_k8_full_field_takes_the_vector_path():
+    # the off-sphere term |y|^2 - 1 ~ 1e-16 leaves ~1e-18 coefficients
+    state = random_centered_state(Cutoff(k=8, d=3), (-4, -2, 0, 2), np.random.default_rng(19))
+    field = hamiltonian.vector_field(hamiltonian.FieldKind.FULL, state).array
+    parts = np.abs(np.concatenate([field.real, field.imag]))
+    assert np.count_nonzero(field) >= cli._FEW
+    assert np.count_nonzero((parts > 0) & (parts < 1e-15)) > 1000
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_template_fill_rejects_non_finite_values(bad):
     with pytest.raises(ValueError):
         json.dumps([1.0, bad], allow_nan=False)
     with pytest.raises(ValueError):
         cli._fill(["[%r, %r]"], "", [1.0, bad])
+
+
+@pytest.mark.parametrize("terms", [1, 200], ids=["template", "vector"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_state_json_rejects_non_finite_values(terms, bad, part):
+    arr = np.zeros(Cutoff(k=8, d=3).size, dtype=complex)
+    arr[:terms] = 0.5
+    arr[terms // 2] = complex(bad, 0.5) if part == "re" else complex(0.5, bad)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._state_json(fock.from_array(Cutoff(k=8, d=3), arr))
 
 
 def sweep_values():
@@ -740,13 +800,65 @@ def test_csv_renderer_falls_back_at_rounding_ties():
     # double-double product cannot resolve, so "%.17g" itself writes it
     # (half to even); exact powers of ten need no fallback
     values = np.array([1e15 + 0.25, 1e15 + 0.375, 1e20, 1.0, 0.1])
-    _, _, certain = cli._digits(values)
+    _, _, certain = _render.digits(values)
     assert certain.tolist() == [False, True, True, True, True]
-    cells = cli._cells(values)
+    cells = _render.cells(values)
     cells[:, -1] = ord("\n")
     assert cells.tobytes().translate(None, b"\0") == (
         b"1000000000000000.2\n1000000000000000.4\n1e+20\n1\n0.10000000000000001\n"
     )
+
+
+def repr_cells(values):
+    """The ``repr`` renderer's bytes of ``values``, one per line."""
+    cells = _render.cells(values, shortest=True)
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
+
+
+def per_value_repr(values):
+    return "".join(repr(x) + "\n" for x in np.asarray(values).tolist()).encode()
+
+
+def test_repr_renderer_matches_repr_on_a_sweep():
+    values = sweep_values()
+    values = values[np.isfinite(values)]
+    assert (values < 0).any() and (values > 0).any()
+    assert repr_cells(values) == per_value_repr(values)
+
+
+def test_repr_renderer_matches_repr_at_its_edges():
+    # every power of two (the interval below 2^k is half the one above),
+    # the 512 doubles either side of the fixed-notation bounds, integers
+    # (written with ".0") and the signed zeros
+    bounds = np.array([1e-4, 1e16]).view(np.int64)
+    values = np.concatenate([
+        np.ldexp(1.0, np.arange(-1074, 1024)),
+        (bounds[:, None] + np.arange(-512, 513)).ravel().view(np.float64),
+        np.arange(-3000.0, 3001.0), 2.0 ** np.arange(53) - 1, 10.0 ** np.arange(23),
+        [0.0, -0.0, 599914117288847.75],
+    ])
+    values = np.concatenate([values, -values])
+    assert repr_cells(values) == per_value_repr(values)
+
+
+def test_repr_renderer_picks_the_candidate_inside_the_interval():
+    # 2^-1017: the nearer 16-digit decimal (...044e-307) lies outside the
+    # half-width interval below the power of two, the farther one inside;
+    # 599914117288847.75 is an exact tie of two 16-digit decimals, so repr
+    # itself writes it (and breaks the tie to .8); 0.1 and 1e16 need neither
+    values = np.array([2.0**-1017, 599914117288847.75, 0.1, 1e16, 1.0, -0.0])
+    _, _, certain = _render.digits(np.abs(values[:4]), shortest=True)
+    assert certain.tolist() == [True, False, True, True]
+    assert repr_cells(values) == (
+        b"7.120236347223045e-307\n599914117288847.8\n0.1\n1e+16\n1.0\n-0.0\n"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_repr_renderer_matches_repr(values):
+    assert repr_cells(values) == per_value_repr(values)
 
 
 def seeded_table(shape, zero_share, seed, specials=()):

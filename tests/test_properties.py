@@ -101,6 +101,23 @@ def test_state_json_template_matches_stdlib(cut, data):
     assert cli._state_json(v) == text + "\n"
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_state_json_vector_path_matches_stdlib(data):
+    # enough terms that the state JSON takes the vector renderer; the real
+    # parts are nonzero, so every pick is a term
+    cut = Cutoff(k=4, d=3)
+    picks = data.draw(st.lists(st.sampled_from(range(cut.size)), min_size=cli._FEW,
+                               max_size=cut.size, unique=True))
+    size = len(picks)
+    arr = np.zeros(cut.size, dtype=complex)
+    arr.real[picks] = data.draw(st.lists(EDGE_PARTS.filter(bool), min_size=size, max_size=size))
+    arr.imag[picks] = data.draw(st.lists(EDGE_PARTS, min_size=size, max_size=size))
+    v = fock.from_array(cut, arr)
+    text = json.dumps(fock.to_json_dict(v), indent=2, sort_keys=True, allow_nan=False)
+    assert cli._state_json(v) == text + "\n"
+
+
 def _bits(terms):
     return [(idx, c.real.hex(), c.imag.hex()) for idx, c in terms]
 

@@ -309,14 +309,17 @@ def _output_setup(rung: dict, outdir: str):
     prefix = os.path.join(outdir, "pipe")
     argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
             "--grid-l", "6.0", "--out-prefix", prefix]
+    charges = _const(pipeline.noether_charges(field))
     stubs = [
         (cli, {"_load_state": _const(state)}),
         (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
         (pipeline, {
             "state_to_classical": _const(field),
             "density": _const(pipeline.density(field)),
-            "noether_charges": _const(pipeline.noether_charges(field)),
+            "noether_charges": charges,
             "vlasov_residual": _const(0.0),
+            # the CLI takes the charges from the density where _charges exists
+            **({"_charges": charges} if hasattr(pipeline, "_charges") else {}),
         }),
     ]
     outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
