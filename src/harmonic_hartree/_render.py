@@ -18,11 +18,13 @@ of 100 next to v that lies in that interval, trailing zeros dropped.
 Values within _GUARD of an interval edge or of a tie between two
 candidates, and subnormals, are written by repr itself.
 
-Each value is laid out in a cell of CELL bytes, six 8-byte words in which 0
-is a pad byte: word 0 holds the sign, the "0.000" lead-in of
-1e-4 <= |v| < 1, the first digit and the slot after it; words 1-4 hold the
-other 16 digits in even slots with a '.'-or-pad slot after each; word 5
-holds the exponent and, last, the separator.  Trailing zeros are pads,
+Each value is laid out in a cell of CELL bytes, four 8-byte words in which
+0 is a pad byte: word 0 holds the sign, the "0.000" lead-in of
+1e-4 <= |v| < 1, the first digit and a '.'-or-pad slot after it; words 1
+and 2 hold the other 16 digits, one a byte; word 3 holds the exponent and,
+last, the separator.  A fixed value of 10 or more with digits after its
+'.' has them moved one byte on, past the '.', the last into the first
+byte of word 3, which has no exponent then.  Trailing zeros are pads,
 which the writers delete.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-CELL = 48
+CELL = 32
 _GUARD = 2.0**-20
 
 
@@ -44,8 +46,8 @@ _X0 = 330
 _X10 = np.arange(-_X0, _X0 + 1)
 _FIXED = (_X10 >= -4) & (_X10 < 17)  # "%g" writes these without an exponent
 _POINT = np.where(_FIXED & (_X10 >= 0), _X10, 0)  # the '.' follows digit _POINT
-_LEAD = np.where(_FIXED & (_X10 < 0), -_X10, 0)  # lead-in "0." and _LEAD - 1 zeros
-_DOT0 = _POINT + _LEAD == 0  # the '.' follows the first digit: in word 0
+_LEAD20 = np.where(_FIXED & (_X10 < 0), -20 * _X10, 0)  # 20 x the lead-in below
+_DOT0 = _POINT + _LEAD20 == 0  # the '.' follows the first digit: in word 0
 _TAIL = np.zeros((_X10.size, 8), dtype=np.uint8)
 _TAIL[:, 0] = ord("e")
 _TAIL[:, 1] = np.where(_X10 < 0, ord("-"), ord("+"))
@@ -55,7 +57,8 @@ _TAIL[:, 4] = 48 + abs(_X10) % 10
 _TAIL[_FIXED] = 0
 _TAIL = _words(_TAIL)
 
-# word 0 by 100 sign + 20 lead + 2 first digit + dot
+# word 0 by 100 sign + 20 lead + 2 first digit + dot, where lead is the
+# lead-in "0." and lead - 1 zeros of 1e-4 <= |v| < 1
 _H = np.arange(200)
 _HEAD = np.zeros((200, 8), dtype=np.uint8)
 _HEAD[:, 0] = np.where(_H >= 100, ord("-"), 0)
@@ -66,24 +69,40 @@ _HEAD[:, 6] = 48 + _H // 2 % 10
 _HEAD[:, 7] = np.where(_H % 2, ord("."), 0)
 _HEAD = _words(_HEAD)
 
-# a quad is four digits q = 0..9999, in the even slots of one word; quad g
-# (0..3) holds digits 4g + 1 .. 4g + 4 of the 17
+# a quad is four digits q = 0..9999 in four bytes; quad g (0..3) holds
+# digits 4g + 1 .. 4g + 4 of the 17, quads 0 and 2 in the low half of
+# words 1 and 2, quads 1 and 3 in the high half
 _QDIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
-_QUADS = np.zeros((10000, 8), dtype=np.uint8)
-_QUADS[:, ::2] = 48 + _QDIGITS
-_QUADS = _words(_QUADS)
-_QMASK = _words(np.where(np.arange(8) < 2 * np.arange(5)[:, None], 255, 0))  # keep k digits
-_QKEEP = np.clip(np.arange(17) - 4 * np.arange(4)[:, None], 0, 4)  # [g, last kept digit]
+_QLOW = np.zeros((10000, 8), dtype=np.uint8)
+_QLOW[:, :4] = 48 + _QDIGITS
+_QLOW = _words(_QLOW)
+_QHIGH = _QLOW << 32
+_BYTES = _words(np.where(np.arange(8) < np.arange(9)[:, None], 255, 0))  # keep k bytes
+_KEEPMASK = _BYTES[np.clip(np.arange(17) - 8 * np.arange(2)[:, None], 0, 8)]  # [word, digits kept]
 _QPOS = np.max((_QDIGITS > 0) * np.arange(1, 5, dtype=np.int8), axis=1)  # 0 for q = 0
 _QLAST = np.where(_QPOS > 0, _QPOS + 4 * np.arange(4, dtype=np.int8)[:, None], 0).astype(np.int8)
 _QBASE = 10000 * np.arange(4)[:, None]
+_DOT = np.zeros((17, 16), dtype=np.uint8)
+_DOT[np.arange(16), np.arange(16)] = ord(".")
+_DOT = _words(_DOT).reshape(17, 2).T  # [word, k]: a '.' after digit k of words 1 and 2
 
-# 10^k = (hi + lo) 2^s with 0.5 <= hi <= 1, row k + _K0; each row is filled
-# when a value first needs it and is a pure function of k
+
+# 10^k = (hi + lo) 2^s with 0.5 <= hi <= 1, row k + _K0, and hi's Dekker
+# halves; each row is filled when a value first needs it and is a pure
+# function of k.  The exponents are int32, as np.frexp's, for np.ldexp's
+# int32 loop.
 _K0 = 300
 _POW_HI = np.full(2 * _K0 + 50, np.nan)
 _POW_LO = np.zeros_like(_POW_HI)
-_POW_EXP = np.zeros(_POW_HI.size, dtype=np.int64)
+_POW_HH = np.zeros_like(_POW_HI)
+_POW_HL = np.zeros_like(_POW_HI)
+_POW_EXP = np.zeros(_POW_HI.size, dtype=np.int32)
+
+
+def _split(a):
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _fill_pow(k: int) -> None:
@@ -94,13 +113,8 @@ def _fill_pow(k: int) -> None:
     hn, hd = hi.as_integer_ratio()
     _POW_HI[k + _K0] = hi
     _POW_LO[k + _K0] = (num * hd - hn * den) / (den * hd)
+    _POW_HH[k + _K0], _POW_HL[k + _K0] = _split(hi)
     _POW_EXP[k + _K0] = s
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _scaled(m: np.ndarray, e: np.ndarray, x10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +127,7 @@ def _scaled(m: np.ndarray, e: np.ndarray, x10: np.ndarray) -> tuple[np.ndarray, 
         hi = _POW_HI[row]
     p = m * hi
     mh, ml = _split(m)
-    hh, hl = _split(hi)
+    hh, hl = _POW_HH[row], _POW_HL[row]
     err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * _POW_LO[row]
     shift = e + _POW_EXP[row]
     return np.ldexp(p, shift), np.ldexp(err, shift)
@@ -168,9 +182,12 @@ def digits(a: np.ndarray, shortest: bool = False) -> tuple[np.ndarray, np.ndarra
     return np.where(carry, 10**16, d), x10 + carry, ok
 
 
-def cells(values, shortest: bool = False) -> np.ndarray:
+def cells(values, shortest: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """The (N, CELL) uint8 cells of the N values, separators still pads:
-    the bytes of ``"%.17g" % v``, or with ``shortest`` those of ``repr(v)``."""
+    the bytes of ``"%.17g" % v``, or with ``shortest`` those of ``repr(v)``.
+    With ``out``, an (N, CELL // 8) uint64 array whose rows may be strided
+    and unaligned (a word view of a row buffer), the cells are written there
+    and its bytes are returned."""
     v = np.asarray(values, dtype=np.float64).ravel()
     a = np.abs(v)
     plain = np.isfinite(a) & (a > 0)
@@ -178,31 +195,51 @@ def cells(values, shortest: bool = False) -> np.ndarray:
     ok &= plain
     if shortest:
         ok &= x10 != 16  # repr writes 1e16 <= |v| < 1e17 with an exponent
-    d[~ok] = 0  # zero is "0" (or "-0"); the other cells not ok are rewritten below
-    x10[~ok] = 0
+    d *= ok  # zero is "0" (or "-0"); the other cells not ok are rewritten below
+    x10 *= ok
     ok |= a == 0
     row = x10 + _X0
     point = _POINT[row]
     # the last digit kept at least: repr writes a fixed integral value with ".0"
     least = point + (_FIXED[row] & (x10 >= 0)) if shortest else point
-    hi8, lo8 = np.divmod(d, 10**8)
-    first, rest = np.divmod(hi8, 10**8)
+    # d is the first digit and the quads q[0..3]: [hi8, lo8] = divmod(d, 10^8),
+    # then [rest, lo8] = [hi8 % 10^8, lo8] is split by 10^4 in one pass
+    halves = np.empty((2, v.size), dtype=np.int64)
+    np.floor_divide(d, 10**8, out=halves[0])
+    np.subtract(d, halves[0] * 10**8, out=halves[1])
+    first = halves[0] // 10**8
+    halves[0] -= first * 10**8
     q = np.empty((4, v.size), dtype=np.int64)
-    np.divmod(rest, 10**4, out=(q[0], q[1]))
-    np.divmod(lo8, 10**4, out=(q[2], q[3]))
-    keep = np.maximum(np.take(_QLAST, q + _QBASE).max(axis=0), least)  # last digit kept
-    words = np.empty((v.size, CELL // 8), dtype=np.uint64)
-    words[:, 0] = _HEAD[100 * np.signbit(v) + 20 * _LEAD[row] + 2 * first
-                        + ((keep > 0) & _DOT0[row])]
-    quads = np.take(_QUADS, q) & np.take(_QMASK, np.take(_QKEEP, keep, axis=1))
-    for g in range(4):
-        words[:, 1 + g] = quads[g]
-    words[:, 5] = _TAIL[row]
-    out = words.view(np.uint8)
-    dots = np.flatnonzero((keep > point) & (point > 0))
-    out[dots, 7 + 2 * point[dots]] = ord(".")
+    np.floor_divide(halves, 10**4, out=q[::2])
+    np.subtract(halves, q[::2] * 10**4, out=q[1::2])
+    keep = np.maximum(_QLAST.ravel()[q + _QBASE].max(axis=0), least)  # last digit kept
+    words = np.empty((v.size, CELL // 8), dtype=np.uint64) if out is None else out
+    head = _LEAD20[row]
+    head += 2 * first
+    head += (keep > 0) & _DOT0[row]
+    head += 100 * np.signbit(v)
+    words[:, 0] = _HEAD[head]
+    digit_words = _QLOW[q[::2]]
+    digit_words |= _QHIGH[q[1::2]]
+    digit_words &= np.take(_KEEPMASK, keep, axis=1)
+    tail = _TAIL[row]
+    if point.any():
+        # a '.' after digit k > 0 (fixed |v| >= 10 with digits after it):
+        # digits k + 1 .. 16 move one byte on, the last into word 3, whose
+        # exponent bytes a fixed value leaves empty; k = 16 moves nothing
+        at = np.where((keep > point) & (point > 0), point, 16)
+        stay = np.take(_KEEPMASK, at, axis=1)
+        moved = digit_words & ~stay
+        digit_words &= stay
+        digit_words |= np.take(_DOT, at, axis=1)
+        digit_words |= moved << 8
+        digit_words[1] |= moved[0] >> 56
+        tail |= moved[1] >> 56
+    words[:, 1:3] = digit_words.T
+    words[:, 3] = tail
+    cell = words.view(np.uint8)
     for i in np.flatnonzero(~ok).tolist():
         text = (repr(float(v[i])) if shortest else "%.17g" % v[i]).encode()
-        out[i] = 0
-        out[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return out
+        cell[i] = 0
+        cell[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return cell

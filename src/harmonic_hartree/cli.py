@@ -10,18 +10,21 @@ them, and no randomness is used.
 Every CSV (``simulate``, ``spectrum``, and the ``pipeline`` f grid and rho
 table) goes through one block renderer (``_render.cells``), which writes
 the bytes of the per-value ``%.17g`` format for whole arrays, a fixed block
-of values at a time.  In a table whose values are mostly exact zeros (a
-``simulate`` CSV of a centered state, which keeps its support), the zeros
-skip that digit pipeline: each is written as ``0`` or ``-0`` directly, and
-the bytes are unchanged.  A ``vector-field`` state JSON of _FEW terms or
-more takes the same renderer in ``repr``'s form, the shortest digits that
-read back: each term is a row of bytes from one template, with its counts'
-digits looked up and its two floats' cells copied in, and the pads of all
-rows are deleted in one pass.  A smaller state JSON and the ``spectrum``
-eigenvalue list (exact integers, which ``repr`` writes fast) fill one text
-template by a single ``%`` call (``_fill``).  Every JSON is the bytes of
-``json.dumps(..., indent=2, sort_keys=True, allow_nan=False)``.  The tests
-compare every path with the per-value formatters.
+of values at a time.  The f grid's values are rendered straight into one
+row buffer, whose n axis labels are formatted once by ``%`` and whose v
+labels are filled once; the bytes are unchanged.  In a table whose values
+are mostly exact zeros (a ``simulate`` CSV of a centered state, which
+keeps its support), the zeros skip that digit pipeline: each is written
+as ``0`` or ``-0`` directly, and the bytes are unchanged.  A
+``vector-field`` state JSON of _FEW terms or more takes the same renderer
+in ``repr``'s form, the shortest digits that read back: each term is a row
+of bytes from one template, with its counts' digits looked up and its two
+floats' cells copied in, and the pads of all rows are deleted in one pass.
+A smaller state JSON and the ``spectrum`` eigenvalue list (exact integers,
+which ``repr`` writes fast) fill one text template by a single ``%`` call
+(``_fill``).  Every JSON is the bytes of ``json.dumps(..., indent=2,
+sort_keys=True, allow_nan=False)``.  The tests compare every path with the
+per-value formatters.
 """
 
 from __future__ import annotations
@@ -147,27 +150,28 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 
 
 def _write_grid_csv(path: str, ax: np.ndarray, f: np.ndarray) -> None:
-    """Row i * n + j of the CSV holds ax[i], ax[j], f[i, j]: the n axis
-    values are rendered once, the n^2 values of f one block of rows at a
-    time."""
+    """Row i * n + j of the CSV holds ax[i], ax[j], f[i, j].  The n axis
+    labels are formatted once, padded to one width; the n^2 values of f are
+    rendered a block of rows at a time straight into one row buffer, whose
+    v labels are filled once."""
     n = ax.size
-    labels = _render.cells(ax)
-    labels[:, -1] = ord(",")
-    # each label's bytes to its front (a stable sort of the pad flags)
-    labels = np.take_along_axis(labels, np.argsort(labels == 0, axis=1, kind="stable"), axis=1)
-    width = np.count_nonzero(labels, axis=1).max()
-    labels = labels[:, :width]
-    step = max(1, _BLOCK // n)
+    labels = np.array([b"%.17g," % x for x in ax.tolist()])  # pads after each
+    width = labels.dtype.itemsize
+    labels = labels.view(np.uint8).reshape(n, width)
+    step = min(n, max(1, _BLOCK // n))  # n is a power of two: step divides it
+    buf = bytearray(step * n * (2 * width + _render.CELL))
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(step, n, -1)
+    rows[:, :, width : 2 * width] = labels
+    # the f cells of the rows as words: strided, and unaligned for odd widths
+    words = np.ndarray((step * n, _render.CELL // 8), dtype=np.uint64, buffer=buf,
+                       offset=2 * width, strides=(rows.shape[2], 8))
     with open(path, "wb") as fh:
         fh.write(b"x,v,f\n")
         for i in range(0, n, step):
-            block = f[i : i + step]
-            cells = np.empty((len(block), n, 2 * width + _render.CELL), dtype=np.uint8)
-            cells[:, :, :width] = labels[i : i + step, None]
-            cells[:, :, width : 2 * width] = labels
-            cells[:, :, 2 * width :] = _render.cells(block).reshape(len(block), n, _render.CELL)
-            cells[:, :, -1] = ord("\n")
-            _write_cells(fh, cells)
+            rows[:, :, :width] = labels[i : i + step, None]
+            _render.cells(f[i : i + step], out=words)
+            rows[:, :, -1] = ord("\n")
+            fh.write(buf.translate(None, b"\0"))
 
 
 # ---------------------------------------------------------------------------

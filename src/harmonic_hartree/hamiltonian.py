@@ -76,9 +76,11 @@ def first_moment_b(v: FockVector, i: int) -> float:
 def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
                 flux_tol: float) -> None:
     """Raise when a raising of y with prefactors ``coef`` (one per axis)
-    loses amplitude above ``flux_tol`` past the cutoff."""
-    lost_sq = (coef**2 * (boundary @ (y * y.conj()).real)).max()
-    if lost_sq > flux_tol**2:
+    loses amplitude above ``flux_tol`` past the cutoff, or a loss that is
+    not finite.  The loss on an axis is |coef| times the root of its
+    boundary mass, a product of finite factors, so no inf * 0 makes it NaN."""
+    lost_sq = ((coef * np.sqrt(boundary @ (y * y.conj()).real)) ** 2).max()
+    if not lost_sq <= flux_tol**2:
         raise TruncationError(
             f"field lost amplitude {math.sqrt(lost_sq):.3e} past the cutoff; increase K"
         )
@@ -193,7 +195,12 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     """Hamiltonian vector field in the requested representation.
 
     Raises TruncationError when a contributing ladder application (nonzero
-    prefactor) crosses the cutoff boundary.
+    prefactor) crosses the cutoff boundary, and ValueError when the field
+    overflows float64, as its cubic terms can on a state of finite norm.
     """
-    arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
+    except FloatingPointError as exc:
+        raise ValueError(f"the {kind.value} vector field overflows float64 ({exc})") from None
     return fock.from_array(v.cutoff, arr, v.truncated)

@@ -250,3 +250,31 @@ def rotating_oracle(f0: np.ndarray, t: float, spec: GridSpec) -> np.ndarray:
     x, v = np.meshgrid(ax, ax, indexing="ij")
     ct, st = math.cos(t), math.sin(t)
     return _resample(field, x * ct - v * st, x * st + v * ct).real
+
+
+def roll_residual(f_series, dt: float, spec: GridSpec) -> float:
+    """The Vlasov residual max |d_t f + v d_x f - (x - xbar) d_v f| over the
+    points 2 or more from every edge, as the package first wrote it: each
+    fourth-order derivative from four ``np.roll`` copies of the whole grid,
+    and xbar from two nested ``np.trapezoid`` sums."""
+    f_series = np.asarray(f_series, dtype=float)
+    ax = spec.axis()
+    h = spec.step
+    x = ax[:, None]
+    v = ax[None, :]
+
+    def d4(g: np.ndarray, axis: int) -> np.ndarray:
+        gm2 = np.roll(g, 2, axis=axis)
+        gm1 = np.roll(g, 1, axis=axis)
+        gp1 = np.roll(g, -1, axis=axis)
+        gp2 = np.roll(g, -2, axis=axis)
+        return (gm2 - 8.0 * gm1 + 8.0 * gp1 - gp2) / (12.0 * h)
+
+    worst = 0.0
+    for k in range(1, f_series.shape[0] - 1):
+        f = f_series[k]
+        ft = (f_series[k + 1] - f_series[k - 1]) / (2.0 * dt)
+        xbar = float(np.trapezoid(np.trapezoid(x * f, ax, axis=1), ax, axis=0))
+        res = ft + v * d4(f, axis=0) - (x - xbar) * d4(f, axis=1)
+        worst = max(worst, float(np.abs(res[2:-2, 2:-2]).max()))
+    return worst

@@ -358,6 +358,47 @@ def test_overflowing_state_is_rejected(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def _two_term_state(tmp_path, amplitude):
+    """|0,1> + |1,0> with both amplitudes ``amplitude``: a finite squared
+    norm and no mass on the cutoff boundary."""
+    obj = {"d": 1, "K": 8, "terms": [
+        {"a": [0], "b": [1], "re": amplitude, "im": 0.0},
+        {"a": [1], "b": [0], "re": amplitude, "im": 0.0},
+    ]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_full_field_of_a_large_state_checks_its_flux_without_nan(tmp_path, capsys):
+    # the off-sphere prefactor is ~5e199, and its square overflowed to inf,
+    # times a zero boundary mass: a NaN flux that passed the check
+    path = _two_term_state(tmp_path, 1e100)
+    out = tmp_path / "vf.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["vector-field", "--state", path, "--kind", "full",
+                         "--json", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    state = cli._load_state(path)
+    field = hamiltonian.vector_field(hamiltonian.FieldKind.FULL, state)
+    assert np.isfinite(field.array).all()
+    assert out.read_bytes() == stdlib_json(fock.to_json_dict(field))
+
+
+@pytest.mark.parametrize("kind", [k.value for k in hamiltonian.FieldKind])
+def test_overflowing_field_is_rejected(tmp_path, capsys, kind):
+    path = _two_term_state(tmp_path, 1e150)
+    out = tmp_path / "vf.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["vector-field", "--state", path, "--kind", kind,
+                         "--json", str(out)]) == 1
+    assert "overflows float64" in assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+
 # address-space cap of the child: far above a normal run, far below the
 # basis of any oversized cutoff below
 OVERSIZED_AS_BYTES = 1 << 30
@@ -807,6 +848,65 @@ def test_csv_renderer_falls_back_at_rounding_ties():
     assert cells.tobytes().translate(None, b"\0") == (
         b"1000000000000000.2\n1000000000000000.4\n1e+20\n1\n0.10000000000000001\n"
     )
+
+
+def grid_values():
+    """Signed zeros, NaN, the infinities and rounding ties that go to the
+    per-value format, then every twentieth value of the sweep."""
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e15 + 0.25, -(1e15 + 0.375),
+               599914117288847.75, -599914117288847.75]
+    return np.concatenate([special, sweep_values()[::20]])
+
+
+@pytest.mark.parametrize("shortest", [False, True], ids=["%.17g", "repr"])
+@pytest.mark.parametrize("offset", [0, 3, 18])
+def test_renderer_writes_the_same_bytes_into_a_word_view(shortest, offset):
+    # the cells of a row buffer whose rows are 50 bytes apart, from
+    # ``offset``: strided and unaligned
+    values = grid_values()
+    if shortest:
+        values = values[np.isfinite(values)]
+    width = _render.CELL + 18
+    buf = np.full(values.size * width + offset, 7, dtype=np.uint8)
+    words = np.ndarray((values.size, _render.CELL // 8), dtype=np.uint64, buffer=buf,
+                       offset=offset, strides=(width, 8))
+    assert not words.flags.aligned
+    cells = _render.cells(values, shortest, out=words)
+    assert np.shares_memory(cells, buf)
+    rows = buf[offset:].reshape(values.size, width)
+    assert np.array_equal(rows[:, : _render.CELL], _render.cells(values, shortest))
+    assert (rows[:, _render.CELL :] == 7).all()
+
+
+def per_value_grid_csv(ax, f):
+    rows = [[ax[i], ax[j], f[i, j]] for i in range(ax.size) for j in range(ax.size)]
+    return per_value_csv(["x", "v", "f"], rows)
+
+
+@pytest.mark.parametrize("n", [64, 128], ids=["2-blocks", "8-blocks"])
+def test_pipeline_f_grid_matches_per_value_formatter(tmp_path, mix, n):
+    prefix = tmp_path / "pipe"
+    assert cli.main(["pipeline", "--state", mix, "--t", "0.5", "--grid-n", str(n),
+                     "--grid-l", "6.0", "--out-prefix", str(prefix)]) == 0
+    # rows rebuilt one grid point at a time from the same chain
+    spec = pl.GridSpec(n=n, extent=6.0)
+    orbit = orbits.orbit_from_state(cli._load_state(mix))
+    f, _ = pl.density(pl.state_to_classical(orbits.analytic_solution(orbit, 0.5), spec))
+    assert (tmp_path / "pipe_f.csv").read_bytes() == per_value_grid_csv(spec.axis(), f)
+
+
+def test_grid_writer_matches_per_value_formatter(tmp_path):
+    # any float64 grid, beyond the densities the pipeline writes: the
+    # sweep's values, signed zeros, NaN, the infinities and rounding ties
+    n = 64
+    ax = pl.GridSpec(n=n, extent=6.0).axis()
+    values = grid_values()
+    f = np.random.default_rng(5).choice(values, size=(n, n))
+    f.ravel()[:9] = values[:9]
+    f.ravel()[9:16] = [12.5, 1e16, 123.0, -1234.5678, 10.0, 99.99, 5e-324]
+    path = tmp_path / "f.csv"
+    cli._write_grid_csv(str(path), ax, f)
+    assert path.read_bytes() == per_value_grid_csv(ax, f)
 
 
 def repr_cells(values):

@@ -193,3 +193,20 @@ def test_truncation_error_on_boundary_states():
     # FULL at a non-unit boundary state needs the double-raising term
     with pytest.raises(TruncationError):
         ham.vector_field(FieldKind.FULL, 2.0 * bv((0,), (8,)))
+
+
+def test_non_finite_flux_raises():
+    # the flux is |coef| times the root of the boundary mass: an overflow
+    # is an infinite loss and a NaN prefactor a NaN one, and both raise
+    cut = Cutoff(k=2, d=1)
+    table = fock.ladder_table(cut)
+    y = bv((2,), (0,), cut).array  # all of y on the boundary
+    with np.errstate(over="ignore"):
+        with pytest.raises(TruncationError, match="inf"):
+            ham._check_flux(np.array([1e300, 0.0]), table.boundary[0], y, 1e-12)
+    with pytest.raises(TruncationError, match="nan"):
+        ham._check_flux(np.array([math.nan, 0.0]), table.boundary[0], y, 1e-12)
+    # off the boundary a huge prefactor meets a zero mass: no inf * 0
+    inner = bv((1,), (0,), cut).array
+    with np.errstate(over="raise", invalid="raise"):
+        ham._check_flux(np.array([1e300, -1e300]), table.boundary[0], inner, 1e-12)

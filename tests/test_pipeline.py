@@ -435,6 +435,29 @@ def test_residual_of_pipeline_orbit():
     assert pl.vlasov_residual(series, dt, SPEC) <= 1e-4
 
 
+@pytest.mark.parametrize("slices", [3, 5])
+@pytest.mark.parametrize("dt", [1e-3, 0.37])
+def test_residual_matches_roll_stencil_bit_for_bit(slices, dt):
+    # the interior stencil on slices of f against whole-grid np.roll copies
+    rng = np.random.default_rng(slices)
+    for spec in (pl.GridSpec(n=32, extent=4.0), pl.GridSpec(n=128, extent=6.0)):
+        series = []
+        for _ in range(slices):
+            f = rng.random((spec.n, spec.n)) ** 3
+            series.append(f / pl.trapezoid_2d(f, spec))
+        got = pl.vlasov_residual(series, dt, spec)
+        assert got == _support.roll_residual(series, dt, spec)
+        assert got > 0.0
+
+
+def test_residual_of_pipeline_densities_matches_roll_stencil():
+    spec = pl.GridSpec(n=128, extent=6.0)
+    orbit = orbits.orbit_from_state(example_family_state(1.1))
+    series = [pl.density(pl.state_to_classical(orbits.analytic_solution(orbit, t), spec))[0]
+              for t in (0.699, 0.7, 0.701)]
+    assert pl.vlasov_residual(series, 1e-3, spec) == _support.roll_residual(series, 1e-3, spec)
+
+
 def test_residual_validation():
     f = np.zeros((SPEC.n, SPEC.n))
     with pytest.raises(ValueError):
@@ -502,6 +525,23 @@ def test_rotation_convention_fixture():
     assert np.abs(f_at(t) - _support.rotating_oracle(f0, t, SPEC)).max() <= 1e-4
     # the opposite direction is sharply distinguishable
     assert np.abs(f_at(t) - _support.rotating_oracle(f0, -t, SPEC)).max() > 1e-2
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_density_and_trapezoid_keep_numpy_bits(n):
+    # in-place forms of |alpha|^2 and of the trapezoid sums give the bits
+    # of the plain numpy expressions
+    spec = pl.GridSpec(n=n, extent=6.0)
+    ax = spec.axis()
+    orbit = orbits.orbit_from_state(example_family_state(1.1))
+    field = pl.state_to_classical(orbits.analytic_solution(orbit, 0.7), spec)
+    f, rho = pl.density(field)
+    assert np.array_equal(f, np.abs(field.values) ** 2)
+    assert np.array_equal(rho, np.trapezoid(np.abs(field.values) ** 2, ax, axis=1))
+    rng = np.random.default_rng(n)
+    for values in (f, rng.normal(size=(n, n)), field.values * rng.normal(size=(n, n))):
+        want = np.trapezoid(np.trapezoid(values, ax, axis=1), ax, axis=0)
+        assert pl.trapezoid_2d(values, spec) == want
 
 
 # ---------------------------------------------------------------------------

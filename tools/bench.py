@@ -15,7 +15,10 @@ the median and quartiles of the PAIRS ratios this / against of the
 timing, pair by pair.
 
 Every case (a rung, or one op of a ``fock`` or ``pipeline`` rung) runs in its own process
-with one BLAS thread and is stopped after TIMEOUT_S.  Timing rule: one
+with one BLAS thread and is stopped after TIMEOUT_S.  Its environment pins
+glibc's allocator (GLIBC_TUNABLES = MALLOC_TUNABLES): a fixed mmap threshold
+of 4 MiB and trim threshold of 256 MiB, so whether a grid-sized temporary
+maps fresh pages no longer follows the allocation history of the process.  Timing rule: one
 warm-up call, then REPEATS runs of up to CALLS calls each (fewer when the
 warm-up call shows that CALLS calls would take longer than BUDGET_S); the
 figure is the minimum over the runs of the mean time per call.  Prints one
@@ -57,6 +60,7 @@ REPEATS = 5
 CALLS = 100
 BUDGET_S = 0.2
 TIMEOUT_S = 300.0
+MALLOC_TUNABLES = "glibc.malloc.mmap_threshold=4194304:glibc.malloc.trim_threshold=268435456"
 
 
 def timed(op: Callable):
@@ -400,7 +404,9 @@ def run_case(layer: str, index: int, part: str | None,
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import sys; sys.path.insert(0, {tools!r}); import bench; "
             f"bench.child({layer!r}, {index}, {part!r}, {src!r})")
-    env = None if src is None else dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, GLIBC_TUNABLES=MALLOC_TUNABLES)
+    if src is not None:
+        env["PYTHONPATH"] = src
     result = None
     try:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -519,7 +525,7 @@ def main(argv: list[str]) -> int:
         parser.error(f"--against {args.against}: no harmonic_hartree package there")
     layers = {name: run_layer(name, against) for name in args.layers or LAYERS}
     record = {
-        "host": {"cpu": _cpu_model(), "cpus": os.cpu_count()},
+        "host": {"cpu": _cpu_model(), "cpus": os.cpu_count(), "glibc_tunables": MALLOC_TUNABLES},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas_threads": 1,
