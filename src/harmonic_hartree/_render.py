@@ -69,14 +69,13 @@ _HEAD[:, 6] = 48 + _H // 2 % 10
 _HEAD[:, 7] = np.where(_H % 2, ord("."), 0)
 _HEAD = _words(_HEAD)
 
-# a quad is four digits q = 0..9999 in four bytes; quad g (0..3) holds
-# digits 4g + 1 .. 4g + 4 of the 17, quads 0 and 2 in the low half of
-# words 1 and 2, quads 1 and 3 in the high half
+# a quad is four digits q = 0..9999 in the low four bytes of a word; quad
+# g (0..3) holds digits 4g + 1 .. 4g + 4 of the 17, quads 0 and 2 in the
+# low half of words 1 and 2, quads 1 and 3 in the high half
 _QDIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
 _QLOW = np.zeros((10000, 8), dtype=np.uint8)
 _QLOW[:, :4] = 48 + _QDIGITS
 _QLOW = _words(_QLOW)
-_QHIGH = _QLOW << 32
 _BYTES = _words(np.where(np.arange(8) < np.arange(9)[:, None], 255, 0))  # keep k bytes
 _KEEPMASK = _BYTES[np.clip(np.arange(17) - 8 * np.arange(2)[:, None], 0, 8)]  # [word, digits kept]
 _QPOS = np.max((_QDIGITS > 0) * np.arange(1, 5, dtype=np.int8), axis=1)  # 0 for q = 0
@@ -220,7 +219,7 @@ def cells(values, shortest: bool = False, out: np.ndarray | None = None) -> np.n
     head += 100 * np.signbit(v)
     words[:, 0] = _HEAD[head]
     digit_words = _QLOW[q[::2]]
-    digit_words |= _QHIGH[q[1::2]]
+    digit_words |= _QLOW[q[1::2]] << 32
     digit_words &= np.take(_KEEPMASK, keep, axis=1)
     tail = _TAIL[row]
     if point.any():
