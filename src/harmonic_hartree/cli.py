@@ -93,7 +93,7 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-_BLOCK = 2048  # values per block: the cells of one block are 96 KiB
+_BLOCK = 2048  # values per block: the cells of one block are 64 KiB
 _SPARSE = 4 * _BLOCK  # values per block of a sparse table: its tokens are 64 KiB
 
 

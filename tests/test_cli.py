@@ -398,7 +398,6 @@ def test_overflowing_field_is_rejected(tmp_path, capsys, kind):
     assert not out.exists()
 
 
-
 # address-space cap of the child: far above a normal run, far below the
 # basis of any oversized cutoff below
 OVERSIZED_AS_BYTES = 1 << 30
