@@ -10,6 +10,14 @@ grid exactly, from one (degree + 1)^2 coefficient matrix; nothing is
 interpolated or aliased.  ``synthesize_position`` and the velocity
 transforms realize single stages on a grid.
 
+``classical_slice`` adds the coefficients of d_t alpha, from the rate of
+the state, and so every derivative of a slice is exact: d_x and the factor
+x act on Hermite coefficients as tridiagonal matrices, so
+``exact_residual`` (the transport residual of f) and the pseudo-momentum
+of ``exact_charges`` need one slice and no stencil or FFT.  The stencil
+``vlasov_residual`` over a time series of densities and the spectral
+``noether_charges`` stay as independent checks of them.
+
 Grids are uniform, symmetric, endpoint-free: x_j = -L + j * (2L/n).  This
 makes trapezoid quadrature spectrally accurate for decaying smooth data
 (defaults L = 8, n = 256 keep Hermite tails below 1e-13 for degrees <= 8)
@@ -204,29 +212,92 @@ def _rotation_shells(top: int) -> Iterator[np.ndarray]:
         yield poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s))
 
 
-def state_to_classical(state: fock.FockVector, spec: GridSpec) -> GridField:
-    """The (x, v) amplitude of a d=1 state on ``spec``: H(x)^T D H(v) with H
-    the Hermite table on the grid axis.  tau keeps each shell a + b = s and
-    acts on it by R^s, and the inverse velocity transform takes h_k(xi) to
-    i^k h_k(v), so D_jk = i^k sum_(a+b=j+k) c_ab R^s[a, j]."""
-    if state.cutoff.d != 1:
+def _check_slice(spec: GridSpec, *states: fock.FockVector) -> None:
+    if any(state.cutoff.d != 1 for state in states):
         raise ValueError("grid synthesis supports d = 1 only")
     if spec.n**2 > _MAX_TABLE_ENTRIES:
         raise ValueError(
             f"output grid too large: {spec.n}^2 points exceeds {_MAX_TABLE_ENTRIES} entries"
         )
-    degree = state.max_degree()
-    nz = np.flatnonzero(state.array)
-    ab = fock.counts(state.cutoff)[nz]
-    coeffs = np.zeros((degree + 1, degree + 1), dtype=complex)
-    coeffs[ab[:, 0], ab[:, 1]] = state.array[nz]
+
+
+def _amplitude_coefficients(states, degree: int) -> np.ndarray:
+    """D of each d=1 state, stacked as (len(states), degree + 1, degree + 1):
+    D_jk = i^k sum_(a+b=j+k) c_ab R^s[a, j].  The rotation shells are built
+    once for the whole stack, and each state's shells are rotated as one
+    row each."""
+    coeffs = np.zeros((len(states), degree + 1, degree + 1), dtype=complex)
+    for c, state in zip(coeffs, states):
+        nz = np.flatnonzero(state.array)
+        ab = fock.counts(state.cutoff)[nz]
+        c[ab[:, 0], ab[:, 1]] = state.array[nz]
     # shell s is the antidiagonal j + k = s of c and of D: D replaces c in place
     for s, rotation in enumerate(_rotation_shells(degree)):
         j = np.arange(s + 1)
-        coeffs[j, s - j] = coeffs[j, s - j] @ rotation
+        for c in coeffs:
+            c[j, s - j] = c[j, s - j] @ rotation
     coeffs *= np.array([1, 1j, -1, -1j])[np.arange(degree + 1) % 4]  # i^k, column k
+    return coeffs
+
+
+def state_to_classical(state: fock.FockVector, spec: GridSpec) -> GridField:
+    """The (x, v) amplitude of a d=1 state on ``spec``: H(x)^T D H(v) with H
+    the Hermite table on the grid axis.  tau keeps each shell a + b = s and
+    acts on it by R^s, and the inverse velocity transform takes h_k(xi) to
+    i^k h_k(v), so D_jk = i^k sum_(a+b=j+k) c_ab R^s[a, j]."""
+    _check_slice(spec, state)
+    degree = state.max_degree()
+    coeffs = _amplitude_coefficients([state], degree)[0]
     table = hermite_table(degree, spec.axis())
     return GridField(spec, table.T @ coeffs @ table, STAGE_XV)
+
+
+@dataclass(frozen=True)
+class ClassicalSlice:
+    """The amplitude of a state c on the grid, with what its exact
+    derivatives need.
+
+    ``field`` is alpha = H^T D H, the values of ``state_to_classical(c)``
+    bit for bit.  ``coeffs`` is D and ``rate`` is D(c'), the coefficients of
+    d_t alpha for the rate c' = dc/dt (c -> D is linear), both padded by
+    zeros to m x m, m = degree + 2.  ``table`` is H with the one extra
+    degree row that a derivative or a factor x of the amplitude needs.
+    """
+
+    field: GridField
+    coeffs: np.ndarray
+    rate: np.ndarray
+    table: np.ndarray
+
+
+def classical_slice(state: fock.FockVector, rate: fock.FockVector,
+                    spec: GridSpec) -> ClassicalSlice:
+    """The slice of ``state`` whose time derivative is ``rate`` (for the
+    Hamiltonian flow, ``hamiltonian.vector_field(SPHERE, state)``): D and D(rate)
+    from one stacked pass over the rotation shells, and one Hermite table."""
+    _check_slice(spec, state, rate)
+    top = state.max_degree()
+    degree = max(top, rate.max_degree())
+    stack = _amplitude_coefficients([state, rate], degree)
+    m = degree + 2
+    padded = np.zeros((2, m, m), dtype=complex)
+    padded[:, : m - 1, : m - 1] = stack
+    table = hermite_table(degree + 1, spec.axis())
+    # the amplitude from the rows of the state's own degree, as
+    # state_to_classical forms it
+    rows = table[: top + 1]
+    field = GridField(spec, rows.T @ stack[0, : top + 1, : top + 1] @ rows, STAGE_XV)
+    return ClassicalSlice(field, padded[0], padded[1], table)
+
+
+@lru_cache(maxsize=None)
+def _ladders(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """d/dx and the factor x on the coefficients of h_0..h_(m-1):
+    h_j' = sqrt(j/2) h_(j-1) - sqrt((j+1)/2) h_(j+1) and
+    x h_j = sqrt(j/2) h_(j-1) + sqrt((j+1)/2) h_(j+1), so both are
+    tridiagonal, exact on coefficients of degree <= m - 2."""
+    up = np.diag(np.sqrt(np.arange(1, m) / 2.0), 1)
+    return up - up.T, up + up.T
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +360,9 @@ def noether_charges(field: GridField) -> tuple[float, complex, float]:
     """
     if field.stage != STAGE_XV:
         raise ValueError(f"noether_charges expects stage 'xv', got {field.stage!r}")
-    return _charges(field, *density(field))
-
-
-def _charges(field: GridField, f: np.ndarray, rho: np.ndarray) -> tuple[float, complex, float]:
-    """``noether_charges`` of the field whose ``density`` is (f, rho): the
-    mass is the trapezoid sum of rho, the same sum as trapezoid_2d(f)."""
     spec = field.spec
     vals = field.values
-    ax = spec.axis()
-    mass = float(np.trapezoid(rho, ax))
+    f, rho = density(field)
     wavenumbers = 2.0 * math.pi * np.fft.fftfreq(spec.n, d=spec.step)
     dx_vals = np.fft.ifft(1j * wavenumbers[:, None] * np.fft.fft(vals, axis=0), axis=0)
     # 1j * d_x vals in place.  The conjugate stays a temporary: on large
@@ -306,5 +370,56 @@ def _charges(field: GridField, f: np.ndarray, rho: np.ndarray) -> tuple[float, c
     # bit of a complex product depends on their order
     np.multiply(1j, dx_vals, out=dx_vals)
     pseudo = complex(trapezoid_2d(vals * np.conj(dx_vals), spec))
-    momentum = float(trapezoid_2d(f * ax[None, :], spec).real)
+    mass, momentum = _mass_momentum(f, rho, spec)
     return mass, pseudo, momentum
+
+
+def _mass_momentum(f: np.ndarray, rho: np.ndarray, spec: GridSpec) -> tuple[float, float]:
+    """The mass and momentum of the field whose ``density`` is (f, rho): the
+    mass is the trapezoid sum of rho, the same sum as trapezoid_2d(f)."""
+    ax = spec.axis()
+    return float(np.trapezoid(rho, ax)), float(trapezoid_2d(f * ax[None, :], spec).real)
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives of a slice
+
+def exact_charges(sl: ClassicalSlice, f: np.ndarray,
+                  rho: np.ndarray) -> tuple[float, complex, float]:
+    """``noether_charges`` of the slice whose ``density`` is (f, rho), with
+    the pseudo-momentum, the trapezoid sum of alpha conj(i d_x alpha), taken
+    with the exact d_x alpha = H^T (P D) H.  The grid is uniform, so that
+    sum over its n^2 points is the Gram form sum D o conj(G (i P D) G) with
+    G = H diag(w) H^T.  The mass and momentum are those of
+    ``noether_charges``, bit for bit."""
+    spec = sl.field.spec
+    deriv, _ = _ladders(sl.coeffs.shape[0])
+    weights = np.full(spec.n, spec.step)  # the trapezoid rule's
+    weights[[0, -1]] /= 2.0
+    gram = (sl.table * weights) @ sl.table.T
+    pseudo = complex(np.sum(sl.coeffs * np.conj(gram @ (1j * (deriv @ sl.coeffs)) @ gram)))
+    mass, momentum = _mass_momentum(f, rho, spec)
+    return mass, pseudo, momentum
+
+
+def exact_residual(sl: ClassicalSlice) -> float:
+    """Max over the whole grid of |d_t f + v d_x f - (x - xbar) d_v f| for
+    f = |alpha|^2, from exact derivatives: the residual is 2 Re(conj(alpha)
+    beta) with beta = d_t alpha + v d_x alpha - (x - xbar) d_v alpha.  On
+    the coefficients d_x and x are the tridiagonal ``_ladders`` P and X, so
+    beta = H^T B H with B = D(c') + P D X^T - (X - xbar) D P^T, and xbar is
+    the continuum mean <alpha, x alpha> = sum conj(D) o (X D)."""
+    deriv, pos = _ladders(sl.coeffs.shape[0])
+    coeffs = sl.coeffs
+    xbar = float(np.sum(np.conj(coeffs) * (pos @ coeffs)).real)
+    force = (pos - xbar * np.eye(len(pos))) @ coeffs @ deriv.T
+    b = sl.rate + deriv @ coeffs @ pos.T - force
+    # Re(conj(alpha) beta) = Re alpha Re beta + Im alpha Im beta, each part
+    # of beta from real matmuls
+    table, alpha = sl.table, sl.field.values
+    res = table.T @ np.ascontiguousarray(b.real) @ table
+    res *= alpha.real
+    part = table.T @ np.ascontiguousarray(b.imag) @ table
+    part *= alpha.imag
+    res += part
+    return 2.0 * float(np.abs(res, out=res).max())

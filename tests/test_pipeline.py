@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _support
-from harmonic_hartree import fock, orbits, pipeline as pl
+from harmonic_hartree import fock, hamiltonian, orbits, pipeline as pl
 from harmonic_hartree.fock import Cutoff
 
 CUT = Cutoff(k=8, d=1)
@@ -464,6 +464,114 @@ def test_residual_validation():
         pl.vlasov_residual([f, f], 1e-3, SPEC)
     with pytest.raises(ValueError):
         pl.vlasov_residual([f, f, f], 0.0, SPEC)
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives of one slice
+
+BENCH_SPEC = pl.GridSpec(n=128, extent=6.0)  # the classical benchmark's grid
+COMPLEX_STATE = 0.6 * bv((1,), (0,)) + 0.8j * bv((3,), (0,))
+
+
+def rate_of(state):
+    return hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, state)
+
+
+def family_slice(gamma, t, spec, scale=1.0):
+    """The slice of the family at time t, its rate scaled by ``scale``."""
+    state = orbits.analytic_solution(orbits.orbit_from_state(example_family_state(gamma)), t)
+    return pl.classical_slice(state, scale * rate_of(state), spec)
+
+
+@pytest.mark.parametrize("state", [example_family_state(1.1), COMPLEX_STATE, bv((8,), (0,))],
+                         ids=["family", "complex", "top-degree"])
+@pytest.mark.parametrize("spec", [BENCH_SPEC, SPEC], ids=["n128", "n256"])
+def test_slice_field_is_state_to_classical_bit_for_bit(state, spec):
+    sl = pl.classical_slice(state, rate_of(state), spec)
+    assert np.array_equal(sl.field.values, pl.state_to_classical(state, spec).values)
+    assert sl.coeffs.shape == sl.rate.shape == (sl.table.shape[0],) * 2
+    assert sl.table.shape == (state.max_degree() + 2, spec.n)
+
+
+@pytest.mark.parametrize("spec", [BENCH_SPEC, SPEC], ids=["n128", "n256"])
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.5])
+def test_exact_residual_of_the_family_is_rounding(spec, gamma):
+    for t in (0.0, 0.7, 2.3):
+        assert pl.exact_residual(family_slice(gamma, t, spec)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", [BENCH_SPEC, SPEC], ids=["n128", "n256"])
+def test_exact_residual_of_a_complex_state_is_rounding(spec):
+    orbit = orbits.orbit_from_state(COMPLEX_STATE)
+    for t in (0.0, 0.7):
+        state = orbits.analytic_solution(orbit, t)
+        assert pl.exact_residual(pl.classical_slice(state, rate_of(state), spec)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.5])
+def test_exact_residual_detects_a_wrong_rate(gamma):
+    orbit = orbits.orbit_from_state(example_family_state(gamma))
+    state = orbits.analytic_solution(orbit, 0.7)
+    rate = rate_of(state)
+    good = pl.exact_residual(pl.classical_slice(state, rate, BENCH_SPEC))
+    later = rate_of(orbits.analytic_solution(orbit, 0.8))
+    for wrong in (2.0 * rate, later, -1.0 * rate):
+        bad = pl.exact_residual(pl.classical_slice(state, wrong, BENCH_SPEC))
+        assert bad >= 1e10 * max(good, 1e-17) and bad >= 1e-3
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.5])
+def test_exact_residual_detects_a_flipped_force(gamma):
+    # B formed from the slice as exact_residual forms it (xbar = 0 on the
+    # family), with the force term's sign as given
+    sl = family_slice(gamma, 0.7, BENCH_SPEC)
+    deriv, pos = pl._ladders(len(sl.coeffs))
+    alpha = sl.field.values
+
+    def residual(force_sign):
+        b = sl.rate + deriv @ sl.coeffs @ pos.T + force_sign * pos @ sl.coeffs @ deriv.T
+        beta = sl.table.T @ b @ sl.table
+        return 2.0 * np.abs((np.conj(alpha) * beta).real).max()
+
+    good = pl.exact_residual(sl)
+    assert residual(-1.0) <= 1e-12 and good <= 1e-12
+    assert residual(1.0) >= 1e10 * max(good, 1e-17) and residual(1.0) >= 1e-3
+
+
+@pytest.mark.parametrize("spec", [BENCH_SPEC, SPEC], ids=["n128", "n256"])
+@pytest.mark.parametrize("gamma", [0.5, 1.5, 2.5])
+def test_exact_residual_agrees_with_the_stencils(spec, gamma):
+    # the orbit run at speed s has the rate s c'; its densities dt apart
+    # give the stencils' residual of that rate, which is O(0.1) for s != 1.
+    # The two residual fields differ by the stencils' truncation, which
+    # their residual on the true orbit (s = 1) measures
+    orbit = orbits.orbit_from_state(example_family_state(gamma))
+    dt, t = 1e-3, 0.7
+
+    def stencils(speed):
+        series = [pl.density(pl.state_to_classical(
+            orbits.analytic_solution(orbit, t + speed * k * dt), spec))[0] for k in (-1, 0, 1)]
+        return pl.vlasov_residual(series, dt, spec), _support.roll_residual(series, dt, spec)
+
+    truncation = max(stencils(1.0))
+    assert truncation <= (4e-5 if spec.n == 128 else 8e-6)
+    for speed in (2.0, -1.0, 0.0):
+        exact = pl.exact_residual(family_slice(gamma, t, spec, scale=speed))
+        assert exact >= 0.05
+        for stencil in stencils(speed):
+            assert abs(exact - stencil) <= 1.5 * truncation
+
+
+@pytest.mark.parametrize("spec", [BENCH_SPEC, SPEC], ids=["n128", "n256"])
+@pytest.mark.parametrize("state", [example_family_state(0.5), example_family_state(2.5),
+                                   COMPLEX_STATE],
+                         ids=["family-0.5", "family-2.5", "complex"])
+def test_exact_charges_match_noether_charges(spec, state):
+    sl = pl.classical_slice(state, rate_of(state), spec)
+    mass, pseudo, momentum = pl.exact_charges(sl, *pl.density(sl.field))
+    want = pl.noether_charges(sl.field)
+    assert (mass, momentum) == (want[0], want[2])  # the same sums, bit for bit
+    assert abs(pseudo - want[1]) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

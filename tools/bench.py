@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -217,9 +218,11 @@ def spectrum_case(rung: dict, _) -> Iterator[dict]:
 # ``tables`` builds the Hermite table of the state's degree on the grid
 # axis, ``synthesis`` is one cold ``state_to_classical`` slice, ``dft``
 # the inverse velocity transform of the slice's (x, xi) field, then
-# ``density``, ``residual`` (over three slices dt = 1e-3 apart) and
-# ``charges``.  Only public functions are called, so one harness times
-# every tree.
+# ``density``, ``residual`` (the stencil over three slices dt = 1e-3
+# apart) and ``charges``; ``command`` is the whole ``pipeline`` command
+# through ``cli.main``, each call writing to a fresh prefix, and records
+# the size and SHA-256 of the files of its first call.  Only public
+# functions are called, so one harness times every tree.
 
 PIPELINE_T = 0.5
 PIPELINE_L = 6.0
@@ -238,7 +241,33 @@ PIPELINE_OPS = {
     "density": lambda s: pipeline.density(s.field),
     "residual": lambda s: pipeline.vlasov_residual(s.f_series, 1e-3, s.spec),
     "charges": lambda s: pipeline.noether_charges(s.field),
+    "command": lambda s: s.command(),
 }
+
+
+def _fresh(argv: list[str]) -> Callable[[], None]:
+    """A call of ``cli.main(argv)`` that writes to fresh paths: the text
+    {call} in ``argv`` becomes the number of the call, from 0."""
+    calls = itertools.count()
+
+    def op():
+        call = str(next(calls))
+        if cli.main([arg.replace("{call}", call) for arg in argv]):
+            raise RuntimeError(f"cli.main {argv[0]} returned nonzero")
+
+    return op
+
+
+def _files(paths: list[str]) -> dict:
+    """The size and SHA-256 of the files of the first call of ``_fresh``."""
+    files = {}
+    for path in paths:
+        with open(path.replace("{call}", "0"), "rb") as fh:
+            data = fh.read()
+        files[os.path.basename(path).replace("{call}", "")] = {
+            "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
+        }
+    return files
 
 
 def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
@@ -246,18 +275,30 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
     orbit = orbits.orbit_from_state(_mix_state())
     slices = [orbits.analytic_solution(orbit, PIPELINE_T + dt) for dt in (-1e-3, 0.0, 1e-3)]
     field = pipeline.state_to_classical(slices[1], spec)
-    s = SimpleNamespace(
-        state=slices[1], spec=spec, degree=slices[1].max_degree(), field=field,
-        xxi=pipeline.velocity_fourier(field),
-        f_series=[pipeline.density(pipeline.state_to_classical(st, spec))[0] for st in slices],
-    )
+    with tempfile.TemporaryDirectory() as outdir:
+        state_path = os.path.join(outdir, "state.json")
+        with open(state_path, "w", encoding="utf-8") as fh:
+            json.dump(fock.to_json_dict(_mix_state()), fh)
+        prefix = os.path.join(outdir, "pipe{call}")
+        s = SimpleNamespace(
+            state=slices[1], spec=spec, degree=slices[1].max_degree(), field=field,
+            xxi=pipeline.velocity_fourier(field),
+            f_series=[pipeline.density(pipeline.state_to_classical(st, spec))[0]
+                      for st in slices],
+            command=_fresh(["pipeline", "--state", state_path, "--t", repr(PIPELINE_T),
+                            "--grid-n", str(spec.n), "--grid-l", repr(PIPELINE_L),
+                            "--out-prefix", prefix]),
+        )
 
-    def op():
-        return PIPELINE_OPS[name](s)
+        def op():
+            return PIPELINE_OPS[name](s)
 
-    best = best_mean(op, timed(op)[0])
-    yield {"us_per_call": {name: 1e6 * best["min_s"]},
-           "calls_per_run": {name: best["calls_per_run"]}}
+        best = best_mean(op, timed(op)[0])
+        figures = {"us_per_call": {name: 1e6 * best["min_s"]},
+                   "calls_per_run": {name: best["calls_per_run"]}}
+        if name == "command":
+            figures["files"] = _files([prefix + "_f.csv", prefix + "_rho.csv"])
+    yield figures
 
 
 # output: one CLI command through ``cli.main`` with the library calls it
@@ -265,8 +306,9 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
 # plus rendering and writing the output files: state JSON (``vector-field
 # --kind full``), spectrum JSON (``spectrum``, its CSV writer a no-op),
 # the simulate CSV (``simulate``, SAMPLES samples, with its report) and
-# the f-grid CSV (``pipeline``, with the rho CSV and the report).  Records
-# the size and SHA-256 of every file.
+# the f-grid CSV (``pipeline``, with the rho CSV and the report).  Each
+# call writes to fresh paths, so no call truncates a file of the one
+# before.  Records the size and SHA-256 of every file of the first call.
 
 OUTPUT_SEED = 8
 
@@ -280,7 +322,7 @@ def _output_setup(rung: dict, outdir: str):
     if rung["output"] == "state_json":
         state = _centered_state(8, rung["d"], OUTPUT_SEED)
         field = hamiltonian.vector_field(hamiltonian.FieldKind.FULL, state)
-        out = os.path.join(outdir, "vf.json")
+        out = os.path.join(outdir, "vf{call}.json")
         argv = ["vector-field", "--state", "-", "--kind", "full", "--json", out]
         stubs = [(cli, {"_load_state": _const(state)}),
                  (hamiltonian, {"vector_field": _const(field)})]
@@ -288,7 +330,7 @@ def _output_setup(rung: dict, outdir: str):
     if rung["output"] == "spectrum_json":
         state = _equilibrium(rung)
         report = equilibria.classify_spectrum(equilibria.linearize(state))
-        out = os.path.join(outdir, "s.json")
+        out = os.path.join(outdir, "s{call}.json")
         argv = ["spectrum", "--state", "-", "--json", out, "--csv", os.devnull]
         stubs = [(cli, {"_load_state": _const(state), "_write_csv": _const(None)}),
                  (equilibria, {"linearize": _const(report),
@@ -298,7 +340,7 @@ def _output_setup(rung: dict, outdir: str):
     if rung["output"] == "simulate_csv":
         state = _centered_state(8, rung["d"], OUTPUT_SEED)
         traj = integrate.integrate(state, math.pi / 4, tol=TOL, samples=SAMPLES)
-        out = os.path.join(outdir, "sim")
+        out = os.path.join(outdir, "sim{call}")
         argv = ["simulate", "--state", "-", "--t-end", repr(math.pi / 4),
                 "--samples", str(SAMPLES), "--out", out + ".csv", "--report", out + ".json"]
         stubs = [(cli, {"_load_state": _const(state)}),
@@ -309,23 +351,28 @@ def _output_setup(rung: dict, outdir: str):
     spec = pipeline.GridSpec(n=rung["grid_n"], extent=6.0)
     state = _mix_state()
     orbit = orbits.orbit_from_state(state)
-    field = pipeline.state_to_classical(orbits.analytic_solution(orbit, 0.5), spec)
-    prefix = os.path.join(outdir, "pipe")
+    now = orbits.analytic_solution(orbit, 0.5)
+    field = pipeline.state_to_classical(now, spec)
+    prefix = os.path.join(outdir, "pipe{call}")
     argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
             "--grid-l", "6.0", "--out-prefix", prefix]
     charges = _const(pipeline.noether_charges(field))
+    library = {"state_to_classical": _const(field), "density": _const(pipeline.density(field)),
+               "noether_charges": charges, "vlasov_residual": _const(0.0)}
     stubs = [
         (cli, {"_load_state": _const(state)}),
         (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
-        (pipeline, {
-            "state_to_classical": _const(field),
-            "density": _const(pipeline.density(field)),
-            "noether_charges": charges,
-            "vlasov_residual": _const(0.0),
-            # the CLI takes the charges from the density where _charges exists
-            **({"_charges": charges} if hasattr(pipeline, "_charges") else {}),
-        }),
+        (pipeline, library),
     ]
+    # the CLI takes the charges from the density where _charges exists, and
+    # one slice with its exact diagnostics where classical_slice exists
+    if hasattr(pipeline, "_charges"):
+        library["_charges"] = charges
+    if hasattr(pipeline, "classical_slice"):
+        rate = hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, now)
+        library.update(classical_slice=_const(pipeline.classical_slice(now, rate, spec)),
+                       exact_charges=charges, exact_residual=_const(0.0))
+        stubs.append((hamiltonian, {"vector_field": _const(rate)}))
     outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
     return argv, stubs, outs, {"grid_l": 6.0}
 
@@ -333,23 +380,13 @@ def _output_setup(rung: dict, outdir: str):
 def output_case(rung: dict, _) -> Iterator[dict]:
     with tempfile.TemporaryDirectory() as outdir:
         argv, stubs, outs, desc = _output_setup(rung, outdir)
-
-        def op():
-            if cli.main(argv):
-                raise RuntimeError(f"cli.main {argv[0]} returned nonzero")
-
+        op = _fresh(argv)
         with contextlib.ExitStack() as stack:
             for module, attrs in stubs:
                 stack.enter_context(mock.patch.multiple(module, **attrs))
             first = timed(op)[0]
             best = best_mean(op, first)
-        files = {}
-        for path in outs:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            files[os.path.basename(path)] = {
-                "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest(),
-            }
+        files = _files(outs)
     yield dict(desc, first_call_s=first, **best, files=files)
 
 
