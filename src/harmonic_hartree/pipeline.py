@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -252,8 +252,7 @@ def state_to_classical(state: fock.FockVector, spec: GridSpec) -> GridField:
     return GridField(spec, table.T @ coeffs @ table, STAGE_XV)
 
 
-@dataclass(frozen=True)
-class ClassicalSlice:
+class ClassicalSlice(NamedTuple):
     """The amplitude of a state c on the grid, with what its exact
     derivatives need.
 
