@@ -452,7 +452,10 @@ class LadderTable:
     past the cutoff.  ``n_complex`` and ``lowering_weight`` are complex
     copies of ``n_diag`` and of the lowering rows of ``weight``, so the
     fields multiply complex arrays without casting the float ones on
-    every call (the products are the same bits).
+    every call (the products are the same bits); ``lowering_index`` is
+    the view ``index[LOWERING]``, so a complex padded buffer's lowering
+    images are ``lowering_weight * y[lowering_index]``, the bits of
+    ``gather(y, LOWERING)`` without its dispatch.
     """
 
     n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
@@ -462,6 +465,7 @@ class LadderTable:
     boundary: np.ndarray  # (2, 2d, n)
     n_complex: np.ndarray  # (n,) n_diag as complex
     lowering_weight: np.ndarray  # (2, 2d, n) weight[LOWERING] as complex
+    lowering_index: np.ndarray  # (2, 2d, n) index[LOWERING], a view
 
     def gather(
         self, y: np.ndarray, ops: int | slice | tuple[int, int] = slice(None)
@@ -522,6 +526,7 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
         boundary=boundary,
         n_complex=n_diag.astype(complex),
         lowering_weight=weight[LOWERING].astype(complex),
+        lowering_index=index[LOWERING],
     )
     for arr in vars(table).values():
         arr.flags.writeable = False  # shared through the cache

@@ -20,10 +20,12 @@ coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
 gathers the lowering images of the state (one slice of the table), takes
 their moments <y, o y>, and gathers the raising images only when a first
 moment is nonzero; the energy gathers the single lowerings alone.  The
-core also takes the state as an (n + 1,) buffer whose last slot is the
-table's zero pad, as the integrator keeps its stage points, and then
-gathers from it in place.  Its gather and moments multiply by the
-table's complex copies of the lowering weights and of N, so a field
+core also takes the state as a complex (n + 1,) buffer whose last slot is
+the table's zero pad, as the integrator keeps its stage points, and then
+gathers from it in place, the lowering images through one stored index;
+``frame_field`` can write its result into the caller's array, as the
+integrator writes each stage derivative.  Its gather and moments multiply
+by the table's complex copies of the lowering weights and of N, so a field
 evaluation on a centered state casts no float array.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
@@ -89,9 +91,10 @@ def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
 def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: float):
     """What every field shares, on y taken to the frame angle theta.
 
-    ``buf`` is y itself or its padded (n + 1,) buffer (see
-    ``LadderTable.gather``); the gathers read it in place.  The moments are
-    those of e^{-iN theta} y.  A lowering o_i shifts N by sign_i, so
+    ``buf`` is y itself or its complex padded (n + 1,) buffer (see
+    ``LadderTable.gather``); the gathers read a padded buffer in place, its
+    lowering images through the one stored index ``lowering_index``.  The
+    moments are those of e^{-iN theta} y.  A lowering o_i shifts N by sign_i, so
     <., o_i .> turns by e^{i sign_i theta} and <., o_i o_i .> by
     e^{2i sign_i theta}: scalars on the moments of y itself.  Returns
 
@@ -105,11 +108,14 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
       moment is zero (as on centered states); only otherwise are the
       raising images gathered and the truncation flux checked.
     """
-    lowered = table.gather(buf, LOWERING)
+    if buf.size > table.n_diag.size:
+        lowered = table.lowering_weight * buf[table.lowering_index]
+    else:
+        lowered = table.gather(buf, LOWERING)
     y = buf[: lowered.shape[-1]]
     yc = y.conj()
     moment = lowered @ yc
-    mean_n = float(((table.n_complex * y) @ yc).real)
+    mean_n = float((table.n_complex * y).dot(yc).real)
     # s2 from the pair moments summed per side: the a-axes turn by
     # e^{2i theta}, the b-axes by its conjugate
     lower, pairs = moment.tolist()
@@ -168,18 +174,21 @@ def field_array(
 
 
 def frame_field(
-    table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0
+    table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The sphere field's remainder in the interaction picture of N.
 
     For the sphere field F this is e^{iN theta} (F(y) + iN y) at
     y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
     with s and the ladder part of ``_field_core`` at theta.  z may be a
-    padded (n + 1,) buffer (see ``LadderTable.gather``); the result is
-    (n,).  Raises TruncationError like ``field_array``.
+    complex padded (n + 1,) buffer (see ``LadderTable.gather``); the result
+    is (n,), written into the complex (n,) array ``out`` when one is given
+    (the same bits as a fresh result).  Raises TruncationError like
+    ``field_array``.
     """
     z, _, _, shift, _, ladder = _field_core(table, z, theta, flux_tol)
-    out = (-1j * shift) * z
+    out = np.multiply(-1j * shift, z, out=out)
     if ladder is not None:
         out -= 1j * ladder
     return out

@@ -23,17 +23,23 @@ Specifics:
   at y = e^{-iN theta} z and the frame angle theta = c_j h; every ladder
   op shifts N by a fixed amount, so ``sphere_field`` computes it from z
   and scalar phases e^{i sign theta} alone, and no vector is rotated
-  inside a step;
+  inside a step.  A backward run integrates in s = -t: its stages pass
+  the negated angle -c_j h and negate their derivative in place;
 * after every accepted step the state y_new = e^{-iN h} z(h) is projected
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
   the norm, so the projection removes integrator drift only);
-* the stages live in one preallocated (16, n) buffer and the tableau is
-  applied as matmuls on it; stage 12 is z'(h), which rotated by the same
-  e^{-iN h} is the next step's first stage (FSAL).  Each stage point z_j
-  is written into row j of a (16, n + 1) buffer whose last column stays
-  the zero pad slot of ``fock.LadderTable.gather``, so the field gathers
-  from it in place and no stage copies its state;
+* the stages live in one preallocated (16, n) buffer K and the tableau
+  is applied as matmuls on it; stage 12 is z'(h), which rotated by the
+  same e^{-iN h} is the next step's first stage (FSAL).  Each call builds
+  a stage plan once: for stage j, row j of a (16, n + 1) buffer whose
+  last column stays the zero pad slot of ``fock.LadderTable.gather`` and
+  that row's n-view, the tableau row, the view K[:j], the row K[j] and
+  the signed stage time.  A stage then writes z_j into the n-view in
+  place (a matmul, a scaling by h and the sum with z(0), no temporary)
+  and makes one ``sphere_field`` call, on the cutoff's ladder table bound
+  once per call, that gathers from the padded row in place and writes
+  z'_j straight into K[j]: no stage copies its state or its derivative;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
@@ -51,12 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fock, hamiltonian
 from .errors import IntegrationError
-from .fock import Cutoff, FockVector
+from .fock import Cutoff, FockVector, LadderTable
 
 # DOP853 tableau (Hairer's dop853.f) as a strictly lower-triangular matrix:
 # stage s is evaluated at z + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
@@ -259,16 +266,17 @@ _END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
 _MAX_SAMPLE_ENTRIES = 2**20  # samples x basis size: the sampled states' table
 
 
-def sphere_field(cutoff: Cutoff, z: np.ndarray, theta: float) -> np.ndarray:
+def sphere_field(
+    table: LadderTable, z: np.ndarray, theta: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Sphere field's remainder e^{iN theta} (F(y) + iN y) at
-    y = e^{-iN theta} z, evaluated on z; aborts on truncation flux."""
-    return hamiltonian.frame_field(
-        fock.ladder_table(cutoff), z, theta, _TRUNCATION_FLUX_TOL
-    )
+    y = e^{-iN theta} z on the ladder table of z's cutoff, evaluated on z
+    (or its complex padded buffer) and written into ``out`` when given;
+    aborts on truncation flux."""
+    return hamiltonian.frame_field(table, z, theta, _TRUNCATION_FLUX_TOL, out)
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     s0: float
     h: float
     y: np.ndarray  # (dim,) state at the segment start, z(0) of its frame
@@ -327,21 +335,34 @@ class Trajectory:
         return fock.from_array(self.cutoff, _interp_raw(self._segments, s)[0])
 
 
-def _lawson_stages(z_prime, z0, h, K, points, stages: range) -> np.ndarray:
-    """Fill ``stages`` of the (16, n) buffer ``K`` for the step of size h
-    from z0 = z(0), in the frame z(tau) = e^{i rate tau} y(s0 + tau).
+def _stage_plan(n: int, K: np.ndarray, direction: float) -> list[tuple]:
+    """Per stage j = 1..15: row j of a zero (16, n + 1) buffer, whose last
+    column is the zero pad slot, and that row's n-view, ``_A_ROWS[j]``,
+    the view ``K[:j]``, the row ``K[j]`` and the signed stage time
+    direction * c_j, whose product with h is the frame angle."""
+    points = np.zeros((16, n + 1), dtype=complex)
+    return [(points[j], points[j, :n], _A_ROWS[j], K[:j], K[j], direction * _C[j])
+            for j in range(1, 16)]
 
-    Stage j evaluates ``z_prime`` (the derivative of z) at
-    z_j = z0 + h sum_k A[j, k] K[k] and the frame time c_j h.  ``points[j]``
-    is row j of a (16, n + 1) buffer whose last column is the zero pad
-    slot, and that row's first n entries: z_j is written into the latter
-    and handed over padded, so the field gathers from it in place.
-    Returns the last z_j: for stages 1..12 that is the step's z(h), and
-    ``K[12]`` ends as z'(h)."""
-    for stage in stages:
-        z, inner = points[stage]
-        np.add(z0, h * (_A_ROWS[stage] @ K[:stage]), out=inner)
-        K[stage] = z_prime(z, _C[stage] * h)
+
+def _lawson_stages(table: LadderTable, plan, z0, h, backward: bool) -> np.ndarray:
+    """Fill the stages of ``plan`` (a slice of ``_stage_plan``) for the
+    step of size h from z0 = z(0), in the frame
+    z(tau) = e^{i rate tau} y(s0 + tau), rate = direction * N.
+
+    Stage j writes z_j = z0 + h sum_k A[j, k] K[k] into its row's n-view
+    and z'_j, the derivative of z there, into K[j]: ``sphere_field`` at
+    the frame angle direction * c_j h reads the padded row in place, and a
+    backward run negates its result in place.  The in-place z_j has the
+    bits of ``np.add(z0, h * (A[j, :j] @ K[:j]))``.  Returns the last z_j:
+    for stages 1..12 that is the step's z(h), and K[12] ends as z'(h)."""
+    for row, inner, a_row, prev, out, c in plan:
+        np.matmul(a_row, prev, out=inner)
+        np.multiply(h, inner, out=inner)
+        np.add(z0, inner, out=inner)
+        sphere_field(table, row, c * h, out)
+        if backward:
+            np.negative(out, out=out)
     return inner
 
 
@@ -410,16 +431,16 @@ def integrate(
     rate = direction * table.n_diag
     # N is an integer: the phases need one exponential per distinct value
     levels, level_of = np.unique(rate, return_inverse=True)
-
-    def z_prime(z: np.ndarray, tau: float) -> np.ndarray:
-        remainder = sphere_field(cutoff, z, direction * tau)
-        return remainder if direction > 0 else -remainder
+    backward = direction < 0
 
     y0 = state.normalized().array
     y = y0
     stages = np.empty((16, y0.size), dtype=complex)
-    points = [(row, row[:-1]) for row in np.zeros((16, y0.size + 1), dtype=complex)]
-    stages[0] = z_prime(y, 0.0)
+    plan = _stage_plan(y0.size, stages, direction)
+    step_plan, dense_plan = plan[:12], plan[12:]  # stages 1..12 and 13..15
+    sphere_field(table, y, direction * 0.0, stages[0])
+    if backward:
+        np.negative(stages[0], out=stages[0])
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
     segments: list[_Segment] = []
@@ -437,26 +458,26 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        z_new = _lawson_stages(z_prime, y, h, stages, points, range(1, 13))
+        z_new = _lawson_stages(table, step_plan, y, h, backward)
         # |y_new| = |z_new| entrywise: the frame only turns phases
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(z_new)))
-        # combined 5th/3rd-order estimate of dop853.f
+        # combined 5th/3rd-order estimate of dop853.f, on Python floats
         err = (_ERR @ stages[:12]) / scale
-        e5, e3 = np.einsum("ij,ij->i", err, err.conj()).real
-        err_norm = h * e5 / np.sqrt(y.size * (e5 + 0.01 * e3)) if e5 > 0.0 else 0.0
+        e5, e3 = np.einsum("ij,ij->i", err, err.conj()).real.tolist()
+        err_norm = h * e5 / math.sqrt(y.size * (e5 + 0.01 * e3)) if e5 > 0.0 else 0.0
         if err_norm > 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(z_prime, y, h, stages, points, range(13, 16))
-        segments.append(
-            _Segment(s0=s, h=h, y=y, coeffs=h * (_DENSE @ stages), rate=rate)
-        )
+        _lawson_stages(table, dense_plan, y, h, backward)
+        segments.append(_Segment(s, h, y, h * (_DENSE @ stages), rate))
 
         back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
         y_new = back * z_new
-        norm = float(np.linalg.norm(y_new))
+        # np.linalg.norm's own expression for a complex vector
+        re, im = y_new.real, y_new.imag
+        norm = math.sqrt(re.dot(re) + im.dot(im))
         renorm = abs(norm - 1.0)
         max_renorm = max(max_renorm, renorm)
         if renorm > 10.0 * tol:
@@ -467,7 +488,7 @@ def integrate(
         # FSAL: rotate z'(h) back to the next frame's z'(0), out of the slot
         # the next step overwrites (projection perturbs it below the local
         # tolerance)
-        stages[0] = back * stages[12]
+        np.multiply(back, stages[12], out=stages[0])
         s += h
         accepted += 1
         if err_norm > 0.0:

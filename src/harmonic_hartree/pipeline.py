@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -194,12 +194,15 @@ def inverse_velocity_fourier(field: GridField) -> GridField:
 # ---------------------------------------------------------------------------
 # the chain in the Hermite basis
 
-def _rotation_shells(top: int) -> Iterator[np.ndarray]:
-    """Yield R^s for s = 0..top: the orthogonal (s+1)^2 matrix with
+@lru_cache(maxsize=None)
+def _rotation_shells(top: int) -> tuple[np.ndarray, ...]:
+    """R^s for s = 0..top: the orthogonal (s+1)^2 matrix with
     h_a(q) h_b(p) = sum_j R^s[a, j] h_j(x) h_(s-j)(xi) for a + b = s and
     (q, p) = tau(x, xi).  R^s[a, j] is sqrt(C(s,a) / (C(s,j) 2^s)) times the
     t^j coefficient of P^s_a = (1+t)^a (t-1)^(s-a), exact in Python ints from
-    P^s_a = (1+t) P^(s-1)_(a-1) and P^s_0 = (t-1) P^(s-1)_0 until it is scaled."""
+    P^s_a = (1+t) P^(s-1)_(a-1) and P^s_0 = (t-1) P^(s-1)_0 until it is scaled.
+    Built once per degree and shared, so the shells are read-only."""
+    shells = []
     poly = np.ones((1, 1), dtype=object)  # P^0_0 = 1; rows a, columns j
     for s in range(top + 1):
         if s:
@@ -209,7 +212,9 @@ def _rotation_shells(top: int) -> Iterator[np.ndarray]:
             poly[0, 1:] = prev[0]
             poly[0, :-1] -= prev[0]
         binom = np.array([math.comb(s, a) for a in range(s + 1)], dtype=float)
-        yield poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s))
+        shells.append(poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s)))
+        shells[-1].flags.writeable = False
+    return tuple(shells)
 
 
 def _check_slice(spec: GridSpec, *states: fock.FockVector) -> None:

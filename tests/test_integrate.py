@@ -34,11 +34,18 @@ def test_dense_field_matches_sparse_field():
     # matrices, on states with nonzero first moments (the raising branch)
     rng = np.random.default_rng(0)
     for cut in (CUT, Cutoff(k=6, d=2)):
+        table = fock.ladder_table(cut)
         for _ in range(5):
             z = fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
             for theta in (0.0, 0.7, -2.3, 4.0):
                 dense = brute_frame_field(cut, z, theta)
-                assert np.abs(integ.sphere_field(cut, z, theta) - dense).max() <= 1e-13
+                assert np.abs(integ.sphere_field(table, z, theta) - dense).max() <= 1e-13
+
+
+def _field_states(cut, rng):
+    """A state with nonzero first moments and a centered one."""
+    return [random_state(cut, rng, max_degree=cut.k - 2),
+            random_centered_state(cut, (0, 2), rng)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -47,29 +54,75 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
     # field of the padded buffer is the field of the state, bit for bit,
     # on centered states and on states with nonzero first moments
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
-    rng = np.random.default_rng(d)
-    states = [random_state(cut, rng, max_degree=cut.k - 2),
-              random_centered_state(cut, (0, 2), rng)]
-    for state in states:
+    table = fock.ladder_table(cut)
+    for state in _field_states(cut, np.random.default_rng(d)):
         z = fock.to_array(state)
         padded = np.concatenate((z, [0.0]))
         for theta in (0.0, 0.7, -2.3):
-            field = integ.sphere_field(cut, z, theta)
+            field = integ.sphere_field(table, z, theta)
             assert field.shape == z.shape
-            assert field.tobytes() == integ.sphere_field(cut, padded, theta).tobytes()
+            assert field.tobytes() == integ.sphere_field(table, padded, theta).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
+    # each stage writes z_j into its padded row and z'_j into K[j], in
+    # place: the bits of the allocating sum z0 + h (A_j @ K[:j]) and of an
+    # allocating frame_field call on z_j at the angle direction * c_j h,
+    # negated on a backward run
+    cut = Cutoff(k=8, d=d)
+    table = fock.ladder_table(cut)
+    rng = np.random.default_rng(10 + d)
+    # degree <= 2: no stage of the step reaches the cutoff
+    for state in (random_state(cut, rng, max_degree=2),
+                  random_centered_state(cut, (0, 2), rng)):
+        z0 = fock.to_array(state)
+        K = np.empty((16, z0.size), dtype=complex)
+        K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
+        plan = integ._stage_plan(z0.size, K, direction)
+        h = 0.05
+        z_new = integ._lawson_stages(table, plan, z0, h, direction < 0)
+        assert z_new is plan[-1][1]
+        for j, (row, inner, *_) in enumerate(plan, start=1):
+            assert row[-1] == 0.0 and np.shares_memory(inner, row)
+            stage_point = np.add(z0, h * (integ._A_ROWS[j] @ K[:j]))
+            assert inner.tobytes() == stage_point.tobytes()
+            theta = direction * (integ._C[j] * h)
+            assert theta != 0.0
+            fresh = hamiltonian.frame_field(table, inner.copy(), theta,
+                                            integ._TRUNCATION_FLUX_TOL)
+            assert K[j].tobytes() == (fresh if direction > 0 else -fresh).tobytes()
 
 
 def test_frame_field_flux_abort_follows_the_frame_angle():
     # z = (|0,7> + i|0,8>)/sqrt2 has <z, b z> = i sqrt2: its first moment
     # Re<y, b y> at y = e^{-iN theta} z is sqrt2 sin(theta), so the raising
     # of the degree-K term loses amplitude at theta = pi/2 but not at 0
+    table = fock.ladder_table(CUT)
     z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
     for theta in (0.0, math.pi):
         dense = brute_frame_field(CUT, z, theta)
-        assert np.abs(integ.sphere_field(CUT, z, theta) - dense).max() <= 1e-13
+        assert np.abs(integ.sphere_field(table, z, theta) - dense).max() <= 1e-13
     for theta in (math.pi / 2, -math.pi / 2):
         with pytest.raises(TruncationError):
-            integ.sphere_field(CUT, z, theta)
+            integ.sphere_field(table, z, theta)
+
+
+def test_flux_abort_raises_through_the_in_place_path():
+    # the padded stage row and the K[j] target of a stage: the abort still
+    # raises, before the target is written
+    table = fock.ladder_table(CUT)
+    z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
+    padded = np.concatenate((z, [0.0]))
+    out = np.full(z.size, 7.0 + 0j)
+    integ.sphere_field(table, padded, math.pi, out)
+    assert out.tobytes() == integ.sphere_field(table, z, math.pi).tobytes()
+    out[:] = 7.0
+    for theta in (math.pi / 2, -math.pi / 2):
+        with pytest.raises(TruncationError):
+            integ.sphere_field(table, padded, theta, out)
+        assert (out == 7.0).all()
 
 
 @pytest.mark.parametrize("t_end", [0.4, -0.4], ids=["forward", "backward"])
@@ -181,7 +234,7 @@ def test_dense_output_accuracy():
 
 def test_field_evaluations_per_step(monkeypatch):
     # 1 initial evaluation; 11 stages plus f(y_new) per step, and 3 more
-    # dense-output stages per accepted step
+    # dense-output stages per accepted step, forward and backward
     calls = []
     field = integ.sphere_field
 
@@ -191,9 +244,11 @@ def test_field_evaluations_per_step(monkeypatch):
 
     monkeypatch.setattr(integ, "sphere_field", counted)
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
-    traj = integ.integrate(s, 2 * math.pi, tol=1e-10, samples=3)
-    assert traj.accepted_steps > 0 and traj.rejected_steps > 0
-    assert len(calls) == 1 + 15 * traj.accepted_steps + 12 * traj.rejected_steps
+    for t_end in (2 * math.pi, -2 * math.pi):
+        calls.clear()
+        traj = integ.integrate(s, t_end, tol=1e-10, samples=3)
+        assert traj.accepted_steps > 0 and traj.rejected_steps > 0
+        assert len(calls) == 1 + 15 * traj.accepted_steps + 12 * traj.rejected_steps
 
 
 def test_fast_phases_are_exact():

@@ -146,12 +146,23 @@ def fock_case(rung: dict, name: str) -> Iterator[dict]:
 # integrate: a seeded centered state at tol = TOL with SAMPLES samples; the
 # field evaluations are counted through ``integrate.sphere_field``, and the
 # orbit error against ``orbits.analytic_solution`` is the worst over the
-# samples and INTERIOR seeded times of the dense output.
+# samples and INTERIOR seeded times of the dense output.  ``sha256`` hashes
+# the bytes of the sample times, the sampled states' arrays and the three
+# conserved columns, so two trees' trajectories compare bit for bit.
 
 INTEGRATE_SEED = 9
 TOL = 1e-10
 SAMPLES = 41
 INTERIOR = 30
+
+
+def _trajectory_sha256(traj) -> str:
+    digest = hashlib.sha256(traj.times.tobytes())
+    for arr in [st.array for st in traj.states] + [
+        traj.conserved.norm, traj.conserved.mean_n, traj.conserved.energy,
+    ]:
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def integrate_case(rung: dict, _) -> Iterator[dict]:
@@ -182,6 +193,7 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
         "first_call_s": first,
         "orbit_err": max((st - orbits.analytic_solution(orbit, t)).norm for t, st in checks),
         "drift": max(drift.norm, drift.mean_n, drift.energy),
+        "sha256": _trajectory_sha256(traj),
     }
     yield best_mean(op, first)
 
