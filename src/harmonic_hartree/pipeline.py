@@ -212,8 +212,9 @@ def _rotation_shells(top: int) -> tuple[np.ndarray, ...]:
             poly[0, 1:] = prev[0]
             poly[0, :-1] -= prev[0]
         binom = np.array([math.comb(s, a) for a in range(s + 1)], dtype=float)
-        shells.append(poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s)))
-        shells[-1].flags.writeable = False
+        rotation = poly.astype(float) * np.sqrt(np.ldexp(binom[:, None] / binom[None, :], -s))
+        rotation.flags.writeable = False
+        shells.append(rotation)
     return tuple(shells)
 
 
