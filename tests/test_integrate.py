@@ -42,12 +42,6 @@ def test_dense_field_matches_sparse_field():
                 assert np.abs(integ.sphere_field(table, z, theta) - dense).max() <= 1e-13
 
 
-def _field_states(cut, rng):
-    """A state with nonzero first moments and a centered one."""
-    return [random_state(cut, rng, max_degree=cut.k - 2),
-            random_centered_state(cut, (0, 2), rng)]
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
     # the integrator hands its stage points over with a zero pad slot; the
@@ -55,7 +49,10 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
     # on centered states and on states with nonzero first moments
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
     table = fock.ladder_table(cut)
-    for state in _field_states(cut, np.random.default_rng(d)):
+    rng = np.random.default_rng(d)
+    states = [random_state(cut, rng, max_degree=cut.k - 2),
+              random_centered_state(cut, (0, 2), rng)]
+    for state in states:
         z = fock.to_array(state)
         padded = np.concatenate((z, [0.0]))
         for theta in (0.0, 0.7, -2.3):
@@ -74,9 +71,11 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     cut = Cutoff(k=8, d=d)
     table = fock.ladder_table(cut)
     rng = np.random.default_rng(10 + d)
-    # degree <= 2: no stage of the step reaches the cutoff
-    for state in (random_state(cut, rng, max_degree=2),
-                  random_centered_state(cut, (0, 2), rng)):
+    # degree <= 2: no stage of the step reaches the cutoff; the first state
+    # has nonzero first moments (the raising branch), the second none
+    uncentered = random_state(cut, rng, max_degree=2)
+    assert abs(hamiltonian.first_moment_a(uncentered, 0)) > 1e-3
+    for state in (uncentered, random_centered_state(cut, (0, 2), rng)):
         z0 = fock.to_array(state)
         K = np.empty((16, z0.size), dtype=complex)
         K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
