@@ -802,12 +802,12 @@ def test_spectrum_json_matches_stdlib(tmp_path, state):
     })
 
 
-def test_d3_k8_full_field_takes_the_vector_path():
-    # the off-sphere term |y|^2 - 1 ~ 1e-16 leaves ~1e-18 coefficients
+def test_d3_k8_full_field_has_tiny_parts():
+    # the off-sphere term |y|^2 - 1 ~ 1e-16 leaves ~1e-18 coefficients,
+    # which the state JSON of ``test_vector_field_json_matches_stdlib`` holds
     state = random_centered_state(Cutoff(k=8, d=3), (-4, -2, 0, 2), np.random.default_rng(19))
     field = hamiltonian.vector_field(hamiltonian.FieldKind.FULL, state).array
     parts = np.abs(np.concatenate([field.real, field.imag]))
-    assert np.count_nonzero(field) >= cli._FEW
     assert np.count_nonzero((parts > 0) & (parts < 1e-15)) > 1000
 
 
@@ -819,6 +819,7 @@ def test_template_fill_rejects_non_finite_values(bad):
         cli._fill(["[%r, %r]"], "", [1.0, bad])
 
 
+# the ids stay as they were, so that test names compare across versions
 @pytest.mark.parametrize("terms", [1, 200], ids=["template", "vector"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", ["re", "im"])
@@ -1007,48 +1008,53 @@ def seeded_table(shape, zero_share, seed, specials=()):
     return values.reshape(shape)
 
 
-def written_csv(tmp_path, monkeypatch, table):
-    """The bytes ``_write_csv`` writes for ``table``, and whether it took
-    the sparse path."""
-    calls = []
-    sparse_rows = cli._sparse_rows
-    monkeypatch.setattr(cli, "_sparse_rows", lambda t: calls.append(1) or sparse_rows(t))
+def written_csv(tmp_path, table):
+    """Write ``table`` by ``_write_csv`` and compare its bytes with those of
+    the per-value formatter."""
     header = [f"c{j}" for j in range(table.shape[1])]
     out = tmp_path / "table.csv"
     cli._write_csv(str(out), header, table)
     assert out.read_bytes() == per_value_csv(header, table.tolist())
-    return bool(calls)
 
 
 @pytest.mark.parametrize(
-    "zeros, sparse",
-    # a 40 x 99 table holds 3960 values: 1979 zeros stay dense, 1981 do not
+    "zeros, mostly_zeros",
+    # a 40 x 99 table holds 3960 values: from no zeros to all of them,
+    # either side of half
     [(0, False), (1979, False), (1980, False), (1981, True), (3564, True), (3960, True)],
 )
 def test_csv_writer_matches_per_value_formatter_at_every_zero_share(
-    tmp_path, monkeypatch, zeros, sparse
+    tmp_path, zeros, mostly_zeros
 ):
     table = seeded_table((40, 99), zeros / 3960, seed=zeros)
     assert np.count_nonzero(table) == 3960 - zeros
-    assert written_csv(tmp_path, monkeypatch, table) == sparse
+    assert (2 * zeros > table.size) == mostly_zeros
+    written_csv(tmp_path, table)
 
 
-@pytest.mark.parametrize("shape", [(300, 1), (1, 300), (0, 7)], ids=["column", "row", "empty"])
+@pytest.mark.parametrize(
+    "shape", [(300, 1), (1, 300), (0, 7), (20, 999)],
+    ids=["column", "row", "empty", "blocks"],
+)
 @pytest.mark.parametrize("zero_share", [0.3, 0.9, 1.0])
-def test_csv_writer_renders_signed_zeros_and_non_finite_values(
-    tmp_path, monkeypatch, shape, zero_share
-):
+def test_csv_writer_renders_signed_zeros_and_non_finite_values(tmp_path, shape, zero_share):
+    # 20 x 999 is written in three blocks of whole rows, each holding
+    # signed zeros, NaN and the infinities
     specials = (-0.0, np.nan, -0.0, np.inf, -np.inf, 0.0, -0.0)
     table = seeded_table(shape, zero_share, seed=len(shape), specials=specials)
-    if table.size:
-        assert np.signbit(table[table == 0]).any() and np.isnan(table).any()
-    # 4 of the 7 specials are zeros: the shares 0.9 and 1.0 stay sparse
-    assert written_csv(tmp_path, monkeypatch, table) == (zero_share > 0.5 and table.size > 0)
+    step = max(1, cli._TABLE // shape[1])
+    blocks = [table[i : i + step] for i in range(0, shape[0], step)]
+    assert len(blocks) == {(0, 7): 0, (20, 999): 3}.get(shape, 1)
+    for block in blocks:
+        zero = block == 0
+        assert np.signbit(block[zero]).any() and (~np.signbit(block[zero])).any()
+        assert np.isnan(block).any() and np.isinf(block).any()
+    written_csv(tmp_path, table)
 
 
 def test_simulate_csv_of_a_centered_d2_state_matches_per_value_formatter(tmp_path):
     # a centered state keeps its support: most coefficients are exact zeros,
-    # written over several sparse blocks
+    # written over several blocks
     cut = Cutoff(k=8, d=2)
     state = random_centered_state(cut, (-2, 0, 2), np.random.default_rng(18))
     path = write_state(tmp_path / "state.json", state)

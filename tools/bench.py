@@ -368,23 +368,18 @@ def _output_setup(rung: dict, outdir: str):
     prefix = os.path.join(outdir, "pipe{call}")
     argv = ["pipeline", "--state", "-", "--t", "0.5", "--grid-n", str(spec.n),
             "--grid-l", "6.0", "--out-prefix", prefix]
-    charges = _const(pipeline.noether_charges(field))
-    library = {"state_to_classical": _const(field), "density": _const(pipeline.density(field)),
-               "noether_charges": charges, "vlasov_residual": _const(0.0)}
+    # one slice with its exact diagnostics; the charges are those of the field
+    rate = hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, now)
+    library = {"classical_slice": _const(pipeline.classical_slice(now, rate, spec)),
+               "density": _const(pipeline.density(field)),
+               "exact_charges": _const(pipeline.noether_charges(field)),
+               "exact_residual": _const(0.0)}
     stubs = [
         (cli, {"_load_state": _const(state)}),
         (orbits, {"orbit_from_state": _const(orbit), "analytic_solution": _const(state)}),
         (pipeline, library),
+        (hamiltonian, {"vector_field": _const(rate)}),
     ]
-    # the CLI takes the charges from the density where _charges exists, and
-    # one slice with its exact diagnostics where classical_slice exists
-    if hasattr(pipeline, "_charges"):
-        library["_charges"] = charges
-    if hasattr(pipeline, "classical_slice"):
-        rate = hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, now)
-        library.update(classical_slice=_const(pipeline.classical_slice(now, rate, spec)),
-                       exact_charges=charges, exact_residual=_const(0.0))
-        stubs.append((hamiltonian, {"vector_field": _const(rate)}))
     outs = [prefix + "_f.csv", prefix + "_rho.csv", prefix + "_report.json"]
     return argv, stubs, outs, {"grid_l": 6.0}
 
@@ -428,7 +423,7 @@ LAYERS = {
     "output": Layer(
         [{"output": "state_json", "d": d} for d in (1, 2, 3)]
         + [{"output": "spectrum_json", **EQUILIBRIA[i]} for i in (0, 2, 3)]
-        + [{"output": "simulate_csv", "d": 2}]
+        + [{"output": "simulate_csv", "d": d} for d in (1, 2)]
         + [{"output": "f_csv", "grid_n": n} for n in (64, 128, 256, 512)],
         output_case, {"seed": OUTPUT_SEED, "samples": SAMPLES},
     ),
