@@ -449,13 +449,15 @@ class LadderTable:
     index n points at a zero pad slot.  Raising truncates at degree K like
     ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
     amplitude that a single | double raising of basis element k loses
-    past the cutoff.  ``n_complex`` and ``lowering_weight`` are complex
-    copies of ``n_diag`` and of the lowering rows of ``weight``, so the
-    fields multiply complex arrays without casting the float ones on
-    every call (the products are the same bits); ``lowering_index`` is
-    the view ``index[LOWERING]``, so a complex padded buffer's lowering
-    images are ``lowering_weight * y[lowering_index]``, the bits of
-    ``gather(y, LOWERING)`` without its dispatch.
+    past the cutoff.  ``moment_weight`` and ``moment_index`` gather, in
+    one step from a padded buffer, the 4d + 1 rows whose inner products
+    with y are the moments: N y first (the identity index, the weights
+    N as complex), then the LOWER and the PAIR_LOWER images with complex
+    weights, so the fields multiply complex arrays without casting the
+    float ones on every call (the products are the same bits).
+    ``n_complex``, ``lowering_weight`` and ``lowering_index`` are views of
+    those rows, and ``index[LOWERING]`` is the memory of
+    ``lowering_index``: the table holds each of them once.
     """
 
     n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
@@ -463,9 +465,16 @@ class LadderTable:
     index: np.ndarray  # (4, 2d, n)
     weight: np.ndarray  # (4, 2d, n)
     boundary: np.ndarray  # (2, 2d, n)
-    n_complex: np.ndarray  # (n,) n_diag as complex
-    lowering_weight: np.ndarray  # (2, 2d, n) weight[LOWERING] as complex
-    lowering_index: np.ndarray  # (2, 2d, n) index[LOWERING], a view
+    moment_weight: np.ndarray  # (4d + 1, n) complex: n_diag, then weight[LOWERING]
+    moment_index: np.ndarray  # (4d + 1, n) the identity, then index[LOWERING]
+    n_complex: np.ndarray  # (n,) moment_weight[0]
+    lowering_weight: np.ndarray  # (2, 2d, n) moment_weight[1:]
+    lowering_index: np.ndarray  # (2, 2d, n) moment_index[1:]
+
+    def padded(self, y: np.ndarray) -> np.ndarray:
+        """y with the zero pad slot: an (n + 1,) buffer as it is, an (n,)
+        array copied with the pad appended."""
+        return y if y.size > self.n_diag.size else np.concatenate((y, _PAD))
 
     def gather(
         self, y: np.ndarray, ops: int | slice | tuple[int, int] = slice(None)
@@ -477,8 +486,7 @@ class LadderTable:
         y is either the (n,) coefficient array, which is copied with the
         zero pad slot appended, or an (n + 1,) buffer whose last slot is
         that zero pad, which is indexed in place."""
-        if y.size == self.n_diag.size:
-            y = np.concatenate((y, _PAD))
+        y = self.padded(y)
         weight = self.weight
         if y.dtype is _COMPLEX and (ops is LOWERING or ops == LOWER or ops == PAIR_LOWER):
             weight = self.lowering_weight  # the lowering rows sit at the same positions
@@ -492,7 +500,11 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
     n, axes = rows.shape
     d = axes // 2
     degree = rows.sum(axis=1)
-    index = np.full((4, axes, n), n)
+    # the identity row of the moments, then the four ops: index[LOWERING]
+    # and the moments' lowering rows are one memory
+    flat_index = np.full((1 + 4 * axes, n), n)
+    flat_index[0] = np.arange(n)
+    index = flat_index[1:].reshape(4, axes, n)
     for low, high, step in ((LOWER, RAISE, 1), (PAIR_LOWER, DOUBLE_RAISE, 2)):
         # row k of the lowering reads basis element k + step e_axis; the
         # raising by the same step is its inverse
@@ -518,15 +530,19 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
         np.where(degree >= cutoff.k - 1, (m + 1) * (m + 2), 0.0),
     ])
     n_diag = m[d:].sum(axis=0) - m[:d].sum(axis=0)
+    moment_weight = np.concatenate((n_diag[None], weight[LOWERING].reshape(2 * axes, n)))
+    moment_weight = moment_weight.astype(complex)
     table = LadderTable(
         n_diag=n_diag,
         sign=np.repeat([1.0, -1.0], d),
         index=index,
         weight=weight,
         boundary=boundary,
-        n_complex=n_diag.astype(complex),
-        lowering_weight=weight[LOWERING].astype(complex),
-        lowering_index=index[LOWERING],
+        moment_weight=moment_weight,
+        moment_index=flat_index[: 1 + 2 * axes],
+        n_complex=moment_weight[0],
+        lowering_weight=moment_weight[1:].reshape(2, axes, n),
+        lowering_index=flat_index[1 : 1 + 2 * axes].reshape(2, axes, n),
     )
     for arr in vars(table).values():
         arr.flags.writeable = False  # shared through the cache

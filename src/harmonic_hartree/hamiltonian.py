@@ -17,16 +17,18 @@ Hamiltonian vector field are exposed:
 The energy and the fields are written once, in ``energy_array`` and one
 moment core shared by ``field_array`` and ``frame_field``, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
-gathers the lowering images of the state (one slice of the table), takes
-their moments <y, o y>, and gathers the raising images only when a first
-moment is nonzero; the energy gathers the single lowerings alone.  The
-core also takes the state as a complex (n + 1,) buffer whose last slot is
-the table's zero pad, as the integrator keeps its stage points, and then
-gathers from it in place, the lowering images through one stored index;
-``frame_field`` can write its result into the caller's array, as the
-integrator writes each stage derivative.  Its gather and moments multiply
-by the table's complex copies of the lowering weights and of N, so a field
-evaluation on a centered state casts no float array.
+gathers the table's 4d + 1 moment rows from the state's padded buffer in
+one step (N y, the lowering images and the pair-lowering images, with
+the table's complex weights, so a field evaluation casts no float array)
+and takes all the moments, <N> among them, in one matmul with conj(y);
+it gathers the raising images only when a first moment is nonzero.  The
+core takes the state as a complex (n + 1,) buffer whose last slot is the
+table's zero pad, as the integrator keeps its stage points, and reads it
+in place (an (n,) array is copied with the pad); ``frame_field`` can
+write its result into the caller's array, as the integrator writes each
+stage derivative.  The energy reads the leading 2d + 1 moment rows, <N>
+and the first moments, for a bounded block of states at a time, so one
+call takes a single state or a whole (..., n) stack of them.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
 ``frame_field`` is the sphere field's remainder in the interaction picture
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import fock
 from .errors import TruncationError
-from .fock import DOUBLE_RAISE, LOWER, LOWERING, PAIR_LOWER, RAISE, FockVector, LadderTable
+from .fock import DOUBLE_RAISE, LOWER, RAISE, FockVector, LadderTable
 
 
 class FieldKind(Enum):
@@ -92,14 +94,16 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
     """What every field shares, on y taken to the frame angle theta.
 
     ``buf`` is y itself or its complex padded (n + 1,) buffer (see
-    ``LadderTable.gather``); the gathers read a padded buffer in place, its
-    lowering images through the one stored index ``lowering_index``.  The
-    moments are those of e^{-iN theta} y.  A lowering o_i shifts N by sign_i, so
-    <., o_i .> turns by e^{i sign_i theta} and <., o_i o_i .> by
-    e^{2i sign_i theta}: scalars on the moments of y itself.  Returns
+    ``LadderTable.padded``), which is read in place.  One gather of the
+    table's moment rows gives N y and the lowering images of y, and one
+    matmul with conj(y) all the moments: <N>, the first and the pair
+    moments.  The moments are those of e^{-iN theta} y.  A lowering o_i
+    shifts N by sign_i, so <., o_i .> turns by e^{i sign_i theta} and
+    <., o_i o_i .> by e^{2i sign_i theta}: scalars on the moments of y
+    itself.  Returns
 
-    * y, the (n,) coefficient array (a view of a padded buffer),
-    * the lowering images of y (rows LOWER and PAIR_LOWER, one gather),
+    * y, the (n,) coefficient array (a view of the padded buffer),
+    * the gathered rows: N y, then the LOWER and the PAIR_LOWER images,
     * <N> and the sphere field's scalar s = 1/2 (<N> + s2), where
       s2 = sum_i Re<., (b_i b_i - a_i a_i) .>,
     * the first moments Re<., o_i .> and the ladder part
@@ -108,37 +112,62 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
       moment is zero (as on centered states); only otherwise are the
       raising images gathered and the truncation flux checked.
     """
-    if buf.size > table.n_diag.size:
-        lowered = table.lowering_weight * buf[table.lowering_index]
-    else:
-        lowered = table.gather(buf, LOWERING)
-    y = buf[: lowered.shape[-1]]
-    yc = y.conj()
-    moment = lowered @ yc
-    mean_n = float((table.n_complex * y).dot(yc).real)
+    padded = table.padded(buf)
+    images = table.moment_weight * padded[table.moment_index]
+    y = padded[:-1]
+    moment = images @ y.conj()
+    mean_n, *moments = moment.tolist()
+    mean_n = mean_n.real
+    axes = table.sign.size
+    lower, pairs = moments[:axes], moments[axes:]
     # s2 from the pair moments summed per side: the a-axes turn by
     # e^{2i theta}, the b-axes by its conjugate
-    lower, pairs = moment.tolist()
-    d = len(pairs) // 2
+    d = axes // 2
     turn2 = cmath.exp(2j * theta)
     s2 = (turn2.conjugate() * sum(pairs[d:])).real - (turn2 * sum(pairs[:d])).real
     shift = 0.5 * (mean_n + s2)
     if not any(lower):
-        return y, lowered, mean_n, shift, None, None
+        return y, images, mean_n, shift, None, None
     turn = np.exp((1j * theta) * table.sign)
-    first = (turn * moment[LOWER]).real
+    first = (turn * moment[1 : 1 + axes]).real
     lead = table.sign * first
     _check_flux(lead, table.boundary[0], y, flux_tol)
-    ladder = (lead * turn) @ lowered[LOWER] + (lead * turn.conj()) @ table.gather(buf, RAISE)
-    return y, lowered, mean_n, shift, first, ladder
+    ladder = ((lead * turn) @ images[1 : 1 + axes]
+              + (lead * turn.conj()) @ table.gather(padded, RAISE))
+    return y, images, mean_n, shift, first, ladder
 
 
-def energy_array(table: LadderTable, y: np.ndarray) -> float:
-    """Energy of the coefficient array y (unit norm is not checked)."""
-    yc = y.conj()
-    first = (table.gather(y, LOWER) @ yc).real
-    mean_n = float(((table.n_complex * y) @ yc).real)
-    return 0.5 * mean_n + 0.5 * float(table.sign @ first**2)
+# entries of one block of the energy's moment images: a block of stacked
+# states is gathered at once, and the buffers stay small whatever the
+# stack's size
+_ENERGY_BLOCK = 2**15
+
+
+def energy_array(table: LadderTable, y: np.ndarray):
+    """Energy of the coefficient array y, a float, or of each row of an
+    (..., n) stack of them, an array (unit norm is not checked).
+
+    <N> and the first moments are the leading 2d + 1 moment rows of the
+    table, gathered for a block of the stack at a time into one reused
+    image buffer of at most ``_ENERGY_BLOCK`` entries (one state a block
+    when a state's rows alone exceed it)."""
+    n = table.n_diag.size
+    rows = 1 + table.sign.size
+    weight, index = table.moment_weight[:rows], table.moment_index[:rows]
+    states = np.reshape(y, (-1, n))
+    step = max(1, _ENERGY_BLOCK // (rows * n))
+    padded = np.zeros((min(step, len(states)), n + 1), dtype=complex)
+    image = np.empty((len(padded), rows, n), dtype=complex)
+    moments = np.empty((len(states), rows))
+    for start in range(0, len(states), step):
+        block = states[start : start + step]
+        pad, img = padded[: len(block)], image[: len(block)]
+        pad[:, :n] = block
+        np.take(pad, index, axis=1, out=img, mode="clip")  # every index is in range
+        np.multiply(weight, img, out=img)
+        moments[start : start + len(block)] = np.vecdot(pad[:, None, :n], img).real
+    energy = 0.5 * moments[:, 0] + 0.5 * (moments[:, 1:] ** 2 @ table.sign)
+    return float(energy[0]) if y.ndim == 1 else energy.reshape(y.shape[:-1])
 
 
 def field_array(
@@ -150,7 +179,7 @@ def field_array(
     amplitude above ``flux_tol`` past the cutoff.
     """
     # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    y, lowered, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
+    y, images, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
     if kind is FieldKind.CHART:
         second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
         diag = table.n_diag - (mean_n + second)
@@ -163,7 +192,8 @@ def field_array(
             if w:
                 coef = -0.25 * w * table.sign
                 _check_flux(coef, table.boundary[1], y, flux_tol)
-                pairs = coef @ (lowered[PAIR_LOWER] + table.gather(y, DOUBLE_RAISE))
+                # the pair-lowering images are the last 2d gathered rows
+                pairs = coef @ (images[-coef.size:] + table.gather(y, DOUBLE_RAISE))
                 ladder = pairs if ladder is None else ladder + pairs
         elif kind is not FieldKind.SPHERE:
             raise ValueError(f"unknown field kind {kind!r}")
@@ -182,7 +212,7 @@ def frame_field(
     For the sphere field F this is e^{iN theta} (F(y) + iN y) at
     y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
     with s and the ladder part of ``_field_core`` at theta.  z may be a
-    complex padded (n + 1,) buffer (see ``LadderTable.gather``); the result
+    complex padded (n + 1,) buffer (see ``LadderTable.padded``); the result
     is (n,), written into the complex (n,) array ``out`` when one is given
     (the same bits as a fresh result).  Raises TruncationError like
     ``field_array``.

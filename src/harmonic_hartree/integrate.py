@@ -29,24 +29,30 @@ Specifics:
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
   the norm, so the projection removes integrator drift only);
-* the stages live in one preallocated (16, n) buffer K and the tableau
-  is applied as matmuls on it; stage 12 is z'(h), which rotated by the
-  same e^{-iN h} is the next step's first stage (FSAL).  Each call builds
-  a stage plan once: for stage j, row j of a (16, n + 1) buffer whose
-  last column stays the zero pad slot of ``fock.LadderTable.gather`` and
-  that row's n-view, the tableau row, the view K[:j], the row K[j] and
-  the signed stage time.  A stage then writes z_j into the n-view in
-  place (a matmul, a scaling by h and the sum with z(0), no temporary)
-  and makes one ``sphere_field`` call, on the cutoff's ladder table bound
-  once per call, that gathers from the padded row in place and writes
-  z'_j straight into K[j]: no stage copies its state or its derivative;
+* the stages and z(0) live in one preallocated (17, n) buffer zk, the
+  stages reversed (K[k] in row 15 - k) and z(0) in row 16; stage 12 is
+  z'(h), which rotated by the same e^{-iN h} is the next step's first
+  stage (FSAL).  Once per step the (16, 17) coefficient matrix
+  [h A reversed | 1] is written in one multiply, so stage point j is one
+  dot of its row with the slice zk[16 - j:]: sum_k (h A[j, k]) K[k] + z0,
+  z(0) added last like z0 + h (A[j] @ K), whose last bits it need not
+  keep (the step counts it does keep).  Each call builds a stage plan
+  once: for stage j, row j of a (16, n + 1) buffer whose last column
+  stays the zero pad slot of ``fock.LadderTable.padded`` and that row's
+  n-view, the coefficient row, the slice of zk, the row K[j] and the
+  signed stage time.  A stage then writes z_j into the n-view with that
+  dot and makes one ``sphere_field`` call, on the cutoff's ladder table
+  bound once per call, that gathers from the padded row in place and
+  writes z'_j straight into K[j]: no stage copies its state or its
+  derivative;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
   15 field evaluations and a rejected step 12.  All samples are read in
   one vectorized pass (segment lookup by ``np.searchsorted``, the Horner
   scheme on (samples, n) rows), and samples times basis size is capped
-  at 2^20;
+  at 2^20; the samples' energies are one ``energy_array`` call on the
+  stack of sampled states;
 * amplitude that a raising operator would push past the degree cutoff is
   monitored at every evaluation, dense-output stages included; if a
   state with nonzero centering moments reaches the boundary the
@@ -244,8 +250,13 @@ _DENSE[1, 0] += 1.0
 _DENSE[2, :12] = 2.0 * _B
 _DENSE[2, [0, 12]] -= 1.0
 _DENSE[3:] = _D
-_A = _A.astype(complex)  # the stage buffer is complex: no per-call cast
-_A_ROWS = tuple(_A[s, :s] for s in range(16))  # stage s reads row s over stages < s
+_A = _A.astype(complex)  # the coefficient matrix is complex: no per-step cast
+# The stage buffer holds K[15], ..., K[0], z(0) in its rows, reversed, so
+# that each stage point reads one contiguous slice and its dot adds z(0)
+# after the stage terms, as z0 + h (A K) does: with z(0) first the sum
+# rounds at the scale of z(0) once per term, and the energy drift over
+# 56 seeded flow cases grew (33 of 56 worse).
+_A_REV = _A[:, ::-1]
 
 # The frame takes the fast phases e^{-iNt} out of the steps, so the cap
 # now bounds the 7th-order dense output on the remaining nonlinear scalar
@@ -335,31 +346,41 @@ class Trajectory:
         return fock.from_array(self.cutoff, _interp_raw(self._segments, s)[0])
 
 
-def _stage_plan(n: int, K: np.ndarray, direction: float) -> list[tuple]:
-    """Per stage j = 1..15: row j of a zero (16, n + 1) buffer, whose last
-    column is the zero pad slot, and that row's n-view, ``_A_ROWS[j]``,
-    the view ``K[:j]``, the row ``K[j]`` and the signed stage time
+def _stage_plan(n: int, direction: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """The stage buffer, the coefficient matrix and the per-stage plan.
+
+    The (17, n) stage buffer zk holds the stages in reverse, K[k] in row
+    15 - k, and z(0) in row 16.  The (16, 17) coefficient matrix is
+    [h A reversed | 1]: column 16 is one, and the caller writes h A with
+    its columns reversed into the rest once per step.  Per stage
+    j = 1..15 the plan holds row j of a zero (16, n + 1) buffer, whose
+    last column is the zero pad slot, and that row's n-view, the
+    coefficient row over columns 16 - j..16, the view zk[16 - j:] (K[j - 1],
+    ..., K[0], z(0)), the row K[j] and the signed stage time
     direction * c_j, whose product with h is the frame angle."""
+    zk = np.empty((17, n), dtype=complex)
+    coef = np.zeros((16, 17), dtype=complex)
+    coef[:, 16] = 1.0
     points = np.zeros((16, n + 1), dtype=complex)
-    return [(points[j], points[j, :n], _A_ROWS[j], K[:j], K[j], direction * _C[j])
-            for j in range(1, 16)]
+    plan = [(points[j], points[j, :n], coef[j, 16 - j :], zk[16 - j :], zk[15 - j],
+             direction * _C[j]) for j in range(1, 16)]
+    return zk, coef, plan
 
 
-def _lawson_stages(table: LadderTable, plan, z0, h, backward: bool) -> np.ndarray:
+def _lawson_stages(table: LadderTable, plan, h, backward: bool) -> np.ndarray:
     """Fill the stages of ``plan`` (a slice of ``_stage_plan``) for the
-    step of size h from z0 = z(0), in the frame
-    z(tau) = e^{i rate tau} y(s0 + tau), rate = direction * N.
+    step of size h, whose z(0) and coefficient matrix [h A reversed | 1]
+    are in place, in the frame z(tau) = e^{i rate tau} y(s0 + tau),
+    rate = direction * N.
 
-    Stage j writes z_j = z0 + h sum_k A[j, k] K[k] into its row's n-view
-    and z'_j, the derivative of z there, into K[j]: ``sphere_field`` at
-    the frame angle direction * c_j h reads the padded row in place, and a
-    backward run negates its result in place.  The in-place z_j has the
-    bits of ``np.add(z0, h * (A[j, :j] @ K[:j]))``.  Returns the last z_j:
-    for stages 1..12 that is the step's z(h), and K[12] ends as z'(h)."""
-    for row, inner, a_row, prev, out, c in plan:
-        np.matmul(a_row, prev, out=inner)
-        np.multiply(h, inner, out=inner)
-        np.add(z0, inner, out=inner)
+    Stage j writes z_j = sum_k h A[j, k] K[k] + z0, one dot of its
+    coefficient row with zk[16 - j:], into its row's n-view, and z'_j, the
+    derivative of z there, into K[j]: ``sphere_field`` at the frame angle
+    direction * c_j h reads the padded row in place, and a backward run
+    negates its result in place.  Returns the last z_j: for stages 1..12
+    that is the step's z(h), and K[12] ends as z'(h)."""
+    for row, inner, coef, zk, out, c in plan:
+        np.dot(coef, zk, out=inner)
         sphere_field(table, row, c * h, out)
         if backward:
             np.negative(out, out=out)
@@ -435,8 +456,11 @@ def integrate(
 
     y0 = state.normalized().array
     y = y0
-    stages = np.empty((16, y0.size), dtype=complex)
-    plan = _stage_plan(y0.size, stages, direction)
+    zk, coef, plan = _stage_plan(y0.size, direction)
+    zk[16] = y
+    # stages[k] is K[k]: the error and the dense rows sum over this view in
+    # the order of dop853.f
+    stages = zk[15::-1]
     step_plan, dense_plan = plan[:12], plan[12:]  # stages 1..12 and 13..15
     sphere_field(table, y, direction * 0.0, stages[0])
     if backward:
@@ -458,7 +482,8 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        z_new = _lawson_stages(table, step_plan, y, h, backward)
+        np.multiply(h, _A_REV, out=coef[:, :16])
+        z_new = _lawson_stages(table, step_plan, h, backward)
         # |y_new| = |z_new| entrywise: the frame only turns phases
         scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(z_new)))
         # combined 5th/3rd-order estimate of dop853.f, on Python floats
@@ -470,7 +495,7 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(table, dense_plan, y, h, backward)
+        _lawson_stages(table, dense_plan, h, backward)
         segments.append(_Segment(s, h, y, h * (_DENSE @ stages), rate))
 
         back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
@@ -485,6 +510,7 @@ def integrate(
                 f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
             )
         y = y_new / norm
+        zk[16] = y
         # FSAL: rotate z'(h) back to the next frame's z'(0), out of the slot
         # the next step overwrites (projection perturbs it below the local
         # tolerance)
@@ -512,7 +538,7 @@ def integrate(
         conserved=ConservedSamples(
             norm=norms[order],
             mean_n=(units * units.conj()).real @ table.n_diag,
-            energy=np.array([hamiltonian.energy_array(table, unit) for unit in units]),
+            energy=hamiltonian.energy_array(table, units),
         ),
         initial_mean_n=float(table.n_diag @ (y0 * y0.conj()).real),
         initial_energy=hamiltonian.energy_array(table, y0),

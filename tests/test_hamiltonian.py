@@ -210,3 +210,45 @@ def test_non_finite_flux_raises():
     inner = bv((1,), (0,), cut).array
     with np.errstate(over="raise", invalid="raise"):
         ham._check_flux(np.array([1e300, -1e300]), table.boundary[0], inner, 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_energy_matches_per_row_calls(d):
+    # one call on a (samples, n) stack, as the integrator makes for its
+    # samples, against one call per state, uncentered and centered states
+    cut = Cutoff(k=6 if d < 3 else 5, d=d)
+    table = fock.ladder_table(cut)
+    rng = np.random.default_rng(20 + d)
+    stack = np.array([fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
+                      for _ in range(7)]
+                     + [fock.to_array(random_centered_state(cut, (0, 2), rng))
+                        for _ in range(3)])
+    for states in (stack, stack[::-1], stack.reshape(2, 5, -1)):
+        energies = ham.energy_array(table, states)
+        assert energies.shape == states.shape[:-1]
+        rows = states.reshape(-1, states.shape[-1])
+        single = np.array([ham.energy_array(table, y) for y in rows])
+        assert all(type(ham.energy_array(table, y)) is float for y in rows[:2])
+        assert np.abs(energies.ravel() - single).max() <= 4 * np.spacing(np.abs(single)).max()
+    for y in stack[:3]:
+        assert ham.energy_array(table, y) == pytest.approx(
+            brute_energy(fock.from_array(cut, y)), abs=1e-13)
+
+
+def test_moment_rows_share_the_table_memory():
+    # N y, the lowering and the pair-lowering images gather as one block:
+    # its weights and indices are each held once, and the older names are
+    # views of them
+    for cut in (CUT, Cutoff(k=6, d=2), Cutoff(k=5, d=3)):
+        table = fock.ladder_table(cut)
+        n, axes = table.n_diag.size, 2 * cut.d
+        assert table.moment_weight.shape == table.moment_index.shape == (2 * axes + 1, n)
+        assert table.moment_weight.dtype == complex
+        assert np.shares_memory(table.n_complex, table.moment_weight)
+        assert np.shares_memory(table.lowering_weight, table.moment_weight)
+        assert np.shares_memory(table.lowering_index, table.moment_index)
+        assert np.shares_memory(table.index[fock.LOWERING], table.moment_index)
+        assert np.array_equal(table.moment_index[0], np.arange(n))
+        assert np.array_equal(table.moment_weight[0], table.n_diag)
+        assert np.array_equal(table.lowering_weight, table.weight[fock.LOWERING])
+        assert np.array_equal(table.lowering_index, table.index[fock.LOWERING])

@@ -65,7 +65,8 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
 def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     # each stage writes z_j into its padded row and z'_j into K[j], in
-    # place: the bits of the allocating sum z0 + h (A_j @ K[:j]) and of an
+    # place: the bits of the allocating dot of the coefficient row
+    # [h A_j reversed | 1] with [K[j-1], ..., K[0], z0] and of an
     # allocating frame_field call on z_j at the angle direction * c_j h,
     # negated on a backward run
     cut = Cutoff(k=8, d=d)
@@ -75,23 +76,60 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     # has nonzero first moments (the raising branch), the second none
     uncentered = random_state(cut, rng, max_degree=2)
     assert abs(hamiltonian.first_moment_a(uncentered, 0)) > 1e-3
+    h = 0.05
     for state in (uncentered, random_centered_state(cut, (0, 2), rng)):
         z0 = fock.to_array(state)
-        K = np.empty((16, z0.size), dtype=complex)
+        zk, coef, plan = integ._stage_plan(z0.size, direction)
+        K = zk[15::-1]  # K[k] is row 15 - k
+        zk[16] = z0
         K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
-        plan = integ._stage_plan(z0.size, K, direction)
-        h = 0.05
-        z_new = integ._lawson_stages(table, plan, z0, h, direction < 0)
+        np.multiply(h, integ._A_REV, out=coef[:, :16])
+        z_new = integ._lawson_stages(table, plan, h, direction < 0)
         assert z_new is plan[-1][1]
+        assert (zk[16] == z0).all()
         for j, (row, inner, *_) in enumerate(plan, start=1):
             assert row[-1] == 0.0 and np.shares_memory(inner, row)
-            stage_point = np.add(z0, h * (integ._A_ROWS[j] @ K[:j]))
-            assert inner.tobytes() == stage_point.tobytes()
+            terms = np.array([*K[:j][::-1], z0])
+            weights = np.array([*(h * integ._A[j, :j])[::-1], 1.0])
+            assert (coef[j, 16 - j :] == weights).all()
+            assert inner.tobytes() == np.dot(weights, terms).tobytes()
+            # the reassociated sum is the tableau's stage point to rounding
+            tableau = z0 + h * (integ._A[j, :j] @ K[:j])
+            assert np.abs(inner - tableau).max() <= 1e-15
             theta = direction * (integ._C[j] * h)
             assert theta != 0.0
             fresh = hamiltonian.frame_field(table, inner.copy(), theta,
                                             integ._TRUNCATION_FLUX_TOL)
             assert K[j].tobytes() == (fresh if direction > 0 else -fresh).tobytes()
+
+
+def _seeded_centered_state(cut, seed):
+    """Seeded unit state on the excitations -4, -2, 0 and 2 of degree
+    <= K - 2, drawn in basis order like the per-layer harness's states."""
+    idxs = [i for i in fock.basis(cut) if i.excitation in (-4, -2, 0, 2) and i.degree <= cut.k - 2]
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(idxs)) + 1j * rng.normal(size=len(idxs))
+    amps /= np.linalg.norm(amps)
+    return fock.FockVector(cut, {i: complex(a) for i, a in zip(idxs, amps)})
+
+
+@pytest.mark.parametrize(
+    "name, t_end, accepted, rejected",
+    [("ci_centered", 2 * math.pi, 39, 5), ("ci_centered", -2 * math.pi, 39, 5),
+     ("bench_d1", 2 * math.pi, 45, 4)],
+    ids=["ci-forward", "ci-backward", "bench-d1"],
+)
+def test_step_counts_stay_pinned(name, t_end, accepted, rejected):
+    # the stage sums may move in the last bits, the step control may not:
+    # the counts of the CI rerun state (excitations 0 and 2, as the CLI
+    # runs it) and of the d = 1 rung of the per-layer harness (seed 9,
+    # 41 samples)
+    if name == "ci_centered":
+        state = (0.6 * bv((0,), (0,)) + 0.48j * bv((1,), (1,)) + 0.64 * bv((0,), (2,)))
+        traj = integ.integrate(state, t_end, tol=1e-10, samples=65)
+    else:
+        traj = integ.integrate(_seeded_centered_state(CUT, 9), t_end, tol=1e-10, samples=41)
+    assert (traj.accepted_steps, traj.rejected_steps) == (accepted, rejected)
 
 
 def test_frame_field_flux_abort_follows_the_frame_angle():
