@@ -60,7 +60,10 @@ _MAX_GAMMA_STEPS = 10_000
 
 def _load_state(path: str) -> FockVector:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nested array or object
+            raise ValueError(f"{path}: malformed state (nested too deeply)") from None
     try:
         state = fock.from_json_dict(obj)
     except (KeyError, TypeError, OverflowError) as exc:  # Overflow: float() of a huge int
@@ -283,6 +286,9 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+_MAX_WEIGHT_CHARS = 64  # Fraction's cost grows faster than an exponent in its text
+
+
 def _parse_rational_weights(text: str) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for item in text.split(","):
@@ -290,10 +296,14 @@ def _parse_rational_weights(text: str) -> dict[int, Fraction]:
         n = int(key.strip())
         if n in out:
             raise ValueError(f"rational weight for index {n} given twice")
+        val = val.strip()
+        if len(val) > _MAX_WEIGHT_CHARS or "e" in val.lower():
+            raise ValueError(f"rational weight {val[:_MAX_WEIGHT_CHARS]!r} must be p/q or a "
+                             f"decimal without exponent, of at most {_MAX_WEIGHT_CHARS} characters")
         try:
-            out[n] = Fraction(val.strip())
+            out[n] = Fraction(val)
         except ZeroDivisionError:
-            raise ValueError(f"rational weight {val.strip()!r} has a zero denominator") from None
+            raise ValueError(f"rational weight {val!r} has a zero denominator") from None
     return out
 
 

@@ -32,11 +32,11 @@ these per cutoff, so ranking m rows is one gather and one row sum.  States
 load, and the ladder table is built, through that rank; ``MultiIndex``
 objects are built only for labels (``basis``, ``items``).
 
-The algebra is defined once per cutoff, in ``ladder_table``: gather
-indices and weights over the basis order, so every ladder image of a
-dense coefficient array comes from one gather.  The ``FockVector`` ops
-``apply_*`` are views of that table: each applies one row of it (or its
-excitation diagonal) to the vector's stored array.
+The algebra is defined once per cutoff, in ``ladder_table``: one block of
+gather indices and one of complex weights over the basis order, so every
+ladder image of a dense coefficient array comes from one gather.  The
+``FockVector`` ops ``apply_*`` are views of that table: each applies one
+row of it (or its excitation diagonal) to the vector's stored array.
 """
 
 from __future__ import annotations
@@ -431,12 +431,10 @@ def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> Fock
 
 
 _PAD = np.zeros(1)
-_COMPLEX = np.dtype(complex)
 
 # rows of LadderTable.index / .weight: the lowering ops first, so that
 # they gather as one slice, then their adjoints in the same order
 LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE = range(4)
-LOWERING = slice(LOWER, RAISE)  # the rows LOWER and PAIR_LOWER
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,27 +447,23 @@ class LadderTable:
     index n points at a zero pad slot.  Raising truncates at degree K like
     ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
     amplitude that a single | double raising of basis element k loses
-    past the cutoff.  ``moment_weight`` and ``moment_index`` gather, in
-    one step from a padded buffer, the 4d + 1 rows whose inner products
-    with y are the moments: N y first (the identity index, the weights
-    N as complex), then the LOWER and the PAIR_LOWER images with complex
-    weights, so the fields multiply complex arrays without casting the
-    float ones on every call (the products are the same bits).
-    ``n_complex``, ``lowering_weight`` and ``lowering_index`` are views of
-    those rows, and ``index[LOWERING]`` is the memory of
-    ``lowering_index``: the table holds each of them once.
+    past the cutoff.  The weights (complex) and the indices are each one
+    (8d + 1, n) block, row 0 N over the identity index, then the four ops
+    per axis: ``weight`` and ``index`` are views of rows 1.., and
+    ``moment_weight`` and ``moment_index`` of the leading 4d + 1 rows,
+    which gather in one step from a padded buffer N y, the LOWER and the
+    PAIR_LOWER images: the rows whose inner products with y are the
+    moments.  Stored complex, the weights multiply complex arrays without
+    casting a float operand on every call, to the same bits.
     """
 
     n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
     sign: np.ndarray  # (2d,) +1 on a axes, -1 on b axes
     index: np.ndarray  # (4, 2d, n)
-    weight: np.ndarray  # (4, 2d, n)
+    weight: np.ndarray  # (4, 2d, n) complex
     boundary: np.ndarray  # (2, 2d, n)
-    moment_weight: np.ndarray  # (4d + 1, n) complex: n_diag, then weight[LOWERING]
-    moment_index: np.ndarray  # (4d + 1, n) the identity, then index[LOWERING]
-    n_complex: np.ndarray  # (n,) moment_weight[0]
-    lowering_weight: np.ndarray  # (2, 2d, n) moment_weight[1:]
-    lowering_index: np.ndarray  # (2, 2d, n) moment_index[1:]
+    moment_weight: np.ndarray  # (4d + 1, n) complex: n_diag, then weight[:RAISE]
+    moment_index: np.ndarray  # (4d + 1, n) the identity, then index[:RAISE]
 
     def padded(self, y: np.ndarray) -> np.ndarray:
         """y with the zero pad slot: an (n + 1,) buffer as it is, an (n,)
@@ -486,11 +480,7 @@ class LadderTable:
         y is either the (n,) coefficient array, which is copied with the
         zero pad slot appended, or an (n + 1,) buffer whose last slot is
         that zero pad, which is indexed in place."""
-        y = self.padded(y)
-        weight = self.weight
-        if y.dtype is _COMPLEX and (ops is LOWERING or ops == LOWER or ops == PAIR_LOWER):
-            weight = self.lowering_weight  # the lowering rows sit at the same positions
-        return weight[ops] * y[self.index[ops]]
+        return self.weight[ops] * self.padded(y)[self.index[ops]]
 
 
 @lru_cache(maxsize=None)
@@ -500,8 +490,8 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
     n, axes = rows.shape
     d = axes // 2
     degree = rows.sum(axis=1)
-    # the identity row of the moments, then the four ops: index[LOWERING]
-    # and the moments' lowering rows are one memory
+    # N over the identity index, then the four ops: the moments are the
+    # leading 4d + 1 rows of both blocks
     flat_index = np.full((1 + 4 * axes, n), n)
     flat_index[0] = np.arange(n)
     index = flat_index[1:].reshape(4, axes, n)
@@ -518,31 +508,28 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
             index[low, axis, fits] = target
             index[high, axis, target] = fits
     m = rows.T.astype(float)  # (2d, n) counts
-    weight = np.stack([
-        np.sqrt(m + 1),
-        np.sqrt(m + 1) * np.sqrt(m + 2),
-        np.sqrt(m),
-        np.sqrt(m) * np.sqrt(np.maximum(m - 1, 0)),
-    ])
+    n_diag = m[d:].sum(axis=0) - m[:d].sum(axis=0)
+    flat_weight = np.empty((1 + 4 * axes, n), dtype=complex)
+    flat_weight[0] = n_diag
+    weight = flat_weight[1:].reshape(4, axes, n)
+    weight[LOWER] = np.sqrt(m + 1)
+    weight[PAIR_LOWER] = np.sqrt(m + 1) * np.sqrt(m + 2)
+    weight[RAISE] = np.sqrt(m)
+    weight[DOUBLE_RAISE] = np.sqrt(m) * np.sqrt(np.maximum(m - 1, 0))
     weight[index == n] = 0.0
     boundary = np.stack([
         np.where(degree == cutoff.k, m + 1, 0.0),
         np.where(degree >= cutoff.k - 1, (m + 1) * (m + 2), 0.0),
     ])
-    n_diag = m[d:].sum(axis=0) - m[:d].sum(axis=0)
-    moment_weight = np.concatenate((n_diag[None], weight[LOWERING].reshape(2 * axes, n)))
-    moment_weight = moment_weight.astype(complex)
+    moments = slice(1 + 2 * axes)
     table = LadderTable(
         n_diag=n_diag,
         sign=np.repeat([1.0, -1.0], d),
         index=index,
         weight=weight,
         boundary=boundary,
-        moment_weight=moment_weight,
-        moment_index=flat_index[: 1 + 2 * axes],
-        n_complex=moment_weight[0],
-        lowering_weight=moment_weight[1:].reshape(2, axes, n),
-        lowering_index=flat_index[1 : 1 + 2 * axes].reshape(2, axes, n),
+        moment_weight=flat_weight[moments],
+        moment_index=flat_index[moments],
     )
     for arr in vars(table).values():
         arr.flags.writeable = False  # shared through the cache

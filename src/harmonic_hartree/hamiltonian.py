@@ -17,11 +17,11 @@ Hamiltonian vector field are exposed:
 The energy and the fields are written once, in ``energy_array`` and one
 moment core shared by ``field_array`` and ``frame_field``, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
-gathers the table's 4d + 1 moment rows from the state's padded buffer in
-one step (N y, the lowering images and the pair-lowering images, with
-the table's complex weights, so a field evaluation casts no float array)
-and takes all the moments, <N> among them, in one matmul with conj(y);
-it gathers the raising images only when a first moment is nonzero.  The
+gathers the table's 4d + 1 moment rows (N y, the lowering and the
+pair-lowering images: the leading rows of its one complex weight block
+and one index block) from the state's padded buffer in one step and
+takes all the moments, <N> among them, in one matmul with conj(y); it
+gathers the raising images only when a first moment is nonzero.  The
 core takes the state as a complex (n + 1,) buffer whose last slot is the
 table's zero pad, as the integrator keeps its stage points, and reads it
 in place (an (n,) array is copied with the pad); ``frame_field`` can

@@ -40,6 +40,12 @@ STAGE_XXI = "xxi"
 STAGE_XV = "xv"
 
 
+# The entries of one grid-sized array: (max degree + 1) x n^2 in each Hermite
+# table of ``synthesize_position``, n^2 in every n x n grid (2^24 are 128 MiB
+# of floats); an oversized grid is stopped before allocation.
+_MAX_TABLE_ENTRIES = 2**24
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform n-point grid on [-extent, extent) per axis; n a power of two."""
@@ -50,6 +56,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 32 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 32, got {self.n}")
+        if self.n**2 > _MAX_TABLE_ENTRIES:  # before any axis or grid is allocated
+            raise ValueError(
+                f"grid too large: {self.n}^2 points exceeds {_MAX_TABLE_ENTRIES} entries"
+            )
         if not 0 < self.extent < math.inf:
             raise ValueError(f"extent must be finite and positive, got {self.extent}")
         # a step above one oscillator length cannot resolve even the ground
@@ -136,12 +146,6 @@ def hermite_table(max_degree: int, x) -> np.ndarray:
     return table
 
 
-# The entries of one grid-sized array: (max degree + 1) x n^2 in each Hermite
-# table of ``synthesize_position``, n^2 in the output of ``state_to_classical``
-# (2^24 are 128 MiB of floats); an oversized grid is stopped before allocation.
-_MAX_TABLE_ENTRIES = 2**24
-
-
 def synthesize_position(state: fock.FockVector, spec: GridSpec) -> GridField:
     """Realize a d=1 state as sum_[a,b] c_ab h_a(q) h_b(p) on the grid."""
     if state.cutoff.d != 1:
@@ -218,13 +222,9 @@ def _rotation_shells(top: int) -> tuple[np.ndarray, ...]:
     return tuple(shells)
 
 
-def _check_slice(spec: GridSpec, *states: fock.FockVector) -> None:
+def _check_slice(*states: fock.FockVector) -> None:
     if any(state.cutoff.d != 1 for state in states):
         raise ValueError("grid synthesis supports d = 1 only")
-    if spec.n**2 > _MAX_TABLE_ENTRIES:
-        raise ValueError(
-            f"output grid too large: {spec.n}^2 points exceeds {_MAX_TABLE_ENTRIES} entries"
-        )
 
 
 def _amplitude_coefficients(states, degree: int) -> np.ndarray:
@@ -251,7 +251,7 @@ def state_to_classical(state: fock.FockVector, spec: GridSpec) -> GridField:
     the Hermite table on the grid axis.  tau keeps each shell a + b = s and
     acts on it by R^s, and the inverse velocity transform takes h_k(xi) to
     i^k h_k(v), so D_jk = i^k sum_(a+b=j+k) c_ab R^s[a, j]."""
-    _check_slice(spec, state)
+    _check_slice(state)
     degree = state.max_degree()
     coeffs = _amplitude_coefficients([state], degree)[0]
     table = hermite_table(degree, spec.axis())
@@ -280,7 +280,7 @@ def classical_slice(state: fock.FockVector, rate: fock.FockVector,
     """The slice of ``state`` whose time derivative is ``rate`` (for the
     Hamiltonian flow, ``hamiltonian.vector_field(SPHERE, state)``): D and D(rate)
     from one stacked pass over the rotation shells, and one Hermite table."""
-    _check_slice(spec, state, rate)
+    _check_slice(state, rate)
     top = state.max_degree()
     degree = max(top, rate.max_degree())
     stack = _amplitude_coefficients([state, rate], degree)

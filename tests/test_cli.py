@@ -335,6 +335,11 @@ def _with_term(**fields):
     return obj
 
 
+# 200000 nested arrays, past the JSON decoder's recursion limit, as file text:
+# json.dumps cannot build it
+_NESTED = "[" * 200000 + "]" * 200000
+
+
 def _with_amplitude(**fields):
     """The ground state with its amplitude's parts replaced: a unit state
     if they were read as numbers."""
@@ -351,16 +356,17 @@ def _with_amplitude(**fields):
      _with_term(a=[0, 0], b=[0, 0]), _with_term(a=[5], b=[4]), _with_term(a=["1"]),
      _with_term(b=[False]), _with_term(re=10**400),
      _with_amplitude(re=True), _with_amplitude(im=False), _with_amplitude(re="1"),
-     _with_amplitude(re=" 1.0 ")],
+     _with_amplitude(re=" 1.0 "), _NESTED, '{"K": 8, "d": 1, "terms": %s}' % _NESTED],
     ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index",
          "K-float", "K-bool",
          "count-2**70", "negative-count", "a-b-length-mismatch", "length-not-d",
          "degree-above-K", "string-count", "bool-count", "amplitude-2**1329",
-         "bool-re", "bool-im", "string-re", "padded-string-re"],
+         "bool-re", "bool-im", "string-re", "padded-string-re",
+         "nested-arrays", "nested-terms"],
 )
 def test_malformed_state_is_rejected(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     out = tmp_path / "out.json"
     assert cli.main(["classify", "--state", str(path), "--json", str(out)]) == 1
     assert_one_line_error(capsys)
@@ -502,10 +508,12 @@ def test_simulate_rejects_oversized_sample_table(tmp_path, ground):
 @pytest.mark.parametrize(
     "command",
     # 10^7 time units are 4e7 steps of at most 0.25, past the budget of
-    # 100000 steps; one n x n grid of floats at n = 65536 is 32 GiB
+    # 100000 steps; one n x n grid of floats at n = 65536 is 32 GiB, and
+    # at n = 2^46 the grid axis alone is 512 TiB
     [["simulate", "--t-end", "1e7", "--out", "{out}.csv", "--report", "{out}.json"],
-     ["pipeline", "--grid-n", "65536", "--out-prefix", "{out}"]],
-    ids=["simulate-t-end-1e7", "pipeline-grid-n-65536"],
+     ["pipeline", "--grid-n", "65536", "--out-prefix", "{out}"],
+     ["pipeline", "--grid-n", str(2**46), "--out-prefix", "{out}"]],
+    ids=["simulate-t-end-1e7", "pipeline-grid-n-65536", "pipeline-grid-n-2**46"],
 )
 def test_oversized_run_exits_one_in_bounded_time(tmp_path, mix, command):
     # in a capped child like the tests above
@@ -528,7 +536,21 @@ def test_pipeline_tables_follow_the_state_degree(tmp_path):
     assert report["grid_n"] == 1024 and abs(report["mass"] - 1.0) <= 1e-6
 
 
-@pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2"])
+def test_classify_rejects_a_weight_exponent_in_bounded_time(tmp_path, mix):
+    # in a capped child like the oversized tests: Fraction's cost grows
+    # faster than the exponent of its text, so an exponent is refused
+    # before any Fraction is made
+    out = tmp_path / "out.json"
+    run = run_capped(["classify", "--state", mix, "--json", str(out),
+                      "--rational-weights=0=1e-100000000"])
+    assert run.returncode == 1
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert "exponent" in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weights", ["0=1/0,-2=1/2", "0=1/2,-2=1/4,-2=1/2",
+                                     pytest.param("0=" + "0" * 64 + "1/2,-2=1/2", id="67-char-weight")])
 def test_classify_rejects_bad_rational_weights(tmp_path, capsys, mix, weights):
     out = tmp_path / "out.json"
     rc = cli.main(["classify", "--state", mix, "--json", str(out),

@@ -236,19 +236,21 @@ def test_stacked_energy_matches_per_row_calls(d):
 
 
 def test_moment_rows_share_the_table_memory():
-    # N y, the lowering and the pair-lowering images gather as one block:
-    # its weights and indices are each held once, and the older names are
-    # views of them
+    # the weights are one complex block and the indices one index block:
+    # the ops and the moment rows (N y, the lowering and the pair-lowering
+    # images) are views of them, and row 0 is N over the identity index
     for cut in (CUT, Cutoff(k=6, d=2), Cutoff(k=5, d=3)):
         table = fock.ladder_table(cut)
         n, axes = table.n_diag.size, 2 * cut.d
         assert table.moment_weight.shape == table.moment_index.shape == (2 * axes + 1, n)
-        assert table.moment_weight.dtype == complex
-        assert np.shares_memory(table.n_complex, table.moment_weight)
-        assert np.shares_memory(table.lowering_weight, table.moment_weight)
-        assert np.shares_memory(table.lowering_index, table.moment_index)
-        assert np.shares_memory(table.index[fock.LOWERING], table.moment_index)
+        assert table.weight.dtype == table.moment_weight.dtype == complex
+        assert np.shares_memory(table.weight, table.moment_weight)
+        assert np.shares_memory(table.index, table.moment_index)
+        assert table.weight.base is table.moment_weight.base
+        assert table.index.base is table.moment_index.base
+        assert table.weight.base.shape == table.index.base.shape == (1 + 4 * axes, n)
         assert np.array_equal(table.moment_index[0], np.arange(n))
         assert np.array_equal(table.moment_weight[0], table.n_diag)
-        assert np.array_equal(table.lowering_weight, table.weight[fock.LOWERING])
-        assert np.array_equal(table.lowering_index, table.index[fock.LOWERING])
+        lowering = slice(fock.LOWER, fock.RAISE)
+        assert np.array_equal(table.moment_weight[1:], table.weight[lowering].reshape(2 * axes, n))
+        assert np.array_equal(table.moment_index[1:], table.index[lowering].reshape(2 * axes, n))

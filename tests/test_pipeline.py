@@ -63,6 +63,10 @@ def test_grid_spec_validation():
         pl.GridSpec(n=16, extent=8.0)  # too small
     with pytest.raises(ValueError):
         pl.GridSpec(n=64, extent=0.0)
+    for n in (8192, 2**46):  # n^2 past the 2^24 entries of one grid
+        with pytest.raises(ValueError, match="too large"):
+            pl.GridSpec(n=n, extent=8.0)
+    assert pl.GridSpec(n=4096, extent=8.0).n == 4096
     spec = pl.GridSpec(n=64, extent=4.0)
     ax = spec.axis()
     assert ax[0] == -4.0 and len(ax) == 64
