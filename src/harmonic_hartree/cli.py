@@ -358,7 +358,8 @@ def _cmd_pipeline(args) -> int:
         raise ValueError(
             f"(x, v) stage mass {mass:.6g} misses 1 by more than {_MASS_TOL:g}: "
             f"the grid n={spec.n}, L={spec.extent:g} does not resolve the state; "
-            "use a larger --grid-n or a smaller --grid-l"
+            "use a larger --grid-l if the state reaches past -L or L, "
+            "or a larger --grid-n if the step 2L/n is too coarse"
         )
     residual = pipeline.exact_residual(sl)
 

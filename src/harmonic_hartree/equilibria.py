@@ -54,7 +54,9 @@ INTEGER_TOL = 1e-9
 
 
 def is_relative_equilibrium(v: FockVector, tol: float) -> bool:
-    """True iff the chart field vanishes at the unit state ``v`` within tol."""
+    """True iff the chart field vanishes at the unit state ``v`` within tol >= 0."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     fock.require_unit(v)
     return hamiltonian.vector_field(FieldKind.CHART, v).norm <= tol
 

@@ -356,12 +356,10 @@ def component_split(v: FockVector) -> dict[int, FockVector]:
 
 def _single_excitation(v: FockVector) -> int:
     """Excitation eigenvalue of v; ValueError unless v is an eigenvector."""
-    parts = component_split(v)
-    if len(parts) != 1:
-        raise ValueError(
-            f"state mixes excitation eigenvalues {sorted(parts)}; need an eigenvector"
-        )
-    return next(iter(parts))
+    keys = sorted(set(ladder_table(v.cutoff).n_diag[v.array != 0].astype(int).tolist()))
+    if len(keys) != 1:
+        raise ValueError(f"state mixes excitation eigenvalues {keys}; need an eigenvector")
+    return keys[0]
 
 
 def require_unit(v: FockVector, tol: float = NORM_TOL, what: str = "state") -> None:

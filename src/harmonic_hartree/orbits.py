@@ -4,7 +4,9 @@ A family of excitation eigencomponents {v_N} spans a *centered* subspace
 when the first-moment expectations Re<w, a_i w> and Re<w, b_i w> vanish for
 every w in the span.  Expanding w in components reduces this to conditions
 on adjacent pairs only, so any family whose occupied indices have pairwise
-gaps != 1 is automatically centered.
+gaps != 1 is automatically centered.  That gap criterion is tried first;
+otherwise the adjacent-pair conditions are one gather of the whole state's
+lowering images, summed per excitation slice.
 
 For a unit state inside a centered span the flow factorizes into pure
 per-component phases
@@ -17,8 +19,10 @@ with ``mean`` the excitation expectation and phi solving the scalar ODE
     c = sum_M <v_M, sum_i (b*_i b*_i - a_i a_i) v_{M-2}>,
 
 whose closed form is phi(t) = 1/4 [Re(c) sin 2t - Im(c) (cos 2t - 1)].
-The projected trajectory closes after 2*pi / gcd of the index gaps; a
-single-component state is stationary in the quotient.
+c is one gather on the whole state: its b pair moments minus the
+conjugate of its a pair moments.  The projected trajectory closes after
+2*pi / gcd of the index gaps; a single-component state is stationary in
+the quotient.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import fock, hamiltonian
-from .errors import BasisMismatchError, NotCenteredError
+from .errors import NotCenteredError
 from .fock import LOWER, PAIR_LOWER, RAISE, FockVector
 
 CENTER_TOL = 1e-12
@@ -64,37 +68,6 @@ class AnalyticOrbit:
     relative_period: float  # math.inf when relatively constant
 
 
-def _arrays_and_images(components: Mapping[int, FockVector], op: int):
-    """Coefficient arrays of the components and their images under the
-    ladder row ``op`` along every axis (one gather each), keyed like
-    ``components``, plus the dimension d."""
-    cutoffs = {part.cutoff for part in components.values()}
-    if len(cutoffs) != 1:
-        raise BasisMismatchError(f"components mix cutoffs {cutoffs}")
-    (cutoff,) = cutoffs
-    table = fock.ladder_table(cutoff)
-    arrays = {n: part.array for n, part in components.items()}
-    images = {n: table.gather(y, op) for n, y in arrays.items()}
-    return arrays, images, cutoff.d
-
-
-def _adjacent_pair_defects(components: Mapping[int, FockVector]) -> float:
-    """Largest violation of the centering conditions on adjacent components:
-    |<v_{n+1}, a_i v_n>| and |<v_n, b_i v_{n+1}>| over all axes i."""
-    arrays, images, d = _arrays_and_images(components, LOWER)
-    worst = 0.0
-    for n in sorted(components):
-        if n + 1 not in components:
-            continue
-        lo, hi = arrays[n], arrays[n + 1]
-        worst = max(
-            worst,
-            np.abs(images[n][:d] @ hi.conj()).max(),
-            np.abs(images[n + 1][d:] @ lo.conj()).max(),
-        )
-    return float(worst)
-
-
 def is_centered(components: Mapping[int, FockVector]) -> bool:
     """Check that the span of the given eigencomponents is centered.
 
@@ -106,16 +79,33 @@ def is_centered(components: Mapping[int, FockVector]) -> bool:
         split = fock.component_split(part)
         if set(split) not in ({n}, set()):
             raise ValueError(f"component {n} mixes eigenvalues {sorted(split)}")
-    return _centering_defect(components) <= CENTER_TOL
+    if not components:
+        return True
+    state = CenteredDecomposition(components, len(components)).state()
+    return _centering_defect(state, components) <= CENTER_TOL
 
 
-def _centering_defect(components: Mapping[int, FockVector]) -> float:
-    """Centering defect of pure eigencomponents: 0 by the gap criterion
-    when no occupied indices are adjacent, else the adjacent-pair defect."""
-    occupied = sorted(components)
+def _centering_defect(v: FockVector, occupied: Iterable[int]) -> float:
+    """Largest violation of the centering conditions by the eigencomponents
+    v_n of ``v``, whose excitations are ``occupied``: 0 by the gap criterion
+    when no two are adjacent, else the max of |<v_{n+1}, a_i v_n>| and
+    |<v_n, b_i v_{n+1}>| over all axes i and adjacent pairs.
+
+    a_i maps slice N to N + 1 and b_i maps it to N - 1, so on the whole
+    state y the products (o_i y)_k conj(y_k), summed per axis and slice
+    N_k, are those pairings.
+    """
+    occupied = sorted(occupied)
     if all(b - a != 1 for a, b in zip(occupied, occupied[1:])):
         return 0.0
-    return _adjacent_pair_defects(components)
+    table = fock.ladder_table(v.cutoff)
+    y = v.array
+    products = (table.gather(y, LOWER) * y.conj()).ravel()
+    k = v.cutoff.k
+    axes = np.arange(2 * v.cutoff.d)[:, None]
+    keys = (table.n_diag.astype(int) + k + (2 * k + 1) * axes).ravel()  # bin (axis, N + K)
+    sums = np.bincount(keys, products.real) + 1j * np.bincount(keys, products.imag)
+    return float(np.abs(sums).max())
 
 
 def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
@@ -124,7 +114,7 @@ def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
     parts = fock.component_split(v)
     if not parts:
         raise NotCenteredError("zero state has no centered decomposition")
-    defect = _centering_defect(parts)
+    defect = _centering_defect(v, parts)
     if not defect <= CENTER_TOL:
         raise NotCenteredError(
             "component family violates the centering conditions; "
@@ -136,19 +126,16 @@ def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
 def pair_coupling(dec: CenteredDecomposition) -> complex:
     """The constant c = sum_M <v_M, sum_i (b*_i b*_i - a_i a_i) v_{M-2}>.
 
-    Raising on v_{M-2} is evaluated through the adjoint (double lowering on
-    v_M), so the value is exact for any support inside the cutoff.
+    b b lowers N by 2 and a a raises it by 2, so on the whole state y the
+    pair moments <b_i b_i y, y> sum the raising terms through the adjoint
+    (exact for any support inside the cutoff) and <a_i a_i y, y> the
+    lowering ones: one gather of the PAIR_LOWER rows.
     """
-    arrays, images, d = _arrays_and_images(dec.components, PAIR_LOWER)
-    acc = 0j
-    for m, hi in arrays.items():
-        lo = arrays.get(m - 2)
-        if lo is None:
-            continue
-        # <hi, b*_i b*_i lo> = <b_i b_i hi, lo>
-        acc += (images[m][d:] @ lo.conj()).sum()
-        acc -= (images[m - 2][:d].conj() @ hi).sum()
-    return complex(acc)
+    state = dec.state()
+    y = state.array
+    pairs = fock.ladder_table(state.cutoff).gather(y, PAIR_LOWER) @ y.conj()
+    d = len(pairs) // 2
+    return complex(pairs[d:].sum() - pairs[:d].sum().conjugate())
 
 
 def relative_period(dec: CenteredDecomposition) -> float:
@@ -181,12 +168,16 @@ def orbit_from_state(v: FockVector) -> AnalyticOrbit:
 
 def phase_integral(orbit: AnalyticOrbit, t: float) -> float:
     """phi(t) = 1/4 [Re(c) sin 2t - Im(c) (cos 2t - 1)]; pi-periodic."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     c = orbit.c
     return 0.25 * (c.real * math.sin(2.0 * t) - c.imag * (math.cos(2.0 * t) - 1.0))
 
 
 def phase_rate(orbit: AnalyticOrbit, t: float) -> float:
     """phi'(t) = 1/2 Re(exp(-2 i t) c); quadrature cross-check target."""
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     return 0.5 * (cmath.exp(-2j * t) * orbit.c).real
 
 
@@ -195,8 +186,6 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
 
     Norm and per-component norms are preserved exactly (pure phases).
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
     phi = phase_integral(orbit, t)
     out = None
     for n, part in sorted(orbit.base.components.items()):
@@ -282,7 +271,7 @@ def interpolating_family(
         raise ValueError(f"gamma must lie in [0, pi], got {gamma}")
     for v in (v_n, v_m):
         fock.require_unit(v, what="family endpoint")
-    if not _centering_defect({n: v_n, m: v_m}) <= CENTER_TOL:
+    if not _centering_defect(v_n + v_m, (n, m)) <= CENTER_TOL:
         raise NotCenteredError(f"span of eigenvalues {n}, {m} is not centered")
     return math.cos(gamma / 2.0) * v_n + math.sin(gamma / 2.0) * v_m
 

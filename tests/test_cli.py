@@ -240,7 +240,21 @@ def test_pipeline_rejects_unresolving_grid(tmp_path, capsys, ground):
     assert rc == 1
     err = assert_one_line_error(capsys)
     assert "(x, v)" in err and "mass 1.00021" in err
-    assert "larger --grid-n" in err and "smaller --grid-l" in err
+    assert "larger --grid-n" in err and "larger --grid-l" in err and "smaller" not in err
+    assert not (tmp_path / "pipe_report.json").exists()
+
+
+def test_pipeline_mass_error_advises_a_wider_grid(tmp_path, capsys):
+    # L=2 cuts off the family state 0.8|0,0> + 0.6|2,0> (mass 0.937): only
+    # a larger L resolves it
+    state = write_state(tmp_path / "family.json", 0.8 * fock.basis_vector(CUT, (0,), (0,))
+                        + 0.6 * fock.basis_vector(CUT, (2,), (0,)))
+    prefix = tmp_path / "pipe"
+    rc = cli.main(["pipeline", "--state", state, "--grid-n", "64",
+                   "--grid-l", "2", "--out-prefix", str(prefix)])
+    assert rc == 1
+    err = assert_one_line_error(capsys)
+    assert "mass 0.9365" in err and "larger --grid-l" in err and "smaller" not in err
     assert not (tmp_path / "pipe_report.json").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from _support import brute_matrix, random_centered_state, random_component
-from harmonic_hartree import fock, integrate as integ, orbits, reduction as red
+from harmonic_hartree import equilibria, fock, integrate as integ, orbits, reduction as red
 from harmonic_hartree.errors import BasisMismatchError, NormalizationError, NotCenteredError
 from harmonic_hartree.fock import Cutoff
 
@@ -44,34 +44,61 @@ def test_is_centered_rejects_mixed_component():
         orbits.is_centered({0: mixed})
 
 
+def _brute_defect(cut, ys, adjacent):
+    """max |<v_{n+1}, a_i v_n>|, |<v_n, b_i v_{n+1}>| over axes and the
+    adjacent pairs (n, n + 1), from the brute-force matrices."""
+    worst = 0.0
+    for i in range(cut.d):
+        la, lb = brute_matrix(cut, "lower_a", i), brute_matrix(cut, "lower_b", i)
+        for n in adjacent:
+            worst = max(worst, abs(np.vdot(la @ ys[n], ys[n + 1])),
+                        abs(np.vdot(lb @ ys[n + 1], ys[n])))
+    return worst
+
+
+def _brute_coupling(cut, ys):
+    """sum_M <v_M, sum_i (b*_i b*_i - a_i a_i) v_{M-2}> from the
+    brute-force matrices."""
+    total = 0j
+    for i in range(cut.d):
+        rb, la = brute_matrix(cut, "raise_b", i), brute_matrix(cut, "lower_a", i)
+        total += sum(np.vdot(rb @ rb @ ys[m - 2] - la @ la @ ys[m - 2], ys[m])
+                     for m in ys if m - 2 in ys)
+    return total
+
+
 def test_ladder_pairings_against_brute_force():
-    cut = Cutoff(k=6, d=2)
     rng = np.random.default_rng(7)
-    lower = {s: [brute_matrix(cut, f"lower_{s}", i) for i in range(2)] for s in "ab"}
-    raise_b = [brute_matrix(cut, "raise_b", i) for i in range(2)]
+    # the defect is read off the sum, with the occupied keys: one adjacent
+    # pair, then a family mixing adjacent and gapped indices
+    for cut, keys, adjacent in [(Cutoff(k=6, d=2), (0, 1), (0,))] + [
+        (Cutoff(k=6, d=d), (-1, 0, 1, 3), (-1, 0)) for d in (1, 2, 3)
+    ]:
+        comps = {n: random_component(cut, n, rng) for n in keys}
+        state = orbits.CenteredDecomposition(comps, len(comps)).state()
+        expected = _brute_defect(cut, {n: fock.to_array(v) for n, v in comps.items()}, adjacent)
+        assert orbits._centering_defect(state, comps) == pytest.approx(expected, rel=1e-14)
 
-    def arr(v):
-        return fock.to_array(v)
+    # c of an even family and of an odd one
+    for cut, keys in ((Cutoff(k=6, d=2), (-2, 0, 2)), (Cutoff(k=6, d=3), (-3, -1, 1, 3))):
+        dec = orbits.minimal_centered_subspace(random_centered_state(cut, keys, rng))
+        expected = _brute_coupling(cut, {n: fock.to_array(v) for n, v in dec.components.items()})
+        assert abs(orbits.pair_coupling(dec) - expected) <= 1e-14 * abs(expected)
 
-    comps = {n: random_component(cut, n, rng) for n in (0, 1)}
-    lo, hi = arr(comps[0]), arr(comps[1])
-    expected = max(
-        max(abs(np.vdot(la @ lo, hi)), abs(np.vdot(lb @ hi, lo)))
-        for la, lb in zip(lower["a"], lower["b"])
-    )
-    assert orbits._adjacent_pair_defects(comps) == pytest.approx(expected, rel=1e-14)
+    # two cutoffs are rejected with or without adjacent indices
+    for m in (1, 2):
+        with pytest.raises(BasisMismatchError):
+            orbits.is_centered({0: bv((0,), (0,)), m: bv((0,), (m,), Cutoff(k=6, d=1))})
 
-    dec = orbits.minimal_centered_subspace(random_centered_state(cut, (-2, 0, 2), rng))
-    ys = {n: arr(part) for n, part in dec.components.items()}
-    expected = sum(
-        np.vdot(rb @ rb @ ys[m - 2], ys[m]) - np.vdot(la @ la @ ys[m - 2], ys[m])
-        for m in (0, 2)
-        for rb, la in zip(raise_b, lower["a"])
-    )
-    assert abs(orbits.pair_coupling(dec) - expected) <= 1e-14 * abs(expected)
 
-    with pytest.raises(BasisMismatchError):
-        orbits.is_centered({0: bv((0,), (0,)), 1: bv((0,), (1,), Cutoff(k=6, d=1))})
+def test_single_excitation_rejects_zero_and_mixed_states():
+    assert fock._single_excitation(bv((2,), (0,))) == -2
+    for v, keys in ((fock.zero(CUT), []), (bv((0,), (0,)) + bv((2,), (0,)), [-2, 0])):
+        with pytest.raises(ValueError) as info:
+            fock._single_excitation(v)
+        assert str(info.value) == (
+            f"state mixes excitation eigenvalues {keys}; need an eigenvector"
+        )
 
 
 def test_minimal_centered_subspace():
@@ -147,6 +174,17 @@ def test_component_norms_conserved_exactly():
         parts = fock.component_split(orbits.analytic_solution(orbit, t))
         for n, p in parts.items():
             assert p.norm == pytest.approx(base_norms[n], abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_and_tolerances_are_rejected(bad):
+    orbit = orbits.orbit_from_state(random_centered_state(CUT, (0, -2), np.random.default_rng(2)))
+    for entry in (orbits.phase_integral, orbits.phase_rate, orbits.analytic_solution):
+        with pytest.raises(ValueError, match="time must be finite"):
+            entry(orbit, bad)
+    for tol in (bad, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            equilibria.is_relative_equilibrium(bv((0,), (0,)), tol)
 
 
 def test_phase_integral_quadrature_and_period():

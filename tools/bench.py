@@ -2,8 +2,8 @@
 
     PYTHONPATH=src python3 tools/bench.py [--against SRC] [LAYER ...]
 
-LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``pipeline`` and
-``output``; without one every layer runs.  With PYTHONPATH pointing at
+LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``orbits``,
+``pipeline`` and ``output``; without one every layer runs.  With PYTHONPATH pointing at
 another checkout's ``src`` it times that tree.
 
 ``--against SRC`` pairs this tree (the package the harness imports) with the
@@ -225,6 +225,32 @@ def spectrum_case(rung: dict, _) -> Iterator[dict]:
     yield best_mean(op, first)
 
 
+# orbits: ``orbit_from_state`` + ``orbit_velocity`` on a seeded centered
+# unit state of degree <= K - 2 on the excitations ``indices``.  The
+# ``analysis`` index sets pass by the gap criterion; in the ``adjacent``
+# rung the components at -1 and 0 sit at degrees that no single ladder
+# step joins, so the state is centered and its defect takes the per-slice
+# sums.  ``c`` is the orbit's pair coupling, so two trees' values compare.
+
+ORBIT_SEED = 4
+ADJACENT_DEGREES = {-1: (1,), 0: (4, 6)}
+
+
+def orbits_case(rung: dict, _) -> Iterator[dict]:
+    cut = fock.Cutoff(k=rung["K"], d=rung["d"])
+    degrees = ADJACENT_DEGREES if rung["adjacent"] else {}
+    state = _seeded_state(cut, np.random.default_rng(ORBIT_SEED), lambda i: (
+        i.excitation in rung["indices"] and i.degree in degrees.get(i.excitation, (i.degree,))))
+
+    def op():
+        return orbits.orbit_from_state(state), orbits.orbit_velocity(state)
+
+    first, (orbit, velocity) = timed(op)
+    yield {"n": cut.size, "terms": len(state.coeffs), "first_call_s": first,
+           "c": [orbit.c.real, orbit.c.imag], "velocity": velocity}
+    yield best_mean(op, first)
+
+
 # pipeline: the classical chain on the state 0.8|0,0> + 0.6|2,0> at
 # t = PIPELINE_T, L = PIPELINE_L, one case per op:
 # ``tables`` builds the Hermite table of the state's degree on the grid
@@ -416,6 +442,12 @@ LAYERS = {
         {"seed": INTEGRATE_SEED, "tol": TOL, "samples": SAMPLES, "interior": INTERIOR},
     ),
     "spectrum": Layer(EQUILIBRIA, spectrum_case, {}),
+    "orbits": Layer(
+        [{"K": 8, "d": 3, "indices": list(s), "adjacent": False}
+         for s in ((0, -2), (1, -2), (-3, 0, 2), (-4, -2, 0, 2))]
+        + [{"K": 8, "d": 3, "indices": [-1, 0, 2], "adjacent": True}],
+        orbits_case, {"seed": ORBIT_SEED},
+    ),
     "pipeline": Layer(
         [{"grid_n": n} for n in (128, 256)], pipeline_case,
         {"t": PIPELINE_T, "grid_l": PIPELINE_L}, tuple(PIPELINE_OPS),
