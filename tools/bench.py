@@ -3,8 +3,8 @@
     PYTHONPATH=src python3 tools/bench.py [--against SRC] [LAYER ...]
 
 LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``orbits``,
-``pipeline`` and ``output``; without one every layer runs.  With PYTHONPATH pointing at
-another checkout's ``src`` it times that tree.
+``pipeline`` and ``output``; without one every layer runs.  With
+PYTHONPATH pointing at another checkout's ``src`` it times that tree.
 
 ``--against SRC`` pairs this tree (the package the harness imports) with the
 package under the directory SRC, another checkout's ``src``: each case's
