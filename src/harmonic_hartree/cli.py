@@ -309,7 +309,7 @@ def _parse_rational_weights(text: str) -> dict[int, Fraction]:
 
 def _cmd_classify(args) -> int:
     state = _load_state(args.state)
-    indices = sorted(fock.component_split(state))
+    indices = fock.excitations(state)
     result = {
         "indices": indices,
         "centered": True,
@@ -325,7 +325,7 @@ def _cmd_classify(args) -> int:
         result["centered"] = False
         _write_json(args.json, result)
         return 0
-    result["oscillation_index"] = orbit.base.oscillation_index
+    result["oscillation_index"] = orbit.oscillation_index
     if math.isfinite(orbit.relative_period):
         result["relative_period"] = orbit.relative_period
     result["velocity"] = orbits.orbit_velocity(state)

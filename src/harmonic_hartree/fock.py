@@ -343,20 +343,25 @@ def inner(u: FockVector, v: FockVector) -> complex:
     return complex(np.vdot(v.array, u.array))
 
 
+def excitations(v: FockVector) -> list[int]:
+    """The sorted excitations N = |b| - |a| of the support of v."""
+    return np.unique(ladder_table(v.cutoff).n_diag[v.array != 0]).astype(int).tolist()
+
+
 def component_split(v: FockVector) -> dict[int, FockVector]:
     """Split into excitation eigencomponents keyed by N = |b| - |a|.
 
     The components are pairwise orthogonal and sum to ``v`` exactly.
     """
+    keys = excitations(v)
     n_diag = ladder_table(v.cutoff).n_diag
-    keys = sorted(set(n_diag[v.array != 0].tolist()))
     parts = np.where(n_diag == np.array(keys)[:, None], v.array, 0)  # one row per key
-    return {int(n): _vector(v.cutoff, part, v.truncated) for n, part in zip(keys, parts)}
+    return {n: _vector(v.cutoff, part, v.truncated) for n, part in zip(keys, parts)}
 
 
 def _single_excitation(v: FockVector) -> int:
     """Excitation eigenvalue of v; ValueError unless v is an eigenvector."""
-    keys = sorted(set(ladder_table(v.cutoff).n_diag[v.array != 0].astype(int).tolist()))
+    keys = excitations(v)
     if len(keys) != 1:
         raise ValueError(f"state mixes excitation eigenvalues {keys}; need an eigenvector")
     return keys[0]

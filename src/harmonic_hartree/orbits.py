@@ -23,6 +23,9 @@ c is one gather on the whole state: its b pair moments minus the
 conjugate of its a pair moments.  The projected trajectory closes after
 2*pi / gcd of the index gaps; a single-component state is stationary in
 the quotient.
+
+An ``AnalyticOrbit`` holds the state and its occupied excitations, not the
+v_N: each figure is read off the coefficients by their slice labels N + K.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,29 +46,18 @@ CENTER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class CenteredDecomposition:
-    """Excitation eigencomponents of a state inside a centered span."""
-
-    components: dict[int, FockVector]
-    oscillation_index: int
-
-    def state(self) -> FockVector:
-        out = None
-        for _, part in sorted(self.components.items()):
-            out = part if out is None else out + part
-        if out is None:
-            raise ValueError("empty decomposition")
-        return out
-
-
-@dataclass(frozen=True)
 class AnalyticOrbit:
     """Closed-form solution data for a unit state in a centered span."""
 
-    base: CenteredDecomposition
+    state: FockVector
+    occupied: tuple[int, ...]  # the sorted excitations N of the state's support
     mean_n: float
     c: complex
     relative_period: float  # math.inf when relatively constant
+
+    @property
+    def oscillation_index(self) -> int:
+        return len(self.occupied)
 
 
 def is_centered(components: Mapping[int, FockVector]) -> bool:
@@ -76,13 +68,18 @@ def is_centered(components: Mapping[int, FockVector]) -> bool:
     the bilinear conditions on adjacent pairs are evaluated.
     """
     for n, part in components.items():
-        split = fock.component_split(part)
-        if set(split) not in ({n}, set()):
-            raise ValueError(f"component {n} mixes eigenvalues {sorted(split)}")
+        keys = fock.excitations(part)
+        if keys not in ([n], []):
+            raise ValueError(f"component {n} mixes eigenvalues {keys}")
     if not components:
         return True
-    state = CenteredDecomposition(components, len(components)).state()
-    return _centering_defect(state, components) <= CENTER_TOL
+    parts = [components[n] for n in sorted(components)]
+    return _centering_defect(sum(parts[1:], parts[0]), components) <= CENTER_TOL
+
+
+def _slices(cutoff: fock.Cutoff) -> np.ndarray:
+    """The excitation slice N + K (0 to 2K) of every basis element."""
+    return fock.ladder_table(cutoff).n_diag.astype(int) + cutoff.k
 
 
 def _centering_defect(v: FockVector, occupied: Iterable[int]) -> float:
@@ -98,32 +95,30 @@ def _centering_defect(v: FockVector, occupied: Iterable[int]) -> float:
     occupied = sorted(occupied)
     if all(b - a != 1 for a, b in zip(occupied, occupied[1:])):
         return 0.0
-    table = fock.ladder_table(v.cutoff)
     y = v.array
-    products = (table.gather(y, LOWER) * y.conj()).ravel()
-    k = v.cutoff.k
+    products = (fock.ladder_table(v.cutoff).gather(y, LOWER) * y.conj()).ravel()
     axes = np.arange(2 * v.cutoff.d)[:, None]
-    keys = (table.n_diag.astype(int) + k + (2 * k + 1) * axes).ravel()  # bin (axis, N + K)
+    keys = (_slices(v.cutoff) + (2 * v.cutoff.k + 1) * axes).ravel()  # bin (axis, N + K)
     sums = np.bincount(keys, products.real) + 1j * np.bincount(keys, products.imag)
     return float(np.abs(sums).max())
 
 
-def minimal_centered_subspace(v: FockVector) -> CenteredDecomposition:
-    """Split ``v`` into eigencomponents and certify that their span is
-    centered; raises NotCenteredError otherwise."""
-    parts = fock.component_split(v)
-    if not parts:
+def minimal_centered_subspace(v: FockVector) -> tuple[int, ...]:
+    """The sorted excitations occupied by ``v``, once their span is
+    certified centered; raises NotCenteredError otherwise."""
+    occupied = tuple(fock.excitations(v))
+    if not occupied:
         raise NotCenteredError("zero state has no centered decomposition")
-    defect = _centering_defect(v, parts)
+    defect = _centering_defect(v, occupied)
     if not defect <= CENTER_TOL:
         raise NotCenteredError(
             "component family violates the centering conditions; "
             f"worst defect {defect:.3e}"
         )
-    return CenteredDecomposition(components=parts, oscillation_index=len(parts))
+    return occupied
 
 
-def pair_coupling(dec: CenteredDecomposition) -> complex:
+def pair_coupling(v: FockVector) -> complex:
     """The constant c = sum_M <v_M, sum_i (b*_i b*_i - a_i a_i) v_{M-2}>.
 
     b b lowers N by 2 and a a raises it by 2, so on the whole state y the
@@ -131,53 +126,46 @@ def pair_coupling(dec: CenteredDecomposition) -> complex:
     (exact for any support inside the cutoff) and <a_i a_i y, y> the
     lowering ones: one gather of the PAIR_LOWER rows.
     """
-    state = dec.state()
-    y = state.array
-    pairs = fock.ladder_table(state.cutoff).gather(y, PAIR_LOWER) @ y.conj()
+    y = v.array
+    pairs = fock.ladder_table(v.cutoff).gather(y, PAIR_LOWER) @ y.conj()
     d = len(pairs) // 2
     return complex(pairs[d:].sum() - pairs[:d].sum().conjugate())
 
 
-def relative_period(dec: CenteredDecomposition) -> float:
-    """2*pi / gcd of index gaps; math.inf for a single component."""
-    occupied = sorted(dec.components)
-    if len(occupied) <= 1:
-        return math.inf
-    g = 0
-    for n in occupied[1:]:
-        g = math.gcd(g, n - occupied[0])
-    return 2.0 * math.pi / g
-
-
-def make_orbit(dec: CenteredDecomposition) -> AnalyticOrbit:
-    """Closed-form orbit data for a unit state (norm checked to 1e-10)."""
-    state = dec.state()
-    fock.require_unit(state, what="orbit base")
-    mean_n = sum(n * part.norm_sq for n, part in dec.components.items())
-    return AnalyticOrbit(
-        base=dec,
-        mean_n=mean_n,
-        c=pair_coupling(dec),
-        relative_period=relative_period(dec),
-    )
+def relative_period(occupied: Sequence[int]) -> float:
+    """2*pi / gcd of the gaps of the sorted excitations; math.inf for one."""
+    g = math.gcd(*(n - occupied[0] for n in occupied[1:]))
+    return 2.0 * math.pi / g if g else math.inf
 
 
 def orbit_from_state(v: FockVector) -> AnalyticOrbit:
-    return make_orbit(minimal_centered_subspace(v))
+    """Closed-form orbit data for a unit state (norm checked to 1e-10)."""
+    occupied = minimal_centered_subspace(v)
+    fock.require_unit(v, what="orbit base")
+    re, im = v.array.real, v.array.imag
+    # per-slice squared norms, each summed in basis order as ``norm_sq`` sums
+    weight = np.bincount(_slices(v.cutoff), re * re + im * im).tolist()
+    return AnalyticOrbit(
+        state=v,
+        occupied=occupied,
+        mean_n=sum(n * weight[n + v.cutoff.k] for n in occupied),
+        c=pair_coupling(v),
+        relative_period=relative_period(occupied),
+    )
 
 
 def phase_integral(orbit: AnalyticOrbit, t: float) -> float:
     """phi(t) = 1/4 [Re(c) sin 2t - Im(c) (cos 2t - 1)]; pi-periodic."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    if not math.isfinite(2.0 * t):  # nan, inf or 2t past the largest float
+        raise ValueError(f"time must be finite, with 2t finite too, got {t}")
     c = orbit.c
     return 0.25 * (c.real * math.sin(2.0 * t) - c.imag * (math.cos(2.0 * t) - 1.0))
 
 
 def phase_rate(orbit: AnalyticOrbit, t: float) -> float:
     """phi'(t) = 1/2 Re(exp(-2 i t) c); quadrature cross-check target."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    if not math.isfinite(2.0 * t):  # nan, inf or 2t past the largest float
+        raise ValueError(f"time must be finite, with 2t finite too, got {t}")
     return 0.5 * (cmath.exp(-2j * t) * orbit.c).real
 
 
@@ -187,12 +175,15 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
     Norm and per-component norms are preserved exactly (pure phases).
     """
     phi = phase_integral(orbit, t)
-    out = None
-    for n, part in sorted(orbit.base.components.items()):
-        factor = cmath.exp(-1j * ((n + 0.5 * orbit.mean_n) * t + phi))
-        term = factor * part
-        out = term if out is None else out + term
-    return out
+    state, k = orbit.state, orbit.state.cutoff.k
+    phases = np.zeros(2 * k + 1, dtype=complex)
+    for n in orbit.occupied:
+        phase = (n + 0.5 * orbit.mean_n) * t + phi
+        if not math.isfinite(phase):
+            raise ValueError(f"time {t} is too large: the phase of excitation {n} overflows")
+        phases[n + k] = cmath.exp(-1j * phase)
+    return fock.from_array(state.cutoff, phases[_slices(state.cutoff)] * state.array,
+                           state.truncated)
 
 
 def orbit_velocity(v: FockVector) -> float:
@@ -229,7 +220,7 @@ def is_classically_periodic(
     phase factor equal to 1 and phi shifted by a full period (T = 0.0 for
     the fully stationary single-component state at frequency zero).
     """
-    occupied = sorted(orbit.base.components)
+    occupied = list(orbit.occupied)
     if sorted(weights) != occupied:
         raise ValueError(f"weights keyed {sorted(weights)} != occupied {occupied}")
     for w in weights.values():

@@ -258,6 +258,20 @@ def test_pipeline_mass_error_advises_a_wider_grid(tmp_path, capsys):
     assert not (tmp_path / "pipe_report.json").exists()
 
 
+@pytest.mark.parametrize("t, cause", [
+    ("1e308", "time must be finite, with 2t finite too, got 1e+308"),
+    ("5e307", "time 5e+307 is too large: the phase of excitation 4 overflows"),
+])
+def test_pipeline_names_an_overflowing_time(tmp_path, capsys, t, cause):
+    # on |0,4> (N = <N> = 4), 2t overflows at 1e308 and the slice phase
+    # (N + <N>/2) t at 5e307
+    state = write_state(tmp_path / "n4.json", fock.basis_vector(CUT, (0,), (4,)))
+    prefix = tmp_path / "pipe"
+    assert cli.main(["pipeline", "--state", state, "--t", t, "--out-prefix", str(prefix)]) == 1
+    assert cause in assert_one_line_error(capsys)
+    assert not (tmp_path / "pipe_report.json").exists()
+
+
 def test_energy_and_vector_field(tmp_path, mix):
     jpath = tmp_path / "e.json"
     assert cli.main(["energy", "--state", mix, "--json", str(jpath)]) == 0

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -75,15 +77,16 @@ def test_ladder_pairings_against_brute_force():
         (Cutoff(k=6, d=d), (-1, 0, 1, 3), (-1, 0)) for d in (1, 2, 3)
     ]:
         comps = {n: random_component(cut, n, rng) for n in keys}
-        state = orbits.CenteredDecomposition(comps, len(comps)).state()
+        state = sum(comps.values(), fock.zero(cut))
         expected = _brute_defect(cut, {n: fock.to_array(v) for n, v in comps.items()}, adjacent)
         assert orbits._centering_defect(state, comps) == pytest.approx(expected, rel=1e-14)
 
     # c of an even family and of an odd one
     for cut, keys in ((Cutoff(k=6, d=2), (-2, 0, 2)), (Cutoff(k=6, d=3), (-3, -1, 1, 3))):
-        dec = orbits.minimal_centered_subspace(random_centered_state(cut, keys, rng))
-        expected = _brute_coupling(cut, {n: fock.to_array(v) for n, v in dec.components.items()})
-        assert abs(orbits.pair_coupling(dec) - expected) <= 1e-14 * abs(expected)
+        state = random_centered_state(cut, keys, rng)
+        parts = fock.component_split(state)
+        expected = _brute_coupling(cut, {n: fock.to_array(v) for n, v in parts.items()})
+        assert abs(orbits.pair_coupling(state) - expected) <= 1e-14 * abs(expected)
 
     # two cutoffs are rejected with or without adjacent indices
     for m in (1, 2):
@@ -101,18 +104,26 @@ def test_single_excitation_rejects_zero_and_mixed_states():
         )
 
 
+def test_excitations_are_the_sorted_support_labels():
+    assert fock.excitations(fock.zero(CUT)) == []
+    assert fock.excitations(bv((3,), (1,))) == [-2]
+    mixed = bv((0,), (4,)) + bv((2,), (0,)) + bv((1,), (1,)) + bv((0,), (4,))
+    assert fock.excitations(mixed) == [-2, 0, 4]
+    assert all(type(n) is int for n in fock.excitations(mixed))
+
+
 def test_minimal_centered_subspace():
     s = (1 / math.sqrt(2)) * (bv((0,), (0,)) + bv((2,), (0,)))
-    dec = orbits.minimal_centered_subspace(s)
-    assert sorted(dec.components) == [-2, 0]
-    assert dec.oscillation_index == 2
+    assert orbits.minimal_centered_subspace(s) == (-2, 0)
+    assert orbits.orbit_from_state(s).oscillation_index == 2
 
     single = bv((1,), (0,))
-    dec = orbits.minimal_centered_subspace(single)
-    assert sorted(dec.components) == [-1] and dec.oscillation_index == 1
+    assert orbits.minimal_centered_subspace(single) == (-1,)
+    assert orbits.orbit_from_state(single).oscillation_index == 1
 
     three = (1 / math.sqrt(3)) * (bv((0,), (0,)) + bv((0,), (2,)) + bv((0,), (4,)))
-    assert orbits.minimal_centered_subspace(three).oscillation_index == 3
+    assert orbits.minimal_centered_subspace(three) == (0, 2, 4)
+    assert orbits.orbit_from_state(three).oscillation_index == 3
 
     with pytest.raises(NotCenteredError):
         orbits.minimal_centered_subspace(
@@ -169,7 +180,7 @@ def test_component_norms_conserved_exactly():
     rng = np.random.default_rng(2)
     s = random_centered_state(CUT, (-2, 0, 4), rng)
     orbit = orbits.orbit_from_state(s)
-    base_norms = {n: p.norm for n, p in orbit.base.components.items()}
+    base_norms = {n: p.norm for n, p in fock.component_split(orbit.state).items()}
     for t in (0.9, 4.4):
         parts = fock.component_split(orbits.analytic_solution(orbit, t))
         for n, p in parts.items():
@@ -185,6 +196,40 @@ def test_non_finite_times_and_tolerances_are_rejected(bad):
     for tol in (bad, -1.0):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             equilibria.is_relative_equilibrium(bv((0,), (0,)), tol)
+
+
+def test_overflowing_times_are_rejected_with_the_time():
+    # N = 4 with <N> = 4: 2t overflows at 1e308, the phase (N + <N>/2) t
+    # of the slice at 5e307
+    orbit = orbits.orbit_from_state(bv((0,), (4,)))
+    for t in (1e308, -1e308):
+        for entry in (orbits.phase_integral, orbits.phase_rate, orbits.analytic_solution):
+            with pytest.raises(ValueError, match=re.escape(f"2t finite too, got {t}")):
+                entry(orbit, t)
+    with pytest.raises(ValueError, match=re.escape("time 5e+307 is too large: the phase "
+                                                   "of excitation 4 overflows")):
+        orbits.analytic_solution(orbit, 5e307)
+
+
+def test_closed_form_is_the_per_component_phase_sum():
+    # the orbit's state and slice labels give the same figures as one phase
+    # factor per eigencomponent, summed in key order: mean_n exactly and
+    # the solution value for value (every nonzero coefficient bit for bit)
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        cut = Cutoff(k=6, d=d)
+        for keys in ((2,), (0, -2), (-3, 0, 2), (-4, -2, 0, 2)):
+            s = random_centered_state(cut, keys, rng)
+            orbit = orbits.orbit_from_state(s)
+            parts = fock.component_split(s)
+            assert orbit.occupied == tuple(sorted(keys)) == tuple(parts)
+            assert orbit.mean_n == sum(n * part.norm_sq for n, part in parts.items())
+            for t in (0.0, 0.3, -2.5, 100.1):
+                phi = orbits.phase_integral(orbit, t)
+                terms = [cmath.exp(-1j * ((n + 0.5 * orbit.mean_n) * t + phi)) * part
+                         for n, part in parts.items()]
+                expected = sum(terms[1:], terms[0])
+                assert np.array_equal(orbits.analytic_solution(orbit, t).array, expected.array)
 
 
 def test_phase_integral_quadrature_and_period():
@@ -352,7 +397,7 @@ def test_interpolating_family_shared_period():
         gamma = math.pi * j / 8
         orbit = orbits.orbit_from_state(orbits.interpolating_family(v_n, v_m, gamma))
         assert orbit.relative_period == pytest.approx(math.pi, abs=1e-12)
-        assert orbit.base.oscillation_index == 2
+        assert orbit.oscillation_index == 2
 
 
 def test_interpolating_family_validation():
@@ -370,11 +415,12 @@ def test_bifurcation_family_example():
     base = bv((0,), (0,))
     tilde = bv((0,), (2,))
     orbit = orbits.bifurcation_family(base, tilde, 2, math.pi / 3)
-    assert orbit.base.components[0].norm_sq == pytest.approx(math.cos(math.pi / 6) ** 2)
-    assert orbit.base.components[2].norm_sq == pytest.approx(math.sin(math.pi / 6) ** 2)
+    parts = fock.component_split(orbit.state)
+    assert parts[0].norm_sq == pytest.approx(math.cos(math.pi / 6) ** 2)
+    assert parts[2].norm_sq == pytest.approx(math.sin(math.pi / 6) ** 2)
     assert orbit.relative_period == pytest.approx(math.pi)
     # cross-check against the numerical flow
-    state = orbit.base.state()
+    state = orbit.state
     traj = integ.integrate(state, math.pi, tol=1e-10, samples=21)
     worst = max(
         red.projective_distance(orbits.analytic_solution(orbit, t), st)
@@ -385,7 +431,7 @@ def test_bifurcation_family_example():
 
 def test_bifurcation_family_gamma_zero_is_equilibrium():
     orbit = orbits.bifurcation_family(bv((0,), (0,)), bv((0,), (2,)), 2, 0.0)
-    assert orbit.base.oscillation_index == 1
+    assert orbit.oscillation_index == 1
     assert orbit.relative_period == math.inf
 
 

@@ -18,13 +18,15 @@ Every case (a rung, or one op of a ``fock`` or ``pipeline`` rung) runs in its ow
 with one BLAS thread and is stopped after TIMEOUT_S.  Its environment pins
 glibc's allocator (GLIBC_TUNABLES = MALLOC_TUNABLES): a fixed mmap threshold
 of 4 MiB and trim threshold of 256 MiB, so whether a grid-sized temporary
-maps fresh pages no longer follows the allocation history of the process.  Timing rule: one
-warm-up call, then REPEATS runs of up to CALLS calls each (fewer when the
-warm-up call shows that CALLS calls would take longer than BUDGET_S); the
-figure is the minimum over the runs of the mean time per call.  Prints one
-JSON object: the host, Python and numpy versions, then per layer its
-constants and rungs.  A case that fails or does not finish is recorded as
-its rung's ``result``, and the exit code is then 1.
+maps fresh pages no longer follows the allocation history of the process.
+
+Timing rule: one warm-up call, one more (warm) call that sizes the runs,
+then REPEATS runs of up to CALLS calls each (fewer when the sizing call
+shows that CALLS calls would take longer than BUDGET_S); the figure is the
+minimum over the runs of the mean time per call.  Prints one JSON object:
+the host, Python and numpy versions, then per layer its constants and
+rungs.  A case that fails or does not finish is recorded as its rung's
+``result``, and the exit code is then 1.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ def timed(op: Callable):
     return time.perf_counter() - t0, result
 
 
-def best_mean(op: Callable, first_s: float) -> dict:
-    """The timing rule, after a warm-up call that took ``first_s``."""
-    calls = max(1, min(CALLS, int(BUDGET_S / first_s)))
+def best_mean(op: Callable) -> dict:
+    """The timing rule, after the warm-up call: the runs are sized from one
+    more call, so a cold first call (a cache being filled) does not shrink
+    them."""
+    calls = max(1, min(CALLS, int(BUDGET_S / timed(op)[0])))
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -137,7 +141,8 @@ def fock_case(rung: dict, name: str) -> Iterator[dict]:
     def op():
         return FOCK_OPS[name](s)
 
-    best = best_mean(op, timed(op)[0])
+    op()  # warm-up
+    best = best_mean(op)
     yield {"n": cut.size, "terms": len(s.mapping),
            "us_per_call": {name: 1e6 * best["min_s"]},
            "calls_per_run": {name: best["calls_per_run"]}}
@@ -195,7 +200,7 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
         "drift": max(drift.norm, drift.mean_n, drift.energy),
         "sha256": _trajectory_sha256(traj),
     }
-    yield best_mean(op, first)
+    yield best_mean(op)
 
 
 # spectrum: ``linearize`` + ``classify_spectrum`` at basis-vector relative
@@ -222,7 +227,7 @@ def spectrum_case(rung: dict, _) -> Iterator[dict]:
     first, report = timed(op)
     yield {"n": base.cutoff.size, "first_call_s": first,
            "integer_ok": report.integer_spectrum_ok}
-    yield best_mean(op, first)
+    yield best_mean(op)
 
 
 # orbits: ``orbit_from_state`` + ``orbit_velocity`` on a seeded centered
@@ -248,7 +253,7 @@ def orbits_case(rung: dict, _) -> Iterator[dict]:
     first, (orbit, velocity) = timed(op)
     yield {"n": cut.size, "terms": len(state.coeffs), "first_call_s": first,
            "c": [orbit.c.real, orbit.c.imag], "velocity": velocity}
-    yield best_mean(op, first)
+    yield best_mean(op)
 
 
 # pipeline: the classical chain on the state 0.8|0,0> + 0.6|2,0> at
@@ -331,7 +336,8 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
         def op():
             return PIPELINE_OPS[name](s)
 
-        best = best_mean(op, timed(op)[0])
+        op()  # warm-up
+        best = best_mean(op)
         figures = {"us_per_call": {name: 1e6 * best["min_s"]},
                    "calls_per_run": {name: best["calls_per_run"]}}
         if name == "command":
@@ -418,7 +424,7 @@ def output_case(rung: dict, _) -> Iterator[dict]:
             for module, attrs in stubs:
                 stack.enter_context(mock.patch.multiple(module, **attrs))
             first = timed(op)[0]
-            best = best_mean(op, first)
+            best = best_mean(op)
         files = _files(outs)
     yield dict(desc, first_call_s=first, **best, files=files)
 
