@@ -328,7 +328,7 @@ def _cmd_classify(args) -> int:
     result["oscillation_index"] = orbit.oscillation_index
     if math.isfinite(orbit.relative_period):
         result["relative_period"] = orbit.relative_period
-    result["velocity"] = orbits.orbit_velocity(state)
+    result["velocity"] = orbit.velocity
     if args.rational_weights:
         weights = _parse_rational_weights(args.rational_weights)
         periodic, period = orbits.is_classically_periodic(orbit, weights)
@@ -407,7 +407,7 @@ def _cmd_family(args) -> int:
             {
                 "gamma": gamma,
                 "relative_period": orbit.relative_period,
-                "velocity": orbits.orbit_velocity(state),
+                "velocity": orbit.velocity,
                 "mean_excitation": orbit.mean_n,
             }
         )

@@ -112,27 +112,28 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
       moment is zero (as on centered states); only otherwise are the
       raising images gathered and the truncation flux checked.
     """
-    padded = table.padded(buf)
+    n = table.n_diag.size
+    padded = buf if buf.size > n else table.padded(buf)
     images = table.moment_weight * padded[table.moment_index]
-    y = padded[:-1]
-    moment = images @ y.conj()
-    mean_n, *moments = moment.tolist()
-    mean_n = mean_n.real
-    axes = table.sign.size
-    lower, pairs = moments[:axes], moments[axes:]
+    y = padded[:n]
+    moment = images.dot(y.conj())
+    # <N>, the 2d first moments, then the d a-pair and the d b-pair moments
+    m = moment.tolist()
+    d = len(m) // 4
+    mean_n = m[0].real
     # s2 from the pair moments summed per side: the a-axes turn by
     # e^{2i theta}, the b-axes by its conjugate
-    d = axes // 2
     turn2 = cmath.exp(2j * theta)
-    s2 = (turn2.conjugate() * sum(pairs[d:])).real - (turn2 * sum(pairs[:d])).real
+    s2 = ((turn2.conjugate() * sum(m[1 + 3 * d :])).real
+          - (turn2 * sum(m[1 + 2 * d : 1 + 3 * d])).real)
     shift = 0.5 * (mean_n + s2)
-    if not any(lower):
+    if not any(m[1 : 1 + 2 * d]):
         return y, images, mean_n, shift, None, None
     turn = np.exp((1j * theta) * table.sign)
-    first = (turn * moment[1 : 1 + axes]).real
+    first = (turn * moment[1 : 1 + 2 * d]).real
     lead = table.sign * first
     _check_flux(lead, table.boundary[0], y, flux_tol)
-    ladder = ((lead * turn) @ images[1 : 1 + axes]
+    ladder = ((lead * turn) @ images[1 : 1 + 2 * d]
               + (lead * turn.conj()) @ table.gather(padded, RAISE))
     return y, images, mean_n, shift, first, ladder
 

@@ -48,11 +48,14 @@ Specifics:
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
-  15 field evaluations and a rejected step 12.  All samples are read in
-  one vectorized pass (segment lookup by ``np.searchsorted``, the Horner
-  scheme on (samples, n) rows), and samples times basis size is capped
-  at 2^20; the samples' energies are one ``energy_array`` call on the
-  stack of sampled states;
+  15 field evaluations and a rejected step 12.  The samples are read in
+  blocks of rows whose (rows, n) arrays stay under 127 KiB, below
+  glibc's default mmap threshold: per block, one ``np.searchsorted``
+  segment lookup, the Horner scheme on rows gathered from the segments
+  the block's times use, and the norms, unit states, <N> and energies of
+  the block, written into one read-only table of sampled states whose
+  rows are the trajectory's states.  Samples times basis size is capped
+  at 2^20, the size of that table;
 * amplitude that a raising operator would push past the degree cutoff is
   monitored at every evaluation, dense-output stages included; if a
   state with nonzero centering moments reaches the boundary the
@@ -62,6 +65,7 @@ Specifics:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -275,6 +279,11 @@ _END_SLACK = 1e-13  # relative to max(1, span): a shorter remainder is done
 
 
 _MAX_SAMPLE_ENTRIES = 2**20  # samples x basis size: the sampled states' table
+# entries of one block of samples, (rows, n): a complex (rows, n) array is
+# at most 127 KiB, below glibc's default mmap threshold of 128 KiB
+# (mallopt(3), M_MMAP_THRESHOLD) with room for the chunk header, so the
+# dense output of a block maps no fresh pages on every call
+_SAMPLE_BLOCK = 2**13 - 2**6
 
 
 def sphere_field(
@@ -315,7 +324,7 @@ class DriftRecord:
 class Trajectory:
     """Sampled solution of the sphere flow.
 
-    ``times`` are strictly increasing; ``states`` are unit-norm snapshots.
+    ``times`` are non-decreasing; ``states`` are unit-norm snapshots.
     ``conserved`` records raw interpolated norm plus excitation mean and
     energy per sample; ``max_renormalization`` is the largest per-step
     sphere-projection magnitude.
@@ -343,7 +352,27 @@ class Trajectory:
         # the window end; polynomial extrapolation over it is exact in practice
         if s < lo.s0 - 1e-9 or s > hi.s0 + hi.h + 1e-9:
             raise ValueError(f"time {t} outside the integrated range")
-        return fock.from_array(self.cutoff, _interp_raw(self._segments, s)[0])
+        levels, level_of = np.unique(self._segments[0].rate, return_inverse=True)
+        return fock.from_array(self.cutoff, _interp_raw(self._segments, s, levels, level_of)[0])
+
+
+def _sample_count(samples) -> int | None:
+    """The count of equally spaced samples, or None for a 1-D array of
+    sample times; a bool, a scalar that is not an integer, a negative count
+    and an array of another dimension raise ValueError."""
+    ndim = np.ndim(samples)
+    if ndim == 1:
+        return None
+    count = -1
+    if ndim == 0 and not isinstance(samples, (bool, np.bool_)):
+        try:
+            count = operator.index(samples)
+        except TypeError:
+            pass
+    if count < 0:
+        got = repr(samples) if ndim == 0 else f"an array of shape {np.shape(samples)}"
+        raise ValueError(f"samples must be a count >= 0 or a 1-D array of times, got {got}")
+    return count
 
 
 def _stage_plan(n: int, direction: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
@@ -428,17 +457,17 @@ def integrate(
     cutoff = state.cutoff
     table = fock.ladder_table(cutoff)
 
-    spaced = isinstance(samples, (int, np.integer))
-    count = int(samples) if spaced else np.size(samples)
+    spaced = _sample_count(samples)  # None for an array of times
+    count = np.size(samples) if spaced is None else spaced
     if count * cutoff.size > _MAX_SAMPLE_ENTRIES:
         raise ValueError(
             f"sample table too large: {count} samples x {cutoff.size} coefficients "
             f"exceeds {_MAX_SAMPLE_ENTRIES} entries"
         )
-    if spaced:
-        sample_times = np.linspace(0.0, t_end, count)
-    else:
+    if spaced is None:
         sample_times = np.asarray(samples, dtype=float)
+    else:
+        sample_times = np.linspace(0.0, t_end, count)
     sample_s = np.sort(sample_times * direction)
     if sample_s.size == 0:
         raise ValueError("at least one sample time is required")
@@ -456,20 +485,26 @@ def integrate(
 
     y0 = state.normalized().array
     y = y0
-    zk, coef, plan = _stage_plan(y0.size, direction)
+    n = y0.size
+    zk, coef, plan = _stage_plan(n, direction)
     zk[16] = y
     # stages[k] is K[k]: the error and the dense rows sum over this view in
     # the order of dop853.f
     stages = zk[15::-1]
+    # the views and buffers every step reuses
+    coef_h, error_stages, first, last = coef[:, :16], stages[:12], stages[0], stages[12]
     step_plan, dense_plan = plan[:12], plan[12:]  # stages 1..12 and 13..15
-    sphere_field(table, y, direction * 0.0, stages[0])
+    abs_y, scale = np.abs(y), np.empty(n)
+    err, err_conj = np.empty((2, n), dtype=complex), np.empty((2, n), dtype=complex)
+    sphere_field(table, y, direction * 0.0, first)
     if backward:
-        np.negative(stages[0], out=stages[0])
+        np.negative(first, out=first)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
     segments: list[_Segment] = []
     max_renorm = 0.0
     accepted = rejected = 0
+    err_tol = _SAFETY * tol
 
     while True:
         remaining = span - s
@@ -482,26 +517,34 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        np.multiply(h, _A_REV, out=coef[:, :16])
+        np.multiply(h, _A_REV, out=coef_h)
         z_new = _lawson_stages(table, step_plan, h, backward)
-        # |y_new| = |z_new| entrywise: the frame only turns phases
-        scale = _SAFETY * tol * (1.0 + np.maximum(np.abs(y), np.abs(z_new)))
+        # scale = SAFETY tol (1 + max(|y|, |y_new|)), and |y_new| = |z_new|
+        # entrywise: the frame only turns phases
+        np.abs(z_new, out=scale)
+        np.maximum(abs_y, scale, out=scale)
+        scale += 1.0
+        scale *= err_tol
         # combined 5th/3rd-order estimate of dop853.f, on Python floats
-        err = (_ERR @ stages[:12]) / scale
-        e5, e3 = np.einsum("ij,ij->i", err, err.conj()).real.tolist()
-        err_norm = h * e5 / math.sqrt(y.size * (e5 + 0.01 * e3)) if e5 > 0.0 else 0.0
+        np.matmul(_ERR, error_stages, out=err)
+        err /= scale
+        np.conjugate(err, out=err_conj)
+        e5, e3 = np.einsum("ij,ij->i", err, err_conj).real.tolist()
+        err_norm = h * e5 / math.sqrt(n * (e5 + 0.01 * e3)) if e5 > 0.0 else 0.0
         if err_norm > 1.0:
             rejected += 1
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
         _lawson_stages(table, dense_plan, h, backward)
-        segments.append(_Segment(s, h, y, h * (_DENSE @ stages), rate))
+        dense = _DENSE @ stages
+        dense *= h
+        segments.append(_Segment(s, h, y, dense, rate))
 
         back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
-        y_new = back * z_new
+        y = back * z_new
         # np.linalg.norm's own expression for a complex vector
-        re, im = y_new.real, y_new.imag
+        re, im = y.real, y.imag
         norm = math.sqrt(re.dot(re) + im.dot(im))
         renorm = abs(norm - 1.0)
         max_renorm = max(max_renorm, renorm)
@@ -509,12 +552,13 @@ def integrate(
             raise IntegrationError(
                 f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
             )
-        y = y_new / norm
+        y /= norm
         zk[16] = y
+        np.abs(y, out=abs_y)
         # FSAL: rotate z'(h) back to the next frame's z'(0), out of the slot
         # the next step overwrites (projection perturbs it below the local
         # tolerance)
-        np.multiply(back, stages[12], out=stages[0])
+        np.multiply(back, last, out=first)
         s += h
         accepted += 1
         if err_norm > 0.0:
@@ -523,22 +567,37 @@ def integrate(
             h *= 5.0
 
     traj_segments = tuple(segments)
-    # one pass over all samples; sample_s is sorted, so reversing it puts
-    # a backward trajectory's times in increasing order
-    raw = _interp_raw(traj_segments, sample_s)
-    raw[sample_s <= 0.0] = y0
-    norms = np.linalg.norm(raw, axis=1)
-    units = raw / norms[:, None]
+    # the table of sampled states, filled a block of rows at a time so that
+    # every temporary of the tail stays small; the states are read-only row
+    # views of it.  sample_s is sorted, so reversing it puts a backward
+    # trajectory's times in increasing order
+    units = np.empty((count, n), dtype=complex)
+    norms, mean_n, energy = np.empty(count), np.empty(count), np.empty(count)
+    rows = max(1, _SAMPLE_BLOCK // n)
+    # each block reads only the segments its times lie in
+    starts = np.array([seg.s0 for seg in traj_segments])
+    which = np.maximum(np.searchsorted(starts, sample_s, side="right") - 1, 0).tolist()
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        used = traj_segments[which[start] : which[block][-1] + 1]
+        unit = units[block]
+        unit[:] = _interp_raw(used, sample_s[block], levels, level_of)
+        unit[sample_s[block] <= 0.0] = y0
+        norms[block] = np.linalg.norm(unit, axis=1)
+        unit /= norms[block, None]
+        # a sequential sum in basis order, as numpy's matrix-vector loop sums
+        # a strided operand of two rows or more, so that a row's bits do not
+        # depend on the rows of its block
+        mean_n[block] = np.cumsum((unit * unit.conj()).real * table.n_diag, axis=1)[:, -1]
+        energy[block] = hamiltonian.energy_array(table, unit)
+    units.flags.writeable = False
     order = slice(None) if direction > 0 else slice(None, None, -1)
-    units = units[order]
     return Trajectory(
         cutoff=cutoff,
         times=(sample_s * direction)[order],
-        states=tuple(fock.from_array(cutoff, unit) for unit in units),
+        states=tuple(fock._vector(cutoff, row, False) for row in units[order]),
         conserved=ConservedSamples(
-            norm=norms[order],
-            mean_n=(units * units.conj()).real @ table.n_diag,
-            energy=hamiltonian.energy_array(table, units),
+            norm=norms[order], mean_n=mean_n[order], energy=energy[order],
         ),
         initial_mean_n=float(table.n_diag @ (y0 * y0.conj()).real),
         initial_energy=hamiltonian.energy_array(table, y0),
@@ -550,30 +609,40 @@ def integrate(
     )
 
 
-def _interp_raw(segments: tuple[_Segment, ...], s) -> np.ndarray:
+def _interp_raw(segments: tuple[_Segment, ...], s, levels: np.ndarray,
+                level_of: np.ndarray) -> np.ndarray:
     """Dense output at the frame times s, one row per time:
     e^{-i rate (s - s0)} z, where
     z = y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))) is the
     alternating Horner scheme of ``dop853.f``'s contd8, run on all rows at
     once.  Each time is read from the last segment starting at or before
-    it (from the first one before the window)."""
+    it (from the first one before the window).  The segments' rate takes
+    the values ``levels`` (``np.unique`` of it, with the inverse
+    ``level_of``), so one exponential per time and distinct value of N
+    gives the phases.  Each coefficient row is gathered from the segments
+    that the times use, so no temporary is larger than those segments' or
+    the times' (times, n) rows."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
+    n = level_of.size
     starts = np.array([seg.s0 for seg in segments])
     which = np.maximum(np.searchsorted(starts, s, side="right") - 1, 0)
     used, row = np.unique(which, return_inverse=True)
-    segs = [segments[j] for j in used]
-    coeffs = np.stack([seg.coeffs for seg in segs])  # (used, 7, n)
+    segs = [segments[j] for j in used.tolist()]
+
+    def gather(rows):  # the times' rows from the (n,) rows of their segments
+        if len(rows) == 1:  # one segment: its row broadcasts over the times
+            return rows[0]
+        return np.concatenate(rows).reshape(len(rows), n)[row]
+
     lag = s - starts[which]
     theta = (lag / np.array([seg.h for seg in segs])[row])[:, None]
     rest = 1.0 - theta
-    acc = coeffs[row, 6] * theta
+    acc = gather([seg.coeffs[6] for seg in segs]) * theta
     for r in range(5, -1, -1):
-        acc += coeffs[row, r]
+        acc += gather([seg.coeffs[r] for seg in segs])
         acc *= theta if r % 2 == 0 else rest
-    acc += np.stack([seg.y for seg in segs])[row]
-    # N is an integer: one exponential per time and distinct value of N
-    levels, level_of = np.unique(segments[0].rate, return_inverse=True)
-    return np.exp(-1j * lag[:, None] * levels)[:, level_of] * acc
+    acc += gather([seg.y for seg in segs])
+    return np.multiply(np.exp(-1j * lag[:, None] * levels)[:, level_of], acc, out=acc)
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:

@@ -59,6 +59,12 @@ class AnalyticOrbit:
     def oscillation_index(self) -> int:
         return len(self.occupied)
 
+    @property
+    def velocity(self) -> float:
+        """Constant speed of the projected trajectory: sqrt(<N^2> - <N>^2),
+        read off the certified state as ``orbit_velocity`` reads it."""
+        return _velocity(self.state)
+
 
 def is_centered(components: Mapping[int, FockVector]) -> bool:
     """Check that the span of the given eigencomponents is centered.
@@ -187,14 +193,18 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
 
 
 def orbit_velocity(v: FockVector) -> float:
-    """Constant speed of the projected trajectory: sqrt(<N^2> - <N>^2).
-
-    The variance is summed as sum_k |v_k|^2 (n_k - <N>)^2, without the
-    cancellation of <N^2> - <N>^2.  Excitations are measured from the one
-    of the largest coefficient, so a single-component state gives exactly 0.
-    """
+    """Constant speed of the projected trajectory of a centered unit state
+    (``AnalyticOrbit.velocity``); raises NotCenteredError otherwise."""
     minimal_centered_subspace(v)  # rejects non-centered input
     fock.require_unit(v)
+    return _velocity(v)
+
+
+def _velocity(v: FockVector) -> float:
+    """sqrt(<N^2> - <N>^2), the variance summed as
+    sum_k |v_k|^2 (n_k - <N>)^2, without the cancellation of
+    <N^2> - <N>^2.  Excitations are measured from the one of the largest
+    coefficient, so a single-component state gives exactly 0."""
     weight = np.abs(v.array) ** 2
     n_diag = fock.ladder_table(v.cutoff).n_diag
     shifted = n_diag - n_diag[np.argmax(weight)]

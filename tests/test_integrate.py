@@ -334,12 +334,13 @@ def test_dense_output_reproduces_segment_endpoints():
     traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
     segs = traj._segments
     assert len(segs) > 1
+    levels, level_of = np.unique(segs[0].rate, return_inverse=True)
     for seg, nxt in zip(segs, segs[1:]):
-        start = integ._interp_raw((seg,), seg.s0)
+        start = integ._interp_raw((seg,), seg.s0, levels, level_of)
         assert np.abs(start - seg.y).max() <= 1e-15
         # theta = 1 gives the unprojected step result, which the next
         # segment starts from after projection to the sphere
-        end = integ._interp_raw((seg,), seg.s0 + seg.h)
+        end = integ._interp_raw((seg,), seg.s0 + seg.h, levels, level_of)
         assert np.abs(end / np.linalg.norm(end) - nxt.y).max() <= 1e-15
 
 
@@ -396,6 +397,51 @@ def test_samples_equal_dense_output(t_end):
         assert not st.array.flags.writeable
         expected = traj.interpolate(float(t)).normalized().array
         assert np.abs(st.array - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "cut, samples",
+    [(CUT, 200), (Cutoff(k=6, d=2), 41), (Cutoff(k=5, d=3), 41)],
+    ids=["d1", "d2", "d3"],
+)
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
+def test_blocked_sampler_is_exact(monkeypatch, cut, samples, direction):
+    # the sampled states, their conserved records and the dense output at
+    # interior times do not depend on how the samples are blocked: one
+    # sample a block against the default blocks, whose rows do not divide
+    # the sample count (two or more blocks on every cutoff)
+    rows = integ._SAMPLE_BLOCK // cut.size
+    assert 1 <= rows < samples and samples % rows
+    state = random_centered_state(cut, (0, -2), np.random.default_rng(cut.d))
+    t_end = direction * (math.pi if cut.d == 1 else math.pi / 8)
+    interior = (t_end * np.random.default_rng(30).uniform(size=5)).tolist()
+    trajs = [integ.integrate(state, t_end, tol=1e-10, samples=samples)]
+    monkeypatch.setattr(integ, "_SAMPLE_BLOCK", 1)
+    trajs.append(integ.integrate(state, t_end, tol=1e-10, samples=samples))
+    default, single = [
+        [traj.times, traj.conserved.norm, traj.conserved.mean_n, traj.conserved.energy]
+        + [st.array for st in traj.states] + [traj.interpolate(t).array for t in interior]
+        for traj in trajs
+    ]
+    assert len(default) == 4 + samples + len(interior)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(default, single))
+    assert all(not st.array.flags.writeable for st in trajs[1].states)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [True, np.True_, 2.5, np.float64(3.0), -3, "5", np.zeros((2, 3)), np.zeros((3, 1))],
+    ids=["true", "numpy-true", "fraction", "float", "negative", "string", "2d", "column"],
+)
+def test_samples_argument_is_checked(monkeypatch, samples):
+    # a count is an integer >= 0 and sample times are a 1-D array; anything
+    # else is rejected by name before the field is evaluated
+    def fail(*args):
+        raise AssertionError("the field was evaluated")
+
+    monkeypatch.setattr(integ, "sphere_field", fail)
+    with pytest.raises(ValueError, match="^samples must be a count >= 0 or a 1-D array"):
+        integ.integrate(bv((0,), (1,)), 1.0, samples=samples)
 
 
 def test_trajectory_repr_omits_segments():

@@ -449,6 +449,36 @@ def test_bifurcation_family_validation():
         orbits.bifurcation_family(base, bv((1,), (0,)), -1, 0.3)
 
 
+_ANALYSIS_SETS = [
+    (0, -2), (1, -2), (-1, 2), (0, 2),
+    (0, -2, -4), (-3, 0, 2), (-2, 0, 2),
+    (0, 2, 4), (-4, -2, 0, 2), (-2, 0, 2, 4),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_velocity_property_is_orbit_velocity_bit_for_bit(d):
+    # the property reads the orbit's certified state; orbit_velocity
+    # certifies the state itself first.  The ten index sets of the
+    # analysis workload, and the adjacent set (-1, 0, 2) at degrees that
+    # no single ladder step joins (-1 at degree 1, 0 at degrees 4 and 6),
+    # which is centered through its per-slice sums
+    cut = Cutoff(k=8, d=d)
+    rng = np.random.default_rng(40 + d)
+    adjacent = {-1: (1,), 0: (4, 6), 2: tuple(range(cut.k - 1))}
+    idxs = [i for i in fock.basis(cut) if i.degree in adjacent.get(i.excitation, ())]
+    amps = rng.normal(size=len(idxs)) + 1j * rng.normal(size=len(idxs))
+    states = [random_centered_state(cut, s, rng) for s in _ANALYSIS_SETS]
+    states.append(fock.FockVector(cut, dict(zip(idxs, amps / np.linalg.norm(amps)))))
+    assert fock.excitations(states[-1]) == [-1, 0, 2]
+    for s in states:
+        velocity = orbits.orbit_from_state(s).velocity
+        assert velocity > 0.0
+        assert np.float64(velocity).tobytes() == np.float64(orbits.orbit_velocity(s)).tobytes()
+    with pytest.raises(NotCenteredError):
+        orbits.orbit_velocity((1 / math.sqrt(2)) * (bv((0,), (0,)) + bv((0,), (1,))))
+
+
 def test_orbit_velocity_is_exactly_zero_on_single_components():
     # <N^2> - <N>^2 cancels to nonzero values of up to 4e-8 on these states
     cut = Cutoff(k=8, d=3)

@@ -19,6 +19,10 @@ with one BLAS thread and is stopped after TIMEOUT_S.  Its environment pins
 glibc's allocator (GLIBC_TUNABLES = MALLOC_TUNABLES): a fixed mmap threshold
 of 4 MiB and trim threshold of 256 MiB, so whether a grid-sized temporary
 maps fresh pages no longer follows the allocation history of the process.
+A layer marked ``unpinned`` (``integrate``) also runs each case once more
+with the allocator's defaults and records that run's minor page faults
+per call (``faults_per_call_default``) beside the pinned run's
+(``faults_per_call``); the timings are the pinned runs' alone.
 
 Timing rule: one warm-up call, one more (warm) call that sizes the runs,
 then REPEATS runs of up to CALLS calls each (fewer when the sizing call
@@ -39,6 +43,7 @@ import json
 import math
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -85,6 +90,15 @@ def best_mean(op: Callable) -> dict:
             op()
         runs.append((time.perf_counter() - t0) / calls)
     return {"min_s": min(runs), "calls_per_run": calls}
+
+
+def faults_per_call(op: Callable, calls: int) -> float:
+    """Minor page faults of this process per call of ``op``, over ``calls``
+    calls made after the timed runs (the allocator at its steady state)."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        op()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def _seeded_state(cut: fock.Cutoff, rng, keep=lambda idx: True) -> fock.FockVector:
@@ -154,6 +168,8 @@ def fock_case(rung: dict, name: str) -> Iterator[dict]:
 # samples and INTERIOR seeded times of the dense output.  ``sha256`` hashes
 # the bytes of the sample times, the sampled states' arrays and the three
 # conserved columns, so two trees' trajectories compare bit for bit.
+# ``faults_per_call`` counts minor page faults over one run of calls after
+# the timed runs.
 
 INTEGRATE_SEED = 9
 TOL = 1e-10
@@ -200,7 +216,8 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
         "drift": max(drift.norm, drift.mean_n, drift.energy),
         "sha256": _trajectory_sha256(traj),
     }
-    yield best_mean(op)
+    best = best_mean(op)
+    yield dict(best, faults_per_call=faults_per_call(op, best["calls_per_run"]))
 
 
 # spectrum: ``linearize`` + ``classify_spectrum`` at basis-vector relative
@@ -434,6 +451,7 @@ class Layer(NamedTuple):
     case: Callable[[dict, str | None], Iterator[dict]]  # figures as they are known
     constants: dict
     parts: tuple = (None,)  # the cases of one rung
+    unpinned: bool = False  # one more run per case under the default allocator
 
 
 LAYERS = {
@@ -446,6 +464,7 @@ LAYERS = {
          {"K": 8, "d": 3, "t_end": math.pi / 4}],
         integrate_case,
         {"seed": INTEGRATE_SEED, "tol": TOL, "samples": SAMPLES, "interior": INTERIOR},
+        unpinned=True,
     ),
     "spectrum": Layer(EQUILIBRIA, spectrum_case, {}),
     "orbits": Layer(
@@ -478,15 +497,19 @@ def child(layer: str, index: int, part: str | None, src: str | None = None) -> N
         print(json.dumps(figures), flush=True)
 
 
-def run_case(layer: str, index: int, part: str | None,
-             src: str | None = None) -> tuple[list[dict], str | None]:
+def run_case(layer: str, index: int, part: str | None, src: str | None = None,
+             pinned: bool = True) -> tuple[list[dict], str | None]:
     """Figures of one case run in its own process, and its failure if any.
     The child imports the package from ``src`` when given, else as this
-    process was started."""
+    process was started; its allocator is pinned to MALLOC_TUNABLES unless
+    ``pinned`` is false, when it runs with glibc's defaults."""
     tools = os.path.dirname(os.path.abspath(__file__))
     code = (f"import sys; sys.path.insert(0, {tools!r}); import bench; "
             f"bench.child({layer!r}, {index}, {part!r}, {src!r})")
-    env = dict(os.environ, GLIBC_TUNABLES=MALLOC_TUNABLES)
+    env = dict(os.environ)
+    env.pop("GLIBC_TUNABLES", None)
+    if pinned:
+        env["GLIBC_TUNABLES"] = MALLOC_TUNABLES
     if src is not None:
         env["PYTHONPATH"] = src
     result = None
@@ -530,6 +553,15 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "pairs": values}
 
 
+def _default_faults(name: str, index: int, part: str | None, src: str | None,
+                    failures: list[str], label: str) -> float | None:
+    """``faults_per_call`` of one run of the case under the default allocator."""
+    figures, result = run_case(name, index, part, src, pinned=False)
+    if result is not None:
+        failures.append(f"{label}default allocator: {result}")
+    return next((fig["faults_per_call"] for fig in figures if "faults_per_call" in fig), None)
+
+
 def run_layer(name: str, against: str | None = None) -> dict:
     layer = LAYERS[name]
     rungs = []
@@ -542,6 +574,9 @@ def run_layer(name: str, against: str | None = None) -> dict:
                 _merge(rung, figures)
                 if result is not None:
                     failures.append(label + result)
+                if layer.unpinned:
+                    rung["faults_per_call_default"] = _default_faults(
+                        name, index, part, None, failures, label)
                 continue
             runs = {"this": [], "against": []}
             for _ in range(PAIRS):
@@ -555,6 +590,10 @@ def run_layer(name: str, against: str | None = None) -> dict:
             timings = {}
             for tree, done in runs.items():
                 _merge(rung.setdefault(tree, {}), done[0])
+                if layer.unpinned:
+                    rung[tree]["faults_per_call_default"] = _default_faults(
+                        name, index, part, THIS_SRC if tree == "this" else against,
+                        failures, f"{label}{tree}: ")
                 key = _timing(done[0])[0]
                 timings[tree] = [_timing(figures)[1] for figures in done]
                 if key == "min_s":
