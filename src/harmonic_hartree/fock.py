@@ -433,8 +433,6 @@ def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> Fock
     return _vector(cutoff, arr.astype(complex), truncated)
 
 
-_PAD = np.zeros(1)
-
 # rows of LadderTable.index / .weight: the lowering ops first, so that
 # they gather as one slice, then their adjoints in the same order
 LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE = range(4)
@@ -446,18 +444,19 @@ class LadderTable:
 
     Axes run over a_0..a_{d-1}, then b_0..b_{d-1}.  For each op (rows
     LOWER, PAIR_LOWER, RAISE, DOUBLE_RAISE: o, o o, o*, o* o*) and axis,
-    ``(op y)[k] = weight[op, axis, k] * y[index[op, axis, k]]``, where
-    index n points at a zero pad slot.  Raising truncates at degree K like
+    ``(op y)[k] = weight[op, axis, k] * y[index[op, axis, k]]``; a row k
+    with no source reads y[k] itself with weight exactly 0, so every index
+    lies in [0, n).  Raising truncates at degree K like
     ``apply_raising_*``; ``boundary[0 | 1, axis, k]`` is the squared
     amplitude that a single | double raising of basis element k loses
     past the cutoff.  The weights (complex) and the indices are each one
     (8d + 1, n) block, row 0 N over the identity index, then the four ops
     per axis: ``weight`` and ``index`` are views of rows 1.., and
     ``moment_weight`` and ``moment_index`` of the leading 4d + 1 rows,
-    which gather in one step from a padded buffer N y, the LOWER and the
-    PAIR_LOWER images: the rows whose inner products with y are the
-    moments.  Stored complex, the weights multiply complex arrays without
-    casting a float operand on every call, to the same bits.
+    which gather N y, the LOWER and the PAIR_LOWER images from y in one
+    step: the rows whose inner products with y are the moments.  Stored
+    complex, the weights multiply complex arrays without casting a float
+    operand on every call, to the same bits.
     """
 
     n_diag: np.ndarray  # (n,) excitation N = |b| - |a|
@@ -468,22 +467,14 @@ class LadderTable:
     moment_weight: np.ndarray  # (4d + 1, n) complex: n_diag, then weight[:RAISE]
     moment_index: np.ndarray  # (4d + 1, n) the identity, then index[:RAISE]
 
-    def padded(self, y: np.ndarray) -> np.ndarray:
-        """y with the zero pad slot: an (n + 1,) buffer as it is, an (n,)
-        array copied with the pad appended."""
-        return y if y.size > self.n_diag.size else np.concatenate((y, _PAD))
-
     def gather(
         self, y: np.ndarray, ops: int | slice | tuple[int, int] = slice(None)
     ) -> np.ndarray:
         """Images of y under the rows ``ops`` (default all four) along every
         axis: shape (2d, n) for one row, (rows, 2d, n) for a slice, (n,)
-        for one (row, axis) pair.
-
-        y is either the (n,) coefficient array, which is copied with the
-        zero pad slot appended, or an (n + 1,) buffer whose last slot is
-        that zero pad, which is indexed in place."""
-        return self.weight[ops] * self.padded(y)[self.index[ops]]
+        for one (row, axis) pair, read from the (n,) coefficient array y
+        in place."""
+        return self.weight[ops] * y[self.index[ops]]
 
 
 @lru_cache(maxsize=None)
@@ -494,9 +485,10 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
     d = axes // 2
     degree = rows.sum(axis=1)
     # N over the identity index, then the four ops: the moments are the
-    # leading 4d + 1 rows of both blocks
-    flat_index = np.full((1 + 4 * axes, n), n)
-    flat_index[0] = np.arange(n)
+    # leading 4d + 1 rows of both blocks.  Every op row starts as the
+    # identity too: a row with no source reads its own element, with the
+    # weight 0 set below
+    flat_index = np.tile(np.arange(n), (1 + 4 * axes, 1))
     index = flat_index[1:].reshape(4, axes, n)
     for low, high, step in ((LOWER, RAISE, 1), (PAIR_LOWER, DOUBLE_RAISE, 2)):
         # row k of the lowering reads basis element k + step e_axis; the
@@ -519,7 +511,7 @@ def ladder_table(cutoff: Cutoff) -> LadderTable:
     weight[PAIR_LOWER] = np.sqrt(m + 1) * np.sqrt(m + 2)
     weight[RAISE] = np.sqrt(m)
     weight[DOUBLE_RAISE] = np.sqrt(m) * np.sqrt(np.maximum(m - 1, 0))
-    weight[index == n] = 0.0
+    weight[index == np.arange(n)] = 0.0  # no op's source is the element itself
     boundary = np.stack([
         np.where(degree == cutoff.k, m + 1, 0.0),
         np.where(degree >= cutoff.k - 1, (m + 1) * (m + 2), 0.0),

@@ -19,16 +19,14 @@ moment core shared by ``field_array`` and ``frame_field``, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
 gathers the table's 4d + 1 moment rows (N y, the lowering and the
 pair-lowering images: the leading rows of its one complex weight block
-and one index block) from the state's padded buffer in one step and
-takes all the moments, <N> among them, in one matmul with conj(y); it
-gathers the raising images only when a first moment is nonzero.  The
-core takes the state as a complex (n + 1,) buffer whose last slot is the
-table's zero pad, as the integrator keeps its stage points, and reads it
-in place (an (n,) array is copied with the pad); ``frame_field`` can
-write its result into the caller's array, as the integrator writes each
-stage derivative.  The energy reads the leading 2d + 1 moment rows, <N>
-and the first moments, for a bounded block of states at a time, so one
-call takes a single state or a whole (..., n) stack of them.
+and one index block) from the state's (n,) array in place, in one step,
+and takes all the moments, <N> among them, in one matmul with conj(y);
+it gathers the raising images only when a first moment is nonzero.
+``frame_field`` can write its result into the caller's array, as the
+integrator writes each stage derivative.  The energy reads the leading
+2d + 1 moment rows, <N> and the first moments, for a bounded block of
+states at a time, so one call takes a single state or a whole (..., n)
+stack of them.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
 ``frame_field`` is the sphere field's remainder in the interaction picture
@@ -90,11 +88,10 @@ def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
         )
 
 
-def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: float):
+def _field_core(table: LadderTable, y: np.ndarray, theta: float, flux_tol: float):
     """What every field shares, on y taken to the frame angle theta.
 
-    ``buf`` is y itself or its complex padded (n + 1,) buffer (see
-    ``LadderTable.padded``), which is read in place.  One gather of the
+    y, the (n,) coefficient array, is read in place.  One gather of the
     table's moment rows gives N y and the lowering images of y, and one
     matmul with conj(y) all the moments: <N>, the first and the pair
     moments.  The moments are those of e^{-iN theta} y.  A lowering o_i
@@ -102,7 +99,6 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
     <., o_i o_i .> by e^{2i sign_i theta}: scalars on the moments of y
     itself.  Returns
 
-    * y, the (n,) coefficient array (a view of the padded buffer),
     * the gathered rows: N y, then the LOWER and the PAIR_LOWER images,
     * <N> and the sphere field's scalar s = 1/2 (<N> + s2), where
       s2 = sum_i Re<., (b_i b_i - a_i a_i) .>,
@@ -112,10 +108,7 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
       moment is zero (as on centered states); only otherwise are the
       raising images gathered and the truncation flux checked.
     """
-    n = table.n_diag.size
-    padded = buf if buf.size > n else table.padded(buf)
-    images = table.moment_weight * padded[table.moment_index]
-    y = padded[:n]
+    images = table.moment_weight * y[table.moment_index]
     moment = images.dot(y.conj())
     # <N>, the 2d first moments, then the d a-pair and the d b-pair moments
     m = moment.tolist()
@@ -128,14 +121,14 @@ def _field_core(table: LadderTable, buf: np.ndarray, theta: float, flux_tol: flo
           - (turn2 * sum(m[1 + 2 * d : 1 + 3 * d])).real)
     shift = 0.5 * (mean_n + s2)
     if not any(m[1 : 1 + 2 * d]):
-        return y, images, mean_n, shift, None, None
+        return images, mean_n, shift, None, None
     turn = np.exp((1j * theta) * table.sign)
     first = (turn * moment[1 : 1 + 2 * d]).real
     lead = table.sign * first
     _check_flux(lead, table.boundary[0], y, flux_tol)
     ladder = ((lead * turn) @ images[1 : 1 + 2 * d]
-              + (lead * turn.conj()) @ table.gather(padded, RAISE))
-    return y, images, mean_n, shift, first, ladder
+              + (lead * turn.conj()) @ table.gather(y, RAISE))
+    return images, mean_n, shift, first, ladder
 
 
 # entries of one block of the energy's moment images: a block of stacked
@@ -151,22 +144,24 @@ def energy_array(table: LadderTable, y: np.ndarray):
     <N> and the first moments are the leading 2d + 1 moment rows of the
     table, gathered for a block of the stack at a time into one reused
     image buffer of at most ``_ENERGY_BLOCK`` entries (one state a block
-    when a state's rows alone exceed it)."""
+    when a state's rows alone exceed it).  Each block is read as a complex
+    C-contiguous array, which copies only a block of another dtype or
+    layout, so a row's bits do not depend on the stack's layout."""
     n = table.n_diag.size
     rows = 1 + table.sign.size
     weight, index = table.moment_weight[:rows], table.moment_index[:rows]
     states = np.reshape(y, (-1, n))
     step = max(1, _ENERGY_BLOCK // (rows * n))
-    padded = np.zeros((min(step, len(states)), n + 1), dtype=complex)
-    image = np.empty((len(padded), rows, n), dtype=complex)
+    image = np.empty((min(step, len(states)), rows, n), dtype=complex)
     moments = np.empty((len(states), rows))
     for start in range(0, len(states), step):
-        block = states[start : start + step]
-        pad, img = padded[: len(block)], image[: len(block)]
-        pad[:, :n] = block
-        np.take(pad, index, axis=1, out=img, mode="clip")  # every index is in range
+        block = np.ascontiguousarray(states[start : start + step], dtype=complex)
+        img = image[: len(block)]
+        # every index is in range; "clip" also lets numpy write into img
+        # directly, where the default mode buffers it
+        np.take(block, index, axis=1, out=img, mode="clip")
         np.multiply(weight, img, out=img)
-        moments[start : start + len(block)] = np.vecdot(pad[:, None, :n], img).real
+        moments[start : start + len(block)] = np.vecdot(block[:, None], img).real
     energy = 0.5 * moments[:, 0] + 0.5 * (moments[:, 1:] ** 2 @ table.sign)
     return float(energy[0]) if y.ndim == 1 else energy.reshape(y.shape[:-1])
 
@@ -177,10 +172,13 @@ def field_array(
     """Hamiltonian vector field on the coefficient array y.
 
     Raises TruncationError when a raising term with nonzero prefactor loses
-    amplitude above ``flux_tol`` past the cutoff.
+    amplitude above ``flux_tol`` past the cutoff.  y is read as a
+    C-contiguous array (a copy only of a strided one), so the result's
+    bits do not depend on y's layout.
     """
+    y = np.ascontiguousarray(y)
     # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    y, images, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
+    images, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
     if kind is FieldKind.CHART:
         second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
         diag = table.n_diag - (mean_n + second)
@@ -212,13 +210,12 @@ def frame_field(
 
     For the sphere field F this is e^{iN theta} (F(y) + iN y) at
     y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
-    with s and the ladder part of ``_field_core`` at theta.  z may be a
-    complex padded (n + 1,) buffer (see ``LadderTable.padded``); the result
-    is (n,), written into the complex (n,) array ``out`` when one is given
-    (the same bits as a fresh result).  Raises TruncationError like
+    with s and the ladder part of ``_field_core`` at theta.  The result is
+    written into the complex (n,) array ``out`` when one is given (the
+    same bits as a fresh result).  Raises TruncationError like
     ``field_array``.
     """
-    z, _, _, shift, _, ladder = _field_core(table, z, theta, flux_tol)
+    _, _, shift, _, ladder = _field_core(table, z, theta, flux_tol)
     out = np.multiply(-1j * shift, z, out=out)
     if ladder is not None:
         out -= 1j * ladder
@@ -234,10 +231,14 @@ def energy(v: FockVector) -> float:
 def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     """Hamiltonian vector field in the requested representation.
 
-    Raises TruncationError when a contributing ladder application (nonzero
-    prefactor) crosses the cutoff boundary, and ValueError when the field
-    overflows float64, as its cubic terms can on a state of finite norm.
+    Raises ValueError on a state with a non-finite coefficient, before
+    any gather; TruncationError when a contributing ladder application
+    (nonzero prefactor) crosses the cutoff boundary; and ValueError when
+    the field overflows float64, as its cubic terms can on a state of
+    finite norm.
     """
+    if not np.isfinite(v.array).all():
+        raise ValueError("state has a non-finite coefficient")
     try:
         with np.errstate(over="raise", invalid="raise"):
             arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)

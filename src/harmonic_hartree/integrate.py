@@ -37,14 +37,12 @@ Specifics:
   dot of its row with the slice zk[16 - j:]: sum_k (h A[j, k]) K[k] + z0,
   z(0) added last like z0 + h (A[j] @ K), whose last bits it need not
   keep (the step counts it does keep).  Each call builds a stage plan
-  once: for stage j, row j of a (16, n + 1) buffer whose last column
-  stays the zero pad slot of ``fock.LadderTable.padded`` and that row's
-  n-view, the coefficient row, the slice of zk, the row K[j] and the
-  signed stage time.  A stage then writes z_j into the n-view with that
-  dot and makes one ``sphere_field`` call, on the cutoff's ladder table
-  bound once per call, that gathers from the padded row in place and
-  writes z'_j straight into K[j]: no stage copies its state or its
-  derivative;
+  once: for stage j, row j of a (16, n) buffer, the coefficient row, the
+  slice of zk, the row K[j] and the signed stage time.  A stage then
+  writes z_j into its row with that dot and makes one ``sphere_field``
+  call, on the cutoff's ladder table bound once per call, that gathers
+  from the row in place and writes z'_j straight into K[j]: no stage
+  copies its state or its derivative;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
@@ -290,9 +288,8 @@ def sphere_field(
     table: LadderTable, z: np.ndarray, theta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Sphere field's remainder e^{iN theta} (F(y) + iN y) at
-    y = e^{-iN theta} z on the ladder table of z's cutoff, evaluated on z
-    (or its complex padded buffer) and written into ``out`` when given;
-    aborts on truncation flux."""
+    y = e^{-iN theta} z on the ladder table of z's cutoff, read from z in
+    place and written into ``out`` when given; aborts on truncation flux."""
     return hamiltonian.frame_field(table, z, theta, _TRUNCATION_FLUX_TOL, out)
 
 
@@ -382,17 +379,16 @@ def _stage_plan(n: int, direction: float) -> tuple[np.ndarray, np.ndarray, list[
     15 - k, and z(0) in row 16.  The (16, 17) coefficient matrix is
     [h A reversed | 1]: column 16 is one, and the caller writes h A with
     its columns reversed into the rest once per step.  Per stage
-    j = 1..15 the plan holds row j of a zero (16, n + 1) buffer, whose
-    last column is the zero pad slot, and that row's n-view, the
-    coefficient row over columns 16 - j..16, the view zk[16 - j:] (K[j - 1],
-    ..., K[0], z(0)), the row K[j] and the signed stage time
+    j = 1..15 the plan holds row j of a (16, n) buffer of stage points,
+    the coefficient row over columns 16 - j..16, the view zk[16 - j:]
+    (K[j - 1], ..., K[0], z(0)), the row K[j] and the signed stage time
     direction * c_j, whose product with h is the frame angle."""
     zk = np.empty((17, n), dtype=complex)
     coef = np.zeros((16, 17), dtype=complex)
     coef[:, 16] = 1.0
-    points = np.zeros((16, n + 1), dtype=complex)
-    plan = [(points[j], points[j, :n], coef[j, 16 - j :], zk[16 - j :], zk[15 - j],
-             direction * _C[j]) for j in range(1, 16)]
+    points = np.empty((16, n), dtype=complex)
+    plan = [(points[j], coef[j, 16 - j :], zk[16 - j :], zk[15 - j], direction * _C[j])
+            for j in range(1, 16)]
     return zk, coef, plan
 
 
@@ -403,17 +399,17 @@ def _lawson_stages(table: LadderTable, plan, h, backward: bool) -> np.ndarray:
     rate = direction * N.
 
     Stage j writes z_j = sum_k h A[j, k] K[k] + z0, one dot of its
-    coefficient row with zk[16 - j:], into its row's n-view, and z'_j, the
+    coefficient row with zk[16 - j:], into its row, and z'_j, the
     derivative of z there, into K[j]: ``sphere_field`` at the frame angle
-    direction * c_j h reads the padded row in place, and a backward run
-    negates its result in place.  Returns the last z_j: for stages 1..12
-    that is the step's z(h), and K[12] ends as z'(h)."""
-    for row, inner, coef, zk, out, c in plan:
-        np.dot(coef, zk, out=inner)
+    direction * c_j h reads the row in place, and a backward run negates
+    its result in place.  Returns the last z_j: for stages 1..12 that is
+    the step's z(h), and K[12] ends as z'(h)."""
+    for row, coef, zk, out, c in plan:
+        np.dot(coef, zk, out=row)
         sphere_field(table, row, c * h, out)
         if backward:
             np.negative(out, out=out)
-    return inner
+    return row
 
 
 def integrate(

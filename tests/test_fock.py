@@ -235,9 +235,9 @@ def table_matrix(cut, op, axis):
     """Dense matrix of one row of the ladder table's gather arrays."""
     table = fock.ladder_table(cut)
     n = table.n_diag.size
-    mat = np.zeros((n, n + 1))
+    mat = np.zeros((n, n))
     mat[np.arange(n), table.index[op, axis]] = table.weight[op, axis].real
-    return mat[:, :n]
+    return mat
 
 
 def test_commutators_against_brute_force():
@@ -300,21 +300,55 @@ def test_ladder_table_matches_brute_force():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gather_reads_a_padded_buffer_bit_for_bit(d):
-    # an (n + 1,) buffer with a zero last slot is gathered in place; every
-    # row, slice and (row, axis) pair gives the bits of the unpadded call
-    # and of the real parts of the weights applied to the padded copy, so
-    # storing the weights complex moves no bit
+    # y as the (n,) view of a longer buffer whose extra slot holds NaN is
+    # gathered in place: the gather reads only the n coefficients, and
+    # every row, slice and (row, axis) pair gives the bits of the call on
+    # a contiguous copy and of the real parts of the weights applied to
+    # it, so storing the weights complex moves no bit
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
     table = fock.ladder_table(cut)
     assert table.weight.dtype == complex and not table.weight.imag.any()
     y = fock.to_array(random_state(cut, np.random.default_rng(d)))
-    padded = np.concatenate((y, [0.0]))
+    buf = np.append(y, np.nan)
     rows = [*range(4), slice(fock.LOWER, fock.RAISE), slice(None),
             *product(range(4), range(2 * d))]
     for ops in rows:
-        image = table.gather(y, ops)
-        assert image.tobytes() == table.gather(padded, ops).tobytes()
-        assert image.tobytes() == (table.weight.real[ops] * padded[table.index[ops]]).tobytes()
+        image = table.gather(buf[: y.size], ops)
+        assert np.isfinite(image).all()
+        assert image.tobytes() == table.gather(y, ops).tobytes()
+        assert image.tobytes() == (table.weight.real[ops] * y[table.index[ops]]).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 6])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rows_without_a_source_read_their_own_element_with_weight_zero(d, k):
+    # every index lies in [0, n); a row reads another element exactly
+    # when its op has a source in the basis (LOWER and PAIR_LOWER: degree
+    # + 1 or + 2 <= K; RAISE and DOUBLE_RAISE: a count of 1 or 2 along the
+    # axis), and otherwise its own element with weight exactly +0.0, so
+    # its image is zero on a finite state.  At K = 0 and 1 no pair op fits
+    cut = Cutoff(k=k, d=d)
+    table = fock.ladder_table(cut)
+    n = table.n_diag.size
+    assert table.index.min() >= 0 and table.index.max() < n
+    counts = fock.counts(cut).T  # (2d, n)
+    degree = counts.sum(axis=0)
+    has_source = np.stack([
+        np.broadcast_to(degree + 1 <= k, counts.shape),
+        np.broadcast_to(degree + 2 <= k, counts.shape),
+        counts >= 1,
+        counts >= 2,
+    ])
+    own = table.index == np.arange(n)
+    assert np.array_equal(own, ~has_source)
+    if k < 2:
+        assert own[[fock.PAIR_LOWER, fock.DOUBLE_RAISE]].all()
+    zeros = table.weight[own]
+    assert (zeros == 0.0).all()
+    assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+    assert (table.weight[~own] != 0.0).all()
+    y = fock.to_array(random_state(cut, np.random.default_rng(k + d)))
+    assert (table.gather(y)[own] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------

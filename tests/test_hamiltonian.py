@@ -254,3 +254,46 @@ def test_moment_rows_share_the_table_memory():
         lowering = slice(fock.LOWER, fock.RAISE)
         assert np.array_equal(table.moment_weight[1:], table.weight[lowering].reshape(2 * axes, n))
         assert np.array_equal(table.moment_index[1:], table.index[lowering].reshape(2 * axes, n))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_fields_and_energy_do_not_depend_on_the_layout(d):
+    # an inner-strided state, the rows of a row-strided stack and of a
+    # Fortran-ordered stack give the bits of their contiguous copies: every
+    # field kind (FULL off the sphere too, through its pair branch) and
+    # the stacked energy
+    cut = Cutoff(k=6 if d < 3 else 5, d=d)
+    table = fock.ladder_table(cut)
+    rng = np.random.default_rng(30 + d)
+    stack = np.array([fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
+                      for _ in range(4)]
+                     + [fock.to_array(random_centered_state(cut, (0, 2), rng))
+                        for _ in range(2)])
+    stack[1::2] *= 1.1
+    n = stack.shape[1]
+    wide = np.zeros((len(stack), n + 3), dtype=complex)
+    wide[:, :n] = stack
+    layouts = {"row-strided": wide[:, :n], "fortran": np.asfortranarray(stack)}
+    assert not any(s.flags.c_contiguous for s in layouts.values())
+    assert layouts["fortran"][0].strides == (16 * len(stack),)
+    assert ham.energy_array(table, stack[0]) == ham.energy_array(table, np.repeat(stack[0], 2)[::2])
+    for name, states in layouts.items():
+        assert ham.energy_array(table, states).tobytes() == ham.energy_array(table, stack).tobytes(), name
+        for y, row in zip(stack, states):
+            # a Fortran row and the inner-strided view are strided
+            for view in (row, np.repeat(y, 2)[::2]):
+                for kind in FieldKind:
+                    field = ham.field_array(kind, table, view, 1e100)
+                    assert field.tobytes() == ham.field_array(kind, table, y, 1e100).tobytes(), (name, kind)
+
+
+@pytest.mark.parametrize("kind", list(FieldKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_vector_field_rejects_a_non_finite_state(kind, part, value):
+    # the state is rejected before any gather, with its cause
+    y = fock.to_array(bv((1,), (1,)))
+    y[3] += value if part == "re" else complex(0.0, value)
+    state = fock.from_array(CUT, y)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        ham.vector_field(kind, state)

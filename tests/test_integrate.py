@@ -44,9 +44,10 @@ def test_dense_field_matches_sparse_field():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
-    # the integrator hands its stage points over with a zero pad slot; the
-    # field of the padded buffer is the field of the state, bit for bit,
-    # on centered states and on states with nonzero first moments
+    # the field reads only the n coefficients of z, in place: z as the
+    # (n,) view of a longer buffer whose extra slot holds NaN, and as an
+    # inner-strided view, gives the field of a contiguous copy, bit for
+    # bit, on centered states and on states with nonzero first moments
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
     table = fock.ladder_table(cut)
     rng = np.random.default_rng(d)
@@ -54,17 +55,19 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
               random_centered_state(cut, (0, 2), rng)]
     for state in states:
         z = fock.to_array(state)
-        padded = np.concatenate((z, [0.0]))
+        padded = np.append(z, np.nan)
+        strided = np.repeat(z, 2)[::2]
         for theta in (0.0, 0.7, -2.3):
             field = integ.sphere_field(table, z, theta)
             assert field.shape == z.shape
-            assert field.tobytes() == integ.sphere_field(table, padded, theta).tobytes()
+            for view in (padded[: z.size], strided):
+                assert field.tobytes() == integ.sphere_field(table, view, theta).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forward", "backward"])
 def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
-    # each stage writes z_j into its padded row and z'_j into K[j], in
+    # each stage writes z_j into its row and z'_j into K[j], in
     # place: the bits of the allocating dot of the coefficient row
     # [h A_j reversed | 1] with [K[j-1], ..., K[0], z0] and of an
     # allocating frame_field call on z_j at the angle direction * c_j h,
@@ -85,10 +88,10 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
         K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
         np.multiply(h, integ._A_REV, out=coef[:, :16])
         z_new = integ._lawson_stages(table, plan, h, direction < 0)
-        assert z_new is plan[-1][1]
+        assert z_new is plan[-1][0]
         assert (zk[16] == z0).all()
-        for j, (row, inner, *_) in enumerate(plan, start=1):
-            assert row[-1] == 0.0 and np.shares_memory(inner, row)
+        for j, (inner, *_) in enumerate(plan, start=1):
+            assert inner.shape == z0.shape and inner.flags.c_contiguous
             terms = np.array([*K[:j][::-1], z0])
             weights = np.array([*(h * integ._A[j, :j])[::-1], 1.0])
             assert (coef[j, 16 - j :] == weights).all()
@@ -147,18 +150,21 @@ def test_frame_field_flux_abort_follows_the_frame_angle():
 
 
 def test_flux_abort_raises_through_the_in_place_path():
-    # the padded stage row and the K[j] target of a stage: the abort still
+    # a stage row of the plan and its K[j] target: the abort still
     # raises, before the target is written
     table = fock.ladder_table(CUT)
     z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
-    padded = np.concatenate((z, [0.0]))
-    out = np.full(z.size, 7.0 + 0j)
-    integ.sphere_field(table, padded, math.pi, out)
+    zk, _, plan = integ._stage_plan(z.size, 1.0)
+    row, out = plan[0][0], plan[0][3]
+    assert np.shares_memory(out, zk)
+    row[:] = z
+    out[:] = 7.0
+    integ.sphere_field(table, row, math.pi, out)
     assert out.tobytes() == integ.sphere_field(table, z, math.pi).tobytes()
     out[:] = 7.0
     for theta in (math.pi / 2, -math.pi / 2):
         with pytest.raises(TruncationError):
-            integ.sphere_field(table, padded, theta, out)
+            integ.sphere_field(table, row, theta, out)
         assert (out == 7.0).all()
 
 

@@ -116,10 +116,13 @@ def _centered_state(k: int, d: int, seed: int) -> fock.FockVector:
                          lambda i: i.excitation in (-4, -2, 0, 2))
 
 
-# fock: the state layer and two of its callers, one case per op, on two
-# seeded unit states supported on every basis element of degree <= K - 2.
+# fock: the state layer and its callers, one case per op, on two seeded
+# unit states supported on every basis element of degree <= K - 2.
 # ``build`` is the cold build of the basis and ladder table (every cache of
-# ``fock`` cleared first); ``load`` reads the first state's JSON object.
+# ``fock`` cleared first); ``load`` reads the first state's JSON object;
+# ``energy`` is the energy's moment gather, and ``vector_field_full`` the
+# full field of 1.3 times the first state, off the sphere, so that its
+# pair-lowering and double-raising branch runs.
 
 def _cold_build(cut: fock.Cutoff) -> None:
     for cached in vars(fock).values():
@@ -141,6 +144,8 @@ FOCK_OPS = {
     "component_split": lambda s: fock.component_split(s.v),
     "vector_field": lambda s: hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, s.v),
     "gauge_fix": lambda s: reduction.gauge_fix(s.v),
+    "energy": lambda s: hamiltonian.energy(s.v),
+    "vector_field_full": lambda s: hamiltonian.vector_field(hamiltonian.FieldKind.FULL, s.big),
 }
 
 
@@ -149,7 +154,7 @@ def fock_case(rung: dict, name: str) -> Iterator[dict]:
     rng = np.random.default_rng(cut.d)
     v, w = _seeded_state(cut, rng), _seeded_state(cut, rng)
     s = SimpleNamespace(cut=cut, v=v, w=w, mapping=v.coeffs, arr=fock.to_array(v),
-                        z=complex(np.exp(0.7j)),
+                        z=complex(np.exp(0.7j)), big=1.3 * v,
                         obj=json.loads(json.dumps(fock.to_json_dict(v))))
 
     def op():
@@ -279,10 +284,14 @@ def orbits_case(rung: dict, _) -> Iterator[dict]:
 # axis, ``synthesis`` is one cold ``state_to_classical`` slice, ``dft``
 # the inverse velocity transform of the slice's (x, xi) field, then
 # ``density``, ``residual`` (the stencil over three slices dt = 1e-3
-# apart) and ``charges``; ``command`` is the whole ``pipeline`` command
-# through ``cli.main``, each call writing to a fresh prefix, and records
-# the size and SHA-256 of the files of its first call.  Only public
-# functions are called, so one harness times every tree.
+# apart) and ``charges``, the oracles that the tests check against; then
+# what the ``pipeline`` command calls: ``classical_slice`` (the slice and
+# its rate's coefficients, the rate the sphere field of the state),
+# ``exact_charges`` and ``exact_residual`` of that slice; ``command`` is
+# the whole ``pipeline`` command through ``cli.main``, each call writing
+# to a fresh prefix, and records the size and SHA-256 of the files of its
+# first call.  Only public functions are called, so one harness times
+# every tree.
 
 PIPELINE_T = 0.5
 PIPELINE_L = 6.0
@@ -301,6 +310,9 @@ PIPELINE_OPS = {
     "density": lambda s: pipeline.density(s.field),
     "residual": lambda s: pipeline.vlasov_residual(s.f_series, 1e-3, s.spec),
     "charges": lambda s: pipeline.noether_charges(s.field),
+    "classical_slice": lambda s: pipeline.classical_slice(s.state, s.rate, s.spec),
+    "exact_charges": lambda s: pipeline.exact_charges(s.slice, *s.f_rho),
+    "exact_residual": lambda s: pipeline.exact_residual(s.slice),
     "command": lambda s: s.command(),
 }
 
@@ -335,6 +347,8 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
     orbit = orbits.orbit_from_state(_mix_state())
     slices = [orbits.analytic_solution(orbit, PIPELINE_T + dt) for dt in (-1e-3, 0.0, 1e-3)]
     field = pipeline.state_to_classical(slices[1], spec)
+    rate = hamiltonian.vector_field(hamiltonian.FieldKind.SPHERE, slices[1])
+    exact = pipeline.classical_slice(slices[1], rate, spec)
     with tempfile.TemporaryDirectory() as outdir:
         state_path = os.path.join(outdir, "state.json")
         with open(state_path, "w", encoding="utf-8") as fh:
@@ -342,6 +356,7 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
         prefix = os.path.join(outdir, "pipe{call}")
         s = SimpleNamespace(
             state=slices[1], spec=spec, degree=slices[1].max_degree(), field=field,
+            rate=rate, slice=exact, f_rho=pipeline.density(exact.field),
             xxi=pipeline.velocity_fourier(field),
             f_series=[pipeline.density(pipeline.state_to_classical(st, spec))[0]
                       for st in slices],
