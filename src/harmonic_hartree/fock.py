@@ -368,8 +368,11 @@ def _single_excitation(v: FockVector) -> int:
 
 
 def require_unit(v: FockVector, tol: float = NORM_TOL, what: str = "state") -> None:
-    """Raise NormalizationError unless |v| lies within tol of 1 (NaN fails)."""
+    """Raise NormalizationError unless |v| lies within tol of 1; a state
+    with a non-finite coefficient fails, and the error names that cause."""
     if not abs(v.norm - 1.0) <= tol:
+        if not np.isfinite(v.array).all():
+            raise NormalizationError(f"{what} has a non-finite coefficient")
         raise NormalizationError(f"{what} must be unit, norm={v.norm} (tol {tol})")
 
 

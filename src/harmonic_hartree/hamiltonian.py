@@ -21,9 +21,13 @@ gathers the table's 4d + 1 moment rows (N y, the lowering and the
 pair-lowering images: the leading rows of its one complex weight block
 and one index block) from the state's (n,) array in place, in one step,
 and takes all the moments, <N> among them, in one matmul with conj(y);
-it gathers the raising images only when a first moment is nonzero.
-``frame_field`` can write its result into the caller's array, as the
-integrator writes each stage derivative.  The energy reads the leading
+it gathers the raising images only when a first moment is nonzero.  The
+core is bound to a table once: what it reads from the table is looked up
+then, and its conj(y) buffer is reused.  ``frame_kernel`` returns the
+bound core itself as the frame field, which the integrator binds once
+per call and calls for each stage, writing each stage derivative into
+the caller's array; ``frame_field`` binds one for a single call.  The
+energy reads the leading
 2d + 1 moment rows, <N> and the first moments, for a bounded block of
 states at a time, so one call takes a single state or a whole (..., n)
 stack of them.
@@ -57,9 +61,16 @@ class FieldKind(Enum):
     CHART = "chart"
 
 
+def _require_finite(v: FockVector) -> None:
+    if not np.isfinite(v.array).all():
+        raise ValueError("state has a non-finite coefficient")
+
+
 def _first_moment(v: FockVector, side: int, i: int) -> float:
-    """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b)."""
+    """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b);
+    a state with a non-finite coefficient raises ValueError."""
     fock._check_axis(i, v.cutoff)
+    _require_finite(v)
     y = v.array
     moment = fock.ladder_table(v.cutoff).gather(y, LOWER) @ y.conj()
     return float(moment[side * v.cutoff.d + i].real)
@@ -88,16 +99,25 @@ def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
         )
 
 
-def _field_core(table: LadderTable, y: np.ndarray, theta: float, flux_tol: float):
-    """What every field shares, on y taken to the frame angle theta.
+def _field_core(table: LadderTable, flux_tol: float):
+    """The one moment core of every field, bound to ``table``.
 
-    y, the (n,) coefficient array, is read in place.  One gather of the
-    table's moment rows gives N y and the lowering images of y, and one
-    matmul with conj(y) all the moments: <N>, the first and the pair
-    moments.  The moments are those of e^{-iN theta} y.  A lowering o_i
-    shifts N by sign_i, so <., o_i .> turns by e^{i sign_i theta} and
-    <., o_i o_i .> by e^{2i sign_i theta}: scalars on the moments of y
-    itself.  Returns
+    What the core reads from the table (the moment rows, the signs, the
+    raising rows and the single-raising boundary) is looked up here, once,
+    and conj(y) goes into a buffer that every call reuses; the images are
+    gathered fresh, as a gather into a bound buffer (``np.take``) took
+    longer at n = 45 than numpy's fancy indexing.
+
+    Returns ``core(y, theta, out=None, parts=False)``, which works on y,
+    the complex (n,) coefficient array read in place, taken to the frame
+    angle theta.  One gather of the table's moment rows gives N y and the
+    lowering images of y, and one matmul with conj(y) all the moments:
+    <N>, the first and the pair moments.  The moments are those of
+    e^{-iN theta} y.  A lowering o_i shifts N by sign_i, so <., o_i .>
+    turns by e^{i sign_i theta} and <., o_i o_i .> by e^{2i sign_i theta}:
+    scalars on the moments of y itself.
+
+    With ``parts`` the core returns
 
     * the gathered rows: N y, then the LOWER and the PAIR_LOWER images,
     * <N> and the sphere field's scalar s = 1/2 (<N> + s2), where
@@ -107,28 +127,48 @@ def _field_core(table: LadderTable, y: np.ndarray, theta: float, flux_tol: float
       with lead_i = sign_i Re<., o_i .>, both None when every first
       moment is zero (as on centered states); only otherwise are the
       raising images gathered and the truncation flux checked.
+
+    Otherwise it returns the frame field -i (s y + the ladder part),
+    written into the complex (n,) array ``out`` when one is given.
     """
-    images = table.moment_weight * y[table.moment_index]
-    moment = images.dot(y.conj())
-    # <N>, the 2d first moments, then the d a-pair and the d b-pair moments
-    m = moment.tolist()
-    d = len(m) // 4
-    mean_n = m[0].real
-    # s2 from the pair moments summed per side: the a-axes turn by
-    # e^{2i theta}, the b-axes by its conjugate
-    turn2 = cmath.exp(2j * theta)
-    s2 = ((turn2.conjugate() * sum(m[1 + 3 * d :])).real
-          - (turn2 * sum(m[1 + 2 * d : 1 + 3 * d])).real)
-    shift = 0.5 * (mean_n + s2)
-    if not any(m[1 : 1 + 2 * d]):
-        return images, mean_n, shift, None, None
-    turn = np.exp((1j * theta) * table.sign)
-    first = (turn * moment[1 : 1 + 2 * d]).real
-    lead = table.sign * first
-    _check_flux(lead, table.boundary[0], y, flux_tol)
-    ladder = ((lead * turn) @ images[1 : 1 + 2 * d]
-              + (lead * turn.conj()) @ table.gather(y, RAISE))
-    return images, mean_n, shift, first, ladder
+    weight, index = table.moment_weight, table.moment_index
+    sign, boundary = table.sign, table.boundary[0]
+    raise_weight, raise_index = table.weight[RAISE], table.index[RAISE]
+    d = sign.size // 2
+    # the moments: <N>, the 2d first moments, then the d a-pair and the d
+    # b-pair moments
+    firsts = slice(1, 1 + 2 * d)
+    a_pairs, b_pairs = slice(1 + 2 * d, 1 + 3 * d), slice(1 + 3 * d, None)
+    conj = np.empty(weight.shape[1], dtype=complex)
+
+    def core(y, theta, out=None, parts=False):
+        images = y[index]
+        np.multiply(weight, images, out=images)
+        moment = images.dot(np.conjugate(y, out=conj))
+        m = moment.tolist()
+        mean_n = m[0].real
+        # s2 from the pair moments summed per side: the a-axes turn by
+        # e^{2i theta}, the b-axes by its conjugate
+        turn2 = cmath.exp(2j * theta)
+        s2 = ((turn2.conjugate() * sum(m[b_pairs])).real
+              - (turn2 * sum(m[a_pairs])).real)
+        shift = 0.5 * (mean_n + s2)
+        first = ladder = None
+        if any(m[firsts]):
+            turn = np.exp((1j * theta) * sign)
+            first = (turn * moment[firsts]).real
+            lead = sign * first
+            _check_flux(lead, boundary, y, flux_tol)
+            ladder = ((lead * turn) @ images[firsts]
+                      + (lead * turn.conj()) @ (raise_weight * y[raise_index]))
+        if parts:
+            return images, mean_n, shift, first, ladder
+        out = np.multiply(-1j * shift, y, out=out)
+        if ladder is not None:
+            out -= 1j * ladder
+        return out
+
+    return core
 
 
 # entries of one block of the energy's moment images: a block of stacked
@@ -176,9 +216,9 @@ def field_array(
     C-contiguous array (a copy only of a strided one), so the result's
     bits do not depend on y's layout.
     """
-    y = np.ascontiguousarray(y)
+    y = np.ascontiguousarray(y, dtype=complex)
     # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    images, mean_n, shift, first, ladder = _field_core(table, y, 0.0, flux_tol)
+    images, mean_n, shift, first, ladder = _field_core(table, flux_tol)(y, 0.0, parts=True)
     if kind is FieldKind.CHART:
         second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
         diag = table.n_diag - (mean_n + second)
@@ -202,6 +242,16 @@ def field_array(
     return -1j * out
 
 
+def frame_kernel(table: LadderTable, flux_tol: float = 0.0):
+    """``frame_field`` bound to ``table`` and ``flux_tol``: a function
+    ``kernel(z, theta, out=None)`` of a complex (n,) array z with the bits
+    of ``frame_field(table, z, theta, flux_tol, out)``.  What it reads from
+    the table is looked up once and its conj(z) buffer is reused, so one
+    kernel serves one caller at a time: the integrator binds one per
+    call."""
+    return _field_core(table, flux_tol)
+
+
 def frame_field(
     table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0,
     out: np.ndarray | None = None,
@@ -215,11 +265,7 @@ def frame_field(
     same bits as a fresh result).  Raises TruncationError like
     ``field_array``.
     """
-    _, _, shift, _, ladder = _field_core(table, z, theta, flux_tol)
-    out = np.multiply(-1j * shift, z, out=out)
-    if ladder is not None:
-        out -= 1j * ladder
-    return out
+    return _field_core(table, flux_tol)(np.asarray(z, dtype=complex), theta, out)
 
 
 def energy(v: FockVector) -> float:
@@ -237,8 +283,7 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     the field overflows float64, as its cubic terms can on a state of
     finite norm.
     """
-    if not np.isfinite(v.array).all():
-        raise ValueError("state has a non-finite coefficient")
+    _require_finite(v)
     try:
         with np.errstate(over="raise", invalid="raise"):
             arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)

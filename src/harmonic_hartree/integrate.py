@@ -2,9 +2,11 @@
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
-``hamiltonian.frame_field``, the sphere field in the integrator's frame,
-evaluated on dense coefficient arrays over the cutoff's ladder table, so
-the flow and the vector field share one definition of the algebra.
+the sphere field in the integrator's frame, ``hamiltonian.frame_field``,
+evaluated on dense coefficient arrays over the cutoff's ladder table
+through the kernel that ``hamiltonian.frame_kernel`` binds from the
+field's one moment core, so the flow and the vector field share one
+definition of the algebra.
 
 Specifics:
 
@@ -38,22 +40,30 @@ Specifics:
   z(0) added last like z0 + h (A[j] @ K), whose last bits it need not
   keep (the step counts it does keep).  Each call builds a stage plan
   once: for stage j, row j of a (16, n) buffer, the coefficient row, the
-  slice of zk, the row K[j] and the signed stage time.  A stage then
-  writes z_j into its row with that dot and makes one ``sphere_field``
-  call, on the cutoff's ladder table bound once per call, that gathers
-  from the row in place and writes z'_j straight into K[j]: no stage
-  copies its state or its derivative;
+  slice of zk, the row K[j] and the signed stage time.  Each call also
+  binds the cutoff's frame-field kernel once (``hamiltonian.frame_kernel``
+  with the abort threshold): what a stage reads from the ladder table is
+  looked up then, and the kernel keeps its conj(z) buffer.  A stage then writes z_j into its row with
+  that dot and makes one ``sphere_field`` call through the kernel, which
+  gathers from the row in place and writes z'_j straight into K[j]: no
+  stage copies its state or its derivative, looks up a table field or
+  calls further down than the kernel;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
-  15 field evaluations and a rejected step 12.  The samples are read in
-  blocks of rows whose (rows, n) arrays stay under 127 KiB, below
-  glibc's default mmap threshold: per block, one ``np.searchsorted``
-  segment lookup, the Horner scheme on rows gathered from the segments
-  the block's times use, and the norms, unit states, <N> and energies of
-  the block, written into one read-only table of sampled states whose
-  rows are the trajectory's states.  Samples times basis size is capped
-  at 2^20, the size of that table;
+  15 field evaluations and a rejected step 12.  Each accepted step
+  writes its start state y and its 7 rows into one contiguous
+  (steps, 8, n) store, which starts under 127 KiB and doubles when it
+  is full.  The
+  samples are read in blocks of rows whose (rows, n) arrays stay under
+  127 KiB, below glibc's default mmap threshold: per block, the
+  Horner scheme on rows gathered from the store with one index, the
+  segment of each time (one ``np.searchsorted`` for all the samples),
+  and the norms, unit states, <N> and energies of the block, written
+  into one read-only table of sampled states whose rows are the
+  trajectory's states.  Samples times basis size is capped at 2^20, the
+  size of that table; ``Trajectory.interpolate`` reads the same store
+  and the distinct values of N found once per call of ``integrate``;
 * amplitude that a raising operator would push past the degree cutoff is
   monitored at every evaluation, dense-output stages included; if a
   state with nonzero centering moments reaches the boundary the
@@ -71,7 +81,7 @@ import numpy as np
 
 from . import fock, hamiltonian
 from .errors import IntegrationError
-from .fock import Cutoff, FockVector, LadderTable
+from .fock import Cutoff, FockVector
 
 # DOP853 tableau (Hairer's dop853.f) as a strictly lower-triangular matrix:
 # stage s is evaluated at z + h * (_A[s, :s] @ K[:s]).  Row 12 holds the
@@ -285,20 +295,29 @@ _SAMPLE_BLOCK = 2**13 - 2**6
 
 
 def sphere_field(
-    table: LadderTable, z: np.ndarray, theta: float, out: np.ndarray | None = None
+    kernel, z: np.ndarray, theta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Sphere field's remainder e^{iN theta} (F(y) + iN y) at
-    y = e^{-iN theta} z on the ladder table of z's cutoff, read from z in
-    place and written into ``out`` when given; aborts on truncation flux."""
-    return hamiltonian.frame_field(table, z, theta, _TRUNCATION_FLUX_TOL, out)
+    y = e^{-iN theta} z through ``kernel``, the ``hamiltonian.frame_kernel``
+    of the ladder table of z's cutoff with the truncation-flux abort
+    threshold: read from z in place and written into ``out`` when given.
+    Every field evaluation of ``integrate`` is one call of this
+    function."""
+    return kernel(z, theta, out)
 
 
-class _Segment(NamedTuple):
-    s0: float
-    h: float
-    y: np.ndarray  # (dim,) state at the segment start, z(0) of its frame
-    coeffs: np.ndarray  # (7, dim) dense-output rows of z, see _interp_raw
-    rate: np.ndarray  # (dim,) frame rate: N, times -1 when integrating backward
+class _DenseOutput(NamedTuple):
+    """The accepted steps' dense output, one segment per step."""
+
+    s0: np.ndarray  # (steps,) frame time of each segment's start
+    h: np.ndarray  # (steps,) its step size
+    # (steps, 8, n): the state y at the segment's start, z(0) of its frame,
+    # then the 7 dense-output rows of z, see _interp_raw
+    rows: np.ndarray
+    # the distinct values of the frame rate, N times -1 when integrating
+    # backward, and the index into them of each coefficient's rate
+    levels: np.ndarray
+    level_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -336,21 +355,20 @@ class Trajectory:
     max_renormalization: float
     accepted_steps: int
     rejected_steps: int
-    _segments: tuple[_Segment, ...] = field(repr=False)
+    _dense: _DenseOutput = field(repr=False)
     _direction: float
 
     def interpolate(self, t: float) -> FockVector:
         """Dense-output state at any time inside the integration window."""
         if not math.isfinite(t):
             raise ValueError(f"time {t} is not finite")
-        s = t * self._direction
-        lo, hi = self._segments[0], self._segments[-1]
+        s = np.array([t * self._direction])
+        dense = self._dense
         # slack covers the float-roundoff sliver the stepper may leave at
         # the window end; polynomial extrapolation over it is exact in practice
-        if s < lo.s0 - 1e-9 or s > hi.s0 + hi.h + 1e-9:
+        if s[0] < dense.s0[0] - 1e-9 or s[0] > dense.s0[-1] + dense.h[-1] + 1e-9:
             raise ValueError(f"time {t} outside the integrated range")
-        levels, level_of = np.unique(self._segments[0].rate, return_inverse=True)
-        return fock.from_array(self.cutoff, _interp_raw(self._segments, s, levels, level_of)[0])
+        return fock.from_array(self.cutoff, _interp_raw(dense, s, _segment_of(dense, s))[0])
 
 
 def _sample_count(samples) -> int | None:
@@ -392,7 +410,7 @@ def _stage_plan(n: int, direction: float) -> tuple[np.ndarray, np.ndarray, list[
     return zk, coef, plan
 
 
-def _lawson_stages(table: LadderTable, plan, h, backward: bool) -> np.ndarray:
+def _lawson_stages(kernel, plan, h, backward: bool) -> np.ndarray:
     """Fill the stages of ``plan`` (a slice of ``_stage_plan``) for the
     step of size h, whose z(0) and coefficient matrix [h A reversed | 1]
     are in place, in the frame z(tau) = e^{i rate tau} y(s0 + tau),
@@ -400,13 +418,13 @@ def _lawson_stages(table: LadderTable, plan, h, backward: bool) -> np.ndarray:
 
     Stage j writes z_j = sum_k h A[j, k] K[k] + z0, one dot of its
     coefficient row with zk[16 - j:], into its row, and z'_j, the
-    derivative of z there, into K[j]: ``sphere_field`` at the frame angle
-    direction * c_j h reads the row in place, and a backward run negates
-    its result in place.  Returns the last z_j: for stages 1..12 that is
-    the step's z(h), and K[12] ends as z'(h)."""
+    derivative of z there, into K[j]: ``sphere_field`` through ``kernel``
+    at the frame angle direction * c_j h reads the row in place, and a
+    backward run negates its result in place.  Returns the last z_j: for
+    stages 1..12 that is the step's z(h), and K[12] ends as z'(h)."""
     for row, coef, zk, out, c in plan:
         np.dot(coef, zk, out=row)
-        sphere_field(table, row, c * h, out)
+        sphere_field(kernel, row, c * h, out)
         if backward:
             np.negative(out, out=out)
     return row
@@ -452,6 +470,7 @@ def integrate(
     span = abs(t_end)
     cutoff = state.cutoff
     table = fock.ladder_table(cutoff)
+    kernel = hamiltonian.frame_kernel(table, _TRUNCATION_FLUX_TOL)
 
     spaced = _sample_count(samples)  # None for an array of times
     count = np.size(samples) if spaced is None else spaced
@@ -492,12 +511,20 @@ def integrate(
     step_plan, dense_plan = plan[:12], plan[12:]  # stages 1..12 and 13..15
     abs_y, scale = np.abs(y), np.empty(n)
     err, err_conj = np.empty((2, n), dtype=complex), np.empty((2, n), dtype=complex)
-    sphere_field(table, y, direction * 0.0, first)
+    sphere_field(kernel, y, direction * 0.0, first)
     if backward:
         np.negative(first, out=first)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
-    segments: list[_Segment] = []
+    # the dense output: per accepted step its start s0, its size h and, in
+    # one (steps, 8, n) store, y and the 7 dense rows.  The store starts
+    # with as many steps as fit in _SAMPLE_BLOCK entries (one at least) and
+    # doubles when full: a d=2, K=8 flow over pi/4 takes 4 or 5 steps, and
+    # a first capacity of 16 steps (1 MB there) raised the flow
+    # benchmark's peak RSS
+    starts: list[float] = []
+    sizes: list[float] = []
+    store = np.empty((max(1, _SAMPLE_BLOCK // (8 * n)), 8, n), dtype=complex)
     max_renorm = 0.0
     accepted = rejected = 0
     err_tol = _SAFETY * tol
@@ -514,7 +541,7 @@ def integrate(
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
         np.multiply(h, _A_REV, out=coef_h)
-        z_new = _lawson_stages(table, step_plan, h, backward)
+        z_new = _lawson_stages(kernel, step_plan, h, backward)
         # scale = SAFETY tol (1 + max(|y|, |y_new|)), and |y_new| = |z_new|
         # entrywise: the frame only turns phases
         np.abs(z_new, out=scale)
@@ -532,10 +559,17 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(table, dense_plan, h, backward)
-        dense = _DENSE @ stages
-        dense *= h
-        segments.append(_Segment(s, h, y, dense, rate))
+        _lawson_stages(kernel, dense_plan, h, backward)
+        if accepted == len(store):
+            grown = np.empty((2 * accepted, 8, n), dtype=complex)
+            grown[:accepted] = store
+            store = grown
+        segment = store[accepted]
+        segment[0] = y
+        np.matmul(_DENSE, stages, out=segment[1:])
+        segment[1:] *= h
+        starts.append(s)
+        sizes.append(h)
 
         back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
         y = back * z_new
@@ -562,7 +596,8 @@ def integrate(
         else:
             h *= 5.0
 
-    traj_segments = tuple(segments)
+    dense = _DenseOutput(np.array(starts), np.array(sizes), store[:accepted],
+                         levels, level_of)
     # the table of sampled states, filled a block of rows at a time so that
     # every temporary of the tail stays small; the states are read-only row
     # views of it.  sample_s is sorted, so reversing it puts a backward
@@ -570,14 +605,11 @@ def integrate(
     units = np.empty((count, n), dtype=complex)
     norms, mean_n, energy = np.empty(count), np.empty(count), np.empty(count)
     rows = max(1, _SAMPLE_BLOCK // n)
-    # each block reads only the segments its times lie in
-    starts = np.array([seg.s0 for seg in traj_segments])
-    which = np.maximum(np.searchsorted(starts, sample_s, side="right") - 1, 0).tolist()
+    which = _segment_of(dense, sample_s)
     for start in range(0, count, rows):
         block = slice(start, start + rows)
-        used = traj_segments[which[start] : which[block][-1] + 1]
         unit = units[block]
-        unit[:] = _interp_raw(used, sample_s[block], levels, level_of)
+        _interp_raw(dense, sample_s[block], which[block], out=unit)
         unit[sample_s[block] <= 0.0] = y0
         norms[block] = np.linalg.norm(unit, axis=1)
         unit /= norms[block, None]
@@ -600,45 +632,39 @@ def integrate(
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,
-        _segments=traj_segments,
+        _dense=dense,
         _direction=direction,
     )
 
 
-def _interp_raw(segments: tuple[_Segment, ...], s, levels: np.ndarray,
-                level_of: np.ndarray) -> np.ndarray:
-    """Dense output at the frame times s, one row per time:
-    e^{-i rate (s - s0)} z, where
+def _segment_of(dense: _DenseOutput, s: np.ndarray) -> np.ndarray:
+    """The index of the segment that reads each frame time in s: the last
+    one starting at or before it (the first one before the window)."""
+    return np.maximum(np.searchsorted(dense.s0, s, side="right") - 1, 0)
+
+
+def _interp_raw(dense: _DenseOutput, s: np.ndarray, which: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Dense output at the frame times s, one row per time, from the
+    segments ``which``: e^{-i rate (s - s0)} z, where
     z = y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))) is the
     alternating Horner scheme of ``dop853.f``'s contd8, run on all rows at
-    once.  Each time is read from the last segment starting at or before
-    it (from the first one before the window).  The segments' rate takes
-    the values ``levels`` (``np.unique`` of it, with the inverse
-    ``level_of``), so one exponential per time and distinct value of N
-    gives the phases.  Each coefficient row is gathered from the segments
-    that the times use, so no temporary is larger than those segments' or
-    the times' (times, n) rows."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    n = level_of.size
-    starts = np.array([seg.s0 for seg in segments])
-    which = np.maximum(np.searchsorted(starts, s, side="right") - 1, 0)
-    used, row = np.unique(which, return_inverse=True)
-    segs = [segments[j] for j in used.tolist()]
-
-    def gather(rows):  # the times' rows from the (n,) rows of their segments
-        if len(rows) == 1:  # one segment: its row broadcasts over the times
-            return rows[0]
-        return np.concatenate(rows).reshape(len(rows), n)[row]
-
-    lag = s - starts[which]
-    theta = (lag / np.array([seg.h for seg in segs])[row])[:, None]
+    once and written into ``out`` when given.  The rate takes the values
+    ``dense.levels``, so one exponential per time and distinct value of N
+    gives the phases.  Each row of the scheme is gathered from the store
+    with the one index ``which``, so no temporary is larger than the
+    times' (times, n) rows."""
+    rows = dense.rows
+    lag = s - dense.s0[which]
+    theta = (lag / dense.h[which])[:, None]
     rest = 1.0 - theta
-    acc = gather([seg.coeffs[6] for seg in segs]) * theta
-    for r in range(5, -1, -1):
-        acc += gather([seg.coeffs[r] for seg in segs])
-        acc *= theta if r % 2 == 0 else rest
-    acc += gather([seg.y for seg in segs])
-    return np.multiply(np.exp(-1j * lag[:, None] * levels)[:, level_of], acc, out=acc)
+    acc = np.multiply(rows[which, 7], theta, out=out)
+    for r in range(6, 0, -1):
+        acc += rows[which, r]
+        acc *= theta if r % 2 else rest
+    acc += rows[which, 0]
+    phase = np.exp(-1j * lag[:, None] * dense.levels)[:, dense.level_of]
+    return np.multiply(phase, acc, out=acc)
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:

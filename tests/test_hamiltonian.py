@@ -11,7 +11,7 @@ from _support import (
     random_centered_state,
     random_state,
 )
-from harmonic_hartree import fock, hamiltonian as ham
+from harmonic_hartree import equilibria, fock, hamiltonian as ham, orbits, reduction
 from harmonic_hartree.errors import NormalizationError, TruncationError
 from harmonic_hartree.fock import Cutoff
 from harmonic_hartree.hamiltonian import FieldKind
@@ -297,3 +297,32 @@ def test_vector_field_rejects_a_non_finite_state(kind, part, value):
     state = fock.from_array(CUT, y)
     with pytest.raises(ValueError, match="non-finite coefficient"):
         ham.vector_field(kind, state)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda v: ham.first_moment_a(v, 0), ValueError),
+        (lambda v: ham.first_moment_b(v, 0), ValueError),
+        (ham.energy, NormalizationError),
+        (orbits.orbit_from_state, NormalizationError),
+        (lambda v: equilibria.is_relative_equilibrium(v, 1e-9), NormalizationError),
+        (reduction.gauge_fix, NormalizationError),
+    ],
+    ids=["first_moment_a", "first_moment_b", "energy", "orbit_from_state",
+         "is_relative_equilibrium", "gauge_fix"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_state_is_rejected_by_its_cause(call, error, value):
+    # the first moments reject the state as vector_field does; the
+    # functions that require a unit state name the non-finite coefficient,
+    # not a norm of nan or inf
+    y = fock.to_array(bv((1,), (1,)))
+    y[3] += value
+    with pytest.raises(error, match="non-finite coefficient"):
+        call(fock.from_array(CUT, y))
+
+
+def test_a_finite_state_off_the_sphere_names_its_norm():
+    with pytest.raises(NormalizationError, match=r"must be unit, norm=1\.5 "):
+        ham.energy(1.5 * bv((1,), (1,)))

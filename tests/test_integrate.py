@@ -21,6 +21,11 @@ def bv(a, b, cut=CUT):
     return fock.basis_vector(cut, a, b)
 
 
+def kernel_of(cut):
+    """The frame-field kernel that ``integrate`` binds for ``cut``."""
+    return hamiltonian.frame_kernel(fock.ladder_table(cut), integ._TRUNCATION_FLUX_TOL)
+
+
 def brute_frame_field(cut, z, theta):
     """e^{iN theta} (F(y) + iN y) at y = e^{-iN theta} z, F the brute-force
     sphere field."""
@@ -34,12 +39,12 @@ def test_dense_field_matches_sparse_field():
     # matrices, on states with nonzero first moments (the raising branch)
     rng = np.random.default_rng(0)
     for cut in (CUT, Cutoff(k=6, d=2)):
-        table = fock.ladder_table(cut)
+        kernel = kernel_of(cut)
         for _ in range(5):
             z = fock.to_array(random_state(cut, rng, max_degree=cut.k - 2))
             for theta in (0.0, 0.7, -2.3, 4.0):
                 dense = brute_frame_field(cut, z, theta)
-                assert np.abs(integ.sphere_field(table, z, theta) - dense).max() <= 1e-13
+                assert np.abs(integ.sphere_field(kernel, z, theta) - dense).max() <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -49,7 +54,7 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
     # inner-strided view, gives the field of a contiguous copy, bit for
     # bit, on centered states and on states with nonzero first moments
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
-    table = fock.ladder_table(cut)
+    kernel = kernel_of(cut)
     rng = np.random.default_rng(d)
     states = [random_state(cut, rng, max_degree=cut.k - 2),
               random_centered_state(cut, (0, 2), rng)]
@@ -58,10 +63,10 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
         padded = np.append(z, np.nan)
         strided = np.repeat(z, 2)[::2]
         for theta in (0.0, 0.7, -2.3):
-            field = integ.sphere_field(table, z, theta)
+            field = integ.sphere_field(kernel, z, theta)
             assert field.shape == z.shape
             for view in (padded[: z.size], strided):
-                assert field.tobytes() == integ.sphere_field(table, view, theta).tobytes()
+                assert field.tobytes() == integ.sphere_field(kernel, view, theta).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -87,7 +92,7 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
         zk[16] = z0
         K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
         np.multiply(h, integ._A_REV, out=coef[:, :16])
-        z_new = integ._lawson_stages(table, plan, h, direction < 0)
+        z_new = integ._lawson_stages(kernel_of(cut), plan, h, direction < 0)
         assert z_new is plan[-1][0]
         assert (zk[16] == z0).all()
         for j, (inner, *_) in enumerate(plan, start=1):
@@ -139,32 +144,32 @@ def test_frame_field_flux_abort_follows_the_frame_angle():
     # z = (|0,7> + i|0,8>)/sqrt2 has <z, b z> = i sqrt2: its first moment
     # Re<y, b y> at y = e^{-iN theta} z is sqrt2 sin(theta), so the raising
     # of the degree-K term loses amplitude at theta = pi/2 but not at 0
-    table = fock.ladder_table(CUT)
+    kernel = kernel_of(CUT)
     z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
     for theta in (0.0, math.pi):
         dense = brute_frame_field(CUT, z, theta)
-        assert np.abs(integ.sphere_field(table, z, theta) - dense).max() <= 1e-13
+        assert np.abs(integ.sphere_field(kernel, z, theta) - dense).max() <= 1e-13
     for theta in (math.pi / 2, -math.pi / 2):
         with pytest.raises(TruncationError):
-            integ.sphere_field(table, z, theta)
+            integ.sphere_field(kernel, z, theta)
 
 
 def test_flux_abort_raises_through_the_in_place_path():
     # a stage row of the plan and its K[j] target: the abort still
     # raises, before the target is written
-    table = fock.ladder_table(CUT)
+    kernel = kernel_of(CUT)
     z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
     zk, _, plan = integ._stage_plan(z.size, 1.0)
     row, out = plan[0][0], plan[0][3]
     assert np.shares_memory(out, zk)
     row[:] = z
     out[:] = 7.0
-    integ.sphere_field(table, row, math.pi, out)
-    assert out.tobytes() == integ.sphere_field(table, z, math.pi).tobytes()
+    integ.sphere_field(kernel, row, math.pi, out)
+    assert out.tobytes() == integ.sphere_field(kernel, z, math.pi).tobytes()
     out[:] = 7.0
     for theta in (math.pi / 2, -math.pi / 2):
         with pytest.raises(TruncationError):
-            integ.sphere_field(table, row, theta, out)
+            integ.sphere_field(kernel, row, theta, out)
         assert (out == 7.0).all()
 
 
@@ -309,7 +314,7 @@ def test_fast_phases_are_exact():
         steps.append(traj.accepted_steps)
         worst = max(
             (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
-            for t in [seg.s0 + 0.5 * seg.h for seg in traj._segments]
+            for t in (traj._dense.s0 + 0.5 * traj._dense.h).tolist()
             + list(rng.uniform(0.05, 2 * math.pi - 0.05, size=12))
         )
         assert worst <= 1e-9
@@ -338,16 +343,16 @@ def test_tableau_rows_sum_to_stage_times():
 def test_dense_output_reproduces_segment_endpoints():
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
     traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
-    segs = traj._segments
-    assert len(segs) > 1
-    levels, level_of = np.unique(segs[0].rate, return_inverse=True)
-    for seg, nxt in zip(segs, segs[1:]):
-        start = integ._interp_raw((seg,), seg.s0, levels, level_of)
-        assert np.abs(start - seg.y).max() <= 1e-15
+    dense = traj._dense
+    assert len(dense.s0) > 1
+    for k in range(len(dense.s0) - 1):
+        # row 0 of a segment is its start state y
+        start = integ._interp_raw(dense, dense.s0[k : k + 1], [k])
+        assert np.abs(start - dense.rows[k, 0]).max() <= 1e-15
         # theta = 1 gives the unprojected step result, which the next
         # segment starts from after projection to the sphere
-        end = integ._interp_raw((seg,), seg.s0 + seg.h, levels, level_of)
-        assert np.abs(end / np.linalg.norm(end) - nxt.y).max() <= 1e-15
+        end = integ._interp_raw(dense, dense.s0[k : k + 1] + dense.h[k], [k])
+        assert np.abs(end / np.linalg.norm(end) - dense.rows[k + 1, 0]).max() <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -363,7 +368,7 @@ def test_dense_output_at_mid_step_times(cut, indices, t_end):
     traj = integ.integrate(s, t_end, tol=1e-10, samples=3)
     worst = max(
         (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
-        for t in (seg.s0 + 0.5 * seg.h for seg in traj._segments)
+        for t in (traj._dense.s0 + 0.5 * traj._dense.h).tolist()
     )
     assert worst <= 1e-9
 
@@ -375,7 +380,7 @@ def test_backward_dense_output_at_interior_times():
     traj = integ.integrate(s, -math.pi / 4, tol=1e-10, samples=3)
     assert np.all(np.diff(traj.times) > 0)
     rng = np.random.default_rng(7)
-    times = [-(seg.s0 + 0.5 * seg.h) for seg in traj._segments]
+    times = (-(traj._dense.s0 + 0.5 * traj._dense.h)).tolist()
     times += list(rng.uniform(-math.pi / 4, 0.0, size=12))
     worst = max(
         (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
@@ -452,8 +457,8 @@ def test_samples_argument_is_checked(monkeypatch, samples):
 
 def test_trajectory_repr_omits_segments():
     traj = integ.integrate(bv((0,), (1,)), 1.0, tol=1e-10, samples=3)
-    assert len(traj._segments) > 1
-    assert "_Segment" not in repr(traj)
+    assert len(traj._dense.s0) > 1
+    assert "_DenseOutput" not in repr(traj) and "rows=" not in repr(traj)
 
 
 def test_oversized_sample_table_is_rejected_before_integrating(monkeypatch):

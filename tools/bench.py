@@ -635,15 +635,25 @@ def _cpu_model() -> str:
 
 
 def _tree(src: str) -> dict:
-    """The git commit of the checkout holding ``src``, and whether its
-    files differ from that commit."""
+    """The git commit of the checkout holding ``src``, whether its files
+    differ from that commit, and a sha256 that names the package's files
+    also outside a checkout (a ``git archive`` copy): the digest of the
+    ``sha256sum`` listing of ``harmonic_hartree/*.py`` in byte order of the
+    names, so ``LC_ALL=C sha256sum *.py | sha256sum`` run in the package
+    directory prints it."""
     def git(*args):
         out = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
 
+    package = os.path.join(src, "harmonic_hartree")
+    listing = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(package) if f.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            listing.update(f"{hashlib.sha256(fh.read()).hexdigest()}  {name}\n".encode())
     status = git("status", "--porcelain", "--untracked-files=no")
     return {"commit": git("rev-parse", "HEAD"),
-            "modified": None if status is None else bool(status)}
+            "modified": None if status is None else bool(status),
+            "package_sha256": listing.hexdigest()}
 
 
 def main(argv: list[str]) -> int:
