@@ -22,15 +22,14 @@ pair-lowering images: the leading rows of its one complex weight block
 and one index block) from the state's (n,) array in place, in one step,
 and takes all the moments, <N> among them, in one matmul with conj(y);
 it gathers the raising images only when a first moment is nonzero.  The
-core is bound to a table once: what it reads from the table is looked up
-then, and its conj(y) buffer is reused.  ``frame_kernel`` returns the
-bound core itself as the frame field, which the integrator binds once
+core, ``frame_kernel``, is bound to a table once: what it reads from the
+table is looked up then, and its conj(y) buffer is reused.  Called
+without ``parts`` it is the frame field, which the integrator binds once
 per call and calls for each stage, writing each stage derivative into
 the caller's array; ``frame_field`` binds one for a single call.  The
-energy reads the leading
-2d + 1 moment rows, <N> and the first moments, for a bounded block of
-states at a time, so one call takes a single state or a whole (..., n)
-stack of them.
+energy reads the leading 2d + 1 moment rows, <N> and the first moments,
+for a bounded block of states at a time, so one call takes a single
+state or a whole (..., n) stack of them.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
 ``frame_field`` is the sphere field's remainder in the interaction picture
@@ -99,14 +98,16 @@ def _check_flux(coef: np.ndarray, boundary: np.ndarray, y: np.ndarray,
         )
 
 
-def _field_core(table: LadderTable, flux_tol: float):
-    """The one moment core of every field, bound to ``table``.
+def frame_kernel(table: LadderTable, flux_tol: float):
+    """The one moment core of every field, bound to ``table`` and
+    ``flux_tol``.
 
     What the core reads from the table (the moment rows, the signs, the
     raising rows and the single-raising boundary) is looked up here, once,
-    and conj(y) goes into a buffer that every call reuses; the images are
-    gathered fresh, as a gather into a bound buffer (``np.take``) took
-    longer at n = 45 than numpy's fancy indexing.
+    and conj(y) goes into a buffer that every call reuses, so one kernel
+    serves one caller at a time: the integrator binds one per call.  The
+    images are gathered fresh, as a gather into a bound buffer
+    (``np.take``) took longer at n = 45 than numpy's fancy indexing.
 
     Returns ``core(y, theta, out=None, parts=False)``, which works on y,
     the complex (n,) coefficient array read in place, taken to the frame
@@ -218,7 +219,8 @@ def field_array(
     """
     y = np.ascontiguousarray(y, dtype=complex)
     # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    images, mean_n, shift, first, ladder = _field_core(table, flux_tol)(y, 0.0, parts=True)
+    core = frame_kernel(table, flux_tol)
+    images, mean_n, shift, first, ladder = core(y, 0.0, parts=True)
     if kind is FieldKind.CHART:
         second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
         diag = table.n_diag - (mean_n + second)
@@ -242,16 +244,6 @@ def field_array(
     return -1j * out
 
 
-def frame_kernel(table: LadderTable, flux_tol: float = 0.0):
-    """``frame_field`` bound to ``table`` and ``flux_tol``: a function
-    ``kernel(z, theta, out=None)`` of a complex (n,) array z with the bits
-    of ``frame_field(table, z, theta, flux_tol, out)``.  What it reads from
-    the table is looked up once and its conj(z) buffer is reused, so one
-    kernel serves one caller at a time: the integrator binds one per
-    call."""
-    return _field_core(table, flux_tol)
-
-
 def frame_field(
     table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0,
     out: np.ndarray | None = None,
@@ -260,12 +252,12 @@ def frame_field(
 
     For the sphere field F this is e^{iN theta} (F(y) + iN y) at
     y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
-    with s and the ladder part of ``_field_core`` at theta.  The result is
+    with s and the ladder part of ``frame_kernel`` at theta.  The result is
     written into the complex (n,) array ``out`` when one is given (the
     same bits as a fresh result).  Raises TruncationError like
     ``field_array``.
     """
-    return _field_core(table, flux_tol)(np.asarray(z, dtype=complex), theta, out)
+    return frame_kernel(table, flux_tol)(np.asarray(z, dtype=complex), theta, out)
 
 
 def energy(v: FockVector) -> float:

@@ -307,7 +307,12 @@ def sphere_field(
 
 
 class _DenseOutput(NamedTuple):
-    """The accepted steps' dense output, one segment per step."""
+    """The accepted steps' dense output, one segment per step.
+
+    ``rows`` is a view of the leading steps of the step loop's store, so
+    a trajectory holds the whole store, its unused capacity included: the
+    first capacity (under 127 KiB) or, once the store has doubled, up to
+    twice the rows it reads."""
 
     s0: np.ndarray  # (steps,) frame time of each segment's start
     h: np.ndarray  # (steps,) its step size

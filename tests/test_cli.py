@@ -1102,40 +1102,6 @@ def test_csv_writer_renders_signed_zeros_and_non_finite_values(tmp_path, shape, 
     written_csv(tmp_path, table)
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["all-nonzero", "mixed"])
-def test_csv_writer_renders_blocks_without_zeros_straight_into_their_cells(
-    tmp_path, monkeypatch, mixed
-):
-    # 30 x 999 is written in blocks of 8, 8, 8 and 6 rows; a block with no
-    # zero goes through the renderer whole, into its cells (NaN and the
-    # infinities are not zeros), and a block with zeros only its nonzero
-    # values: in the mixed table the second and the last block hold zeros
-    specials = (np.nan, np.inf, -np.inf)
-    table = seeded_table((30, 999), 0.0, seed=30, specials=specials)
-    table[:3, :3] = np.array(specials)
-    if mixed:
-        table[8:16] = seeded_table((8, 999), 0.4, seed=31, specials=(-0.0, 0.0))
-        table[29, 5] = -0.0
-    into_cells = []
-    cells = cli._render.cells
-
-    def recorded(values, shortest=False, out=None):
-        into_cells.append(out is not None)
-        return cells(values, shortest, out)
-
-    monkeypatch.setattr(cli._render, "cells", recorded)
-    written_csv(tmp_path, table)
-    # a block without zeros makes one renderer call per _BLOCK values, all
-    # into its cells
-    nonzero_blocks = [True, False, True, False] if mixed else [True] * 4
-    expected = []
-    for rows, whole in zip((8, 8, 8, 6), nonzero_blocks):
-        calls = -(-rows * 999 // cli._BLOCK)
-        expected += [True] * calls if whole else []
-    assert [c for c in into_cells if c] == expected
-    assert all(into_cells) != mixed
-
-
 def test_simulate_csv_of_a_centered_d2_state_matches_per_value_formatter(tmp_path):
     # a centered state keeps its support: most coefficients are exact zeros,
     # written over several blocks
