@@ -209,8 +209,10 @@ class FockVector:
     ``basis``).  It is read-only, so instances are immutable; all
     operations return new vectors.  The constructor takes a mapping
     MultiIndex -> complex amplitude (absent means zero); ``from_array``
-    takes a dense array.  ``truncated`` records that some upstream raising
-    dropped amplitude past the cutoff, so the value is no longer exact.
+    takes a dense array.  Both raise ValueError on a non-finite
+    coefficient; the arithmetic does not check its results.
+    ``truncated`` records that some upstream raising dropped amplitude
+    past the cutoff, so the value is no longer exact.
     """
 
     cutoff: Cutoff
@@ -222,7 +224,7 @@ class FockVector:
         arr = np.zeros(cutoff.size, dtype=complex)
         pos = _positions(cutoff, [idx.a for idx in coeffs], [idx.b for idx in coeffs])
         arr[pos] = list(coeffs.values())
-        self._set(cutoff, arr, truncated)
+        self._set(cutoff, _finite(cutoff, arr), truncated)
 
     def _set(self, cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> None:
         arr.flags.writeable = False
@@ -270,6 +272,18 @@ class FockVector:
         if n == 0.0:
             raise NormalizationError("cannot normalize the zero vector")
         return (1.0 / n) * self
+
+
+def _finite(cutoff: Cutoff, arr: np.ndarray) -> np.ndarray:
+    """``arr``, once every coefficient is checked to be finite: ValueError
+    names the first one that is not."""
+    # isfinite of the float view of the (fresh, contiguous) complex array
+    # took half the time of isfinite of the array itself at n = 18564
+    if not np.isfinite(arr.view(np.float64)).all():
+        at = int(np.argmin(np.isfinite(arr)))
+        raise ValueError(f"state has a non-finite coefficient {complex(arr[at])} "
+                         f"at |{basis(cutoff)[at].label()}>")
+    return arr
 
 
 def _vector(cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> FockVector:
@@ -430,10 +444,11 @@ def to_array(v: FockVector) -> np.ndarray:
 
 
 def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> FockVector:
-    """The vector with a copy of the dense array ``arr`` as coefficients."""
+    """The vector with a copy of the dense array ``arr`` as coefficients;
+    ValueError on a non-finite coefficient."""
     if arr.shape != (cutoff.size,):
         raise BasisMismatchError(f"array length {arr.shape} != basis size {cutoff.size}")
-    return _vector(cutoff, arr.astype(complex), truncated)
+    return _vector(cutoff, _finite(cutoff, arr.astype(complex)), truncated)
 
 
 # rows of LadderTable.index / .weight: the lowering ops first, so that

@@ -15,7 +15,7 @@ Hamiltonian vector field are exposed:
   relative equilibria (unit excitation eigenvectors).
 
 The energy and the fields are written once, in ``energy_array`` and one
-moment core shared by ``field_array`` and ``frame_field``, on dense
+moment core shared by ``field_array`` and the integrator, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
 gathers the table's 4d + 1 moment rows (N y, the lowering and the
 pair-lowering images: the leading rows of its one complex weight block
@@ -26,19 +26,19 @@ core, ``frame_kernel``, is bound to a table once: what it reads from the
 table is looked up then, and its conj(y) buffer is reused.  Called
 without ``parts`` it is the frame field, which the integrator binds once
 per call and calls for each stage, writing each stage derivative into
-the caller's array; ``frame_field`` binds one for a single call.  The
-energy reads the leading 2d + 1 moment rows, <N> and the first moments,
-for a bounded block of states at a time, so one call takes a single
-state or a whole (..., n) stack of them.
+the caller's array.  The energy reads the leading 2d + 1 moment rows, <N>
+and the first moments, for a bounded block of states at a time, so one
+call takes a single state or a whole (..., n) stack of them.
 ``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
 
-``frame_field`` is the sphere field's remainder in the interaction picture
-of N, which the integrator steps: every ladder op shifts N by a fixed
-amount, so the frame phases enter as scalars e^{i sign theta} on the
-moments and on the ladder terms, and no vector is rotated.  A ladder image
-enters only with a scalar prefactor; when that prefactor is nonzero and
-the raising loses amplitude past the cutoff, the field raises
-TruncationError.
+The frame field is the sphere field F's remainder in the interaction
+picture of N, e^{iN theta} (F(y) + iN y) at y = e^{-iN theta} z, which
+the integrator steps.  It is computed from z alone: every ladder op
+shifts N by a fixed amount, so the frame phases enter as scalars
+e^{i sign theta} on the moments and on the ladder terms, and no vector
+is rotated.  A ladder image enters only with a scalar prefactor; when
+that prefactor is nonzero and the raising loses amplitude past the
+cutoff, the field raises TruncationError.
 """
 
 from __future__ import annotations
@@ -242,22 +242,6 @@ def field_array(
     if ladder is not None:
         out += ladder
     return -1j * out
-
-
-def frame_field(
-    table: LadderTable, z: np.ndarray, theta: float, flux_tol: float = 0.0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The sphere field's remainder in the interaction picture of N.
-
-    For the sphere field F this is e^{iN theta} (F(y) + iN y) at
-    y = e^{-iN theta} z, computed from z alone: -i (s z + the ladder part),
-    with s and the ladder part of ``frame_kernel`` at theta.  The result is
-    written into the complex (n,) array ``out`` when one is given (the
-    same bits as a fresh result).  Raises TruncationError like
-    ``field_array``.
-    """
-    return frame_kernel(table, flux_tol)(np.asarray(z, dtype=complex), theta, out)
 
 
 def energy(v: FockVector) -> float:

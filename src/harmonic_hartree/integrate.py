@@ -2,11 +2,10 @@
 
 This is the package's independent oracle: every closed-form solution is
 cross-checked against trajectories produced here.  The right-hand side is
-the sphere field in the integrator's frame, ``hamiltonian.frame_field``,
-evaluated on dense coefficient arrays over the cutoff's ladder table
-through the kernel that ``hamiltonian.frame_kernel`` binds from the
-field's one moment core, so the flow and the vector field share one
-definition of the algebra.
+the sphere field in the integrator's frame, evaluated on dense
+coefficient arrays over the cutoff's ladder table through the kernel that
+``hamiltonian.frame_kernel`` binds from the field's one moment core, so
+the flow and the vector field share one definition of the algebra.
 
 Specifics:
 

@@ -133,8 +133,11 @@ def hermite_eval(n: int, x) -> np.ndarray:
 
 
 def hermite_table(max_degree: int, x) -> np.ndarray:
-    """Rows 0..max_degree of the Hermite functions evaluated at x."""
+    """Rows 0..max_degree of the Hermite functions evaluated at x; ValueError
+    on a non-finite point."""
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("Hermite functions need finite points, got a non-finite x")
     table = np.empty((max_degree + 1,) + x.shape)
     table[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
     if max_degree >= 1:

@@ -456,6 +456,25 @@ def test_full_field_of_a_large_state_checks_its_flux_without_nan(tmp_path, capsy
     assert out.read_bytes() == stdlib_json(fock.to_json_dict(field))
 
 
+def test_full_field_off_the_sphere_runs_the_pair_branch(tmp_path):
+    # the d = 2, K = 8 state 0.8|0,0> + 0.36i|a=e_0> + 0.48|b=e_1> scaled to
+    # norm 1.1: its full field adds the pair-lowering and double-raising
+    # images to the 5 terms of its sphere field, 16 terms in all
+    path = tmp_path / "uncentered_big.json"
+    path.write_text(json.dumps({"K": 8, "d": 2, "terms": [
+        {"a": [0, 0], "b": [0, 0], "re": 0.88, "im": 0.0},
+        {"a": [1, 0], "b": [0, 0], "re": 0.0, "im": 0.396},
+        {"a": [0, 0], "b": [0, 1], "re": 0.528, "im": 0.0},
+    ]}))
+    terms = {}
+    for kind in ("sphere", "full"):
+        out = tmp_path / f"{kind}.json"
+        assert cli.main(["vector-field", "--state", str(path), "--kind", kind,
+                         "--json", str(out)]) == 0
+        terms[kind] = len(json.loads(out.read_text())["terms"])
+    assert terms == {"sphere": 5, "full": 16}
+
+
 @pytest.mark.parametrize("kind", [k.value for k in hamiltonian.FieldKind])
 def test_overflowing_field_is_rejected(tmp_path, capsys, kind):
     path = _two_term_state(tmp_path, 1e150)
@@ -874,11 +893,17 @@ def test_template_fill_rejects_non_finite_values(bad):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("part", ["re", "im"])
 def test_state_json_rejects_non_finite_values(terms, bad, part):
-    arr = np.zeros(Cutoff(k=8, d=3).size, dtype=complex)
-    arr[:terms] = 0.5
-    arr[terms // 2] = complex(bad, 0.5) if part == "re" else complex(0.5, bad)
+    # the state loads through from_json_dict, which does not check
+    # finiteness (from_array and the constructor reject such a state)
+    cut = Cutoff(k=8, d=3)
+    idxs = fock.basis(cut)[:terms]
+    obj = {"K": 8, "d": 3, "terms": [
+        {"a": list(idx.a), "b": list(idx.b), "re": 0.5, "im": 0.0} for idx in idxs]}
+    term = obj["terms"][terms // 2]
+    term["im"] = 0.5
+    term[part] = bad
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._state_json(fock.from_array(Cutoff(k=8, d=3), arr))
+        cli._state_json(fock.from_json_dict(obj))
 
 
 def sweep_values():

@@ -461,6 +461,18 @@ def test_dense_round_trip():
         fock.from_array(CUT, np.zeros(7, dtype=complex))
 
 
+@pytest.mark.parametrize("build", ["constructor", "from_array"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_coefficient_is_rejected_and_named(build, value):
+    # |0,0> and a term 0.5 + value i at |1,2>: no state is built
+    terms = {MultiIndex((0,), (0,)): 0.5, MultiIndex((1,), (2,)): complex(0.5, value)}
+    arr = np.zeros(CUT.size, dtype=complex)
+    for idx, amp in terms.items():
+        arr[fock.basis(CUT).index(idx)] = amp
+    with pytest.raises(ValueError, match=r"non-finite coefficient .* at \|1_2>$"):
+        FockVector(CUT, terms) if build == "constructor" else fock.from_array(CUT, arr)
+
+
 def test_normalized_zero_vector_errors():
     with pytest.raises(NormalizationError):
         fock.zero(CUT).normalized()

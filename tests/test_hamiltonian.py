@@ -287,14 +287,24 @@ def test_fields_and_energy_do_not_depend_on_the_layout(d):
                     assert field.tobytes() == ham.field_array(kind, table, y, 1e100).tobytes(), (name, kind)
 
 
+def non_finite_state(value, part="re"):
+    """|1,1> with ``value`` added to the re or im part of its coefficient
+    3.  It loads through ``from_json_dict``, which does not check
+    finiteness (``from_array`` and the constructor reject such a state)."""
+    idx = fock.basis(CUT)[3]
+    obj = fock.to_json_dict(bv((1,), (1,)))
+    obj["terms"].append({"a": list(idx.a), "b": list(idx.b),
+                         "re": value if part == "re" else 0.0,
+                         "im": value if part == "im" else 0.0})
+    return fock.from_json_dict(obj)
+
+
 @pytest.mark.parametrize("kind", list(FieldKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_vector_field_rejects_a_non_finite_state(kind, part, value):
     # the state is rejected before any gather, with its cause
-    y = fock.to_array(bv((1,), (1,)))
-    y[3] += value if part == "re" else complex(0.0, value)
-    state = fock.from_array(CUT, y)
+    state = non_finite_state(value, part)
     with pytest.raises(ValueError, match="non-finite coefficient"):
         ham.vector_field(kind, state)
 
@@ -317,10 +327,8 @@ def test_a_non_finite_state_is_rejected_by_its_cause(call, error, value):
     # the first moments reject the state as vector_field does; the
     # functions that require a unit state name the non-finite coefficient,
     # not a norm of nan or inf
-    y = fock.to_array(bv((1,), (1,)))
-    y[3] += value
     with pytest.raises(error, match="non-finite coefficient"):
-        call(fock.from_array(CUT, y))
+        call(non_finite_state(value))
 
 
 def test_a_finite_state_off_the_sphere_names_its_norm():

@@ -75,8 +75,8 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     # each stage writes z_j into its row and z'_j into K[j], in
     # place: the bits of the allocating dot of the coefficient row
     # [h A_j reversed | 1] with [K[j-1], ..., K[0], z0] and of an
-    # allocating frame_field call on z_j at the angle direction * c_j h,
-    # negated on a backward run
+    # allocating call of a freshly bound frame_kernel on z_j at the angle
+    # direction * c_j h, negated on a backward run
     cut = Cutoff(k=8, d=d)
     table = fock.ladder_table(cut)
     rng = np.random.default_rng(10 + d)
@@ -90,7 +90,7 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
         zk, coef, plan = integ._stage_plan(z0.size, direction)
         K = zk[15::-1]  # K[k] is row 15 - k
         zk[16] = z0
-        K[0] = hamiltonian.frame_field(table, z0, 0.0, integ._TRUNCATION_FLUX_TOL)
+        K[0] = hamiltonian.frame_kernel(table, integ._TRUNCATION_FLUX_TOL)(z0, 0.0)
         np.multiply(h, integ._A_REV, out=coef[:, :16])
         z_new = integ._lawson_stages(kernel_of(cut), plan, h, direction < 0)
         assert z_new is plan[-1][0]
@@ -106,8 +106,8 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
             assert np.abs(inner - tableau).max() <= 1e-15
             theta = direction * (integ._C[j] * h)
             assert theta != 0.0
-            fresh = hamiltonian.frame_field(table, inner.copy(), theta,
-                                            integ._TRUNCATION_FLUX_TOL)
+            fresh = hamiltonian.frame_kernel(table, integ._TRUNCATION_FLUX_TOL)(
+                inner.copy(), theta)
             assert K[j].tobytes() == (fresh if direction > 0 else -fresh).tobytes()
 
 

@@ -97,6 +97,13 @@ def test_hermite_orthonormality_by_quadrature():
             assert val == pytest.approx(1.0 if m == n else 0.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_hermite_table_rejects_a_non_finite_point(bad):
+    # a NaN point gave NaN rows, and an infinite one a RuntimeWarning
+    with pytest.raises(ValueError, match="non-finite x"):
+        pl.hermite_table(3, [0.5, bad])
+
+
 def test_hermite_raising_consistency():
     # (x h_n - h_n') / sqrt(2) = sqrt(n+1) h_{n+1}, derivative by recurrence
     xs = np.linspace(-6.0, 6.0, 100)

@@ -3,8 +3,15 @@
     PYTHONPATH=src python3 tools/bench.py [--against SRC] [LAYER ...]
 
 LAYER is one of ``fock``, ``integrate``, ``spectrum``, ``orbits``,
-``pipeline`` and ``output``; without one every layer runs.  With
-PYTHONPATH pointing at another checkout's ``src`` it times that tree.
+``pipeline``, ``output`` and ``digests``; without one every layer runs.
+With PYTHONPATH pointing at another checkout's ``src`` it times that tree.
+
+``digests`` times nothing: it runs the catalogue of CLI commands that
+covers every command, and records the size and SHA-256 of each file they
+write.  A JSON must be ``json.dumps(..., indent=2, sort_keys=True)`` plus a
+newline and a CSV cell under the header its value's ``%.17g``, or the case
+fails.  Two runs print the same bytes: run it twice and ``cmp`` the two
+records to check that every output reruns byte for byte.
 
 ``--against SRC`` pairs this tree (the package the harness imports) with the
 package under the directory SRC, another checkout's ``src``: each case's
@@ -12,7 +19,8 @@ child runs PAIRS times on each tree, alternately (this tree, then SRC, in
 every repeat).  A rung then records each tree's figures under ``this`` and
 ``against``, its timing the minimum over the pairs, and under ``ratio``
 the median and quartiles of the PAIRS ratios this / against of the
-timing, pair by pair.
+timing, pair by pair.  A case without timing (``digests``) runs once on
+each tree and has no ratio.
 
 Every case (a rung, or one op of a ``fock`` or ``pipeline`` rung) runs in its own process
 with one BLAS thread and is stopped after TIMEOUT_S.  Its environment pins
@@ -461,6 +469,86 @@ def output_case(rung: dict, _) -> Iterator[dict]:
     yield dict(desc, first_call_s=first, **best, files=files)
 
 
+# digests: one case per (state, command), run in a fresh directory that
+# holds the state as state.json; a state is its terms (a, b, amplitude) at K = 8.
+
+DIGEST_STATES = {
+    # excitations 0 and 2, at d = 1, 2 and 3
+    "centered": [((0,), (0,), 0.6), ((1,), (1,), 0.48j), ((0,), (2,), 0.64)],
+    "centered_d2": [((0, 0), (0, 0), 0.5), ((1, 0), (0, 1), 0.5j),
+                    ((0, 0), (1, 1), 0.5), ((0, 1), (2, 1), 0.5j)],
+    "centered_d3": [((0, 0, 0), (0, 0, 0), 0.5), ((1, 0, 0), (0, 0, 1), 0.5j),
+                    ((0, 0, 0), (1, 0, 1), 0.5), ((0, 1, 0), (2, 0, 1), 0.5j)],
+    "equilibrium": [((1,), (2,), 1.0)],
+    "family": [((0,), (0,), 0.8), ((2,), (0,), 0.6)],
+    "three": [((0,), (0,), 0.6), ((2,), (0,), 0.48j), ((0,), (2,), 0.64)],
+    # nonzero first moments, so the fields gather the raising rows; the
+    # second state is the first at norm 1.1, whose full field runs the pair branch
+    "uncentered": [((0, 0), (0, 0), 0.8), ((1, 0), (0, 0), 0.36j), ((0, 0), (0, 1), 0.48)],
+    "uncentered_big": [((0, 0), (0, 0), 0.88), ((1, 0), (0, 0), 0.396j),
+                       ((0, 0), (0, 1), 0.528)],
+    "uncentered_d1": [((0,), (0,), 0.6), ((2,), (0,), 0.7997499609j), ((1,), (0,), 0.02)],
+}
+
+
+def _both_ways(state: str, t_end: float, options: str) -> list[tuple[str, str]]:
+    """The cases ``simulate --t-end=T options`` of ``state`` at T = t_end and -t_end."""
+    return [(state, f"simulate --t-end={t} {options}") for t in (t_end, -t_end)]
+
+
+DIGESTS = [
+    *_both_ways("centered", 2 * math.pi, "--samples 65 --out sim.csv --report sim.json"),
+    *_both_ways("centered_d2", 2 * math.pi, "--samples 65 --out sim.csv --report sim.json"),
+    *_both_ways("centered_d3", math.pi / 8, "--samples 65 --out sim.csv --report sim.json"),
+    *_both_ways("uncentered_d1", 0.4, "--out sim.csv --report sim.json"),
+    ("centered", "simulate --t-end 6.283185307179586 --out small.csv --report small.json"),
+    ("centered", "vector-field --kind full --json field.json"),
+    ("uncentered", "vector-field --kind chart --json vf.json"),
+    ("uncentered", "vector-field --kind sphere --json vf.json"),
+    ("uncentered_big", "vector-field --kind full --json vf.json"),
+    ("equilibrium", "spectrum --json spectrum.json --csv spectrum.csv"),
+    ("family", "classify --json classify.json --rational-weights 0=16/25,-2=9/25"),
+    ("three", "classify --json classify.json"),
+    (None, "family --n 0 --m -2 --gamma-steps 3 --out family.json"),
+    ("family", "energy --json energy.json"),
+    ("family", "pipeline --t 0.5 --grid-n 64 --grid-l 6.0 --out-prefix pipe"),
+]
+
+
+def _check_format(path: str) -> None:
+    """Raise ValueError unless the output file ``path`` is in its strict format."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        bad = text != json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    else:
+        cells = [c for line in text.splitlines()[1:] for c in line.split(",")]
+        bad = not cells or any("%.17g" % float(c) != c for c in cells)
+    if bad:
+        raise ValueError(f"{path} is not in its strict format")
+
+
+def digests_case(rung: dict, _) -> Iterator[dict]:
+    argv, cwd = rung["command"].split(), os.getcwd()
+    with tempfile.TemporaryDirectory() as outdir:
+        os.chdir(outdir)
+        try:
+            if rung["state"] is not None:
+                terms = [{"a": list(a), "b": list(b), "re": z.real, "im": z.imag}
+                         for a, b, z in DIGEST_STATES[rung["state"]]]
+                with open("state.json", "w", encoding="utf-8") as fh:
+                    json.dump({"K": 8, "d": len(terms[0]["a"]), "terms": terms}, fh)
+                argv[1:1] = ["--state", "state.json"]
+            if cli.main(argv):
+                raise RuntimeError(f"cli.main {argv[0]} returned nonzero")
+            outputs = sorted(set(os.listdir()) - {"state.json"})
+            yield {"files": _files(outputs)}
+            for path in outputs:
+                _check_format(path)
+        finally:
+            os.chdir(cwd)
+
+
 class Layer(NamedTuple):
     ladder: list[dict]  # the rungs' parameters, which lead their records
     case: Callable[[dict, str | None], Iterator[dict]]  # figures as they are known
@@ -499,6 +587,7 @@ LAYERS = {
         + [{"output": "f_csv", "grid_n": n} for n in (64, 128, 256, 512)],
         output_case, {"seed": OUTPUT_SEED, "samples": SAMPLES},
     ),
+    "digests": Layer([{"state": s, "command": c} for s, c in DIGESTS], digests_case, {"K": 8}),
 }
 
 
@@ -600,15 +689,18 @@ def run_layer(name: str, against: str | None = None) -> dict:
                     runs[tree].append(figures)
                     if result is not None:
                         failures.append(f"{label}{tree}: {result}")
-            if any(_timing(figures) is None for done in runs.values() for figures in done):
-                continue
-            timings = {}
+                if _timing(runs["this"][0]) is None:
+                    break  # nothing to pair: one run on each tree
             for tree, done in runs.items():
                 _merge(rung.setdefault(tree, {}), done[0])
                 if layer.unpinned:
                     rung[tree]["faults_per_call_default"] = _default_faults(
                         name, index, part, THIS_SRC if tree == "this" else against,
                         failures, f"{label}{tree}: ")
+            if any(_timing(figures) is None for done in runs.values() for figures in done):
+                continue  # a case without timing keeps its figures, and has no ratio
+            timings = {}
+            for tree, done in runs.items():
                 key = _timing(done[0])[0]
                 timings[tree] = [_timing(figures)[1] for figures in done]
                 if key == "min_s":
