@@ -39,7 +39,7 @@ finite-difference derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,26 +65,31 @@ def is_relative_equilibrium(v: FockVector, tol: float) -> bool:
 class LinearizationReport:
     """Linearized chart field at a relative equilibrium.
 
-    ``eigenvalues`` holds all 2 * (basis size - 1) eigenvalues, sorted by
-    (imag, real).  ``block`` is the real matrix of the derivative on the
-    invariant block spanned by the ladder images of the base.  ``jordan``
-    maps each integer l in the block spectrum to the Weyr characteristic
-    of i l: the nullities of successive deflations, whose first entry is
-    the geometric and whose sum is the algebraic multiplicity.  When it is
-    set, every eigenvalue is an exact imaginary integer; when the block
-    spectrum is not integer it is None, and the block part of
-    ``eigenvalues`` holds the block's raw eigenvalues.  Classification
-    fields stay None until ``classify_spectrum`` runs.
+    ``eigenvalues`` holds all 2 * (basis size - 1) eigenvalues as a
+    read-only complex array sorted by (imag, real).  ``block`` is the real
+    matrix of the derivative on the invariant block spanned by the ladder
+    images of the base.  ``jordan`` maps each integer l in the block
+    spectrum to the Weyr characteristic of i l: the nullities of
+    successive deflations, whose first entry is the geometric and whose
+    sum is the algebraic multiplicity.  When it is set, every eigenvalue
+    is an exact imaginary integer; when the block spectrum is not integer
+    it is None, and the block part of ``eigenvalues`` holds the block's
+    raw eigenvalues.  ``perturbed_subspace_dim`` is the rank, at most 4d,
+    of the real conditions Re<delta, o base> = 0, o in {a_i, a*_i, b_i,
+    b*_i}.  ``kernel_block_deviation`` bounds the derivative minus the
+    diagonal rotation -i (N_op - N) on their joint kernel, and
+    ``integer_spectrum_ok`` holds when ``jordan`` is set and that bound is
+    at most 1e-12.
     """
 
     base: FockVector
     excitation: int
-    eigenvalues: tuple[complex, ...]
+    eigenvalues: np.ndarray
     block: np.ndarray
     jordan: dict[int, tuple[int, ...]] | None
-    perturbed_subspace_dim: int | None = None
-    integer_spectrum_ok: bool | None = None
-    kernel_block_deviation: float | None = None
+    perturbed_subspace_dim: int
+    integer_spectrum_ok: bool
+    kernel_block_deviation: float
 
     @cached_property
     def chart(self) -> np.ndarray:
@@ -217,11 +222,18 @@ def _integer_jordan(
 
 
 def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationReport:
-    """Linearize the chart field at ``base`` and compute its spectrum.
+    """Linearize the chart field at ``base``; spectrum and structure checks.
 
     ``base`` must be a unit excitation eigenvector supported at degree
     <= K - 2 and a relative equilibrium (checked).  An explicit ``cutoff``
     re-embeds the state before linearizing.
+
+    The structure checks run in ambient real coordinates: the images lie
+    in the chart tangent, so the conditions' rank and kernel there are
+    those on the chart tangent.  D minus the rotation is sum_j +-i w_j
+    Re<., w_j> with w_j = (o_j + o*_j) base, so on the kernel its norm is
+    at most sum_j |w_j| |P f_j|, f_j the real coordinates of w_j and P the
+    projection off the conditions' span.
     """
     if cutoff is not None and cutoff != base.cutoff:
         base = FockVector(cutoff, base.coeffs)
@@ -255,46 +267,9 @@ def linearize(base: FockVector, cutoff: Cutoff | None = None) -> LinearizationRe
     exact = np.zeros(sum(map(len, imag)), dtype=complex)  # real parts +0.0
     exact.imag = np.concatenate(imag)
     eigs = np.concatenate((eigs, exact))
-    order = np.lexsort((eigs.real, eigs.imag))
-    return LinearizationReport(
-        base=base,
-        excitation=exc,
-        eigenvalues=tuple(eigs[order].tolist()),
-        block=block,
-        jordan=jordan,
-    )
+    eigs = eigs[np.lexsort((eigs.real, eigs.imag))]
+    eigs.flags.writeable = False
 
-
-def linearization_matrix(base: FockVector, cutoff: Cutoff | None = None) -> np.ndarray:
-    return linearize(base, cutoff).matrix
-
-
-def spectrum(matrix: np.ndarray) -> list[complex]:
-    """All eigenvalues of a real square matrix, sorted by (imag, real)."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    vals = np.linalg.eigvals(matrix)
-    return sorted((complex(z) for z in vals), key=lambda z: (z.imag, z.real))
-
-
-def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
-    """Verify the finite-rank perturbation structure of the linearization.
-
-    Checks that (a) on the joint kernel of the real orthogonality
-    conditions Re<delta, o base> = 0, o in {a_i, a*_i, b_i, b*_i}, the
-    derivative equals the diagonal rotation -i (N_op - N) to 1e-12, and
-    (b) the codimension of that kernel is at most 4d.  Also flags whether
-    the spectrum is integer (``report.jordan`` is set).
-
-    Both checks run in ambient real coordinates: the images lie in the
-    chart tangent, so the conditions' rank and kernel there are those on
-    the chart tangent.  D minus the rotation is sum_j +-i w_j Re<., w_j>
-    with w_j = (o_j + o*_j) base, so on the kernel its operator norm is at
-    most sum_j |w_j| |P f_j|, where f_j are the real coordinates of w_j
-    and P projects off the span of the conditions.
-    """
-    table = fock.ladder_table(report.base.cutoff)
-    images = table.gather(report.base.array)
     cond = _interleave(_ladder_rows(images).T)  # conditions as columns
     u, singular, _ = np.linalg.svd(cond, full_matrices=False)
     rank = int(np.sum(singular > 1e-8))
@@ -303,9 +278,21 @@ def classify_spectrum(report: LinearizationReport) -> LinearizationReport:
     f = _interleave(pairing.T)
     off = f - span @ (span.T @ f)
     deviation = float(np.linalg.norm(pairing, axis=1) @ np.linalg.norm(off, axis=0))
-    return replace(
-        report,
+    return LinearizationReport(
+        base=base,
+        excitation=exc,
+        eigenvalues=eigs,
+        block=block,
+        jordan=jordan,
         perturbed_subspace_dim=rank,
-        integer_spectrum_ok=bool(report.jordan is not None and deviation <= 1e-12),
+        integer_spectrum_ok=bool(jordan is not None and deviation <= 1e-12),
         kernel_block_deviation=deviation,
     )
+
+
+def spectrum(matrix: np.ndarray) -> list[complex]:
+    """All eigenvalues of a real square matrix, sorted by (imag, real)."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    vals = np.linalg.eigvals(matrix)
+    return sorted((complex(z) for z in vals), key=lambda z: (z.imag, z.real))

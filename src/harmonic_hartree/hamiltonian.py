@@ -265,4 +265,6 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
             arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
     except FloatingPointError as exc:
         raise ValueError(f"the {kind.value} vector field overflows float64 ({exc})") from None
+    # from_array's finite check stays: the full field's pair matmul can
+    # overflow to nan without raising FloatingPointError
     return fock.from_array(v.cutoff, arr, v.truncated)

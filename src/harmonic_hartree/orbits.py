@@ -188,8 +188,9 @@ def analytic_solution(orbit: AnalyticOrbit, t: float) -> FockVector:
         if not math.isfinite(phase):
             raise ValueError(f"time {t} is too large: the phase of excitation {n} overflows")
         phases[n + k] = cmath.exp(-1j * phase)
-    return fock.from_array(state.cutoff, phases[_slices(state.cutoff)] * state.array,
-                           state.truncated)
+    # unit phases on a unit state: the fresh array is finite
+    return fock._vector(state.cutoff, phases[_slices(state.cutoff)] * state.array,
+                        state.truncated)
 
 
 def orbit_velocity(v: FockVector) -> float:

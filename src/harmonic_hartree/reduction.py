@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import BasisMismatchError, NormalizationError
+from .errors import NormalizationError
 from .fock import FockVector
 
 GAUGE_EPS = 1e-10
@@ -101,8 +101,4 @@ def projective_distance(u: FockVector, v: FockVector) -> float:
 
 def quotient_distance(p: QuotientPoint, q: QuotientPoint) -> float:
     """Chordal quotient metric; zero exactly on equal phase classes."""
-    if p.rep.cutoff != q.rep.cutoff:
-        raise BasisMismatchError(
-            f"cutoff mismatch: {p.rep.cutoff} vs {q.rep.cutoff}"
-        )
     return projective_distance(p.rep, q.rep)

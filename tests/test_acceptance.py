@@ -107,7 +107,7 @@ def criterion_3_spectrum_structure():
     max_pert = 0
     for a, b in [((0,), (0,)), ((0,), (2,))]:
         base = bv(a, b, cut)
-        rep = eq.classify_spectrum(eq.linearize(base))
+        rep = eq.linearize(base)
         eigs = np.array(rep.eigenvalues)
         worst_re = max(worst_re, float(np.abs(eigs.real).max()))
         worst_block = max(worst_block, rep.kernel_block_deviation)

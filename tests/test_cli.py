@@ -862,9 +862,9 @@ def test_spectrum_json_matches_stdlib(tmp_path, state):
     out = tmp_path / "s.json"
     assert cli.main(["spectrum", "--state", path, "--json", str(out),
                      "--csv", str(tmp_path / "s.csv")]) == 0
-    report = equilibria.classify_spectrum(equilibria.linearize(state))
+    report = equilibria.linearize(state)
     assert out.read_bytes() == stdlib_json({
-        "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues],
+        "eigenvalues": [[z.real, z.imag] for z in report.eigenvalues.tolist()],
         "perturbed_dim": report.perturbed_subspace_dim,
         "integer_ok": report.integer_spectrum_ok,
         "excitation": report.excitation,

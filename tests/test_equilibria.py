@@ -60,11 +60,10 @@ def test_linearization_vacuum_known_blocks():
 
 def test_linearization_matrix_surface():
     base = bv((0,), (0,))
-    mat = eq.linearization_matrix(base)
+    mat = eq.linearize(base).matrix
     assert mat.shape == (54, 54)  # 28 basis states -> complex chart dim 27
-    assert np.array_equal(mat, eq.linearize(base).matrix)
     # explicit cutoff re-embeds the state first
-    wide = eq.linearization_matrix(base, Cutoff(k=8, d=1))
+    wide = eq.linearize(base, Cutoff(k=8, d=1)).matrix
     assert wide.shape == (88, 88)
 
 
@@ -117,7 +116,7 @@ def test_spectrum_helper():
 @pytest.mark.parametrize("a,b,max_pert", [(((0,)), ((0,)), 4), (((0,)), ((2,)), 4)])
 def test_spectrum_structure_at_equilibria(a, b, max_pert):
     base = bv(tuple(a), tuple(b))
-    rep = eq.classify_spectrum(eq.linearize(base))
+    rep = eq.linearize(base)
     eigs = np.array(rep.eigenvalues)
     assert np.abs(eigs.real).max() <= 1e-9
     assert rep.perturbed_subspace_dim <= max_pert
@@ -157,12 +156,32 @@ def test_vacuum_spectrum_is_integer_to_1e9():
     assert np.abs(eigs.imag - np.round(eigs.imag)).max() <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "base",
+    [bv((0,), (2,)), fock.basis_vector(Cutoff(k=6, d=2), (1, 0), (0, 2))],
+    ids=["d1", "d2"],
+)
+def test_linearize_returns_complete_report(base):
+    rep = eq.linearize(base)
+    assert isinstance(rep.perturbed_subspace_dim, int)
+    assert 0 < rep.perturbed_subspace_dim <= 4 * base.cutoff.d
+    assert rep.integer_spectrum_ok is True
+    assert isinstance(rep.kernel_block_deviation, float)
+    assert 0.0 <= rep.kernel_block_deviation <= 1e-12
+    eigs = rep.eigenvalues
+    assert isinstance(eigs, np.ndarray) and eigs.dtype == np.complex128
+    assert eigs.shape == (2 * (base.cutoff.size - 1),)
+    assert not eigs.flags.writeable
+    keys = list(zip(eigs.imag.tolist(), eigs.real.tolist()))
+    assert keys == sorted(keys)
+
+
 def test_classify_d2_perturbed_dimension():
     cut = Cutoff(k=4, d=2)
-    rep = eq.classify_spectrum(eq.linearize(fock.basis_vector(cut, (0, 0), (0, 0))))
+    rep = eq.linearize(fock.basis_vector(cut, (0, 0), (0, 0)))
     assert rep.perturbed_subspace_dim <= 8
     assert rep.integer_spectrum_ok
-    rep2 = eq.classify_spectrum(eq.linearize(fock.basis_vector(cut, (0, 0), (2, 0))))
+    rep2 = eq.linearize(fock.basis_vector(cut, (0, 0), (2, 0)))
     assert rep2.perturbed_subspace_dim <= 8
 
 
@@ -181,7 +200,7 @@ def test_svd_null_space_matches_scipy(cut):
         if idx.degree > cut.k - 2:
             continue
         base = fock.FockVector(cut, {idx: 1.0 + 0j})
-        rep = eq.classify_spectrum(eq.linearize(base))
+        rep = eq.linearize(base)
         base_arr = fock.to_array(base)
         ref_chart = scipy.linalg.null_space(base_arr.conj()[None, :])
         assert rep.chart.shape == ref_chart.shape
@@ -278,7 +297,7 @@ def test_non_integer_block_falls_back_to_raw_eigenvalues(monkeypatch):
     # block part of the spectrum is then its raw eigenvalues
     monkeypatch.setattr(eq, "INTEGER_TOL", 0.0)
     base = fock.basis_vector(Cutoff(k=8, d=1), (1,), (2,))
-    rep = eq.classify_spectrum(eq.linearize(base))
+    rep = eq.linearize(base)
     assert rep.jordan is None
     assert not rep.integer_spectrum_ok
     _assert_same_multiset(rep.eigenvalues, eq.spectrum(rep.matrix), 1e-6)
@@ -291,10 +310,8 @@ def test_all_d2_k8_basis_equilibria_have_integer_spectra():
     states = _basis_equilibria(cut)
     assert len(states) == 210
     for base in states:
-        lin = eq.linearize(base)
-        rep = eq.classify_spectrum(lin)
+        rep = eq.linearize(base)
         assert rep.integer_spectrum_ok, base
         assert rep.perturbed_subspace_dim <= 4 * cut.d
         # the spectrum path never builds the dense chart or matrix
-        for r in (lin, rep):
-            assert "chart" not in vars(r) and "matrix" not in vars(r)
+        assert "chart" not in vars(rep) and "matrix" not in vars(rep)

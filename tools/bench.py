@@ -233,8 +233,8 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
     yield dict(best, faults_per_call=faults_per_call(op, best["calls_per_run"]))
 
 
-# spectrum: ``linearize`` + ``classify_spectrum`` at basis-vector relative
-# equilibria (basis sizes 45, 210, 495, 3003)
+# spectrum: ``linearize`` (and ``classify_spectrum`` where the tree has it)
+# at basis-vector relative equilibria (basis sizes 45, 210, 495, 3003)
 
 EQUILIBRIA = [
     {"K": 8, "d": 1, "a": [1], "b": [2]},
@@ -248,11 +248,15 @@ def _equilibrium(rung: dict) -> fock.FockVector:
     return fock.basis_vector(fock.Cutoff(k=rung["K"], d=rung["d"]), rung["a"], rung["b"])
 
 
+def _report(base: fock.FockVector):
+    return getattr(equilibria, "classify_spectrum", lambda r: r)(equilibria.linearize(base))
+
+
 def spectrum_case(rung: dict, _) -> Iterator[dict]:
     base = _equilibrium(rung)
 
     def op():
-        return equilibria.classify_spectrum(equilibria.linearize(base))
+        return _report(base)
 
     first, report = timed(op)
     yield {"n": base.cutoff.size, "first_call_s": first,
@@ -413,12 +417,12 @@ def _output_setup(rung: dict, outdir: str):
         return argv, stubs, [out], {"K": 8, "terms": len(field.coeffs)}
     if rung["output"] == "spectrum_json":
         state = _equilibrium(rung)
-        report = equilibria.classify_spectrum(equilibria.linearize(state))
+        report = _report(state)
         out = os.path.join(outdir, "s{call}.json")
         argv = ["spectrum", "--state", "-", "--json", out, "--csv", os.devnull]
         stubs = [(cli, {"_load_state": _const(state), "_write_csv": _const(None)}),
-                 (equilibria, {"linearize": _const(report),
-                               "classify_spectrum": _const(report)})]
+                 (equilibria, {name: _const(report) for name in ("linearize", "classify_spectrum")
+                               if hasattr(equilibria, name)})]
         return argv, stubs, [out], {"n": state.cutoff.size,
                                     "eigenvalues": len(report.eigenvalues)}
     if rung["output"] == "simulate_csv":
@@ -480,6 +484,9 @@ DIGEST_STATES = {
     "centered_d3": [((0, 0, 0), (0, 0, 0), 0.5), ((1, 0, 0), (0, 0, 1), 0.5j),
                     ((0, 0, 0), (1, 0, 1), 0.5), ((0, 1, 0), (2, 0, 1), 0.5j)],
     "equilibrium": [((1,), (2,), 1.0)],
+    # the d = 2 and d = 3, K = 8 equilibria of the spectrum layer
+    "equilibrium_d2": [((1, 0), (0, 2), 1.0)],
+    "equilibrium_d3": [((1, 0, 0), (0, 2, 0), 1.0)],
     "family": [((0,), (0,), 0.8), ((2,), (0,), 0.6)],
     "three": [((0,), (0,), 0.6), ((2,), (0,), 0.48j), ((0,), (2,), 0.64)],
     # nonzero first moments, so the fields gather the raising rows; the
@@ -503,10 +510,14 @@ DIGESTS = [
     *_both_ways("uncentered_d1", 0.4, "--out sim.csv --report sim.json"),
     ("centered", "simulate --t-end 6.283185307179586 --out small.csv --report small.json"),
     ("centered", "vector-field --kind full --json field.json"),
+    ("centered_d3", "vector-field --kind full --json vf.json"),
     ("uncentered", "vector-field --kind chart --json vf.json"),
     ("uncentered", "vector-field --kind sphere --json vf.json"),
     ("uncentered_big", "vector-field --kind full --json vf.json"),
     ("equilibrium", "spectrum --json spectrum.json --csv spectrum.csv"),
+    ("equilibrium", "spectrum --cutoff 10 --json spectrum.json --csv spectrum.csv"),
+    ("equilibrium_d2", "spectrum --json spectrum.json --csv spectrum.csv"),
+    ("equilibrium_d3", "spectrum --json spectrum.json --csv spectrum.csv"),
     ("family", "classify --json classify.json --rational-weights 0=16/25,-2=9/25"),
     ("three", "classify --json classify.json"),
     (None, "family --n 0 --m -2 --gamma-steps 3 --out family.json"),
