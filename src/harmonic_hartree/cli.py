@@ -96,8 +96,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-_BLOCK = 2048  # values per renderer call: their cells are 64 KiB
-_TABLE = 4 * _BLOCK  # values per block of a CSV table: its cells are 256 KiB
+# values per renderer call: their cells are 128 KiB.  A pipeline command
+# at n = 128 took a median 4.57-4.71 ms at 2048 values a call, 4.32-4.44
+# ms at 4096 and 4.61-4.91 ms at 8192, whose temporaries pass glibc's
+# default 128 KiB mmap threshold: minor faults per command 112-128,
+# 178-194 and 655-751 (glibc defaults, 4 processes of 300 commands each,
+# 2-core Xeon, numpy 2.4)
+_BLOCK = 4096
+_TABLE = 8192  # values per block of a CSV table: its cells are 256 KiB
 # the first word of an exact zero's cell, by its sign bit: "0" or "-0"
 _ZERO = np.frombuffer(b"0\0\0\0\0\0\0\0-0\0\0\0\0\0\0", dtype=np.uint64)
 
@@ -116,8 +122,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             words = np.frombuffer(buf, dtype=np.uint64).reshape(flat.size, -1)
             words[:, 0] = _ZERO.take(np.signbit(flat).view(np.uint8))
             nz = np.flatnonzero(flat)
-            # the renderer takes _BLOCK values a call: 4 x _BLOCK at once
-            # ran 1.27x slower per value (2-core Xeon, numpy 2.4)
             for j in range(0, nz.size, _BLOCK):
                 at = nz[j : j + _BLOCK]
                 words[at] = _render.cells(flat[at]).view(np.uint64)

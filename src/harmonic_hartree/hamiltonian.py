@@ -263,8 +263,11 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     try:
         with np.errstate(over="raise", invalid="raise"):
             arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
+            # the full field's pair matmul can overflow to nan without
+            # raising FloatingPointError
+            if not np.isfinite(arr.view(np.float64)).all():
+                raise FloatingPointError("non-finite value in the field")
     except FloatingPointError as exc:
         raise ValueError(f"the {kind.value} vector field overflows float64 ({exc})") from None
-    # from_array's finite check stays: the full field's pair matmul can
-    # overflow to nan without raising FloatingPointError
-    return fock.from_array(v.cutoff, arr, v.truncated)
+    # arr is fresh and checked finite: no copy and no second scan
+    return fock._vector(v.cutoff, arr, v.truncated)

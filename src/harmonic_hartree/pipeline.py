@@ -103,15 +103,22 @@ class GridField:
             raise ValueError(f"unknown stage {self.stage!r}")
 
 
-def trapezoid_2d(values: np.ndarray, spec: GridSpec) -> float | complex:
-    """The trapezoid rule along axis 1, then axis 0: the sums of
-    ``np.trapezoid`` in its own order, the inner one formed in a single
-    (n, n - 1) array."""
-    ax = spec.axis()
+def _trapezoid_rows(values: np.ndarray, ax: np.ndarray) -> np.ndarray:
+    """The trapezoid rule along axis 1 on the points ``ax``: numpy's own
+    steps d * (y[:, 1:] + y[:, :-1]) / 2, summed, so the bits of
+    ``np.trapezoid(values, ax, axis=1)``, formed in a single (n, n - 1)
+    array."""
     inner = np.add(values[:, 1:], values[:, :-1])
     np.multiply(np.diff(ax), inner, out=inner)
     inner /= 2.0
-    return np.trapezoid(inner.sum(axis=1), ax, axis=0)
+    return inner.sum(axis=1)
+
+
+def trapezoid_2d(values: np.ndarray, spec: GridSpec) -> float | complex:
+    """The trapezoid rule along axis 1, then axis 0: the sums of
+    ``np.trapezoid`` in its own order."""
+    ax = spec.axis()
+    return np.trapezoid(_trapezoid_rows(values, ax), ax, axis=0)
 
 
 def grid_norm_sq(field: GridField) -> float:
@@ -317,8 +324,7 @@ def density(field: GridField) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"density expects stage 'xv', got {field.stage!r}")
     f = np.abs(field.values)
     np.square(f, out=f)  # the bits of f ** 2
-    rho = np.trapezoid(f, field.spec.axis(), axis=1)
-    return f, rho
+    return f, _trapezoid_rows(f, field.spec.axis())
 
 
 def vlasov_residual(f_series, dt: float, spec: GridSpec) -> float:

@@ -487,6 +487,21 @@ def test_overflowing_field_is_rejected(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def test_full_field_that_overflows_to_nan_is_rejected_as_an_overflow(tmp_path, capsys):
+    # its pair matmul overflows to nan without a FloatingPointError
+    state = fock.FockVector(Cutoff(k=6, d=3),
+                            {fock.MultiIndex((1, 0, 0), (0, 0, 1)): 1e150})
+    path = write_state(tmp_path / "big.json", state)
+    out = tmp_path / "vf.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["vector-field", "--state", path, "--kind", "full",
+                         "--json", str(out)]) == 1
+    assert assert_one_line_error(capsys) == (
+        "error: the full vector field overflows float64 (non-finite value in the field)\n")
+    assert not out.exists()
+
+
 # address-space cap of the child: far above a normal run, far below the
 # basis of any oversized cutoff below
 OVERSIZED_AS_BYTES = 1 << 30
@@ -991,11 +1006,29 @@ def per_value_grid_csv(ax, f):
     return per_value_csv(["x", "v", "f"], rows)
 
 
-@pytest.mark.parametrize("n", [64, 128], ids=["2-blocks", "8-blocks"])
-def test_pipeline_f_grid_matches_per_value_formatter(tmp_path, mix, n):
+@pytest.mark.parametrize(
+    "n, block, calls",
+    [(64, None, 1), (128, None, 4), (128, 128, 128), (128, 128**2, 1)],
+    ids=["n64", "n128", "n128-row-per-call", "n128-one-call"],
+)
+def test_pipeline_f_grid_matches_per_value_formatter(tmp_path, monkeypatch, mix, n, block,
+                                                     calls):
+    # at the default block, at one row per renderer call and with the
+    # whole grid in one call
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+    sizes, cells = [], _render.cells
+
+    def counted(values, *args, **kwargs):
+        if "out" in kwargs:  # the grid writer's calls
+            sizes.append(values.size)
+        return cells(values, *args, **kwargs)
+
+    monkeypatch.setattr(_render, "cells", counted)
     prefix = tmp_path / "pipe"
     assert cli.main(["pipeline", "--state", mix, "--t", "0.5", "--grid-n", str(n),
                      "--grid-l", "6.0", "--out-prefix", str(prefix)]) == 0
+    assert sizes == [n * n // calls] * calls
     # rows rebuilt one grid point at a time from the same chain
     spec = pl.GridSpec(n=n, extent=6.0)
     orbit = orbits.orbit_from_state(cli._load_state(mix))

@@ -309,6 +309,33 @@ def test_vector_field_rejects_a_non_finite_state(kind, part, value):
         ham.vector_field(kind, state)
 
 
+def test_a_full_field_that_overflows_to_nan_names_the_overflow():
+    # the pair matmul of this full field overflows to nan without raising
+    # FloatingPointError; the finite input is not blamed for it
+    cut = Cutoff(k=6, d=3)
+    state = fock.FockVector(cut, {fock.MultiIndex((1, 0, 0), (0, 0, 1)): 1e150})
+    with pytest.raises(ValueError) as info:
+        ham.vector_field(FieldKind.FULL, state)
+    assert str(info.value) == (
+        "the full vector field overflows float64 (non-finite value in the field)")
+    # every one-term state of that cutoff at modulus 1e150
+    for idx in fock.basis(cut):
+        with pytest.raises(ValueError, match="the full vector field overflows float64"):
+            ham.vector_field(FieldKind.FULL, fock.FockVector(cut, {idx: 1e150}))
+
+
+def test_vector_field_keeps_its_fresh_array():
+    # the result stores the field array itself, read-only, with the input's
+    # truncation flag
+    state = 1.3 * random_state(Cutoff(k=8, d=2), np.random.default_rng(3), max_degree=6)
+    for kind in FieldKind:
+        field = ham.vector_field(kind, state)
+        want = ham.field_array(kind, fock.ladder_table(state.cutoff), state.array)
+        assert np.array_equal(field.array, want)
+        assert not field.array.flags.writeable
+        assert field.truncated == state.truncated
+
+
 @pytest.mark.parametrize(
     "call, error",
     [

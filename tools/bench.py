@@ -27,10 +27,13 @@ with one BLAS thread and is stopped after TIMEOUT_S.  Its environment pins
 glibc's allocator (GLIBC_TUNABLES = MALLOC_TUNABLES): a fixed mmap threshold
 of 4 MiB and trim threshold of 256 MiB, so whether a grid-sized temporary
 maps fresh pages no longer follows the allocation history of the process.
-A layer marked ``unpinned`` (``integrate``) also runs each case once more
-with the allocator's defaults and records that run's minor page faults
-per call (``faults_per_call_default``) beside the pinned run's
-(``faults_per_call``); the timings are the pinned runs' alone.
+A layer marked ``unpinned`` (``integrate``, ``pipeline`` and ``output``)
+also runs each case once more with the allocator's defaults and records
+that run's minor page faults per call (``faults_per_call_default``)
+beside the pinned run's (``faults_per_call``); the timings are the pinned
+runs' alone.  The pinned threshold hides the heap churn of a temporary
+between glibc's default mmap threshold (128 KiB) and 4 MiB, which the
+default run shows.
 
 Timing rule: one warm-up call, one more (warm) call that sizes the runs,
 then REPEATS runs of up to CALLS calls each (fewer when the sizing call
@@ -303,7 +306,8 @@ def orbits_case(rung: dict, _) -> Iterator[dict]:
 # the whole ``pipeline`` command through ``cli.main``, each call writing
 # to a fresh prefix, and records the size and SHA-256 of the files of its
 # first call.  Only public functions are called, so one harness times
-# every tree.
+# every tree.  ``faults_per_call`` counts each op's minor page faults over
+# one run of calls after the timed runs.
 
 PIPELINE_T = 0.5
 PIPELINE_L = 6.0
@@ -383,7 +387,8 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
         op()  # warm-up
         best = best_mean(op)
         figures = {"us_per_call": {name: 1e6 * best["min_s"]},
-                   "calls_per_run": {name: best["calls_per_run"]}}
+                   "calls_per_run": {name: best["calls_per_run"]},
+                   "faults_per_call": {name: faults_per_call(op, best["calls_per_run"])}}
         if name == "command":
             figures["files"] = _files([prefix + "_f.csv", prefix + "_rho.csv"])
     yield figures
@@ -396,7 +401,9 @@ def pipeline_case(rung: dict, name: str) -> Iterator[dict]:
 # the simulate CSV (``simulate``, SAMPLES samples, with its report) and
 # the f-grid CSV (``pipeline``, with the rho CSV and the report).  Each
 # call writes to fresh paths, so no call truncates a file of the one
-# before.  Records the size and SHA-256 of every file of the first call.
+# before.  Records the size and SHA-256 of every file of the first call,
+# and the minor page faults per call over one run of calls after the timed
+# runs.
 
 OUTPUT_SEED = 8
 
@@ -469,8 +476,9 @@ def output_case(rung: dict, _) -> Iterator[dict]:
                 stack.enter_context(mock.patch.multiple(module, **attrs))
             first = timed(op)[0]
             best = best_mean(op)
+            faults = faults_per_call(op, best["calls_per_run"])
         files = _files(outs)
-    yield dict(desc, first_call_s=first, **best, files=files)
+    yield dict(desc, first_call_s=first, **best, faults_per_call=faults, files=files)
 
 
 # digests: one case per (state, command), run in a fresh directory that
@@ -523,6 +531,8 @@ DIGESTS = [
     (None, "family --n 0 --m -2 --gamma-steps 3 --out family.json"),
     ("family", "energy --json energy.json"),
     ("family", "pipeline --t 0.5 --grid-n 64 --grid-l 6.0 --out-prefix pipe"),
+    # the CLI default grid, whose f CSV takes several renderer calls
+    ("family", "pipeline --t 0.5 --grid-n 256 --grid-l 8.0 --out-prefix pipe"),
 ]
 
 
@@ -589,14 +599,14 @@ LAYERS = {
     ),
     "pipeline": Layer(
         [{"grid_n": n} for n in (128, 256)], pipeline_case,
-        {"t": PIPELINE_T, "grid_l": PIPELINE_L}, tuple(PIPELINE_OPS),
+        {"t": PIPELINE_T, "grid_l": PIPELINE_L}, tuple(PIPELINE_OPS), unpinned=True,
     ),
     "output": Layer(
         [{"output": "state_json", "d": d} for d in (1, 2, 3)]
         + [{"output": "spectrum_json", **EQUILIBRIA[i]} for i in (0, 2, 3)]
         + [{"output": "simulate_csv", "d": d} for d in (1, 2)]
         + [{"output": "f_csv", "grid_n": n} for n in (64, 128, 256, 512)],
-        output_case, {"seed": OUTPUT_SEED, "samples": SAMPLES},
+        output_case, {"seed": OUTPUT_SEED, "samples": SAMPLES}, unpinned=True,
     ),
     "digests": Layer([{"state": s, "command": c} for s, c in DIGESTS], digests_case, {"K": 8}),
 }
@@ -647,7 +657,7 @@ def _merge(rung: dict, figures: list[dict]) -> None:
     for fig in figures:
         for key, value in fig.items():
             if isinstance(value, dict) and key in rung:
-                rung[key].update(value)  # a fock op's entry
+                rung[key].update(value)  # an op's entry
             else:
                 rung[key] = value
 
@@ -669,12 +679,17 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _default_faults(name: str, index: int, part: str | None, src: str | None,
-                    failures: list[str], label: str) -> float | None:
-    """``faults_per_call`` of one run of the case under the default allocator."""
+                    failures: list[str], label: str) -> dict:
+    """``faults_per_call_default``: the ``faults_per_call`` of one run of
+    the case under the default allocator, per op for a layer with parts
+    (None when the run records none)."""
     figures, result = run_case(name, index, part, src, pinned=False)
     if result is not None:
         failures.append(f"{label}default allocator: {result}")
-    return next((fig["faults_per_call"] for fig in figures if "faults_per_call" in fig), None)
+    faults = next((fig["faults_per_call"] for fig in figures if "faults_per_call" in fig), None)
+    if faults is None and part is not None:
+        faults = {part: None}
+    return {"faults_per_call_default": faults}
 
 
 def run_layer(name: str, against: str | None = None) -> dict:
@@ -690,8 +705,7 @@ def run_layer(name: str, against: str | None = None) -> dict:
                 if result is not None:
                     failures.append(label + result)
                 if layer.unpinned:
-                    rung["faults_per_call_default"] = _default_faults(
-                        name, index, part, None, failures, label)
+                    _merge(rung, [_default_faults(name, index, part, None, failures, label)])
                 continue
             runs = {"this": [], "against": []}
             for _ in range(PAIRS):
@@ -705,9 +719,9 @@ def run_layer(name: str, against: str | None = None) -> dict:
             for tree, done in runs.items():
                 _merge(rung.setdefault(tree, {}), done[0])
                 if layer.unpinned:
-                    rung[tree]["faults_per_call_default"] = _default_faults(
+                    _merge(rung[tree], [_default_faults(
                         name, index, part, THIS_SRC if tree == "this" else against,
-                        failures, f"{label}{tree}: ")
+                        failures, f"{label}{tree}: ")])
             if any(_timing(figures) is None for done in runs.values() for figures in done):
                 continue  # a case without timing keeps its figures, and has no ratio
             timings = {}
