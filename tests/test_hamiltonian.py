@@ -324,18 +324,6 @@ def test_a_full_field_that_overflows_to_nan_names_the_overflow():
             ham.vector_field(FieldKind.FULL, fock.FockVector(cut, {idx: 1e150}))
 
 
-def test_vector_field_keeps_its_fresh_array():
-    # the result stores the field array itself, read-only, with the input's
-    # truncation flag
-    state = 1.3 * random_state(Cutoff(k=8, d=2), np.random.default_rng(3), max_degree=6)
-    for kind in FieldKind:
-        field = ham.vector_field(kind, state)
-        want = ham.field_array(kind, fock.ladder_table(state.cutoff), state.array)
-        assert np.array_equal(field.array, want)
-        assert not field.array.flags.writeable
-        assert field.truncated == state.truncated
-
-
 @pytest.mark.parametrize(
     "call, error",
     [
