@@ -178,10 +178,11 @@ def fock_case(rung: dict, name: str) -> Iterator[dict]:
            "calls_per_run": {name: best["calls_per_run"]}}
 
 
-# integrate: a seeded centered state at tol = TOL with SAMPLES samples; the
-# field evaluations are counted through ``integrate.sphere_field``, and the
-# orbit error against ``orbits.analytic_solution`` is the worst over the
-# samples and INTERIOR seeded times of the dense output.  ``sha256`` hashes
+# integrate: a seeded centered state at tol = TOL with SAMPLES samples,
+# run forward and, on the last rung, backward; the field evaluations are
+# counted through ``integrate.sphere_field``, and the orbit error against
+# ``orbits.analytic_solution`` is the worst over the samples and INTERIOR
+# seeded times of the dense output.  ``sha256`` hashes
 # the bytes of the sample times, the sampled states' arrays and the three
 # conserved columns, so two trees' trajectories compare bit for bit.
 # ``faults_per_call`` counts minor page faults over one run of calls after
@@ -217,7 +218,8 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
     with mock.patch.object(integrate, "sphere_field", counted):
         first, traj = timed(op)
     orbit = orbits.orbit_from_state(state)
-    interior = np.random.default_rng(INTEGRATE_SEED).uniform(0.0, t_end, INTERIOR)
+    interior = np.random.default_rng(INTEGRATE_SEED).uniform(
+        min(0.0, t_end), max(0.0, t_end), INTERIOR)
     checks = list(zip(traj.times.tolist(), traj.states)) + [
         (t, traj.interpolate(t).normalized()) for t in interior.tolist()
     ]
@@ -585,7 +587,7 @@ LAYERS = {
     ),
     "integrate": Layer(
         [{"K": 8, "d": 1, "t_end": 2 * math.pi}, {"K": 8, "d": 2, "t_end": math.pi / 4},
-         {"K": 8, "d": 3, "t_end": math.pi / 4}],
+         {"K": 8, "d": 3, "t_end": math.pi / 4}, {"K": 8, "d": 2, "t_end": -math.pi / 4}],
         integrate_case,
         {"seed": INTEGRATE_SEED, "tol": TOL, "samples": SAMPLES, "interior": INTERIOR},
         unpinned=True,
