@@ -24,8 +24,10 @@ Specifics:
   at y = e^{-iN theta} z and the frame angle theta = c_j h; every ladder
   op shifts N by a fixed amount, so ``sphere_field`` computes it from z
   and scalar phases e^{i sign theta} alone, and no vector is rotated
-  inside a step.  A backward run integrates in s = -t: its stages pass
-  the negated angle -c_j h and negate their derivative in place;
+  inside a step.  The flow is reversible, so a backward run takes the
+  same field with the signed step -h: the stages hold the forward-time
+  derivative, and the signed step scales the coefficient matrix, the
+  frame angles and the dense-output rows;
 * after every accepted step the state y_new = e^{-iN h} z(h) is projected
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
@@ -34,19 +36,21 @@ Specifics:
   stages reversed (K[k] in row 15 - k) and z(0) in row 16; stage 12 is
   z'(h), which rotated by the same e^{-iN h} is the next step's first
   stage (FSAL).  Once per step the (16, 17) coefficient matrix
-  [h A reversed | 1] is written in one multiply, so stage point j is one
-  dot of its row with the slice zk[16 - j:]: sum_k (h A[j, k]) K[k] + z0,
-  z(0) added last like z0 + h (A[j] @ K), whose last bits it need not
-  keep (the step counts it does keep).  Each call builds a stage plan
-  once: for stage j, row j of a (16, n) buffer, the coefficient row, the
-  slice of zk, the row K[j] and the signed stage time.  Each call also
-  binds the cutoff's frame-field kernel once (``hamiltonian.frame_kernel``
-  with the abort threshold): what a stage reads from the ladder table is
-  looked up then, and the kernel keeps its conj(z) buffer.  A stage then writes z_j into its row with
-  that dot and makes one ``sphere_field`` call through the kernel, which
-  gathers from the row in place and writes z'_j straight into K[j]: no
-  stage copies its state or its derivative, looks up a table field or
-  calls further down than the kernel;
+  [step A reversed | 1], step = +-h, is written in one multiply, so
+  stage point j is one dot of its row with the slice zk[16 - j:]:
+  sum_k (step A[j, k]) K[k] + z0, z(0) added last like
+  z0 + step (A[j] @ K), whose last bits it need not keep (the step
+  counts it does keep).  Each call builds a stage plan once: for stage
+  j, row j of a (16, n) buffer, the coefficient row, the slice of zk,
+  the row K[j] and the stage time c_j.  Each call also binds the
+  cutoff's frame-field kernel once (``hamiltonian.frame_kernel`` with
+  the abort threshold): what a stage reads from the ladder table is
+  looked up then, and the kernel keeps its conj(z) buffer.  A stage then
+  writes z_j into its row with that dot and makes one ``sphere_field``
+  call through the kernel, which gathers from the row in place and
+  writes z'_j straight into K[j]: no stage copies its state or its
+  derivative, looks up a table field or calls further down than the
+  kernel;
 * 7th-order dense output of z from the step's own continuous extension,
   rotated back by e^{-iN(s - s0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
@@ -394,43 +398,41 @@ def _sample_count(samples) -> int | None:
     return count
 
 
-def _stage_plan(n: int, direction: float) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+def _stage_plan(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """The stage buffer, the coefficient matrix and the per-stage plan.
 
     The (17, n) stage buffer zk holds the stages in reverse, K[k] in row
     15 - k, and z(0) in row 16.  The (16, 17) coefficient matrix is
-    [h A reversed | 1]: column 16 is one, and the caller writes h A with
-    its columns reversed into the rest once per step.  Per stage
+    [step A reversed | 1]: column 16 is one, and the caller writes step A
+    with its columns reversed into the rest once per step.  Per stage
     j = 1..15 the plan holds row j of a (16, n) buffer of stage points,
     the coefficient row over columns 16 - j..16, the view zk[16 - j:]
-    (K[j - 1], ..., K[0], z(0)), the row K[j] and the signed stage time
-    direction * c_j, whose product with h is the frame angle."""
+    (K[j - 1], ..., K[0], z(0)), the row K[j] and the stage time c_j,
+    whose product with the signed step is the frame angle."""
     zk = np.empty((17, n), dtype=complex)
     coef = np.zeros((16, 17), dtype=complex)
     coef[:, 16] = 1.0
     points = np.empty((16, n), dtype=complex)
-    plan = [(points[j], coef[j, 16 - j :], zk[16 - j :], zk[15 - j], direction * _C[j])
+    plan = [(points[j], coef[j, 16 - j :], zk[16 - j :], zk[15 - j], _C[j])
             for j in range(1, 16)]
     return zk, coef, plan
 
 
-def _lawson_stages(kernel, plan, h, backward: bool) -> np.ndarray:
+def _lawson_stages(kernel, plan, step) -> np.ndarray:
     """Fill the stages of ``plan`` (a slice of ``_stage_plan``) for the
-    step of size h, whose z(0) and coefficient matrix [h A reversed | 1]
-    are in place, in the frame z(tau) = e^{i rate tau} y(s0 + tau),
-    rate = direction * N.
+    signed step ``step`` (-h on a backward run), whose z(0) and coefficient
+    matrix [step A reversed | 1] are in place, in the frame
+    z(sigma) = e^{iN sigma} y(t0 + sigma).
 
-    Stage j writes z_j = sum_k h A[j, k] K[k] + z0, one dot of its
+    Stage j writes z_j = sum_k step A[j, k] K[k] + z0, one dot of its
     coefficient row with zk[16 - j:], into its row, and z'_j, the
     derivative of z there, into K[j]: ``sphere_field`` through ``kernel``
-    at the frame angle direction * c_j h reads the row in place, and a
-    backward run negates its result in place.  Returns the last z_j: for
-    stages 1..12 that is the step's z(h), and K[12] ends as z'(h)."""
+    at the frame angle c_j step reads the row in place.  Returns the last
+    z_j: for stages 1..12 that is the step's z(step), and K[12] ends as
+    z'(step)."""
     for row, coef, zk, out, c in plan:
         np.dot(coef, zk, out=row)
-        sphere_field(kernel, row, c * h, out)
-        if backward:
-            np.negative(out, out=out)
+        sphere_field(kernel, row, c * step, out)
     return row
 
 
@@ -500,12 +502,11 @@ def integrate(
     rate = direction * table.n_diag
     # N is an integer: the phases need one exponential per distinct value
     levels, level_of = np.unique(rate, return_inverse=True)
-    backward = direction < 0
 
     y0 = state.normalized().array
     y = y0
     n = y0.size
-    zk, coef, plan = _stage_plan(n, direction)
+    zk, coef, plan = _stage_plan(n)
     zk[16] = y
     # stages[k] is K[k]: the error and the dense rows sum over this view in
     # the order of dop853.f
@@ -515,9 +516,7 @@ def integrate(
     step_plan, dense_plan = plan[:12], plan[12:]  # stages 1..12 and 13..15
     abs_y, scale = np.abs(y), np.empty(n)
     err, err_conj = np.empty((2, n), dtype=complex), np.empty((2, n), dtype=complex)
-    sphere_field(kernel, y, direction * 0.0, first)
-    if backward:
-        np.negative(first, out=first)
+    sphere_field(kernel, y, 0.0, first)
     s = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
     # the dense output: per accepted step its start s0, its size h and, in
@@ -544,8 +543,9 @@ def integrate(
         h = min(h, remaining, _H_MAX)
         if h < 1e-14 * max(1.0, s):
             raise IntegrationError(f"step size underflow at t={s * direction}")
-        np.multiply(h, _A_REV, out=coef_h)
-        z_new = _lawson_stages(kernel, step_plan, h, backward)
+        step = direction * h
+        np.multiply(step, _A_REV, out=coef_h)
+        z_new = _lawson_stages(kernel, step_plan, step)
         # scale = SAFETY tol (1 + max(|y|, |y_new|)), and |y_new| = |z_new|
         # entrywise: the frame only turns phases
         np.abs(z_new, out=scale)
@@ -563,7 +563,7 @@ def integrate(
             h *= max(0.2, 0.9 * err_norm ** (-1 / 8))
             continue
 
-        _lawson_stages(kernel, dense_plan, h, backward)
+        _lawson_stages(kernel, dense_plan, step)
         if accepted == len(store):
             grown = np.empty((2 * accepted, 8, n), dtype=complex)
             grown[:accepted] = store
@@ -571,7 +571,7 @@ def integrate(
         segment = store[accepted]
         segment[0] = y
         np.matmul(_DENSE, stages, out=segment[1:])
-        segment[1:] *= h
+        segment[1:] *= step
         starts.append(s)
         sizes.append(h)
 

@@ -74,9 +74,9 @@ def test_sphere_field_reads_a_padded_buffer_bit_for_bit(d):
 def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     # each stage writes z_j into its row and z'_j into K[j], in
     # place: the bits of the allocating dot of the coefficient row
-    # [h A_j reversed | 1] with [K[j-1], ..., K[0], z0] and of an
+    # [step A_j reversed | 1] with [K[j-1], ..., K[0], z0] and of an
     # allocating call of a freshly bound frame_kernel on z_j at the angle
-    # direction * c_j h, negated on a backward run
+    # c_j step, step = direction * h, unnegated in both directions
     cut = Cutoff(k=8, d=d)
     table = fock.ladder_table(cut)
     rng = np.random.default_rng(10 + d)
@@ -84,31 +84,31 @@ def test_stage_derivatives_written_in_place_match_frame_field(d, direction):
     # has nonzero first moments (the raising branch), the second none
     uncentered = random_state(cut, rng, max_degree=2)
     assert abs(hamiltonian.first_moment_a(uncentered, 0)) > 1e-3
-    h = 0.05
+    step = direction * 0.05
     for state in (uncentered, random_centered_state(cut, (0, 2), rng)):
         z0 = fock.to_array(state)
-        zk, coef, plan = integ._stage_plan(z0.size, direction)
+        zk, coef, plan = integ._stage_plan(z0.size)
         K = zk[15::-1]  # K[k] is row 15 - k
         zk[16] = z0
         K[0] = hamiltonian.frame_kernel(table, integ._TRUNCATION_FLUX_TOL)(z0, 0.0)
-        np.multiply(h, integ._A_REV, out=coef[:, :16])
-        z_new = integ._lawson_stages(kernel_of(cut), plan, h, direction < 0)
+        np.multiply(step, integ._A_REV, out=coef[:, :16])
+        z_new = integ._lawson_stages(kernel_of(cut), plan, step)
         assert z_new is plan[-1][0]
         assert (zk[16] == z0).all()
         for j, (inner, *_) in enumerate(plan, start=1):
             assert inner.shape == z0.shape and inner.flags.c_contiguous
             terms = np.array([*K[:j][::-1], z0])
-            weights = np.array([*(h * integ._A[j, :j])[::-1], 1.0])
+            weights = np.array([*(step * integ._A[j, :j])[::-1], 1.0])
             assert (coef[j, 16 - j :] == weights).all()
             assert inner.tobytes() == np.dot(weights, terms).tobytes()
             # the reassociated sum is the tableau's stage point to rounding
-            tableau = z0 + h * (integ._A[j, :j] @ K[:j])
+            tableau = z0 + step * (integ._A[j, :j] @ K[:j])
             assert np.abs(inner - tableau).max() <= 1e-15
-            theta = direction * (integ._C[j] * h)
+            theta = integ._C[j] * step
             assert theta != 0.0
             fresh = hamiltonian.frame_kernel(table, integ._TRUNCATION_FLUX_TOL)(
                 inner.copy(), theta)
-            assert K[j].tobytes() == (fresh if direction > 0 else -fresh).tobytes()
+            assert K[j].tobytes() == fresh.tobytes()
 
 
 def _seeded_centered_state(cut, seed):
@@ -159,7 +159,7 @@ def test_flux_abort_raises_through_the_in_place_path():
     # raises, before the target is written
     kernel = kernel_of(CUT)
     z = fock.to_array((bv((0,), (7,)) + 1j * bv((0,), (8,))).normalized())
-    zk, _, plan = integ._stage_plan(z.size, 1.0)
+    zk, _, plan = integ._stage_plan(z.size)
     row, out = plan[0][0], plan[0][3]
     assert np.shares_memory(out, zk)
     row[:] = z
