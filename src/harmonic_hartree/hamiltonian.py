@@ -60,17 +60,11 @@ class FieldKind(Enum):
     CHART = "chart"
 
 
-def _require_finite(v: FockVector) -> None:
-    if not np.isfinite(v.array).all():
-        raise ValueError("state has a non-finite coefficient")
-
-
 def _first_moment(v: FockVector, side: int, i: int) -> float:
     """Re<v, o v> for the lowering o along axis i of side 0 (a) or 1 (b);
     a state with a non-finite coefficient raises ValueError."""
     fock._check_axis(i, v.cutoff)
-    _require_finite(v)
-    y = v.array
+    y = fock._finite(v.cutoff, v.array)
     moment = fock.ladder_table(v.cutoff).gather(y, LOWER) @ y.conj()
     return float(moment[side * v.cutoff.d + i].real)
 
@@ -259,7 +253,7 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     the field overflows float64, as its cubic terms can on a state of
     finite norm.
     """
-    _require_finite(v)
+    fock._finite(v.cutoff, v.array)
     try:
         with np.errstate(over="raise", invalid="raise"):
             arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)

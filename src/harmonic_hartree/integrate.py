@@ -24,10 +24,8 @@ Specifics:
   at y = e^{-iN theta} z and the frame angle theta = c_j h; every ladder
   op shifts N by a fixed amount, so ``sphere_field`` computes it from z
   and scalar phases e^{i sign theta} alone, and no vector is rotated
-  inside a step.  The flow is reversible, so a backward run takes the
-  same field with the signed step -h: the stages hold the forward-time
-  derivative, and the signed step scales the coefficient matrix, the
-  frame angles and the dense-output rows;
+  inside a step.  The flow is reversible: a backward run takes the same
+  field with the signed step -h below, and negates no stage;
 * after every accepted step the state y_new = e^{-iN h} z(h) is projected
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
@@ -36,15 +34,14 @@ Specifics:
   stages reversed (K[k] in row 15 - k) and z(0) in row 16; stage 12 is
   z'(h), which rotated by the same e^{-iN h} is the next step's first
   stage (FSAL).  Once per step the (16, 17) coefficient matrix
-  [step A reversed | 1], step = +-h, is written in one multiply, so
-  stage point j is one dot of its row with the slice zk[16 - j:]:
-  sum_k (step A[j, k]) K[k] + z0, z(0) added last like
-  z0 + step (A[j] @ K), whose last bits it need not keep (the step
-  counts it does keep).  Each call builds a stage plan once: for stage
-  j, row j of a (16, n) buffer, the coefficient row, the slice of zk,
-  the row K[j] and the stage time c_j.  Each call also binds the
-  cutoff's frame-field kernel once (``hamiltonian.frame_kernel`` with
-  the abort threshold): what a stage reads from the ladder table is
+  [step A reversed | 1] is written in one multiply, so stage point j is
+  one dot of its row with zk[16 - j:]: sum_k (step A[j, k]) K[k] + z0,
+  z(0) added last like z0 + step (A[j] @ K), whose last bits it need not
+  keep (the step counts it does keep).  Each call builds a stage plan
+  once: for stage j, row j of a (16, n) buffer, the coefficient row, the
+  slice of zk, the row K[j] and the stage time c_j.  Each call also
+  binds the cutoff's frame-field kernel once (``hamiltonian.frame_kernel``
+  with the abort threshold): what a stage reads from the ladder table is
   looked up then, and the kernel keeps its conj(z) buffer.  A stage then
   writes z_j into its row with that dot and makes one ``sphere_field``
   call through the kernel, which gathers from the row in place and
@@ -615,14 +612,10 @@ def integrate(
         unit = units[block]
         _interp_raw(dense, sample_s[block], which[block], out=unit)
         unit[sample_s[block] <= 0.0] = y0
-        norms[block] = np.linalg.norm(unit, axis=1)
-        unit /= norms[block, None]
-        # a sequential sum in basis order, as numpy's matrix-vector loop sums
-        # a strided operand of two rows or more, so that a row's bits do not
-        # depend on the rows of its block
-        mean_n[block] = np.cumsum((unit * unit.conj()).real * table.n_diag, axis=1)[:, -1]
-        energy[block] = hamiltonian.energy_array(table, unit)
+        norms[block], mean_n[block], energy[block] = _unit_figures(table, unit)
     units.flags.writeable = False
+    # the initial figures are those of a sample at t = 0
+    _, initial_mean_n, initial_energy = _unit_figures(table, y0[None].copy())
     order = slice(None) if direction > 0 else slice(None, None, -1)
     return Trajectory(
         cutoff=cutoff,
@@ -631,14 +624,25 @@ def integrate(
         conserved=ConservedSamples(
             norm=norms[order], mean_n=mean_n[order], energy=energy[order],
         ),
-        initial_mean_n=float(table.n_diag @ (y0 * y0.conj()).real),
-        initial_energy=hamiltonian.energy_array(table, y0),
+        initial_mean_n=float(initial_mean_n[0]),
+        initial_energy=float(initial_energy[0]),
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,
         _dense=dense,
         _direction=direction,
     )
+
+
+def _unit_figures(table: fock.LadderTable, unit: np.ndarray):
+    """Scale the rows of ``unit`` to norm one in place; return their norms
+    before, <N> and energies.  <N> is a sequential sum in basis order, as
+    numpy's matrix-vector loop sums a strided operand of two rows or more,
+    so that a row's bits do not depend on the rows beside it."""
+    norms = np.linalg.norm(unit, axis=1)
+    unit /= norms[:, None]
+    mean_n = np.cumsum((unit * unit.conj()).real * table.n_diag, axis=1)[:, -1]
+    return norms, mean_n, hamiltonian.energy_array(table, unit)
 
 
 def _segment_of(dense: _DenseOutput, s: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,9 +304,11 @@ def non_finite_state(value, part="re"):
 @pytest.mark.parametrize("part", ["re", "im"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_vector_field_rejects_a_non_finite_state(kind, part, value):
-    # the state is rejected before any gather, with its cause
+    # the state is rejected before any gather, with its cause: the
+    # coefficient and the label of its basis element
     state = non_finite_state(value, part)
-    with pytest.raises(ValueError, match="non-finite coefficient"):
+    label = re.escape(fock.basis(CUT)[3].label())
+    with pytest.raises(ValueError, match=rf"non-finite coefficient \S+ at \|{label}>$"):
         ham.vector_field(kind, state)
 
 
@@ -325,24 +328,25 @@ def test_a_full_field_that_overflows_to_nan_names_the_overflow():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, cause",
     [
-        (lambda v: ham.first_moment_a(v, 0), ValueError),
-        (lambda v: ham.first_moment_b(v, 0), ValueError),
-        (ham.energy, NormalizationError),
-        (orbits.orbit_from_state, NormalizationError),
-        (lambda v: equilibria.is_relative_equilibrium(v, 1e-9), NormalizationError),
-        (reduction.gauge_fix, NormalizationError),
+        (lambda v: ham.first_moment_a(v, 0), ValueError, r"non-finite coefficient \S+ at \|0_3>$"),
+        (lambda v: ham.first_moment_b(v, 0), ValueError, r"non-finite coefficient \S+ at \|0_3>$"),
+        (ham.energy, NormalizationError, "non-finite coefficient"),
+        (orbits.orbit_from_state, NormalizationError, "non-finite coefficient"),
+        (lambda v: equilibria.is_relative_equilibrium(v, 1e-9), NormalizationError,
+         "non-finite coefficient"),
+        (reduction.gauge_fix, NormalizationError, "non-finite coefficient"),
     ],
     ids=["first_moment_a", "first_moment_b", "energy", "orbit_from_state",
          "is_relative_equilibrium", "gauge_fix"],
 )
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-def test_a_non_finite_state_is_rejected_by_its_cause(call, error, value):
-    # the first moments reject the state as vector_field does; the
-    # functions that require a unit state name the non-finite coefficient,
-    # not a norm of nan or inf
-    with pytest.raises(error, match="non-finite coefficient"):
+def test_a_non_finite_state_is_rejected_by_its_cause(call, error, cause, value):
+    # the first moments reject the state as vector_field does, naming the
+    # coefficient's label; the functions that require a unit state name
+    # the non-finite coefficient, not a norm of nan or inf
+    with pytest.raises(error, match=cause):
         call(non_finite_state(value))
 
 

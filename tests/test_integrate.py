@@ -545,3 +545,21 @@ def test_two_dimensional_flow():
     assert worst <= 1e-7
     drift = integ.conserved_drift(traj)
     assert drift.energy <= 1e-8 and drift.mean_n <= 1e-8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_initial_figures_are_those_of_the_sample_at_time_zero(d):
+    # the sample at t = 0 is the initial state: its <N> and energy are the
+    # initial figures bit for bit, forward and backward, on seeded states
+    # with and without first moments
+    cut = Cutoff(k=8, d=d)
+    for seed in range(3):
+        rng = np.random.default_rng(100 * d + seed)
+        for state in (random_state(cut, rng, max_degree=2),
+                      random_centered_state(cut, (0, 2), rng)):
+            for t_end in (0.01, -0.01):
+                traj = integ.integrate(state, t_end, samples=3)
+                first = 0 if t_end > 0 else -1
+                assert traj.times[first] == 0.0
+                assert traj.conserved.mean_n[first] == traj.initial_mean_n, (seed, t_end)
+                assert traj.conserved.energy[first] == traj.initial_energy, (seed, t_end)
