@@ -25,7 +25,7 @@ Specifics:
   op shifts N by a fixed amount, so ``sphere_field`` computes it from z
   and scalar phases e^{i sign theta} alone, and no vector is rotated
   inside a step.  The flow is reversible: a backward run takes the same
-  field with the signed step -h below, and negates no stage;
+  field with the signed step, step = -h, and negates no stage;
 * after every accepted step the state y_new = e^{-iN h} z(h) is projected
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
