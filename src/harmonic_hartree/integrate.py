@@ -12,7 +12,7 @@ Specifics:
 * the sphere field is -i N y plus a nonlinear remainder, and N, the
   excitation operator, is diagonal and exact in every cutoff; each step
   integrates the remainder in the interaction picture z(tau) =
-  e^{iN tau} y(s0 + tau) (Lawson, SIAM J. Numer. Anal. 4 (1967) 372;
+  e^{iN tau} y(t0 + tau) (Lawson, SIAM J. Numer. Anal. 4 (1967) 372;
   Hochbruck-Ostermann, Acta Numerica 19 (2010) 209), so the fast phases
   e^{-iNt} are exact and the step size follows the remainder alone.  The
   frame uses only the cutoff's N diagonal;
@@ -25,7 +25,7 @@ Specifics:
   op shifts N by a fixed amount, so ``sphere_field`` computes it from z
   and scalar phases e^{i sign theta} alone, and no vector is rotated
   inside a step.  The flow is reversible: a backward run takes the same
-  field with the signed step, step = -h, and negates no stage;
+  field with the signed step, step = -h, in the signed time t throughout;
 * after every accepted step the state y_new = e^{-iN h} z(h) is projected
   back to the unit sphere; the projection magnitude is logged and must
   stay below ten times the local tolerance (the continuous flow conserves
@@ -49,7 +49,7 @@ Specifics:
   derivative, looks up a table field or calls further down than the
   kernel;
 * 7th-order dense output of z from the step's own continuous extension,
-  rotated back by e^{-iN(s - s0)}: three more stages per accepted step
+  rotated back by e^{-iN(t - t0)}: three more stages per accepted step
   give the 7 coefficient rows of each segment, so an accepted step costs
   15 field evaluations and a rejected step 12.  Each accepted step
   writes its start state y and its 7 rows into one contiguous
@@ -314,13 +314,12 @@ class _DenseOutput(NamedTuple):
     first capacity (under 127 KiB) or, once the store has doubled, up to
     twice the rows it reads."""
 
-    s0: np.ndarray  # (steps,) frame time of each segment's start
-    h: np.ndarray  # (steps,) its step size
+    t0: np.ndarray  # (steps,) signed time of each segment's start
+    h: np.ndarray  # (steps,) its signed step, of t_end's sign
     # (steps, 8, n): the state y at the segment's start, z(0) of its frame,
     # then the 7 dense-output rows of z, see _interp_raw
     rows: np.ndarray
-    # the distinct values of the frame rate, N times -1 when integrating
-    # backward, and the index into them of each coefficient's rate
+    # the distinct values of N and the index into them of each coefficient's
     levels: np.ndarray
     level_of: np.ndarray
 
@@ -361,19 +360,19 @@ class Trajectory:
     accepted_steps: int
     rejected_steps: int
     _dense: _DenseOutput = field(repr=False)
-    _direction: float
 
     def interpolate(self, t: float) -> FockVector:
-        """Dense-output state at any time inside the integration window."""
+        """Dense-output state at any time t between 0 and t_end."""
         if not math.isfinite(t):
             raise ValueError(f"time {t} is not finite")
-        s = np.array([t * self._direction])
         dense = self._dense
+        lo, hi = sorted((dense.t0[0], dense.t0[-1] + dense.h[-1]))
         # slack covers the float-roundoff sliver the stepper may leave at
         # the window end; polynomial extrapolation over it is exact in practice
-        if s[0] < dense.s0[0] - 1e-9 or s[0] > dense.s0[-1] + dense.h[-1] + 1e-9:
+        if t < lo - 1e-9 or t > hi + 1e-9:
             raise ValueError(f"time {t} outside the integrated range")
-        return fock.from_array(self.cutoff, _interp_raw(dense, s, _segment_of(dense, s))[0])
+        times = np.array([t])
+        return fock.from_array(self.cutoff, _interp_raw(dense, times, _segment_of(dense, times))[0])
 
 
 def _sample_count(samples) -> int | None:
@@ -469,7 +468,6 @@ def integrate(
             f"{_MAX_STEPS} steps of the largest step size {_H_MAX:g}"
         )
 
-    direction = 1.0 if t_end > 0 else -1.0
     span = abs(t_end)
     cutoff = state.cutoff
     table = fock.ladder_table(cutoff)
@@ -486,19 +484,17 @@ def integrate(
         sample_times = np.asarray(samples, dtype=float)
     else:
         sample_times = np.linspace(0.0, t_end, count)
-    sample_s = np.sort(sample_times * direction)
-    if sample_s.size == 0:
+    sample_t = np.sort(sample_times)
+    if sample_t.size == 0:
         raise ValueError("at least one sample time is required")
-    if not np.isfinite(sample_s).all():
+    if not np.isfinite(sample_t).all():
         raise ValueError("sample times must be finite")
-    if sample_s[0] < -1e-12 or sample_s[-1] > span + 1e-12:
+    lo, hi = sorted((0.0, t_end))
+    if sample_t[0] < lo - 1e-12 or sample_t[-1] > hi + 1e-12:
         raise ValueError("sample times outside [0, t_end]")
 
-    # the flow is y' = -i rate y + remainder with rate = direction * N, and
-    # the frame angle of frame time tau is direction * tau
-    rate = direction * table.n_diag
     # N is an integer: the phases need one exponential per distinct value
-    levels, level_of = np.unique(rate, return_inverse=True)
+    levels, level_of = np.unique(table.n_diag, return_inverse=True)
 
     y0 = state.normalized().array
     y = y0
@@ -514,9 +510,9 @@ def integrate(
     abs_y, scale = np.abs(y), np.empty(n)
     err, err_conj = np.empty((2, n), dtype=complex), np.empty((2, n), dtype=complex)
     sphere_field(kernel, y, 0.0, first)
-    s = 0.0
+    t = 0.0
     h = min(_H_MAX, span, tol ** (1 / 8))
-    # the dense output: per accepted step its start s0, its size h and, in
+    # the dense output: per accepted step its start t0, its step and, in
     # one (steps, 8, n) store, y and the 7 dense rows.  The store starts
     # with as many steps as fit in _SAMPLE_BLOCK entries (one at least) and
     # doubles when full: a d=2, K=8 flow over pi/4 takes 4 or 5 steps, and
@@ -530,17 +526,17 @@ def integrate(
     err_tol = _SAFETY * tol
 
     while True:
-        remaining = span - s
+        remaining = abs(t_end - t)
         if remaining <= _END_SLACK * max(1.0, span):
             break
         if accepted + rejected == _MAX_STEPS:
             raise IntegrationError(
-                f"step budget of {_MAX_STEPS} steps exhausted at t={s * direction}"
+                f"step budget of {_MAX_STEPS} steps exhausted at t={t}"
             )
         h = min(h, remaining, _H_MAX)
-        if h < 1e-14 * max(1.0, s):
-            raise IntegrationError(f"step size underflow at t={s * direction}")
-        step = direction * h
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError(f"step size underflow at t={t}")
+        step = math.copysign(h, t_end)
         np.multiply(step, _A_REV, out=coef_h)
         z_new = _lawson_stages(kernel, step_plan, step)
         # scale = SAFETY tol (1 + max(|y|, |y_new|)), and |y_new| = |z_new|
@@ -569,10 +565,10 @@ def integrate(
         segment[0] = y
         np.matmul(_DENSE, stages, out=segment[1:])
         segment[1:] *= step
-        starts.append(s)
-        sizes.append(h)
+        starts.append(t)
+        sizes.append(step)
 
-        back = np.exp(-1j * h * levels)[level_of]  # e^{-i rate h}
+        back = np.exp(-1j * step * levels)[level_of]  # e^{-iN step}
         y = back * z_new
         # np.linalg.norm's own expression for a complex vector
         re, im = y.real, y.imag
@@ -581,7 +577,7 @@ def integrate(
         max_renorm = max(max_renorm, renorm)
         if renorm > 10.0 * tol:
             raise IntegrationError(
-                f"sphere projection {renorm:.3e} exceeded 10*tol at t={s * direction}"
+                f"sphere projection {renorm:.3e} exceeded 10*tol at t={t}"
             )
         y /= norm
         zk[16] = y
@@ -590,7 +586,7 @@ def integrate(
         # the next step overwrites (projection perturbs it below the local
         # tolerance)
         np.multiply(back, last, out=first)
-        s += h
+        t += step
         accepted += 1
         if err_norm > 0.0:
             h *= min(5.0, max(0.2, 0.9 * err_norm ** (-1 / 8)))
@@ -599,38 +595,34 @@ def integrate(
 
     dense = _DenseOutput(np.array(starts), np.array(sizes), store[:accepted],
                          levels, level_of)
-    # the table of sampled states, filled a block of rows at a time so that
-    # every temporary of the tail stays small; the states are read-only row
-    # views of it.  sample_s is sorted, so reversing it puts a backward
-    # trajectory's times in increasing order
+    # the table of sampled states, in the order of the sorted times, filled
+    # a block of rows at a time so that every temporary of the tail stays
+    # small; the states are read-only row views of it
     units = np.empty((count, n), dtype=complex)
     norms, mean_n, energy = np.empty(count), np.empty(count), np.empty(count)
     rows = max(1, _SAMPLE_BLOCK // n)
-    which = _segment_of(dense, sample_s)
+    which = _segment_of(dense, sample_t)
     for start in range(0, count, rows):
         block = slice(start, start + rows)
         unit = units[block]
-        _interp_raw(dense, sample_s[block], which[block], out=unit)
-        unit[sample_s[block] <= 0.0] = y0
+        _interp_raw(dense, sample_t[block], which[block], out=unit)
+        # t = 0 and any t not on t_end's side of 0 read y0 (t * t_end may underflow)
+        unit[np.sign(sample_t[block]) != np.sign(t_end)] = y0
         norms[block], mean_n[block], energy[block] = _unit_figures(table, unit)
     units.flags.writeable = False
     # the initial figures are those of a sample at t = 0
     _, initial_mean_n, initial_energy = _unit_figures(table, y0[None].copy())
-    order = slice(None) if direction > 0 else slice(None, None, -1)
     return Trajectory(
         cutoff=cutoff,
-        times=(sample_s * direction)[order],
-        states=tuple(fock._vector(cutoff, row, False) for row in units[order]),
-        conserved=ConservedSamples(
-            norm=norms[order], mean_n=mean_n[order], energy=energy[order],
-        ),
+        times=sample_t,
+        states=tuple(fock._vector(cutoff, row, False) for row in units),
+        conserved=ConservedSamples(norm=norms, mean_n=mean_n, energy=energy),
         initial_mean_n=float(initial_mean_n[0]),
         initial_energy=float(initial_energy[0]),
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,
         _dense=dense,
-        _direction=direction,
     )
 
 
@@ -645,25 +637,26 @@ def _unit_figures(table: fock.LadderTable, unit: np.ndarray):
     return norms, mean_n, hamiltonian.energy_array(table, unit)
 
 
-def _segment_of(dense: _DenseOutput, s: np.ndarray) -> np.ndarray:
-    """The index of the segment that reads each frame time in s: the last
-    one starting at or before it (the first one before the window)."""
-    return np.maximum(np.searchsorted(dense.s0, s, side="right") - 1, 0)
+def _segment_of(dense: _DenseOutput, t: np.ndarray) -> np.ndarray:
+    """The index of the segment that reads each time in t: the last one
+    starting at or before it (the first one before the window), searched
+    on |t0| and |t|, as every start has t_end's sign."""
+    return np.maximum(np.searchsorted(np.abs(dense.t0), np.abs(t), side="right") - 1, 0)
 
 
-def _interp_raw(dense: _DenseOutput, s: np.ndarray, which: np.ndarray,
+def _interp_raw(dense: _DenseOutput, t: np.ndarray, which: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Dense output at the frame times s, one row per time, from the
-    segments ``which``: e^{-i rate (s - s0)} z, where
+    """Dense output at the signed times t, one row per time, from the
+    segments ``which``: e^{-iN (t - t0)} z, where
     z = y + theta (c0 + (1 - theta) (c1 + theta (c2 + ...))) is the
     alternating Horner scheme of ``dop853.f``'s contd8, run on all rows at
-    once and written into ``out`` when given.  The rate takes the values
-    ``dense.levels``, so one exponential per time and distinct value of N
-    gives the phases.  Each row of the scheme is gathered from the store
-    with the one index ``which``, so no temporary is larger than the
-    times' (times, n) rows."""
+    once and written into ``out`` when given, theta = (t - t0) / h for the
+    segment's signed step h.  N takes the values ``dense.levels``, so one
+    exponential per time and distinct value of N gives the phases.  Each
+    row of the scheme is gathered from the store with the one index
+    ``which``, so no temporary is larger than the times' (times, n) rows."""
     rows = dense.rows
-    lag = s - dense.s0[which]
+    lag = t - dense.t0[which]
     theta = (lag / dense.h[which])[:, None]
     rest = 1.0 - theta
     acc = np.multiply(rows[which, 7], theta, out=out)

@@ -314,7 +314,7 @@ def test_fast_phases_are_exact():
         steps.append(traj.accepted_steps)
         worst = max(
             (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
-            for t in (traj._dense.s0 + 0.5 * traj._dense.h).tolist()
+            for t in (traj._dense.t0 + 0.5 * traj._dense.h).tolist()
             + list(rng.uniform(0.05, 2 * math.pi - 0.05, size=12))
         )
         assert worst <= 1e-9
@@ -344,14 +344,14 @@ def test_dense_output_reproduces_segment_endpoints():
     s = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
     traj = integ.integrate(s, 0.5, tol=1e-10, samples=3)
     dense = traj._dense
-    assert len(dense.s0) > 1
-    for k in range(len(dense.s0) - 1):
+    assert len(dense.t0) > 1
+    for k in range(len(dense.t0) - 1):
         # row 0 of a segment is its start state y
-        start = integ._interp_raw(dense, dense.s0[k : k + 1], [k])
+        start = integ._interp_raw(dense, dense.t0[k : k + 1], [k])
         assert np.abs(start - dense.rows[k, 0]).max() <= 1e-15
         # theta = 1 gives the unprojected step result, which the next
         # segment starts from after projection to the sphere
-        end = integ._interp_raw(dense, dense.s0[k : k + 1] + dense.h[k], [k])
+        end = integ._interp_raw(dense, dense.t0[k : k + 1] + dense.h[k], [k])
         assert np.abs(end / np.linalg.norm(end) - dense.rows[k + 1, 0]).max() <= 1e-15
 
 
@@ -368,7 +368,7 @@ def test_dense_output_at_mid_step_times(cut, indices, t_end):
     traj = integ.integrate(s, t_end, tol=1e-10, samples=3)
     worst = max(
         (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
-        for t in (traj._dense.s0 + 0.5 * traj._dense.h).tolist()
+        for t in (traj._dense.t0 + 0.5 * traj._dense.h).tolist()
     )
     assert worst <= 1e-9
 
@@ -380,7 +380,7 @@ def test_backward_dense_output_at_interior_times():
     traj = integ.integrate(s, -math.pi / 4, tol=1e-10, samples=3)
     assert np.all(np.diff(traj.times) > 0)
     rng = np.random.default_rng(7)
-    times = (-(traj._dense.s0 + 0.5 * traj._dense.h)).tolist()
+    times = (traj._dense.t0 + 0.5 * traj._dense.h).tolist()
     times += list(rng.uniform(-math.pi / 4, 0.0, size=12))
     worst = max(
         (traj.interpolate(t) - orbits.analytic_solution(orbit, t)).norm
@@ -457,7 +457,7 @@ def test_samples_argument_is_checked(monkeypatch, samples):
 
 def test_trajectory_repr_omits_segments():
     traj = integ.integrate(bv((0,), (1,)), 1.0, tol=1e-10, samples=3)
-    assert len(traj._dense.s0) > 1
+    assert len(traj._dense.t0) > 1
     assert "_DenseOutput" not in repr(traj) and "rows=" not in repr(traj)
 
 
