@@ -62,8 +62,10 @@ def _load_state(path: str) -> FockVector:
         state = fock.from_json_dict(obj)
     except (KeyError, TypeError, OverflowError) as exc:  # Overflow: float() of a huge int
         raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
-    if not np.isfinite(state.array).all():
-        raise ValueError(f"{path}: state has a non-finite coefficient")
+    try:
+        fock._finite(state.cutoff, state.array)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not math.isfinite(state.norm_sq):  # norm_sq overflows to inf silently
         raise ValueError(f"{path}: state's squared norm overflows")
     return state

@@ -269,6 +269,9 @@ class FockVector:
 
     def normalized(self) -> "FockVector":
         n = self.norm
+        if not math.isfinite(n):  # a non-finite coefficient, or overflow
+            _finite(self.cutoff, self.array)
+            raise NormalizationError("cannot normalize: the squared norm overflows")
         if n == 0.0:
             raise NormalizationError("cannot normalize the zero vector")
         return (1.0 / n) * self

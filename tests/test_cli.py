@@ -333,7 +333,10 @@ def test_non_finite_state_is_rejected(tmp_path, capsys, nan_state, command):
         "simulate": ["--out", f"{out}.csv", "--report", f"{out}.json"],
     }.get(command[0], ["--json", f"{out}.json"])
     assert cli.main(command + ["--state", nan_state] + outputs) == 1
-    assert_one_line_error(capsys)
+    # the error names the fixture's bad term, as fock does
+    err = assert_one_line_error(capsys)
+    assert f"{nan_state}: state has a non-finite coefficient" in err
+    assert err.rstrip().endswith(" at |2_0>")
     assert not (tmp_path / "out.json").exists()
 
 

@@ -476,3 +476,23 @@ def test_a_non_finite_coefficient_is_rejected_and_named(build, value):
 def test_normalized_zero_vector_errors():
     with pytest.raises(NormalizationError):
         fock.zero(CUT).normalized()
+
+
+@pytest.mark.parametrize(
+    "amp, error, match",
+    [
+        (complex(0.5, math.nan), ValueError, r"^state has a non-finite coefficient \(0\.5\+nanj\) at \|1_2>$"),
+        (complex(0.5, math.inf), ValueError, r"^state has a non-finite coefficient \(0\.5\+infj\) at \|1_2>$"),
+        (complex(0.5, -math.inf), ValueError, r"^state has a non-finite coefficient \(0\.5-infj\) at \|1_2>$"),
+        (1e200, NormalizationError, r"^cannot normalize: the squared norm overflows$"),
+    ],
+    ids=["nan", "inf", "-inf", "overflow"],
+)
+def test_normalized_rejects_a_non_finite_norm_by_its_cause(amp, error, match):
+    # states from JSON (or arithmetic) are not gated: 1e200 at |0_0> and amp
+    # at |1_2>, whose squared norm is inf or nan; no warning, no zero state
+    terms = [{"a": [0], "b": [0], "re": 1e200, "im": 0.0},
+             {"a": [1], "b": [2], "re": amp.real, "im": amp.imag}]
+    v = fock.from_json_dict({"K": 8, "d": 1, "terms": terms})
+    with pytest.raises(error, match=match):
+        v.normalized()
