@@ -394,6 +394,13 @@ def test_interpolate_rejects_out_of_range():
     for t in (2.0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             traj.interpolate(t)
+    # a backward window is [t_end, 0], with the same 1e-9 slack at its end
+    back = integ.integrate(bv((0,), (1,)), -1.0, tol=1e-8, samples=3)
+    for t in (2.0, -2.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            back.interpolate(t)
+    for t in (0.0, -1.0, -1.0 - 5e-10):
+        assert back.interpolate(t).cutoff == CUT
 
 
 @pytest.mark.parametrize("t_end", [2.0, -2.0], ids=["forward", "backward"])
@@ -493,6 +500,16 @@ def test_step_budget_counts_accepted_and_rejected_steps(monkeypatch):
     monkeypatch.setattr(integ, "_MAX_STEPS", steps - 1)
     with pytest.raises(IntegrationError, match="step budget"):
         integ.integrate(state, 2 * math.pi, samples=3)
+
+
+def test_backward_step_budget_names_a_time_inside_the_window(monkeypatch):
+    state = random_centered_state(CUT, (0, -2, -4), np.random.default_rng(0))
+    traj = integ.integrate(state, -math.pi, samples=3)
+    monkeypatch.setattr(integ, "_MAX_STEPS", traj.accepted_steps // 2)
+    with pytest.raises(IntegrationError, match="step budget") as info:
+        integ.integrate(state, -math.pi, samples=3)
+    t = float(str(info.value).rpartition("at t=")[2])
+    assert -math.pi <= t < 0.0
 
 
 def test_input_validation():
