@@ -319,7 +319,7 @@ class _DenseOutput(NamedTuple):
     # (steps, 8, n): the state y at the segment's start, z(0) of its frame,
     # then the 7 dense-output rows of z, see _interp_raw
     rows: np.ndarray
-    # the distinct values of N and the index into them of each coefficient's
+    # the distinct values of N and, per coefficient, the index of its value
     levels: np.ndarray
     level_of: np.ndarray
 
@@ -366,7 +366,7 @@ class Trajectory:
         if not math.isfinite(t):
             raise ValueError(f"time {t} is not finite")
         dense = self._dense
-        lo, hi = sorted((dense.t0[0], dense.t0[-1] + dense.h[-1]))
+        lo, hi = sorted((0.0, dense.t0[-1] + dense.h[-1]))
         # slack covers the float-roundoff sliver the stepper may leave at
         # the window end; polynomial extrapolation over it is exact in practice
         if t < lo - 1e-9 or t > hi + 1e-9:
