@@ -15,7 +15,7 @@ Hamiltonian vector field are exposed:
   relative equilibria (unit excitation eigenvectors).
 
 The energy and the fields are written once, in ``energy_array`` and one
-moment core shared by ``field_array`` and the integrator, on dense
+moment core shared by ``vector_field`` and the integrator, on dense
 coefficient arrays over the cutoff's :class:`.fock.LadderTable`.  The core
 gathers the table's 4d + 1 moment rows (N y, the lowering and the
 pair-lowering images: the leading rows of its one complex weight block
@@ -29,7 +29,8 @@ per call and calls for each stage, writing each stage derivative into
 the caller's array.  The energy reads the leading 2d + 1 moment rows, <N>
 and the first moments, for a bounded block of states at a time, so one
 call takes a single state or a whole (..., n) stack of them.
-``energy`` and ``vector_field`` wrap these for ``FockVector`` states.
+``energy`` wraps ``energy_array`` for ``FockVector`` states, and
+``vector_field`` builds each representation from the core's parts.
 
 The frame field is the sphere field F's remainder in the interaction
 picture of N, e^{iN theta} (F(y) + iN y) at y = e^{-iN theta} z, which
@@ -99,9 +100,10 @@ def frame_kernel(table: LadderTable, flux_tol: float):
     What the core reads from the table (the moment rows, the signs, the
     raising rows and the single-raising boundary) is looked up here, once,
     and conj(y) goes into a buffer that every call reuses, so one kernel
-    serves one caller at a time: the integrator binds one per call.  The
-    images are gathered fresh, as a gather into a bound buffer
-    (``np.take``) took longer at n = 45 than numpy's fancy indexing.
+    serves one caller at a time: ``vector_field`` and the integrator each
+    bind one per call.  The images are gathered fresh, as a gather into a
+    bound buffer (``np.take``) took longer at n = 45 than numpy's fancy
+    indexing.
 
     Returns ``core(y, theta, out=None, parts=False)``, which works on y,
     the complex (n,) coefficient array read in place, taken to the frame
@@ -201,43 +203,6 @@ def energy_array(table: LadderTable, y: np.ndarray):
     return float(energy[0]) if y.ndim == 1 else energy.reshape(y.shape[:-1])
 
 
-def field_array(
-    kind: FieldKind, table: LadderTable, y: np.ndarray, flux_tol: float = 0.0
-) -> np.ndarray:
-    """Hamiltonian vector field on the coefficient array y.
-
-    Raises TruncationError when a raising term with nonzero prefactor loses
-    amplitude above ``flux_tol`` past the cutoff.  y is read as a
-    C-contiguous array (a copy only of a strided one), so the result's
-    bits do not depend on y's layout.
-    """
-    y = np.ascontiguousarray(y, dtype=complex)
-    # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
-    core = frame_kernel(table, flux_tol)
-    images, mean_n, shift, first, ladder = core(y, 0.0, parts=True)
-    if kind is FieldKind.CHART:
-        second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
-        diag = table.n_diag - (mean_n + second)
-    else:
-        diag = table.n_diag + shift
-        if kind is FieldKind.FULL:
-            # off-sphere term (w/4) (2N + sum_i (bb + b*b* - aa - a*a*)) y
-            w = float((y @ y.conj()).real) - 1.0
-            diag = diag + 0.5 * w * table.n_diag
-            if w:
-                coef = -0.25 * w * table.sign
-                _check_flux(coef, table.boundary[1], y, flux_tol)
-                # the pair-lowering images are the last 2d gathered rows
-                pairs = coef @ (images[-coef.size:] + table.gather(y, DOUBLE_RAISE))
-                ladder = pairs if ladder is None else ladder + pairs
-        elif kind is not FieldKind.SPHERE:
-            raise ValueError(f"unknown field kind {kind!r}")
-    out = diag * y
-    if ladder is not None:
-        out += ladder
-    return -1j * out
-
-
 def energy(v: FockVector) -> float:
     """Energy of a unit state (norm checked to 1e-10); phase invariant."""
     fock.require_unit(v, what="energy state")
@@ -253,10 +218,34 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     the field overflows float64, as its cubic terms can on a state of
     finite norm.
     """
-    fock._finite(v.cutoff, v.array)
+    table = fock.ladder_table(v.cutoff)
+    y = fock._finite(v.cutoff, v.array)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            arr = field_array(kind, fock.ladder_table(v.cutoff), v.array)
+            # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y
+            core = frame_kernel(table, 0.0)
+            images, mean_n, shift, first, ladder = core(y, 0.0, parts=True)
+            if kind is FieldKind.CHART:
+                second = 0.0 if first is None else 2.0 * float(table.sign @ first**2)
+                diag = table.n_diag - (mean_n + second)
+            else:
+                diag = table.n_diag + shift
+                if kind is FieldKind.FULL:
+                    # off-sphere term (w/4) (2N + sum_i (bb + b*b* - aa - a*a*)) y
+                    w = float((y @ y.conj()).real) - 1.0
+                    diag = diag + 0.5 * w * table.n_diag
+                    if w:
+                        coef = -0.25 * w * table.sign
+                        _check_flux(coef, table.boundary[1], y, 0.0)
+                        # the pair-lowering images are the last 2d gathered rows
+                        pairs = coef @ (images[-coef.size:] + table.gather(y, DOUBLE_RAISE))
+                        ladder = pairs if ladder is None else ladder + pairs
+                elif kind is not FieldKind.SPHERE:
+                    raise ValueError(f"unknown field kind {kind!r}")
+            arr = diag * y
+            if ladder is not None:
+                arr += ladder
+            arr = -1j * arr
             # the full field's pair matmul can overflow to nan without
             # raising FloatingPointError
             if not np.isfinite(arr.view(np.float64)).all():

@@ -90,6 +90,20 @@ def test_spectrum_outputs(tmp_path):
     assert len(rows) == 1 + len(rep["eigenvalues"])
 
 
+def test_spectrum_takes_an_eigenvector_off_unit_norm_within_tolerance(tmp_path):
+    # |0_8> at amplitude 1 + 4e-11 passes the unit check; its chart field,
+    # 6.4e-10, measures that norm defect, not a distance from equilibrium
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps({"K": 10, "d": 1, "terms": [
+        {"a": [0], "b": [8], "re": 1.00000000004, "im": 0.0}]}))
+    jpath, cpath = tmp_path / "s.json", tmp_path / "s.csv"
+    rc = cli.main(["spectrum", "--state", str(path), "--json", str(jpath), "--csv", str(cpath)])
+    assert rc == 0
+    rep = json.loads(jpath.read_text())
+    assert rep["integer_ok"] is True
+    assert len(rep["eigenvalues"]) == 130
+
+
 def test_spectrum_cutoff_override(tmp_path):
     vac = write_state(tmp_path / "vac8.json", fock.basis_vector(CUT, (0,), (0,)))
     jpath, cpath = tmp_path / "s.json", tmp_path / "s.csv"

@@ -75,6 +75,21 @@ def test_linearization_requires_equilibrium_and_interior():
         eq.linearize(bv((0,), (6,)))  # support at the cutoff boundary
 
 
+@pytest.mark.parametrize("scale", [1 + 4e-11, 1 - 9e-11, -1 - 4e-11, -1 + 9e-11],
+                         ids=["above", "below", "minus-above", "minus-below"])
+@pytest.mark.parametrize("a, b", [((0,), (8,)), ((8,), (0,))], ids=["0_8", "8_0"])
+def test_an_eigenvector_off_unit_norm_within_tolerance_is_linearized(a, b, scale):
+    # require_unit accepts these norms, and an excitation eigenvector of
+    # unit norm is a relative equilibrium; its chart field,
+    # -i n0 (1 - |v|^2) v, reads the norm's defect times |n0| = 8
+    # (6.4e-10 at 1 + 4e-11), which is no reason to reject it
+    cut = Cutoff(k=10, d=1)
+    rep = eq.linearize(scale * fock.basis_vector(cut, a, b))
+    assert rep.integer_spectrum_ok
+    assert len(rep.eigenvalues) == 2 * (cut.size - 1)
+    assert rep.eigenvalues.real.max() == 0.0
+
+
 def test_finite_difference_derivative_oracle():
     rng = np.random.default_rng(1)
     idxs = fock.basis(CUT6)

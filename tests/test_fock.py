@@ -461,6 +461,50 @@ def test_dense_round_trip():
         fock.from_array(CUT, np.zeros(7, dtype=complex))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_constructor_stores_a_c_contiguous_array(d):
+    # vector_field and the integrator read a state's array in place, with
+    # no contiguous copy, so every way to build a state stores a
+    # C-contiguous (n,) array, strided or Fortran-ordered input included
+    from harmonic_hartree import hamiltonian, integrate, orbits
+
+    cut = Cutoff(k=6 if d < 3 else 5, d=d)
+    n = cut.size
+    rng = np.random.default_rng(50 + d)
+    v = random_state(cut, rng, max_degree=cut.k - 2)
+    y = fock.to_array(v)
+    fortran = np.asfortranarray(np.stack([y, 2.0 * y, 3.0 * y]))
+    centered = fock.basis_vector(cut, [1] + [0] * (d - 1), [0] * d)
+    states = {
+        "constructor": FockVector(cut, v.coeffs),
+        "from_array": fock.from_array(cut, y),
+        "from_array-inner-strided": fock.from_array(cut, np.repeat(y, 2)[::2]),
+        "from_array-fortran-row": fock.from_array(cut, fortran[1]),
+        "from_array-real": fock.from_array(cut, np.ascontiguousarray(y.real)),
+        "add": v + v,
+        "sub": v - v,
+        "scalar": 2.0 * v,
+        "from_json_dict": fock.from_json_dict(fock.to_json_dict(v)),
+        "normalized": (3.0 * v).normalized(),
+        "analytic_solution": orbits.analytic_solution(orbits.orbit_from_state(centered), 0.7),
+    }
+    for i in range(d):
+        for name in ("lowering_a", "raising_a", "lowering_b", "raising_b"):
+            states[f"apply_{name}_{i}"] = getattr(fock, f"apply_{name}")(i, v)
+    states["apply_excitation"] = fock.apply_excitation(v)
+    for exc, part in fock.component_split(v).items():
+        states[f"component_split_{exc}"] = part
+    for kind in hamiltonian.FieldKind:
+        states[f"vector_field_{kind.value}"] = hamiltonian.vector_field(kind, v)
+    traj = integrate.integrate(centered, 0.5, samples=3)
+    states.update({f"integrate_{i}": st for i, st in enumerate(traj.states)})
+    assert fortran[1].strides == (16 * len(fortran),)
+    for name, state in states.items():
+        arr = state.array
+        assert arr.shape == (n,) and arr.dtype == complex, name
+        assert arr.flags.c_contiguous, name
+
+
 @pytest.mark.parametrize("build", ["constructor", "from_array"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_a_non_finite_coefficient_is_rejected_and_named(build, value):
