@@ -53,21 +53,20 @@ _MAX_GAMMA_STEPS = 10_000
 
 
 def _load_state(path: str) -> FockVector:
+    """The state in the JSON file ``path``; every failure to load it is a
+    ValueError that names the file (an OSError names it already)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            state = fock.from_json_dict(json.load(fh))
+            fock._finite(state.cutoff, state.array)
+            if not math.isfinite(state.norm_sq):  # norm_sq overflows to inf silently
+                raise ValueError("state's squared norm overflows")
         except RecursionError:  # the decoder recurses once per nested array or object
             raise ValueError(f"{path}: malformed state (nested too deeply)") from None
-    try:
-        state = fock.from_json_dict(obj)
-    except (KeyError, TypeError, OverflowError) as exc:  # Overflow: float() of a huge int
-        raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
-    try:
-        fock._finite(state.cutoff, state.array)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not math.isfinite(state.norm_sq):  # norm_sq overflows to inf silently
-        raise ValueError(f"{path}: state's squared norm overflows")
+        except (KeyError, TypeError, OverflowError) as exc:  # Overflow: float() of a huge int
+            raise ValueError(f"{path}: malformed state ({type(exc).__name__}: {exc})") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return state
 
 

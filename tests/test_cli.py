@@ -401,20 +401,25 @@ def _with_amplitude(**fields):
      _with_term(a=[0, 0], b=[0, 0]), _with_term(a=[5], b=[4]), _with_term(a=["1"]),
      _with_term(b=[False]), _with_term(re=10**400),
      _with_amplitude(re=True), _with_amplitude(im=False), _with_amplitude(re="1"),
-     _with_amplitude(re=" 1.0 "), _NESTED, '{"K": 8, "d": 1, "terms": %s}' % _NESTED],
+     _with_amplitude(re=" 1.0 "), _NESTED, '{"K": 8, "d": 1, "terms": %s}' % _NESTED,
+     '{"K": 8, "d": 1, "terms": [}', b'{"K": 8, "d": 1, "terms": [], "x": "\xff"}'],
     ids=["missing-K", "top-level-list", "non-integer-index", "boolean-index",
          "K-float", "K-bool",
          "count-2**70", "negative-count", "a-b-length-mismatch", "length-not-d",
          "degree-above-K", "string-count", "bool-count", "amplitude-2**1329",
          "bool-re", "bool-im", "string-re", "padded-string-re",
-         "nested-arrays", "nested-terms"],
+         "nested-arrays", "nested-terms", "not-json", "not-utf-8"],
 )
 def test_malformed_state_is_rejected(tmp_path, capsys, obj):
+    # every load failure names the file
     path = tmp_path / "bad.json"
-    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     out = tmp_path / "out.json"
     assert cli.main(["classify", "--state", str(path), "--json", str(out)]) == 1
-    assert_one_line_error(capsys)
+    assert assert_one_line_error(capsys).startswith(f"error: {path}: ")
     assert not out.exists()
 
 

@@ -326,11 +326,11 @@ def test_a_full_field_that_overflows_to_nan_names_the_overflow():
     [
         (lambda v: ham.first_moment_a(v, 0), ValueError, r"non-finite coefficient \S+ at \|0_3>$"),
         (lambda v: ham.first_moment_b(v, 0), ValueError, r"non-finite coefficient \S+ at \|0_3>$"),
-        (ham.energy, NormalizationError, "non-finite coefficient"),
-        (orbits.orbit_from_state, NormalizationError, "non-finite coefficient"),
+        (ham.energy, NormalizationError, r"non-finite coefficient \S+ at \|0_3>$"),
+        (orbits.orbit_from_state, NormalizationError, r"non-finite coefficient \S+ at \|0_3>$"),
         (lambda v: equilibria.is_relative_equilibrium(v, 1e-9), NormalizationError,
-         "non-finite coefficient"),
-        (reduction.gauge_fix, NormalizationError, "non-finite coefficient"),
+         r"non-finite coefficient \S+ at \|0_3>$"),
+        (reduction.gauge_fix, NormalizationError, r"non-finite coefficient \S+ at \|0_3>$"),
     ],
     ids=["first_moment_a", "first_moment_b", "energy", "orbit_from_state",
          "is_relative_equilibrium", "gauge_fix"],

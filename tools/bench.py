@@ -238,8 +238,8 @@ def integrate_case(rung: dict, _) -> Iterator[dict]:
     yield dict(best, faults_per_call=faults_per_call(op, best["calls_per_run"]))
 
 
-# spectrum: ``linearize`` (and ``classify_spectrum`` where the tree has it)
-# at basis-vector relative equilibria (basis sizes 45, 210, 495, 3003)
+# spectrum: ``linearize`` at basis-vector relative equilibria (basis sizes
+# 45, 210, 495, 3003)
 
 EQUILIBRIA = [
     {"K": 8, "d": 1, "a": [1], "b": [2]},
@@ -253,15 +253,11 @@ def _equilibrium(rung: dict) -> fock.FockVector:
     return fock.basis_vector(fock.Cutoff(k=rung["K"], d=rung["d"]), rung["a"], rung["b"])
 
 
-def _report(base: fock.FockVector):
-    return getattr(equilibria, "classify_spectrum", lambda r: r)(equilibria.linearize(base))
-
-
 def spectrum_case(rung: dict, _) -> Iterator[dict]:
     base = _equilibrium(rung)
 
     def op():
-        return _report(base)
+        return equilibria.linearize(base)
 
     first, report = timed(op)
     yield {"n": base.cutoff.size, "first_call_s": first,
@@ -426,12 +422,11 @@ def _output_setup(rung: dict, outdir: str):
         return argv, stubs, [out], {"K": 8, "terms": len(field.coeffs)}
     if rung["output"] == "spectrum_json":
         state = _equilibrium(rung)
-        report = _report(state)
+        report = equilibria.linearize(state)
         out = os.path.join(outdir, "s{call}.json")
         argv = ["spectrum", "--state", "-", "--json", out, "--csv", os.devnull]
         stubs = [(cli, {"_load_state": _const(state), "_write_csv": _const(None)}),
-                 (equilibria, {name: _const(report) for name in ("linearize", "classify_spectrum")
-                               if hasattr(equilibria, name)})]
+                 (equilibria, {"linearize": _const(report)})]
         return argv, stubs, [out], {"n": state.cutoff.size,
                                     "eigenvalues": len(report.eigenvalues)}
     if rung["output"] == "simulate_csv":
