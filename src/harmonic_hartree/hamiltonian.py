@@ -218,8 +218,8 @@ def vector_field(kind: FieldKind, v: FockVector) -> FockVector:
     the field overflows float64, as its cubic terms can on a state of
     finite norm.
     """
-    table = fock.ladder_table(v.cutoff)
     y = fock._finite(v.cutoff, v.array)
+    table = fock.ladder_table(v.cutoff)
     try:
         with np.errstate(over="raise", invalid="raise"):
             # ladder: Re<y, a_i y> (a_i + a*_i) y - Re<y, b_i y> (b_i + b*_i) y

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _support import brute_excitation, brute_matrix, random_state
-from harmonic_hartree import fock
+from harmonic_hartree import fock, hamiltonian, integrate, orbits
 from harmonic_hartree.errors import BasisMismatchError, NormalizationError
 from harmonic_hartree.fock import Cutoff, FockVector, MultiIndex
 
@@ -466,8 +466,6 @@ def test_every_constructor_stores_a_c_contiguous_array(d):
     # vector_field and the integrator read a state's array in place, with
     # no contiguous copy, so every way to build a state stores a
     # C-contiguous (n,) array, strided or Fortran-ordered input included
-    from harmonic_hartree import hamiltonian, integrate, orbits
-
     cut = Cutoff(k=6 if d < 3 else 5, d=d)
     n = cut.size
     rng = np.random.default_rng(50 + d)
