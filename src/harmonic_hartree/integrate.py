@@ -375,25 +375,6 @@ class Trajectory:
         return fock.from_array(self.cutoff, _interp_raw(dense, times, _segment_of(dense, times))[0])
 
 
-def _sample_count(samples) -> int | None:
-    """The count of equally spaced samples, or None for a 1-D array of
-    sample times; a bool, a scalar that is not an integer, a negative count
-    and an array of another dimension raise ValueError."""
-    ndim = np.ndim(samples)
-    if ndim == 1:
-        return None
-    count = -1
-    if ndim == 0 and not isinstance(samples, (bool, np.bool_)):
-        try:
-            count = operator.index(samples)
-        except TypeError:
-            pass
-    if count < 0:
-        got = repr(samples) if ndim == 0 else f"an array of shape {np.shape(samples)}"
-        raise ValueError(f"samples must be a count >= 0 or a 1-D array of times, got {got}")
-    return count
-
-
 def _stage_plan(n: int) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """The stage buffer, the coefficient matrix and the per-stage plan.
 
@@ -436,7 +417,7 @@ def integrate(
     state: FockVector,
     t_end: float,
     tol: float = 1e-10,
-    samples: int | np.ndarray = 65,
+    samples: int = 65,
 ) -> Trajectory:
     """Integrate the sphere flow from a unit state over [0, t_end].
 
@@ -445,10 +426,10 @@ def integrate(
     ``t_end`` must be finite with ``1e-13 < |t_end| <= 25000``, the span
     that the budget of 100000 steps covers at the largest step; negative
     ``t_end`` integrates backward, and a run that needs more steps raises
-    ``IntegrationError``.  ``samples`` is either a count (equally spaced,
-    endpoints included) or an array of finite times inside the window;
-    samples times basis size may not exceed 2^20, the size of the table of
-    sampled states.
+    ``IntegrationError``.  ``samples`` is the count (at least 1) of equally
+    spaced sample times, endpoints included; ``Trajectory.interpolate``
+    reads the flow at any other time.  Samples times basis size may not
+    exceed 2^20, the size of the table of sampled states.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
@@ -473,25 +454,19 @@ def integrate(
     table = fock.ladder_table(cutoff)
     kernel = hamiltonian.frame_kernel(table, _TRUNCATION_FLUX_TOL)
 
-    spaced = _sample_count(samples)  # None for an array of times
-    count = np.size(samples) if spaced is None else spaced
+    try:
+        count = -1 if isinstance(samples, (bool, np.bool_)) else operator.index(samples)
+    except TypeError:
+        count = -1
+    if count < 1:
+        got = repr(samples) if np.ndim(samples) == 0 else f"an array of shape {np.shape(samples)}"
+        raise ValueError(f"samples must be a count >= 1, got {got}")
     if count * cutoff.size > _MAX_SAMPLE_ENTRIES:
         raise ValueError(
             f"sample table too large: {count} samples x {cutoff.size} coefficients "
             f"exceeds {_MAX_SAMPLE_ENTRIES} entries"
         )
-    if spaced is None:
-        sample_times = np.asarray(samples, dtype=float)
-    else:
-        sample_times = np.linspace(0.0, t_end, count)
-    sample_t = np.sort(sample_times)
-    if sample_t.size == 0:
-        raise ValueError("at least one sample time is required")
-    if not np.isfinite(sample_t).all():
-        raise ValueError("sample times must be finite")
-    lo, hi = sorted((0.0, t_end))
-    if sample_t[0] < lo - 1e-12 or sample_t[-1] > hi + 1e-12:
-        raise ValueError("sample times outside [0, t_end]")
+    sample_t = np.sort(np.linspace(0.0, t_end, count))  # backward, t = 0 is last
 
     # N is an integer: the phases need one exponential per distinct value
     levels, level_of = np.unique(table.n_diag, return_inverse=True)
@@ -606,19 +581,18 @@ def integrate(
         block = slice(start, start + rows)
         unit = units[block]
         _interp_raw(dense, sample_t[block], which[block], out=unit)
-        # t = 0 and any t not on t_end's side of 0 read y0 (t * t_end may underflow)
+        # the sample at t = 0, the one time not on t_end's side of 0, reads y0
         unit[np.sign(sample_t[block]) != np.sign(t_end)] = y0
         norms[block], mean_n[block], energy[block] = _unit_figures(table, unit)
     units.flags.writeable = False
-    # the initial figures are those of a sample at t = 0
-    _, initial_mean_n, initial_energy = _unit_figures(table, y0[None].copy())
+    at_zero = 0 if t_end > 0 else -1  # the sample at t = 0
     return Trajectory(
         cutoff=cutoff,
         times=sample_t,
         states=tuple(fock._vector(cutoff, row, False) for row in units),
         conserved=ConservedSamples(norm=norms, mean_n=mean_n, energy=energy),
-        initial_mean_n=float(initial_mean_n[0]),
-        initial_energy=float(initial_energy[0]),
+        initial_mean_n=float(mean_n[at_zero]),
+        initial_energy=float(energy[at_zero]),
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,
@@ -671,8 +645,6 @@ def _interp_raw(dense: _DenseOutput, t: np.ndarray, which: np.ndarray,
 def conserved_drift(traj: Trajectory) -> DriftRecord:
     """Maximum deviation of norm, excitation mean, and energy from their
     values at the initial state."""
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
     return DriftRecord(
         norm=float(np.max(np.abs(traj.conserved.norm - 1.0))),
         mean_n=float(np.max(np.abs(traj.conserved.mean_n - traj.initial_mean_n))),
