@@ -96,8 +96,9 @@ class LinearizationReport:
     @cached_property
     def chart(self) -> np.ndarray:
         """Complex orthonormal directions e_j of the chart tangent, as columns."""
-        chart, _ = _null_space(self.base.array.conj()[None, :])
-        return chart
+        # the kernel of the one row <., base>: a unit base has rank 1
+        _, _, vh = np.linalg.svd(self.base.array.conj()[None, :])
+        return vh[1:].conj().T
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -109,21 +110,6 @@ class LinearizationReport:
             _real_basis_columns(self.chart), table.n_diag, self.excitation, images
         )
         return _interleave(self.chart.conj().T @ image)
-
-
-def _null_space(
-    a: np.ndarray, rcond: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal kernel basis (as columns) of ``a`` and its singular values.
-
-    A right singular vector belongs to the kernel when its singular value is
-    at most ``rcond * s.max()``; the default ``rcond`` is eps * max(a.shape).
-    """
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    if rcond is None:
-        rcond = np.finfo(s.dtype).eps * max(a.shape)
-    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
-    return vh[rank:].conj().T, s
 
 
 def _interleave(g: np.ndarray) -> np.ndarray:

@@ -219,12 +219,11 @@ class FockVector:
     array: np.ndarray
     truncated: bool = False
 
-    def __init__(self, cutoff: Cutoff, coeffs: Mapping[MultiIndex, complex] = {},
-                 truncated: bool = False) -> None:
+    def __init__(self, cutoff: Cutoff, coeffs: Mapping[MultiIndex, complex] = {}) -> None:
         arr = np.zeros(cutoff.size, dtype=complex)
         pos = _positions(cutoff, [idx.a for idx in coeffs], [idx.b for idx in coeffs])
         arr[pos] = list(coeffs.values())
-        self._set(cutoff, _finite(cutoff, arr), truncated)
+        self._set(cutoff, _finite(cutoff, arr), False)
 
     def _set(self, cutoff: Cutoff, arr: np.ndarray, truncated: bool) -> None:
         arr.flags.writeable = False
@@ -446,12 +445,12 @@ def to_array(v: FockVector) -> np.ndarray:
     return v.array.copy()
 
 
-def from_array(cutoff: Cutoff, arr: np.ndarray, truncated: bool = False) -> FockVector:
+def from_array(cutoff: Cutoff, arr: np.ndarray) -> FockVector:
     """The vector with a copy of the dense array ``arr`` as coefficients;
     ValueError on a non-finite coefficient."""
     if arr.shape != (cutoff.size,):
         raise BasisMismatchError(f"array length {arr.shape} != basis size {cutoff.size}")
-    return _vector(cutoff, _finite(cutoff, arr.astype(complex)), truncated)
+    return _vector(cutoff, _finite(cutoff, arr.astype(complex)), False)
 
 
 # rows of LadderTable.index / .weight: the lowering ops first, so that

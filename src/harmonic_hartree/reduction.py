@@ -13,6 +13,7 @@ Sign convention: with ``inner`` conjugate-linear in the second slot,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ def project_tangent(base: FockVector, delta: FockVector) -> FockVector:
     """
     fock.require_unit(base, what="base")
     ip = fock.inner(delta, base)
-    if abs(ip.real) > 1e-10:
+    if not abs(ip.real) <= 1e-10:
         raise ValueError(f"delta is not sphere-tangent: Re<base,delta>={ip.real}")
     return delta - ip * base
 
@@ -60,7 +61,8 @@ def symplectic_form(base: FockVector, d1: FockVector, d2: FockVector) -> float:
     Both tangents must be complex-orthogonal to ``base`` (to 1e-10).
     """
     for d in (d1, d2):
-        if abs(fock.inner(d, base)) > 1e-10 * max(1.0, d.norm):
+        # a ratio, so that an infinite coefficient fails it as a NaN does
+        if not abs(fock.inner(d, base)) / max(1.0, d.norm) <= 1e-10:
             raise ValueError("tangent is not complex-orthogonal to base")
     return fock.inner(d1, d2).imag
 
@@ -95,6 +97,10 @@ def projective_distance(u: FockVector, v: FockVector) -> float:
     """
     ip = fock.inner(u, v)
     mag = abs(ip)
+    if not math.isfinite(mag):  # a non-finite coefficient, or overflow
+        fock._finite(u.cutoff, u.array)
+        fock._finite(v.cutoff, v.array)
+        raise ValueError(f"<u, v> = {ip} is not finite")
     phase = ip / mag if mag > 0.0 else 1.0 + 0j
     return (u - phase * v).norm
 

@@ -78,6 +78,25 @@ def test_symplectic_form_precondition():
         red.symplectic_form(base, base, bv((0,), (1,)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda base, v: red.project_tangent(base, v),
+        lambda base, v: red.symplectic_form(base, v, v),
+        lambda base, v: (red.projective_distance(v, base), red.projective_distance(base, v)),
+    ],
+    ids=["project_tangent", "symplectic_form", "projective_distance"],
+)
+def test_non_finite_state_is_rejected(call, bad):
+    # a state loaded unchecked, non-finite at |0_1>, against a base that is
+    # zero there (the product is NaN) and one that is not (it is infinite)
+    v = fock.from_json_dict({"K": 8, "d": 1, "terms": [{"a": [0], "b": [1], "re": bad, "im": 0.0}]})
+    for base in (bv((0,), (0,)), random_state(CUT, np.random.default_rng(6))):
+        with pytest.raises(ValueError):
+            call(base, v)
+
+
 def test_pullback_identity():
     rng = np.random.default_rng(3)
     worst = 0.0
