@@ -97,6 +97,13 @@ def test_non_finite_state_is_rejected(call, bad):
             call(base, v)
 
 
+def test_projective_distance_rejects_an_overflowing_inner_product():
+    # finite states whose <u, v> overflows float64
+    big = 1e200 * bv((0,), (1,))
+    with pytest.raises(ValueError, match="is not finite"):
+        red.projective_distance(big, big)
+
+
 def test_pullback_identity():
     rng = np.random.default_rng(3)
     worst = 0.0
