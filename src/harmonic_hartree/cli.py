@@ -235,9 +235,9 @@ def _cmd_simulate(args) -> int:
     table = np.empty((traj.times.size, len(header)))
     table[:, 0] = traj.times
     np.stack([st.array for st in traj.states], out=table[:, 1:-3].view(complex))
-    table[:, -3] = traj.conserved.norm
-    table[:, -2] = traj.conserved.mean_n
-    table[:, -1] = traj.conserved.energy
+    table[:, -3] = traj.norm
+    table[:, -2] = traj.mean_n
+    table[:, -1] = traj.energy
     _write_csv(args.out, header, table)
 
     drift = integrate.conserved_drift(traj)

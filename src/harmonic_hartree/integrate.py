@@ -325,15 +325,6 @@ class _DenseOutput(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ConservedSamples:
-    """Per-sample records along a trajectory (norm before re-projection)."""
-
-    norm: np.ndarray
-    mean_n: np.ndarray
-    energy: np.ndarray
-
-
-@dataclass(frozen=True)
 class DriftRecord:
     norm: float
     mean_n: float
@@ -344,18 +335,20 @@ class DriftRecord:
 class Trajectory:
     """Sampled solution of the sphere flow.
 
-    ``times`` are non-decreasing; ``states`` are unit-norm snapshots.
-    ``conserved`` records raw interpolated norm plus excitation mean and
-    energy per sample; ``max_renormalization`` is the largest per-step
-    sphere-projection magnitude.
+    ``times`` are non-decreasing and hold exactly one 0.0, the initial
+    state's sample: index 0 forward, -1 backward.  ``states`` are
+    unit-norm snapshots; per sample, ``norm`` is the interpolated norm
+    before re-projection and ``mean_n`` and ``energy`` are the snapshot's
+    excitation mean and energy.  ``max_renormalization`` is the largest
+    per-step sphere-projection magnitude.
     """
 
     cutoff: Cutoff
     times: np.ndarray
     states: tuple[FockVector, ...]
-    conserved: ConservedSamples
-    initial_mean_n: float
-    initial_energy: float
+    norm: np.ndarray
+    mean_n: np.ndarray
+    energy: np.ndarray
     max_renormalization: float
     accepted_steps: int
     rejected_steps: int
@@ -585,14 +578,13 @@ def integrate(
         unit[np.sign(sample_t[block]) != np.sign(t_end)] = y0
         norms[block], mean_n[block], energy[block] = _unit_figures(table, unit)
     units.flags.writeable = False
-    at_zero = 0 if t_end > 0 else -1  # the sample at t = 0
     return Trajectory(
         cutoff=cutoff,
         times=sample_t,
         states=tuple(fock._vector(cutoff, row, False) for row in units),
-        conserved=ConservedSamples(norm=norms, mean_n=mean_n, energy=energy),
-        initial_mean_n=float(mean_n[at_zero]),
-        initial_energy=float(energy[at_zero]),
+        norm=norms,
+        mean_n=mean_n,
+        energy=energy,
         max_renormalization=max_renorm,
         accepted_steps=accepted,
         rejected_steps=rejected,
@@ -643,10 +635,12 @@ def _interp_raw(dense: _DenseOutput, t: np.ndarray, which: np.ndarray,
 
 
 def conserved_drift(traj: Trajectory) -> DriftRecord:
-    """Maximum deviation of norm, excitation mean, and energy from their
-    values at the initial state."""
+    """Maximum deviation of the sampled norm from 1 and of the sampled
+    excitation mean and energy from those of the sample at t = 0, the
+    initial state (index 0 forward, -1 backward)."""
+    first = 0 if traj.times[0] == 0.0 else -1
     return DriftRecord(
-        norm=float(np.max(np.abs(traj.conserved.norm - 1.0))),
-        mean_n=float(np.max(np.abs(traj.conserved.mean_n - traj.initial_mean_n))),
-        energy=float(np.max(np.abs(traj.conserved.energy - traj.initial_energy))),
+        norm=float(np.max(np.abs(traj.norm - 1.0))),
+        mean_n=float(np.max(np.abs(traj.mean_n - traj.mean_n[first]))),
+        energy=float(np.max(np.abs(traj.energy - traj.energy[first]))),
     )

@@ -793,8 +793,7 @@ def test_simulate_csv_matches_per_value_formatter(tmp_path, state):
         row = [t]
         for c in fock.to_array(traj.states[j]):
             row += [c.real, c.imag]
-        row += [traj.conserved.norm[j], traj.conserved.mean_n[j],
-                traj.conserved.energy[j]]
+        row += [traj.norm[j], traj.mean_n[j], traj.energy[j]]
         rows.append(row)
     assert sha256(out.read_bytes()) == sha256(per_value_csv(header, rows))
 
@@ -1200,7 +1199,7 @@ def test_simulate_csv_of_a_centered_d2_state_matches_per_value_formatter(tmp_pat
     header += ["norm", "meanN", "energy"]
     rows = [
         [t, *(x for c in st.array.tolist() for x in (c.real, c.imag)),
-         traj.conserved.norm[j], traj.conserved.mean_n[j], traj.conserved.energy[j]]
+         traj.norm[j], traj.mean_n[j], traj.energy[j]]
         for j, (t, st) in enumerate(zip(traj.times.tolist(), traj.states))
     ]
     assert 2 * np.count_nonzero(rows) < np.size(rows)

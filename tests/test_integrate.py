@@ -436,7 +436,7 @@ def test_blocked_sampler_is_exact(monkeypatch, cut, samples, direction):
     monkeypatch.setattr(integ, "_SAMPLE_BLOCK", 1)
     trajs.append(integ.integrate(state, t_end, tol=1e-10, samples=samples))
     default, single = [
-        [traj.times, traj.conserved.norm, traj.conserved.mean_n, traj.conserved.energy]
+        [traj.times, traj.norm, traj.mean_n, traj.energy]
         + [st.array for st in traj.states] + [traj.interpolate(t).array for t in interior]
         for traj in trajs
     ]
@@ -563,9 +563,9 @@ def test_two_dimensional_flow():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_initial_figures_are_those_of_the_sample_at_time_zero(d):
-    # the sample at t = 0 is the initial state: its <N> and energy are the
-    # initial figures bit for bit, forward and backward, on seeded states
-    # with and without first moments
+    # the sample at t = 0 is the initial state, the one 0.0 of the times,
+    # and the drift measures <N> and energy from its figures bit for bit,
+    # forward and backward, on seeded states with and without first moments
     cut = Cutoff(k=8, d=d)
     for seed in range(3):
         rng = np.random.default_rng(100 * d + seed)
@@ -575,5 +575,7 @@ def test_initial_figures_are_those_of_the_sample_at_time_zero(d):
                 traj = integ.integrate(state, t_end, samples=3)
                 first = 0 if t_end > 0 else -1
                 assert traj.times[first] == 0.0
-                assert traj.conserved.mean_n[first] == traj.initial_mean_n, (seed, t_end)
-                assert traj.conserved.energy[first] == traj.initial_energy, (seed, t_end)
+                assert np.count_nonzero(traj.times == 0.0) == 1
+                drift = integ.conserved_drift(traj)
+                assert drift.mean_n == np.max(np.abs(traj.mean_n - traj.mean_n[first])), (seed, t_end)
+                assert drift.energy == np.max(np.abs(traj.energy - traj.energy[first])), (seed, t_end)

@@ -195,9 +195,12 @@ INTERIOR = 30
 
 
 def _trajectory_sha256(traj) -> str:
+    # a tree before the per-sample figures became fields of the trajectory
+    # holds them in ``traj.conserved``
+    figures = getattr(traj, "conserved", traj)
     digest = hashlib.sha256(traj.times.tobytes())
     for arr in [st.array for st in traj.states] + [
-        traj.conserved.norm, traj.conserved.mean_n, traj.conserved.energy,
+        figures.norm, figures.mean_n, figures.energy,
     ]:
         digest.update(arr.tobytes())
     return digest.hexdigest()
