@@ -41,6 +41,7 @@ row of it (or its excitation diagonal) to the vector's stored array.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -355,9 +356,16 @@ def apply_excitation(v: FockVector) -> FockVector:
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
-    """<u, v> = sum u_k conj(v_k); conjugate-linear in the second slot."""
+    """<u, v> = sum u_k conj(v_k); conjugate-linear in the second slot.
+    Raises ValueError when it is not finite, naming a non-finite
+    coefficient of u or v if there is one (else the sum overflows)."""
     _check_compatible(u, v)
-    return complex(np.vdot(v.array, u.array))
+    ip = complex(np.vdot(v.array, u.array))
+    if not cmath.isfinite(ip):
+        _finite(u.cutoff, u.array)
+        _finite(v.cutoff, v.array)
+        raise ValueError(f"<u, v> = {ip} is not finite")
+    return ip
 
 
 def excitations(v: FockVector) -> list[int]:

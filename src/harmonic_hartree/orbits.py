@@ -148,9 +148,7 @@ def orbit_from_state(v: FockVector) -> AnalyticOrbit:
     """Closed-form orbit data for a unit state (norm checked to 1e-10)."""
     occupied = minimal_centered_subspace(v)
     fock.require_unit(v, what="orbit base")
-    re, im = v.array.real, v.array.imag
-    # per-slice squared norms, each summed in basis order as ``norm_sq`` sums
-    weight = np.bincount(_slices(v.cutoff), re * re + im * im).tolist()
+    weight = _slice_weights(v)
     return AnalyticOrbit(
         state=v,
         occupied=occupied,
@@ -158,6 +156,13 @@ def orbit_from_state(v: FockVector) -> AnalyticOrbit:
         c=pair_coupling(v),
         relative_period=relative_period(occupied),
     )
+
+
+def _slice_weights(v: FockVector) -> list[float]:
+    """The squared norm of each excitation slice N + K of ``v``, each
+    summed in basis order as ``norm_sq`` sums."""
+    re, im = v.array.real, v.array.imag
+    return np.bincount(_slices(v.cutoff), re * re + im * im).tolist()
 
 
 def phase_integral(orbit: AnalyticOrbit, t: float) -> float:
@@ -225,7 +230,8 @@ def is_classically_periodic(
     """Exact-arithmetic classical (unprojected) period.
 
     ``weights`` gives the squared component norms as exact rationals, keyed
-    by occupied index; they must sum to 1 and match the orbit support.  The
+    by occupied index: each must be positive and within 1e-9 of the orbit
+    state's squared norm in its slice, and they must sum to 1.  The
     excitation mean is then rational, so the solution is always classically
     periodic; the returned period is the minimal T > 0 with every component
     phase factor equal to 1 and phi shifted by a full period (T = 0.0 for
@@ -237,6 +243,14 @@ def is_classically_periodic(
     for w in weights.values():
         if not isinstance(w, Fraction):
             raise ValueError("weights must be exact Fraction instances")
+    norms = _slice_weights(orbit.state)
+    for n, w in weights.items():
+        norm = norms[n + orbit.state.cutoff.k]
+        if not (w > 0 and abs(w - Fraction(norm)) <= 1e-9):  # exact, never overflows
+            raise ValueError(
+                f"weight {w} of excitation {n} must be positive and within 1e-9 "
+                f"of its squared norm {norm!r}"
+            )
     total = sum(weights.values())
     if total != 1:
         raise ValueError(f"weights must sum to 1, got {total}")
@@ -286,8 +300,9 @@ def bifurcation_family(
 
     ``tilde`` must be a unit excitation eigenvector at eigenvalue N + L
     lying in the perturbation kernel at ``base`` (the four real
-    orthogonality conditions per axis plus chart orthogonality); the
-    resulting two-component orbit has relative period 2*pi/|L|.
+    orthogonality conditions per axis; chart orthogonality holds exactly,
+    as L != 0 puts ``tilde`` in another excitation slice); the resulting
+    two-component orbit has relative period 2*pi/|L|.
     """
     n = fock._single_excitation(base)
     m = fock._single_excitation(tilde)
@@ -297,8 +312,6 @@ def bifurcation_family(
         )
     if base.max_degree() > base.cutoff.k - 2:
         raise ValueError("base support too close to the cutoff for the kernel check")
-    if abs(fock.inner(base, tilde)) > 1e-12:
-        raise ValueError("direction must be chart-orthogonal to the base")
     # Re<tilde, op_i base> for op in (a, a*, b, b*) on every axis i
     images = fock.ladder_table(base.cutoff).gather(base.array)
     worst = np.abs((images[[LOWER, RAISE]] @ tilde.array.conj()).real).max()

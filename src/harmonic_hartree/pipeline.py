@@ -134,14 +134,14 @@ def hermite_eval(n: int, x) -> np.ndarray:
     h_0(x) = pi^(-1/4) exp(-x^2/2) and
     h_{n+1}(x) = (sqrt(2) x h_n(x) - sqrt(n) h_{n-1}(x)) / sqrt(n+1).
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
     return hermite_table(n, x)[n]
 
 
 def hermite_table(max_degree: int, x) -> np.ndarray:
     """Rows 0..max_degree of the Hermite functions evaluated at x; ValueError
-    on a non-finite point."""
+    on a negative degree or a non-finite point."""
+    if max_degree < 0:
+        raise ValueError(f"degree must be >= 0, got {max_degree}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("Hermite functions need finite points, got a non-finite x")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import NormalizationError
 from .fock import FockVector
 
 GAUGE_EPS = 1e-10
@@ -37,8 +36,14 @@ class QuotientPoint:
 
 
 def moment_map(v: FockVector) -> float:
-    """Conserved quantity of the phase action: half the squared norm."""
-    return 0.5 * v.norm_sq
+    """Conserved quantity of the phase action: half the squared norm.
+    Raises ValueError when the squared norm is not finite, naming a
+    non-finite coefficient if there is one (else the sum overflows)."""
+    norm_sq = v.norm_sq
+    if not math.isfinite(norm_sq):
+        fock._finite(v.cutoff, v.array)
+        raise ValueError(f"squared norm {norm_sq} is not finite")
+    return 0.5 * norm_sq
 
 
 def project_tangent(base: FockVector, delta: FockVector) -> FockVector:
@@ -80,9 +85,9 @@ def gauge_fix(v: FockVector) -> QuotientPoint:
     """
     fock.require_unit(v, 1e-8, what="gauge_fix input")
     u = (1.0 / v.norm) * v
+    # a unit state of n coefficients has one of modulus >= 1/sqrt(n), and
+    # the cutoff caps n at 65536: the threshold always has one above it
     above = np.flatnonzero(np.abs(u.array) > GAUGE_EPS)
-    if above.size == 0:
-        raise NormalizationError("state has no coefficient above the gauge threshold")
     lead = complex(u.array[above[0]])
     phase = lead.conjugate() / abs(lead)
     return QuotientPoint(rep=phase * u)
@@ -97,9 +102,7 @@ def projective_distance(u: FockVector, v: FockVector) -> float:
     """
     ip = fock.inner(u, v)
     mag = abs(ip)
-    if not math.isfinite(mag):  # a non-finite coefficient, or overflow
-        fock._finite(u.cutoff, u.array)
-        fock._finite(v.cutoff, v.array)
+    if not math.isfinite(mag):  # |<u, v>| overflows a finite <u, v>
         raise ValueError(f"<u, v> = {ip} is not finite")
     phase = ip / mag if mag > 0.0 else 1.0 + 0j
     return (u - phase * v).norm

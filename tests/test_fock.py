@@ -200,6 +200,24 @@ def test_inner_orthonormality_and_sesquilinearity():
     assert fock.inner(u, 1j * u) == pytest.approx(-1j * u.norm_sq)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_inner_rejects_a_non_finite_state(bad):
+    # a state loaded unchecked, non-finite at |0_1>, in either slot, against
+    # a state that is zero there (the sum is NaN) and one that is not
+    v = fock.from_json_dict({"K": 8, "d": 1, "terms": [{"a": [0], "b": [1], "re": bad, "im": 0.0}]})
+    for u in (bv((0,), (0,)), random_state(CUT, np.random.default_rng(6))):
+        for args in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match=r"^state has a non-finite coefficient .* at \|0_1>$"):
+                fock.inner(*args)
+
+
+def test_inner_rejects_an_overflowing_sum():
+    # finite states whose <u, v> overflows float64
+    big = 1e200 * bv((0,), (1,))
+    with pytest.raises(ValueError, match=r"^<u, v> = \(inf\+0j\) is not finite$"):
+        fock.inner(big, big)
+
+
 def test_inner_mismatch_error():
     with pytest.raises(BasisMismatchError):
         fock.inner(bv((0,), (0,)), fock.basis_vector(Cutoff(k=4, d=1), (0,), (0,)))

@@ -306,6 +306,12 @@ def test_vector_field_rejects_a_non_finite_state(kind, part, value):
         ham.vector_field(kind, state)
 
 
+@pytest.mark.parametrize("kind", ["sphere", None], ids=["str", "none"])
+def test_vector_field_rejects_a_kind_that_is_not_a_field_kind(kind):
+    with pytest.raises(ValueError, match="^unknown field kind"):
+        ham.vector_field(kind, bv((0,), (0,)))
+
+
 def test_a_full_field_that_overflows_to_nan_names_the_overflow():
     # the pair matmul of this full field overflows to nan without raising
     # FloatingPointError; the finite input is not blamed for it

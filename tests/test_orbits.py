@@ -35,6 +35,7 @@ def test_is_centered_rejects_gap_one_with_overlap():
 
 
 def test_is_centered_single_component_and_structured_gap_one():
+    assert orbits.is_centered({})  # the empty family spans the zero state
     assert orbits.is_centered({5: bv((0,), (5,))})
     # adjacent indices whose cross ladder elements vanish
     assert orbits.is_centered({0: bv((0,), (0,)), 2: bv((2,), (4,)), 3: bv((0,), (3,))})
@@ -129,6 +130,8 @@ def test_minimal_centered_subspace():
         orbits.minimal_centered_subspace(
             (1 / math.sqrt(2)) * (bv((0,), (0,)) + bv((0,), (1,)))
         )
+    with pytest.raises(NotCenteredError, match="^zero state"):
+        orbits.minimal_centered_subspace(fock.zero(CUT))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +341,19 @@ def test_classical_period_input_validation():
         orbits.is_classically_periodic(
             orbit, {0: Fraction(1, 2), -2: Fraction(1, 3)}
         )
+    # weights that sum to 1 but are not the state's squared norms
+    for weights in ({0: Fraction(1, 3), -2: Fraction(2, 3)},
+                    {0: Fraction(-1, 2), -2: Fraction(3, 2)},
+                    {0: Fraction(1), -2: Fraction(0)}):
+        with pytest.raises(ValueError, match="^weight .* of excitation 0 must be positive"):
+            orbits.is_classically_periodic(orbit, weights)
+    # a component of squared norm 1e-10: a zero or negative weight on it is
+    # within 1e-9 of its norm and sums to 1, but is not positive
+    tiny = math.sqrt(1e-10) * bv((2,), (0,)) + math.sqrt(1 - 1e-10) * bv((0,), (0,))
+    orbit = orbits.orbit_from_state(tiny)
+    for w in (Fraction(0), Fraction(-1, 10**10)):
+        with pytest.raises(ValueError, match="^weight .* of excitation -2 must be positive"):
+            orbits.is_classically_periodic(orbit, {0: 1 - w, -2: w})
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +463,9 @@ def test_bifurcation_family_validation():
         orbits.bifurcation_family(base, bv((0,), (1,)), 1, 0.3)
     with pytest.raises(ValueError, match="perturbation-kernel"):
         orbits.bifurcation_family(base, bv((1,), (0,)), -1, 0.3)
+    # a base supported at degree K - 1 leaves no room for the kernel check
+    with pytest.raises(ValueError, match="too close to the cutoff"):
+        orbits.bifurcation_family(bv((0,), (CUT.k - 1,)), bv((0,), (CUT.k - 3,)), -2, 0.3)
 
 
 _ANALYSIS_SETS = [

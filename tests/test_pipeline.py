@@ -73,6 +73,21 @@ def test_grid_spec_validation():
     assert spec.step == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize(
+    "values, stage, message",
+    [
+        (np.zeros((64, 32), dtype=complex), "qp", r"values shape \(64, 32\) != grid 64\^2"),
+        (np.full((64, 64), math.nan, dtype=complex), "qp", "grid values must be finite"),
+        (np.full((64, 64), math.inf, dtype=complex), "qp", "grid values must be finite"),
+        (np.zeros((64, 64), dtype=complex), "pq", "unknown stage 'pq'"),
+    ],
+    ids=["shape", "nan", "inf", "stage"],
+)
+def test_grid_field_validation(values, stage, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pl.GridField(pl.GridSpec(n=64, extent=4.0), values, stage)
+
+
 def test_grid_spec_rejects_steps_above_one_oscillator_length():
     for n, extent in ((256, 8.0), (128, 6.0), (32, 16.0)):
         assert pl.GridSpec(n=n, extent=extent).step <= 1.0
@@ -102,6 +117,15 @@ def test_hermite_table_rejects_a_non_finite_point(bad):
     # a NaN point gave NaN rows, and an infinite one a RuntimeWarning
     with pytest.raises(ValueError, match="non-finite x"):
         pl.hermite_table(3, [0.5, bad])
+
+
+@pytest.mark.parametrize("degree", [-1, -3])
+@pytest.mark.parametrize("call", [pl.hermite_table, pl.hermite_eval], ids=["table", "eval"])
+def test_hermite_functions_reject_a_negative_degree(call, degree):
+    # the table raised IndexError at -1 and numpy's "negative dimensions"
+    # at -3
+    with pytest.raises(ValueError, match=f"^degree must be >= 0, got {degree}$"):
+        call(degree, [0.5, 1.0])
 
 
 def test_hermite_raising_consistency():
@@ -306,6 +330,14 @@ def test_fourier_stage_checks():
 
 # ---------------------------------------------------------------------------
 # densities
+
+@pytest.mark.parametrize("call", [pl.density, pl.noether_charges], ids=["density", "charges"])
+@pytest.mark.parametrize("stage", ["qp", "xxi"])
+def test_densities_expect_stage_xv(call, stage):
+    field = pl.GridField(SPEC, np.zeros((SPEC.n, SPEC.n), dtype=complex), stage)
+    with pytest.raises(ValueError, match=f"^{call.__name__} expects stage 'xv', got '{stage}'$"):
+        call(field)
+
 
 def test_density_mass_and_ground_state():
     field = pl.state_to_classical(bv((0,), (0,)), SPEC)

@@ -85,8 +85,9 @@ def test_symplectic_form_precondition():
         lambda base, v: red.project_tangent(base, v),
         lambda base, v: red.symplectic_form(base, v, v),
         lambda base, v: (red.projective_distance(v, base), red.projective_distance(base, v)),
+        lambda base, v: red.moment_map(v),
     ],
-    ids=["project_tangent", "symplectic_form", "projective_distance"],
+    ids=["project_tangent", "symplectic_form", "projective_distance", "moment_map"],
 )
 def test_non_finite_state_is_rejected(call, bad):
     # a state loaded unchecked, non-finite at |0_1>, against a base that is
@@ -102,6 +103,11 @@ def test_projective_distance_rejects_an_overflowing_inner_product():
     big = 1e200 * bv((0,), (1,))
     with pytest.raises(ValueError, match="is not finite"):
         red.projective_distance(big, big)
+
+
+def test_moment_map_rejects_an_overflowing_squared_norm():
+    with pytest.raises(ValueError, match="is not finite"):
+        red.moment_map(1e200 * bv((0,), (1,)))
 
 
 def test_pullback_identity():
