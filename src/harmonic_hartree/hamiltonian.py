@@ -27,8 +27,8 @@ table is looked up then, and its conj(y) buffer is reused.  Called
 without ``parts`` it is the frame field, which the integrator binds once
 per call and calls for each stage, writing each stage derivative into
 the caller's array.  The energy reads the leading 2d + 1 moment rows, <N>
-and the first moments, for a bounded block of states at a time, so one
-call takes a single state or a whole (..., n) stack of them.
+and the first moments, for the whole stack it is given, so one call takes a
+single state or an (..., n) stack of them, which its callers bound.
 ``energy`` wraps ``energy_array`` for ``FockVector`` states, and
 ``vector_field`` builds each representation from the core's parts.
 
@@ -168,37 +168,25 @@ def frame_kernel(table: LadderTable, flux_tol: float):
     return core
 
 
-# entries of one block of the energy's moment images: a block of stacked
-# states is gathered at once, and the buffers stay small whatever the
-# stack's size
-_ENERGY_BLOCK = 2**15
-
-
 def energy_array(table: LadderTable, y: np.ndarray):
     """Energy of the coefficient array y, a float, or of each row of an
     (..., n) stack of them, an array (unit norm is not checked).
 
     <N> and the first moments are the leading 2d + 1 moment rows of the
-    table, gathered for a block of the stack at a time into one reused
-    image buffer of at most ``_ENERGY_BLOCK`` entries (one state a block
-    when a state's rows alone exceed it).  Each block is read as a complex
-    C-contiguous array, which copies only a block of another dtype or
-    layout, so a row's bits do not depend on the stack's layout."""
+    table, gathered for the whole stack at once into an image (2d + 1)
+    times its size, so callers bound the stack: ``energy`` passes one
+    state and the integrator one block of samples.  The stack is read as
+    a complex C-contiguous array, which copies only a stack of another
+    dtype or layout, so a row's bits do not depend on the stack's
+    layout."""
     n = table.n_diag.size
     rows = 1 + table.sign.size
     weight, index = table.moment_weight[:rows], table.moment_index[:rows]
-    states = np.reshape(y, (-1, n))
-    step = max(1, _ENERGY_BLOCK // (rows * n))
-    image = np.empty((min(step, len(states)), rows, n), dtype=complex)
-    moments = np.empty((len(states), rows))
-    for start in range(0, len(states), step):
-        block = np.ascontiguousarray(states[start : start + step], dtype=complex)
-        img = image[: len(block)]
-        # every index is in range; "clip" also lets numpy write into img
-        # directly, where the default mode buffers it
-        np.take(block, index, axis=1, out=img, mode="clip")
-        np.multiply(weight, img, out=img)
-        moments[start : start + len(block)] = np.vecdot(block[:, None], img).real
+    states = np.ascontiguousarray(np.reshape(y, (-1, n)), dtype=complex)
+    # every index is in range, so "clip" only skips numpy's bounds check
+    image = np.take(states, index, axis=1, mode="clip")
+    np.multiply(weight, image, out=image)
+    moments = np.vecdot(states[:, None], image).real
     energy = 0.5 * moments[:, 0] + 0.5 * (moments[:, 1:] ** 2 @ table.sign)
     return float(energy[0]) if y.ndim == 1 else energy.reshape(y.shape[:-1])
 
