@@ -27,6 +27,7 @@ and keeps FFT differentiation exact up to aliasing.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -139,17 +140,22 @@ def hermite_eval(n: int, x) -> np.ndarray:
 
 def hermite_table(max_degree: int, x) -> np.ndarray:
     """Rows 0..max_degree of the Hermite functions evaluated at x; ValueError
-    on a negative degree or a non-finite point."""
-    if max_degree < 0:
-        raise ValueError(f"degree must be >= 0, got {max_degree}")
+    on a degree that is a bool or not an integer >= 0, or on a non-finite
+    point."""
+    try:
+        degree = -1 if isinstance(max_degree, (bool, np.bool_)) else operator.index(max_degree)
+    except TypeError:
+        degree = -1
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {max_degree!r}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError("Hermite functions need finite points, got a non-finite x")
-    table = np.empty((max_degree + 1,) + x.shape)
+    table = np.empty((degree + 1,) + x.shape)
     table[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if max_degree >= 1:
+    if degree >= 1:
         table[1] = math.sqrt(2.0) * x * table[0]
-    for n in range(1, max_degree):
+    for n in range(1, degree):
         table[n + 1] = (
             math.sqrt(2.0) * x * table[n] - math.sqrt(n) * table[n - 1]
         ) / math.sqrt(n + 1)

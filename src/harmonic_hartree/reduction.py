@@ -60,14 +60,24 @@ def project_tangent(base: FockVector, delta: FockVector) -> FockVector:
     return delta - ip * base
 
 
+def _modulus(ip: complex) -> float:
+    """|ip| of a finite inner product; ValueError where it overflows
+    float64, as Python's abs raises OverflowError there."""
+    try:
+        return abs(ip)
+    except OverflowError:
+        raise ValueError(f"|{ip}| overflows float64") from None
+
+
 def symplectic_form(base: FockVector, d1: FockVector, d2: FockVector) -> float:
     """Reduced symplectic form Im<d1, d2> on the chart at ``base``.
 
-    Both tangents must be complex-orthogonal to ``base`` (to 1e-10).
+    Both tangents must be complex-orthogonal to ``base`` (to 1e-10);
+    ValueError also where |<d, base>| overflows float64.
     """
     for d in (d1, d2):
         # a ratio, so that an infinite coefficient fails it as a NaN does
-        if not abs(fock.inner(d, base)) / max(1.0, d.norm) <= 1e-10:
+        if not _modulus(fock.inner(d, base)) / max(1.0, d.norm) <= 1e-10:
             raise ValueError("tangent is not complex-orthogonal to base")
     return fock.inner(d1, d2).imag
 
@@ -98,12 +108,11 @@ def projective_distance(u: FockVector, v: FockVector) -> float:
 
     Evaluated as the norm of the phase-aligned difference, which is exact
     and avoids cancellation for nearby states (needed by finite-difference
-    velocity checks at step sizes ~1e-6).
+    velocity checks at step sizes ~1e-6).  ValueError where |<u, v>|
+    overflows float64.
     """
     ip = fock.inner(u, v)
-    mag = abs(ip)
-    if not math.isfinite(mag):  # |<u, v>| overflows a finite <u, v>
-        raise ValueError(f"<u, v> = {ip} is not finite")
+    mag = _modulus(ip)
     phase = ip / mag if mag > 0.0 else 1.0 + 0j
     return (u - phase * v).norm
 

@@ -637,7 +637,9 @@ def test_classify_rejects_a_weight_exponent_in_bounded_time(tmp_path, mix):
                                      pytest.param("0=" + "0" * 64 + "1/2,-2=1/2", id="67-char-weight"),
                                      pytest.param("0=-1/2,-2=3/2", id="negative"),
                                      pytest.param("0=1,-2=0", id="zero"),
-                                     pytest.param("0=1/3,-2=2/3", id="not-its-norms")])
+                                     pytest.param("0=1/3,-2=2/3", id="not-its-norms"),
+                                     # each within 1e-9 of its norm, 1 + 5e-11 together
+                                     pytest.param("0=0.50000000005,-2=1/2", id="sums-past-one")])
 def test_classify_rejects_bad_rational_weights(tmp_path, capsys, mix, weights):
     out = tmp_path / "out.json"
     rc = cli.main(["classify", "--state", mix, "--json", str(out),

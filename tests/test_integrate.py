@@ -513,6 +513,28 @@ def test_backward_step_budget_names_a_time_inside_the_window(monkeypatch):
     assert -math.pi <= t < 0.0
 
 
+def test_step_size_underflow_is_reported(monkeypatch):
+    # a step cap below 1e-14 sends the first step under the floor
+    monkeypatch.setattr(integ, "_H_MAX", 1e-15)
+    with pytest.raises(IntegrationError, match="step size underflow at t=0"):
+        integ.integrate(bv((0,), (1,)), 5e-11, samples=3)
+
+
+def test_sphere_projection_beyond_ten_tolerances_is_reported(monkeypatch):
+    # a radial growth the sphere flow does not have leaves the sphere in the
+    # first step
+    field = integ.sphere_field
+
+    def growing(kernel, z, theta, out=None):
+        out = field(kernel, z, theta, out)
+        out += 1e-6 * z
+        return out
+
+    monkeypatch.setattr(integ, "sphere_field", growing)
+    with pytest.raises(IntegrationError, match="sphere projection .* exceeded 10\\*tol at t=0"):
+        integ.integrate(bv((0,), (1,)), 1.0, samples=3)
+
+
 def test_input_validation():
     v = bv((0,), (1,))
     with pytest.raises(ValueError):

@@ -354,6 +354,12 @@ def test_classical_period_input_validation():
     for w in (Fraction(0), Fraction(-1, 10**10)):
         with pytest.raises(ValueError, match="^weight .* of excitation -2 must be positive"):
             orbits.is_classically_periodic(orbit, {0: 1 - w, -2: w})
+    # each weight within 1e-9 of its norm, but together 1 + 1e-10
+    orbit = orbits.orbit_from_state(0.8 * bv((0,), (0,)) + 0.6 * bv((2,), (0,)))
+    with pytest.raises(ValueError, match="^weights must sum to 1"):
+        orbits.is_classically_periodic(
+            orbit, {0: Fraction(16, 25) + Fraction(1, 10**10), -2: Fraction(9, 25)}
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_hermite_functions_reject_a_negative_degree(call, degree):
         call(degree, [0.5, 1.0])
 
 
+@pytest.mark.parametrize(
+    "degree", [True, 1.5, "2", None], ids=["bool", "float", "str", "none"]
+)
+@pytest.mark.parametrize("call", [pl.hermite_table, pl.hermite_eval], ids=["table", "eval"])
+def test_hermite_functions_reject_a_degree_that_is_not_an_integer(call, degree):
+    # True gave a 2-row table; the others raised TypeError
+    with pytest.raises(ValueError, match="^degree must be >= 0, got "):
+        call(degree, [0.5, 1.0])
+
+
+def test_hermite_table_takes_a_numpy_integer_degree():
+    np.testing.assert_array_equal(pl.hermite_table(np.int64(2), [0.5]),
+                                  pl.hermite_table(2, [0.5]))
+
+
 def test_hermite_raising_consistency():
     # (x h_n - h_n') / sqrt(2) = sqrt(n+1) h_{n+1}, derivative by recurrence
     xs = np.linspace(-6.0, 6.0, 100)

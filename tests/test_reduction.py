@@ -105,6 +105,24 @@ def test_projective_distance_rejects_an_overflowing_inner_product():
         red.projective_distance(big, big)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, v: red.projective_distance(u, v),
+        lambda u, v: red.quotient_distance(red.QuotientPoint(u), red.QuotientPoint(v)),
+        lambda u, v: red.symplectic_form(v, u, bv((1,), (0,))),
+    ],
+    ids=["projective_distance", "quotient_distance", "symplectic_form"],
+)
+def test_overflowing_modulus_of_a_finite_inner_product_is_rejected(call):
+    # <u, v> = 1.3e308 (1 - 1j) is finite but its modulus is not; the state
+    # is built from its array, as scaling a state would overflow a warning
+    v = bv((0,), (1,))
+    u = fock.from_array(CUT, np.where(v.array != 0, 1.3e308 * (1 + 1j), 0))
+    with pytest.raises(ValueError, match="overflows float64"):
+        call(u, v)
+
+
 def test_moment_map_rejects_an_overflowing_squared_norm():
     with pytest.raises(ValueError, match="is not finite"):
         red.moment_map(1e200 * bv((0,), (1,)))

@@ -195,13 +195,8 @@ INTERIOR = 30
 
 
 def _trajectory_sha256(traj) -> str:
-    # a tree before the per-sample figures became fields of the trajectory
-    # holds them in ``traj.conserved``
-    figures = getattr(traj, "conserved", traj)
     digest = hashlib.sha256(traj.times.tobytes())
-    for arr in [st.array for st in traj.states] + [
-        figures.norm, figures.mean_n, figures.energy,
-    ]:
+    for arr in [st.array for st in traj.states] + [traj.norm, traj.mean_n, traj.energy]:
         digest.update(arr.tobytes())
     return digest.hexdigest()
 
